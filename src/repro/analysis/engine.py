@@ -114,63 +114,43 @@ from its worker processes, each over a sub-range.
 """
 
 
-MIN_CHUNK_SIZE = 32
+MIN_CHUNK_SIZE = 8
 """Smallest RHS chunk width :func:`resolve_chunk_size` will pick."""
 
 MAX_CHUNK_SIZE = 4096
 """Largest RHS chunk width :func:`resolve_chunk_size` will pick."""
 
-CHUNK_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
-"""Default RHS working-set target shared by all in-flight chunks."""
+CHUNK_CACHE_BYTES = 1024 * 1024
+"""Bytes of one ``(num_unknowns, chunk)`` double block the adaptive width targets."""
 
 
-def resolve_chunk_size(
-    num_unknowns: int,
-    workers: int | None = None,
-    memory_budget_bytes: int = CHUNK_MEMORY_BUDGET_BYTES,
-) -> int:
+def resolve_chunk_size(num_unknowns: int) -> int:
     """Adaptive RHS chunk width for streamed sweeps.
 
-    Wide chunks amortise the per-chunk Python and triangular-solve setup
-    cost; narrow chunks bound memory — and with ``workers`` chunks in
-    flight the working set scales with the worker count too.  This
-    heuristic spends a fixed byte budget across all in-flight chunks:
-    roughly four dense double arrays of ``num_unknowns × chunk`` live per
-    chunk (the RHS block, the unknown solution, the full voltages and the
-    transposed drop rows), so
+    Sizes one ``(num_unknowns, chunk)`` block of doubles to fit a core's
+    cache, so the triangular solve, the voltage expansion and the drop
+    transpose of a chunk work on cache-resident blocks instead of
+    streaming from main memory:
 
-    ``chunk = budget // (workers * 4 * 8 * num_unknowns)``
+    ``chunk = CHUNK_CACHE_BYTES // (8 * num_unknowns)``
 
-    clamped to ``[MIN_CHUNK_SIZE, MAX_CHUNK_SIZE]``.  Streamed entry
-    points use it whenever ``chunk_size`` is omitted.
+    clamped to ``[MIN_CHUNK_SIZE, MAX_CHUNK_SIZE]``.  Every in-flight
+    chunk sits in the cache of the core solving it, so the width does not
+    depend on the executor's parallelism; each in-flight chunk holds
+    about four such blocks (RHS, solution, voltages, drop rows).
+    Streamed entry points use it whenever ``chunk_size`` is omitted.
 
     Args:
         num_unknowns: Unknown count of the reduced system
             (:attr:`~repro.grid.compiled.CompiledGrid.num_unknowns`).
-        workers: In-flight chunk count — the executor's **effective
-            parallel width**.  For the hybrid executor that is
-            ``shard_workers × threads_per_shard`` (its ``parallelism``
-            property), since every shard process runs ``threads``
-            chunks in flight at once; the single-axis executors pass
-            their thread or shard count.  ``None`` uses
-            ``os.cpu_count()``.
-        memory_budget_bytes: Total bytes the in-flight chunk state may
-            occupy.
 
     Returns:
         A chunk width in ``[MIN_CHUNK_SIZE, MAX_CHUNK_SIZE]``,
-        non-increasing in both ``num_unknowns`` and ``workers``.
+        non-increasing in ``num_unknowns``.
     """
     if num_unknowns < 0:
         raise ValueError("num_unknowns must be non-negative")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if memory_budget_bytes < 1:
-        raise ValueError("memory_budget_bytes must be positive")
-    per_scenario_bytes = 4 * 8 * max(1, num_unknowns)
-    chunk = memory_budget_bytes // (workers * per_scenario_bytes)
+    chunk = CHUNK_CACHE_BYTES // (8 * max(1, num_unknowns))
     return int(min(MAX_CHUNK_SIZE, max(MIN_CHUNK_SIZE, chunk)))
 
 
@@ -289,9 +269,11 @@ def _column_reductions(ir_drop: np.ndarray) -> "BatchReductions":
     """Per-scenario worst / mean / worst-node over a ``(num_nodes, k)`` block.
 
     Reduces over contiguous per-scenario rows (the transposed layout) so the
-    floating-point summation order per scenario is identical no matter how
-    many scenarios share the block — which is what makes sharded reductions
-    bitwise-equal to unsharded ones for every chunk size.
+    floating-point summation order per scenario is fixed no matter how many
+    scenarios share the block: equal voltages give bitwise-equal
+    reductions.  The voltages themselves may move in the last bit with the
+    block width (SuperLU's multi-RHS solve is not width-invariant), so
+    across chunk sizes the reductions agree to 1e-12 V rather than bitwise.
     """
     return _row_reductions(np.ascontiguousarray(ir_drop.T))
 
@@ -1430,8 +1412,7 @@ class BatchedAnalysisEngine:
             num_scenarios: Total number of scenarios to stream.
             chunk_size: RHS chunk width (and source request size).
                 ``None`` picks an adaptive width via
-                :func:`resolve_chunk_size` from the grid size and the
-                executor's parallelism.
+                :func:`resolve_chunk_size` from the grid size.
             sinks: Scenario sinks to stream every solved chunk into.
             workers: Solver threads for the chunk solves; sinks still fold
                 in ascending scenario order, so every result is
@@ -1449,7 +1430,7 @@ class BatchedAnalysisEngine:
         if num_scenarios < 1:
             raise ValueError("num_scenarios must be at least 1")
         if chunk_size is None:
-            chunk_size = resolve_chunk_size(compiled.num_unknowns, executor_used.parallelism)
+            chunk_size = resolve_chunk_size(compiled.num_unknowns)
         reductions, reused, iterations, executor_used = self._stream_scenarios(
             compiled, scenario_source, num_scenarios, chunk_size, sinks, executor_used, lenient,
             "analyze_scenario_stream",
@@ -1535,7 +1516,7 @@ class BatchedAnalysisEngine:
             raise ValueError("both matrices must contain at least one scenario row")
 
         if chunk_size is None:
-            chunk_size = resolve_chunk_size(compiled.num_unknowns, executor_used.parallelism)
+            chunk_size = resolve_chunk_size(compiled.num_unknowns)
         cross_source = CrossProductScenarioSource(load_matrix, pad_voltage_matrix)
         num_scenarios = num_loads * num_pad_rows
         reductions, reused, iterations, executor_used = self._stream_scenarios(

@@ -346,10 +346,10 @@ class HybridExecutor(SweepExecutor):
     parallel folds — the process axis), and *within* each shard the
     chunk solves run on ``threads_per_shard`` solver threads (SuperLU
     releases the GIL — the thread axis).  Effective parallelism is the
-    product, which is exactly what :attr:`parallelism` reports so
-    :func:`~repro.analysis.engine.resolve_chunk_size` budgets
-    ``shard_workers × threads_per_shard`` in-flight chunks against the
-    fixed memory budget.
+    product, which is exactly what :attr:`parallelism` reports: up to
+    ``shard_workers × threads_per_shard`` chunks are in flight at once,
+    each of the cache-sized width
+    :func:`~repro.analysis.engine.resolve_chunk_size` picks.
 
     Exactness is inherited twice over: the threaded pipeline is
     bitwise-identical to serial within each shard, and shard snapshots
@@ -444,8 +444,8 @@ class HybridExecutor(SweepExecutor):
         """Effective parallel width: ``shard_workers × threads_per_shard``.
 
         Every shard keeps ``threads_per_shard`` chunks in flight at
-        once, so this product is what the engine's adaptive chunk sizing
-        must spend the in-flight memory budget across.
+        once, so this product bounds the in-flight chunk count; the chunk
+        width itself does not depend on it.
         """
         return self.shard_workers * self.threads_per_shard
 

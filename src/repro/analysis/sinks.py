@@ -852,8 +852,22 @@ class NodeHistogramSink(IRDropSink):
     """Exact per-node IR-drop histograms with fixed bin edges.
 
     Counting is integral, so the accumulated histogram is bitwise-identical
-    for every chunking of the same sweep and equals a dense single-shot
-    ``numpy.histogram`` per node over the full voltage matrix.
+    for every chunking of the same drops and equals a dense single-shot
+    ``numpy.histogram`` per node over the same voltages.
+
+    Every drop maps to a *slot*: 0 is underflow, ``i + 1`` is bin ``i`` and
+    ``num_bins + 1`` is overflow, so slot ``s`` holds the drops ``x`` with
+    ``bounds[s - 1] <= x < bounds[s]`` over the padded edges
+    ``bounds = [e0, ..., e_{nb-1}, nextafter(e_nb, +inf)]`` (``-inf`` and
+    ``+inf`` beyond the ends).  The ``nextafter`` closes the last bin on
+    the right, as ``numpy.histogram`` does.  When every edge lies within
+    half a bin of its uniform position (``np.linspace`` edges,
+    :meth:`uniform`), the slot is estimated by arithmetic, as
+    ``numpy.histogram`` does for uniform bins, and the estimate — at most
+    one slot off — is corrected once in each direction against ``bounds``;
+    other edges bin by ``searchsorted`` on the same ``bounds``.  One
+    ``bincount`` per chunk then counts every node's slots.  NaN drops are
+    rejected; ``±inf`` count as underflow / overflow.
 
     Args:
         edges: Ascending bin edges in volts (``num_bins + 1`` values).
@@ -864,12 +878,19 @@ class NodeHistogramSink(IRDropSink):
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("edges must be a 1-D array of at least two bin edges")
-        if np.any(np.diff(edges) <= 0):
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("edges must be finite; ±inf drops count as underflow / overflow")
+        if not np.all(np.diff(edges) > 0):
             raise ValueError("edges must be strictly ascending")
         self.edges = edges
-        self._counts: np.ndarray | None = None
-        self._underflow: np.ndarray | None = None
-        self._overflow: np.ndarray | None = None
+        num_bins = edges.size - 1
+        self._bounds = np.append(edges[:-1], np.nextafter(edges[-1], np.inf))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = num_bins / (edges[-1] - edges[0])
+            offsets = np.abs(edges - np.linspace(edges[0], edges[-1], num_bins + 1)) * scale
+        uniform = np.isfinite(scale) and scale > 0 and np.all(offsets <= 0.5)
+        self._scale = float(scale) if uniform else None
+        self._slot_counts: np.ndarray | None = None
 
     @classmethod
     def uniform(cls, lo: float, hi: float, num_bins: int) -> "NodeHistogramSink":
@@ -886,23 +907,43 @@ class NodeHistogramSink(IRDropSink):
         return self.edges.size - 1
 
     def _on_bind(self, compiled: "CompiledGrid", num_scenarios: int) -> None:
-        self._counts = np.zeros((compiled.num_nodes, self.num_bins), dtype=np.int64)
-        self._underflow = np.zeros(compiled.num_nodes, dtype=np.int64)
-        self._overflow = np.zeros(compiled.num_nodes, dtype=np.int64)
+        slots = self.num_bins + 2
+        self._slot_counts = np.zeros((compiled.num_nodes, slots), dtype=np.int64)
+        self._node_base = np.arange(compiled.num_nodes, dtype=np.intp) * slots
+
+    def _slots(self, drops: np.ndarray) -> np.ndarray:
+        """Slot of every drop (0 underflow, ``i + 1`` bin ``i``, last overflow)."""
+        bounds = self._bounds
+        if self._scale is None:
+            return np.searchsorted(bounds, drops, side="right")
+        # Clipping before the cast truncates like floor and keeps the
+        # estimated bin b in [0, num_bins - 1], so the true slot is one of
+        # b, b + 1, b + 2: b plus the number of bounds[b], bounds[b + 1]
+        # the drop reaches.  ``estimate`` is reused for the looked-up bounds.
+        with np.errstate(over="ignore"):
+            estimate = np.subtract(drops, self.edges[0])
+            estimate *= self._scale
+        np.clip(estimate, 0, self.num_bins - 1, out=estimate)
+        slots = estimate.astype(np.intp)
+        lower = bounds.take(slots, mode="clip", out=estimate)
+        steps = np.greater_equal(drops, lower).view(np.uint8)
+        upper = bounds[1:].take(slots, mode="clip", out=estimate)
+        steps += np.greater_equal(drops, upper)
+        slots += steps
+        return slots
 
     def _consume_drops(self, drops: np.ndarray, scenario_offset: int) -> None:
-        edges = self.edges
-        bins = np.searchsorted(edges, drops, side="right") - 1
-        # numpy.histogram closes the last bin on the right.
-        bins[drops == edges[-1]] = self.num_bins - 1
-        in_range = (drops >= edges[0]) & (drops <= edges[-1])
-        node_of = np.broadcast_to(np.arange(self._num_nodes), drops.shape)
-        flat = node_of[in_range] * self.num_bins + bins[in_range]
-        self._counts += np.bincount(
-            flat, minlength=self._num_nodes * self.num_bins
-        ).reshape(self._num_nodes, self.num_bins)
-        self._underflow += (drops < edges[0]).sum(axis=0)
-        self._overflow += (drops > edges[-1]).sum(axis=0)
+        if drops.size and np.isnan(drops.min()):
+            row, node = np.argwhere(np.isnan(drops))[0]
+            raise ValueError(
+                f"{type(self).__name__}: NaN IR drop at scenario "
+                f"{scenario_offset + int(row)}, node {int(node)}"
+            )
+        slots = self._slots(drops)
+        slots += self._node_base
+        self._slot_counts += np.bincount(
+            slots.ravel(), minlength=self._slot_counts.size
+        ).reshape(self._slot_counts.shape)
 
     def snapshot(self) -> SinkSnapshot:
         """Freeze the accumulated per-node counters."""
@@ -910,12 +951,7 @@ class NodeHistogramSink(IRDropSink):
         return SinkSnapshot(
             sink_type=type(self).__name__,
             num_scenarios=self._consumed,
-            state={
-                "edges": self.edges.copy(),
-                "counts": self._counts.copy(),
-                "underflow": self._underflow.copy(),
-                "overflow": self._overflow.copy(),
-            },
+            state={"edges": self.edges.copy(), "slot_counts": self._slot_counts.copy()},
         )
 
     def merge(self, snapshot: SinkSnapshot) -> None:
@@ -923,9 +959,7 @@ class NodeHistogramSink(IRDropSink):
         self._begin_merge(snapshot)
         if not np.array_equal(snapshot.state["edges"], self.edges):
             raise ValueError("cannot merge histograms with different bin edges")
-        self._counts += snapshot.state["counts"]
-        self._underflow += snapshot.state["underflow"]
-        self._overflow += snapshot.state["overflow"]
+        self._slot_counts += snapshot.state["slot_counts"]
         self._finish_merge(snapshot)
 
     def result(self) -> NodeHistogram:
@@ -933,9 +967,9 @@ class NodeHistogramSink(IRDropSink):
         self._require_bound()
         return NodeHistogram(
             edges=self.edges,
-            counts=self._counts,
-            underflow=self._underflow,
-            overflow=self._overflow,
+            counts=self._slot_counts[:, 1:-1],
+            underflow=self._slot_counts[:, 0],
+            overflow=self._slot_counts[:, -1],
             num_scenarios=self._consumed,
         )
 

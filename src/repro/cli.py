@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--gamma", type=float, default=0.2, help="perturbation size (0-1)")
     sweep.add_argument(
         "--chunk-size", type=int, default=None,
-        help="scenarios solved per RHS chunk (default: adaptive from grid size and workers)",
+        help="scenarios solved per RHS chunk (default: adaptive, a 1 MiB RHS block per chunk)",
     )
     sweep.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,

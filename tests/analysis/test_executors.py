@@ -13,7 +13,6 @@ lenient fallback of :data:`EXECUTOR_ENV`, the adaptive chunk-width
 heuristic, and top-k rematerialisation.
 """
 
-import os
 import pickle
 
 import numpy as np
@@ -43,7 +42,7 @@ from repro.analysis import (
     uniform_budget,
 )
 from repro.analysis.engine import (
-    CHUNK_MEMORY_BUDGET_BYTES,
+    CHUNK_CACHE_BYTES,
     MAX_CHUNK_SIZE,
     MIN_CHUNK_SIZE,
 )
@@ -430,35 +429,28 @@ class TestCompiledGridPickling:
 
 class TestResolveChunkSize:
     def test_bounds_pinned(self):
-        assert resolve_chunk_size(10, workers=1) == MAX_CHUNK_SIZE
-        assert resolve_chunk_size(50_000_000, workers=1) == MIN_CHUNK_SIZE
-        # Exact interior point: 65536 unknowns x 2 workers x 32 B/scenario
-        # = 4 MiB per scenario-slot; 256 MiB budget -> 64 scenarios.
-        assert resolve_chunk_size(65536, workers=2) == 64
+        assert resolve_chunk_size(0) == MAX_CHUNK_SIZE
+        assert resolve_chunk_size(10) == MAX_CHUNK_SIZE
+        assert resolve_chunk_size(50_000_000) == MIN_CHUNK_SIZE
+        # ibmpg1: 1 MiB / (8 B x 1552 unknowns) = 84 columns; ibmpgnew1:
+        # 1 MiB / (8 B x 13856 unknowns) = 9 columns.
+        assert resolve_chunk_size(1552) == 84
+        assert resolve_chunk_size(13856) == 9
 
-    def test_monotone_in_grid_size_and_workers(self):
-        assert resolve_chunk_size(50_000, workers=1) >= resolve_chunk_size(
-            200_000, workers=1
-        )
-        assert resolve_chunk_size(200_000, workers=1) >= resolve_chunk_size(
-            200_000, workers=4
-        )
+    def test_monotone_in_grid_size(self):
+        widths = [resolve_chunk_size(n) for n in (10, 1552, 13856, 200_000)]
+        assert widths == sorted(widths, reverse=True)
 
     def test_defaults_and_budget(self):
-        assert resolve_chunk_size(65536, workers=None) == resolve_chunk_size(
-            65536, workers=os.cpu_count() or 1
-        )
-        assert resolve_chunk_size(
-            65536, workers=2, memory_budget_bytes=2 * CHUNK_MEMORY_BUDGET_BYTES
-        ) == 128
+        """Inside the clamps one RHS block of the width fits the cache budget."""
+        for unknowns in (300, 1552, 13856):
+            width = resolve_chunk_size(unknowns)
+            assert MIN_CHUNK_SIZE < width < MAX_CHUNK_SIZE
+            assert 8 * unknowns * width <= CHUNK_CACHE_BYTES < 8 * unknowns * (width + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_unknowns"):
             resolve_chunk_size(-1)
-        with pytest.raises(ValueError, match="workers"):
-            resolve_chunk_size(100, workers=0)
-        with pytest.raises(ValueError, match="memory_budget_bytes"):
-            resolve_chunk_size(100, memory_budget_bytes=0)
 
     def test_streamed_default_is_adaptive(self, ibmpg1_grid, load_sweep):
         engine = BatchedAnalysisEngine()
@@ -466,8 +458,8 @@ class TestResolveChunkSize:
         result = engine.analyze_scenario_stream(
             ibmpg1_grid, source, load_sweep.shape[0], workers=1
         )
-        compiled = ibmpg1_grid.compile()
-        assert result.chunk_size == resolve_chunk_size(compiled.num_unknowns, 1)
+        assert ibmpg1_grid.compile().num_unknowns == 1552
+        assert result.chunk_size == 84
 
 
 class TestRematerialize:
@@ -641,26 +633,35 @@ class TestHybridResolution:
     def test_parallelism_is_the_product(self):
         assert HybridExecutor(shard_workers=4, threads_per_shard=2).parallelism == 8
 
-    def test_chunk_budget_uses_effective_width(self):
-        """The 256 MiB in-flight budget is spent across shards x threads:
-        16384 unknowns x 32 B = 512 KiB per scenario slot, so 8 in-flight
-        chunks get 64 scenarios each — half the width the same grid gets
-        when only the 4 process shards were budgeted."""
-        width = HybridExecutor(shard_workers=4, threads_per_shard=2).parallelism
-        assert resolve_chunk_size(16384, workers=width) == 64
-        assert resolve_chunk_size(16384, workers=4) == 128
+    def test_in_flight_bound_per_slot(self):
+        """Each of the ``parallelism`` in-flight chunks holds about four
+        ``(unknowns, width)`` double blocks, bounded by
+        ``max(4 MiB, 256 B x unknowns)``: 16384 unknowns is where the
+        8-column floor takes over and the second term starts to grow."""
+        assert resolve_chunk_size(16384) == MIN_CHUNK_SIZE == 8
+        for unknowns in (1552, 16384, 50_000):
+            block_bytes = 8 * unknowns * resolve_chunk_size(unknowns)
+            assert 4 * block_bytes <= max(4 * CHUNK_CACHE_BYTES, 256 * unknowns)
+        assert 4 * 8 * 16384 * resolve_chunk_size(16384) == 4 * CHUNK_CACHE_BYTES
+        assert 4 * 8 * 50_000 * resolve_chunk_size(50_000) == 256 * 50_000
 
-    def test_adaptive_chunk_uses_parallelism(self, ibmpg1_grid, load_sweep):
+    def test_adaptive_chunk_ignores_parallelism(self, ibmpg1_grid, load_sweep):
+        """Each in-flight chunk sits in its own core's cache, so serial,
+        threaded and hybrid sweeps stream the same adaptive width."""
         engine = BatchedAnalysisEngine()
-        executor = HybridExecutor(shard_workers=2, threads_per_shard=2)
         source = MatrixScenarioSource(load_matrix=load_sweep)
-        result = engine.analyze_scenario_stream(
-            ibmpg1_grid, source, load_sweep.shape[0], executor=executor
-        )
-        compiled = ibmpg1_grid.compile()
-        assert result.chunk_size == resolve_chunk_size(compiled.num_unknowns, 4)
-        assert result.executor == "hybrid"
-        assert result.workers == 4
+        width = resolve_chunk_size(ibmpg1_grid.compile().num_unknowns)
+        for executor in (
+            SerialExecutor(),
+            ThreadedExecutor(3),
+            HybridExecutor(shard_workers=2, threads_per_shard=2),
+        ):
+            result = engine.analyze_scenario_stream(
+                ibmpg1_grid, source, load_sweep.shape[0], executor=executor
+            )
+            assert result.chunk_size == width
+            assert result.executor == executor.name
+            assert result.workers == executor.parallelism
 
     def test_env_knobs(self, monkeypatch):
         monkeypatch.setenv(HYBRID_SHARD_WORKERS_ENV, "3")

@@ -8,6 +8,8 @@ an explicitly materialised cross product, and the statistical vectorless
 sweep must stay below the deterministic worst-case bound.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,10 @@ class TestSinkProtocol:
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="ascending"):
             NodeHistogramSink([0.0, 0.1, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            NodeHistogramSink([0.0, np.nan, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            NodeHistogramSink([0.0, 0.1, np.inf])
         with pytest.raises(ValueError, match="num_bins"):
             NodeHistogramSink.uniform(0.0, 1.0, 0)
         with pytest.raises(ValueError, match="threshold"):
@@ -321,6 +327,99 @@ class TestSinkProtocol:
             threshold=0.1, counts=np.array([1, 0], dtype=np.int64), num_scenarios=4
         )
         assert np.array_equal(observed.rates, np.array([0.25, 0.0]))
+
+
+HISTOGRAM_EDGES = {
+    "linspace": (np.linspace(0.0, 0.1, 33), True),
+    "negative-lo": (np.linspace(-0.37, 1.9, 12), True),
+    "single-bin": (np.linspace(-1.0, 2.0, 2), True),
+    "nearly-uniform": (
+        np.linspace(0.0, 1.0, 11)
+        + np.array([0.0, 0.02, -0.03, 0.04, 0.0, -0.049, 0.01, 0.0, 0.03, -0.02, 0.0]),
+        True,
+    ),
+    "geomspace": (np.geomspace(1e-4, 1.0, 20), False),
+    # Edges up to 1.6 bins off uniform, where an arithmetic estimate can be
+    # two slots off.
+    "skewed": (np.array([0.0, 0.1, 0.31, 0.32, 0.33, 0.34, 0.6, 0.7, 0.8, 0.9, 1.0]), False),
+    # 8 ulps per bin: every edge is rounded, and far-out drops overflow
+    # the arithmetic estimate to inf.
+    "narrow": (np.linspace(0.7, 0.7 + 64 * np.spacing(0.7), 9), True),
+    "wide": (np.linspace(-1e300, 1e300, 9), True),
+}
+"""Edge sets and whether they take the arithmetic (uniform) binning path."""
+
+
+def adversarial_drops(edges: np.ndarray, num_nodes: int = 5) -> np.ndarray:
+    """``(k, num_nodes)`` drops on, one ulp below and one ulp above every
+    edge, plus ``±inf``, far out-of-range and in-range values, shuffled
+    differently per node."""
+    span = edges[-1] - edges[0]
+    values = np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [np.inf, -np.inf, 1e300, -1e300, edges[0] - 10 * span, edges[-1] + 10 * span],
+            [0.0, -0.0],
+            np.random.default_rng(3).uniform(edges[0] - span, edges[-1] + span, 50),
+        ]
+    )
+    rng = np.random.default_rng(4)
+    return np.stack([rng.permutation(values) for _ in range(num_nodes)], axis=1)
+
+
+def fold_histogram(sink, drops: np.ndarray, entry: str, chunk: int = 7):
+    """Feed ``drops`` chunk by chunk through ``consume`` or ``consume_drop_rows``.
+
+    The sink is bound with ``vdd = 0``, so ``consume`` of the voltages
+    ``-drops`` recovers every drop exactly (negation is exact)."""
+    sink.bind(SimpleNamespace(vdd=0.0, num_nodes=drops.shape[1]), drops.shape[0])
+    for begin in range(0, drops.shape[0], chunk):
+        block = drops[begin : begin + chunk]
+        if entry == "consume":
+            sink.consume(-block.T, begin)
+        else:
+            sink.consume_drop_rows(block, begin)
+    return sink.result()
+
+
+class TestHistogramBinning:
+    """Adversarial binning: both paths equal per-node ``numpy.histogram``."""
+
+    @pytest.mark.parametrize("entry", ["consume", "consume_drop_rows"])
+    @pytest.mark.parametrize("edge_set", sorted(HISTOGRAM_EDGES))
+    def test_matches_numpy_histogram(self, edge_set, entry):
+        edges, uniform = HISTOGRAM_EDGES[edge_set]
+        drops = adversarial_drops(edges)
+        sink = NodeHistogramSink(edges)
+        assert (sink._scale is not None) == uniform
+        histogram = fold_histogram(sink, drops, entry)
+        expected = np.stack(
+            [np.histogram(drops[:, node], bins=edges)[0] for node in range(drops.shape[1])]
+        )
+        assert np.array_equal(histogram.counts, expected)
+        assert np.array_equal(histogram.underflow, (drops < edges[0]).sum(axis=0))
+        assert np.array_equal(histogram.overflow, (drops > edges[-1]).sum(axis=0))
+        assert np.array_equal(histogram.total, np.full(drops.shape[1], drops.shape[0]))
+        # The arithmetic path counts exactly what searchsorted counts.
+        reference = NodeHistogramSink(edges)
+        reference._scale = None
+        searched = fold_histogram(reference, drops, entry)
+        assert np.array_equal(histogram.counts, searched.counts)
+        assert np.array_equal(histogram.underflow, searched.underflow)
+        assert np.array_equal(histogram.overflow, searched.overflow)
+
+    @pytest.mark.parametrize("entry", ["consume", "consume_drop_rows"])
+    def test_nan_drop_names_scenario_and_node(self, entry):
+        drops = np.full((6, 7), 0.05)
+        drops[4, 5] = np.nan
+        sink = NodeHistogramSink.uniform(0.0, 0.1, 8)
+        with pytest.raises(ValueError, match=r"NodeHistogramSink.*scenario 4, node 5"):
+            fold_histogram(sink, drops, entry, chunk=3)
+        # The chunk before the NaN was counted, the rejected one was not.
+        assert sink.num_consumed == 3
+        assert sink.result().total.tolist() == [3] * 7
 
 
 class TestSnapshotMerge:
