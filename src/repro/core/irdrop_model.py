@@ -6,9 +6,15 @@ currents of the blocks are allocated to the power-grid lines that cross them
 (the current-requirement decomposition of eqs. 7-9), and the IR drop along
 each line is accumulated segment by segment with Kirchhoff's laws, treating
 each line as a one-dimensional resistive ladder fed at the crossings nearest
-to the supply pads.  This costs O(#segments) instead of a sparse solve over
-the whole grid, which is where the paper's ~6x speedup comes from — at the
-cost of some accuracy, exactly as the paper notes.
+to the supply pads.  This costs O(#segments) per line instead of a sparse
+solve over the whole grid, and the lines of one direction, which share
+their crossings, are solved together as one batched ladder.  Measured with
+``perfbench`` paper-flow on ibmpg2 (48 + 48 lines, one core of a 2-vCPU
+VM), ``PowerPlanningDL.predict_design`` (width model plus this estimate)
+takes a median of 7.5 ms against 95 ms for the spec's conventional plan,
+12.8x (paper Table IV: 1.97x on ibmpg2).  The price is accuracy, as the
+paper notes: the estimated worst drop is 6.1 % off the analysed grid's
+(median over five specs).
 """
 
 from __future__ import annotations
@@ -96,22 +102,25 @@ class KirchhoffIRDropEstimator:
         direction with exponentially decaying weights in the distance from
         the block centre; both directions share the delivery evenly (half
         each), reflecting that a mesh delivers current through both layers.
+        The blocks' shares are summed in block order.
         """
         currents = np.zeros(topology.num_lines, dtype=float)
-        v_positions = np.asarray(topology.vertical_positions)
-        h_positions = np.asarray(topology.horizontal_positions)
-        v_decay = max(floorplan.core_width * self.distance_decay, 1e-9)
-        h_decay = max(floorplan.core_height * self.distance_decay, 1e-9)
-        for block in floorplan.iter_blocks():
-            if block.switching_current <= 0:
-                continue
-            cx, cy = block.center
-            v_weights = np.exp(-np.abs(v_positions - cx) / v_decay)
-            h_weights = np.exp(-np.abs(h_positions - cy) / h_decay)
-            v_weights /= v_weights.sum()
-            h_weights /= h_weights.sum()
-            currents[: topology.num_vertical] += 0.5 * block.switching_current * v_weights
-            currents[topology.num_vertical :] += 0.5 * block.switching_current * h_weights
+        blocks = [block for block in floorplan.iter_blocks() if block.switching_current > 0]
+        if not blocks:
+            return currents
+        centers = np.asarray([block.center for block in blocks])
+        halves = np.asarray([0.5 * block.switching_current for block in blocks])
+        num_vertical = topology.num_vertical
+        for axis, positions, extent, lines in (
+            (0, topology.vertical_positions, floorplan.core_width, slice(None, num_vertical)),
+            (1, topology.horizontal_positions, floorplan.core_height, slice(num_vertical, None)),
+        ):
+            decay = max(extent * self.distance_decay, 1e-9)
+            # (blocks, lines) weights, one row per block.  cumsum adds the rows
+            # strictly in block order, whatever order a sum would reduce in.
+            weights = np.exp(-np.abs(np.asarray(positions) - centers[:, axis, None]) / decay)
+            weights /= weights.sum(axis=1, keepdims=True)
+            currents[lines] = np.cumsum(halves[:, None] * weights, axis=0)[-1]
         return currents
 
     def predict(
@@ -129,13 +138,20 @@ class KirchhoffIRDropEstimator:
 
         Raises:
             ValueError: If the width vector has the wrong length or contains
-                non-positive values, or the floorplan has no pads.
+                non-finite or non-positive values, or the floorplan has no
+                pads.
         """
         line_widths = np.asarray(line_widths, dtype=float)
         if line_widths.shape != (topology.num_lines,):
             raise ValueError(f"expected {topology.num_lines} widths")
-        if np.any(line_widths <= 0):
-            raise ValueError("line widths must be positive")
+        # Checked before any batching: a NaN would otherwise reach the
+        # orthogonal-width median and poison every line of the other direction.
+        bad_lines = np.flatnonzero(~(np.isfinite(line_widths) & (line_widths > 0)))
+        if bad_lines.size:
+            raise ValueError(
+                "line widths must be finite and positive; "
+                f"offending line ids: {bad_lines.tolist()}"
+            )
 
         pad_xs = np.asarray([pad.x for pad in floorplan.iter_pads()])
         pad_ys = np.asarray([pad.y for pad in floorplan.iter_pads()])
@@ -144,6 +160,9 @@ class KirchhoffIRDropEstimator:
 
         start = time.perf_counter()
         line_currents = self.allocate_line_currents(floorplan, topology)
+        num_vertical = topology.num_vertical
+        v_widths, h_widths = line_widths[:num_vertical], line_widths[num_vertical:]
+        v_currents, h_currents = np.split(line_currents * self.sharing_factor, [num_vertical])
 
         v_layer = self.technology.vertical_layer
         h_layer = self.technology.horizontal_layer
@@ -151,68 +170,56 @@ class KirchhoffIRDropEstimator:
         pad_pitch_x = floorplan.core_width / max(np.sqrt(num_pads), 1.0)
         pad_pitch_y = floorplan.core_height / max(np.sqrt(num_pads), 1.0)
 
-        # Pre-compute the switching current under every segment midpoint of
-        # every line in two vectorised queries (one per direction).
+        # The switching current under every segment midpoint of every line,
+        # one row per line, in two vectorised queries (one per direction).
         v_positions = np.asarray(topology.vertical_positions)
         h_positions = np.asarray(topology.horizontal_positions)
         v_midpoints = (h_positions[:-1] + h_positions[1:]) / 2.0
         h_midpoints = (v_positions[:-1] + v_positions[1:]) / 2.0
         v_grid_x, v_grid_y = np.meshgrid(v_positions, v_midpoints, indexing="ij")
         h_grid_x, h_grid_y = np.meshgrid(h_midpoints, h_positions, indexing="xy")
-        vertical_local_currents = floorplan.switching_currents_at(v_grid_x, v_grid_y)
-        horizontal_local_currents = floorplan.switching_currents_at(h_grid_x, h_grid_y)
 
-        line_ir_drop = np.zeros(topology.num_lines, dtype=float)
-        segment_ir_drop: list[np.ndarray] = []
-        for line_id in range(topology.num_lines):
-            vertical = topology.is_vertical(line_id)
-            layer = v_layer if vertical else h_layer
-            if vertical:
-                coordinate = topology.vertical_positions[line_id]
-                span_positions = h_positions
-                pad_axis, pad_other = pad_ys, pad_xs
-                pad_reach = pad_pitch_x
-                local_currents = vertical_local_currents[line_id]
-            else:
-                row = line_id - topology.num_vertical
-                coordinate = topology.horizontal_positions[row]
-                span_positions = v_positions
-                pad_axis, pad_other = pad_xs, pad_ys
-                pad_reach = pad_pitch_y
-                local_currents = horizontal_local_currents[row]
-
-            if vertical:
-                orthogonal_layer = h_layer
-                orthogonal_width = float(np.median(line_widths[topology.num_vertical :]))
-            else:
-                orthogonal_layer = v_layer
-                orthogonal_width = float(np.median(line_widths[: topology.num_vertical]))
-
-            drops = self._line_ladder_drop(
-                span_positions=span_positions,
-                pad_axis_positions=pad_axis,
-                pad_other_positions=pad_other,
-                pad_reach=pad_reach,
-                line_coordinate=coordinate,
-                sheet_resistance=layer.sheet_resistance,
-                width=line_widths[line_id],
-                total_current=line_currents[line_id] * self.sharing_factor,
-                local_currents=local_currents,
+        segment_drops = (
+            self._ladder_drops(
+                span_positions=h_positions,
+                line_coordinates=v_positions,
+                pad_axis_positions=pad_ys,
+                pad_other_positions=pad_xs,
+                pad_reach=pad_pitch_x,
+                sheet_resistance=v_layer.sheet_resistance,
+                widths=v_widths,
+                total_currents=v_currents,
+                local_currents=floorplan.switching_currents_at(v_grid_x, v_grid_y),
                 approach_resistance_per_um=(
                     self.approach_factor
-                    * orthogonal_layer.sheet_resistance
-                    / max(orthogonal_width, 1e-9)
+                    * h_layer.sheet_resistance
+                    / max(float(np.median(h_widths)), 1e-9)
                 ),
-                via_resistance=self.technology.via_resistance,
-            )
-            segment_ir_drop.append(drops)
-            line_ir_drop[line_id] = drops.max() if drops.size else 0.0
+            ),
+            self._ladder_drops(
+                span_positions=v_positions,
+                line_coordinates=h_positions,
+                pad_axis_positions=pad_xs,
+                pad_other_positions=pad_ys,
+                pad_reach=pad_pitch_y,
+                sheet_resistance=h_layer.sheet_resistance,
+                widths=h_widths,
+                total_currents=h_currents,
+                local_currents=floorplan.switching_currents_at(h_grid_x, h_grid_y),
+                approach_resistance_per_um=(
+                    self.approach_factor
+                    * v_layer.sheet_resistance
+                    / max(float(np.median(v_widths)), 1e-9)
+                ),
+            ),
+        )
+        line_ir_drop = np.concatenate([drops.max(axis=1) for drops in segment_drops])
 
         worst_line = int(np.argmax(line_ir_drop))
         elapsed = time.perf_counter() - start
         return IRDropPrediction(
             line_ir_drop=line_ir_drop,
-            segment_ir_drop=segment_ir_drop,
+            segment_ir_drop=[row for drops in segment_drops for row in drops],
             worst_ir_drop=float(line_ir_drop[worst_line]),
             worst_line=worst_line,
             prediction_time=elapsed,
@@ -262,110 +269,129 @@ class KirchhoffIRDropEstimator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _line_ladder_drop(
+    def _ladder_drops(
         self,
         span_positions: np.ndarray,
+        line_coordinates: np.ndarray,
         pad_axis_positions: np.ndarray,
         pad_other_positions: np.ndarray,
         pad_reach: float,
-        line_coordinate: float,
         sheet_resistance: float,
-        width: float,
-        total_current: float,
+        widths: np.ndarray,
+        total_currents: np.ndarray,
         local_currents: np.ndarray,
-        approach_resistance_per_um: float = 0.0,
-        via_resistance: float = 0.0,
+        approach_resistance_per_um: float,
     ) -> np.ndarray:
-        """IR drop along one line modelled as a multi-feed 1-D ladder.
+        """IR drop along every line of one direction, each a multi-feed 1-D ladder.
 
-        The line's allocated current is distributed over its segments in
+        The lines of one direction all cross the same orthogonal lines, so
+        they share their span positions: every per-segment quantity is a
+        ``(lines, segments)`` array with one row per line, and each
+        ``cumsum(axis=1)`` scans a row exactly as it would scan that line
+        alone.
+
+        A line's allocated current is distributed over its segments in
         proportion to the switching current under each segment (uniformly
         when no block covers the line).  Feed points are the crossings
         nearest to the pads whose orthogonal distance from the line is
-        within one pad pitch (falling back to the single nearest pad when
-        no pad is that close).  Each segment's tap current flows to its
-        nearest feed point; the IR drop accumulates away from each feed as
+        within one pad pitch (falling back to the nearest pad when no pad is
+        that close).  Each segment's tap current flows to its nearest feed
+        point; the IR drop accumulates away from each feed as
         ``sum(R_segment * I_carried)`` on top of the feed's *approach drop*
         — the drop incurred reaching the line from the pad through the
         orthogonal layer and the via stack.
-        """
-        num_segments = span_positions.size - 1
-        if num_segments <= 0:
-            return np.zeros(0)
 
+        Returns:
+            ``(lines, segments)`` array of per-segment IR drops, volts.
+        """
+        num_lines = line_coordinates.size
+        num_crossings = span_positions.size
+        num_segments = num_crossings - 1
         midpoints = (span_positions[:-1] + span_positions[1:]) / 2.0
-        lengths = np.diff(span_positions)
-        resistances = sheet_resistance * lengths / width
+        resistances = sheet_resistance * np.diff(span_positions) / widths[:, None]
 
         # Per-segment tap currents proportional to the local switching current.
-        local_currents = np.asarray(local_currents, dtype=float)
-        if local_currents.sum() <= 0:
-            taps = np.full(num_segments, total_current / num_segments)
-        else:
-            taps = total_current * local_currents / local_currents.sum()
+        local_totals = local_currents.sum(axis=1)
+        uniform = local_totals <= 0
+        taps = (
+            total_currents[:, None]
+            * local_currents
+            / np.where(uniform, 1.0, local_totals)[:, None]
+        )
+        taps[uniform] = (total_currents[uniform] / num_segments)[:, None]
 
         # Feed points: crossings nearest to the pads that are close enough to
-        # supply this line through the orthogonal layer.
-        distance_to_line = np.abs(pad_other_positions - line_coordinate)
-        nearby = distance_to_line <= pad_reach
-        if not np.any(nearby):
-            nearby = distance_to_line == distance_to_line.min()
-        feed_positions = pad_axis_positions[nearby]
-        feed_distances = distance_to_line[nearby]
+        # supply each line through the orthogonal layer.  approach[line, c] is
+        # the distance of the closest such pad projecting onto crossing c, and
+        # inf where c feeds nothing.
+        distances = np.abs(pad_other_positions[None, :] - line_coordinates[:, None])
+        nearby = distances <= pad_reach
+        unreached = ~nearby.any(axis=1)
+        nearby[unreached] = distances[unreached] == distances[unreached].min(axis=1, keepdims=True)
         projected = np.argmin(
-            np.abs(span_positions[None, :] - feed_positions[:, None]), axis=1
+            np.abs(span_positions[None, :] - pad_axis_positions[:, None]), axis=1
         )
-        feed_indices, inverse = np.unique(projected, return_inverse=True)
-        # The approach distance of a feed is the closest pad projecting there.
-        approach_distance = np.full(feed_indices.shape, np.inf)
-        np.minimum.at(approach_distance, inverse, feed_distances)
+        lines, pads = np.nonzero(nearby)
+        approach = np.full((num_lines, num_crossings), np.inf)
+        np.minimum.at(approach, (lines, projected[pads]), distances[lines, pads])
 
-        # Assign every segment to its nearest feed.  Feeds are sorted along
-        # the line, so the assignment splits the segments into contiguous
-        # regions separated at the midpoints between adjacent feeds.
-        feed_span = span_positions[feed_indices]
-        boundaries = (feed_span[:-1] + feed_span[1:]) / 2.0
-        slots = np.searchsorted(boundaries, midpoints)
-        num_slots = feed_indices.size
-        region_start = np.searchsorted(slots, np.arange(num_slots), side="left")
-        region_end = np.searchsorted(slots, np.arange(num_slots), side="right")
+        # Assign every segment to its nearest feed: the last feed at or before
+        # its left crossing or the first at or after its right one, split at
+        # the midpoint between the two, which goes left.  Feeds are sorted
+        # along the line, so each feed's segments form one contiguous region.
+        crossing = np.arange(num_crossings)
+        is_feed = np.isfinite(approach)
+        previous = np.maximum.accumulate(np.where(is_feed, crossing, -1), axis=1)[:, :-1]
+        following = np.minimum.accumulate(
+            np.where(is_feed, crossing, num_crossings)[:, ::-1], axis=1
+        )[:, ::-1][:, 1:]
+        boundary = (
+            span_positions[previous] + span_positions[np.minimum(following, num_segments)]
+        ) / 2.0
+        go_left = (previous >= 0) & ((following == num_crossings) | (midpoints <= boundary))
+        feed = np.where(go_left, previous, following)
+
+        # A segment's region runs from the first segment with its feed to one
+        # past the last.
+        segment = np.arange(num_segments)
+        first = np.ones(feed.shape, dtype=bool)
+        first[:, 1:] = feed[:, 1:] != feed[:, :-1]
+        last = np.ones(feed.shape, dtype=bool)
+        last[:, :-1] = first[:, 1:]
+        region_start = np.maximum.accumulate(np.where(first, segment, 0), axis=1)
+        region_end = np.minimum.accumulate(
+            np.where(last, segment + 1, num_segments)[:, ::-1], axis=1
+        )[:, ::-1]
 
         # Prefix sums that turn the per-region ladder accumulation into a
         # closed form:  T = prefix taps, CR = prefix resistances,
         # CRT[i] = sum_{m<i} R[m] * T[m],  CRT2[i] = sum_{m<i} R[m] * T[m+1].
-        prefix_taps = np.concatenate(([0.0], np.cumsum(taps)))
-        prefix_res = np.concatenate(([0.0], np.cumsum(resistances)))
-        prefix_rt = np.concatenate(([0.0], np.cumsum(resistances * prefix_taps[:-1])))
-        prefix_rt_next = np.concatenate(([0.0], np.cumsum(resistances * prefix_taps[1:])))
+        def prefixed(values: np.ndarray) -> np.ndarray:
+            return np.concatenate((np.zeros((num_lines, 1)), np.cumsum(values, axis=1)), axis=1)
 
-        region_current = prefix_taps[region_end] - prefix_taps[region_start]
-        approach_drop = region_current * (
-            approach_resistance_per_um * approach_distance + via_resistance
+        def at(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+            return np.take_along_axis(table, index, axis=1)
+
+        prefix_taps = prefixed(taps)
+        prefix_res = prefixed(resistances)
+        prefix_rt = prefixed(resistances * prefix_taps[:, :-1])
+        prefix_rt_next = prefixed(resistances * prefix_taps[:, 1:])
+
+        taps_end = at(prefix_taps, region_end)
+        taps_start = at(prefix_taps, region_start)
+        res_feed = at(prefix_res, feed)
+        approach_drop = (taps_end - taps_start) * (
+            approach_resistance_per_um * at(approach, feed) + self.technology.via_resistance
         )
-
-        segment_index = np.arange(num_segments)
-        feed_of_segment = feed_indices[slots]
-        start_of_segment = region_start[slots]
-        end_of_segment = region_end[slots]
-        approach_of_segment = approach_drop[slots]
-
-        drops = np.empty(num_segments)
-        right = segment_index >= feed_of_segment
-        left = ~right
         # Right of the feed: segment j carries the taps of segments j..end-1.
-        drops[right] = (
-            prefix_taps[end_of_segment[right]]
-            * (prefix_res[segment_index[right] + 1] - prefix_res[feed_of_segment[right]])
-            - (prefix_rt[segment_index[right] + 1] - prefix_rt[feed_of_segment[right]])
-        )
+        right = taps_end * (prefix_res[:, 1:] - res_feed) - (prefix_rt[:, 1:] - at(prefix_rt, feed))
         # Left of the feed: segment j carries the taps of segments start..j.
-        drops[left] = (
-            prefix_rt_next[feed_of_segment[left]]
-            - prefix_rt_next[segment_index[left]]
-            - prefix_taps[start_of_segment[left]]
-            * (prefix_res[feed_of_segment[left]] - prefix_res[segment_index[left]])
+        left = (
+            at(prefix_rt_next, feed)
+            - prefix_rt_next[:, :-1]
+            - taps_start * (res_feed - prefix_res[:, :-1])
         )
-        return drops + approach_of_segment
+        return np.where(segment >= feed, right, left) + approach_drop
 
 
 def pg_line_count(core_width: float, width: float) -> int:

@@ -53,7 +53,7 @@ class WidthPredictor:
             per line: ``"median"``, ``"mean"`` or ``"max"``.
     """
 
-    _AGGREGATIONS = ("median", "mean", "max")
+    _AGGREGATIONS = {"median": np.median, "mean": np.mean, "max": np.max}
 
     def __init__(
         self,
@@ -62,7 +62,7 @@ class WidthPredictor:
         aggregation: str = "median",
     ) -> None:
         if aggregation not in self._AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {self._AGGREGATIONS}")
+            raise ValueError(f"aggregation must be one of {tuple(self._AGGREGATIONS)}")
         self.config = config or RegressorConfig.paper_default()
         self.rules = rules
         self.aggregation = aggregation
@@ -150,23 +150,28 @@ class WidthPredictor:
 
         Column 0 of ``sample_widths`` holds vertical-line predictions keyed
         by ``line_ids[:, 0]``, column 1 horizontal-line predictions keyed by
-        ``line_ids[:, 1]``.
+        ``line_ids[:, 1]``.  All (line id, value) pairs are grouped by line
+        once, a line's values in the order vertical column first, then
+        horizontal, each in sample order.  Lines with equally many values
+        form one ``(lines, count)`` array whose rows reduce exactly as each
+        line's values would reduce alone.  A line without samples takes the
+        median of all predictions.
         """
+        ids = line_ids.T.ravel()
+        values = sample_widths.T.ravel()
+        known = (ids >= 0) & (ids < num_lines)
+        ids, values = ids[known], values[known]
+        counts = np.bincount(ids, minlength=num_lines)
+        starts = np.cumsum(counts) - counts
+        filled = counts > 0
         line_widths = np.empty(num_lines, dtype=float)
-        fallback = float(np.median(sample_widths))
-        for line_id in range(num_lines):
-            values_v = sample_widths[line_ids[:, 0] == line_id, 0]
-            values_h = sample_widths[line_ids[:, 1] == line_id, 1]
-            values = np.concatenate([values_v, values_h])
-            if values.size == 0:
-                line_widths[line_id] = fallback
-                continue
-            if self.aggregation == "median":
-                line_widths[line_id] = float(np.median(values))
-            elif self.aggregation == "mean":
-                line_widths[line_id] = float(np.mean(values))
-            else:
-                line_widths[line_id] = float(np.max(values))
+        if not filled.all():
+            line_widths[~filled] = float(np.median(sample_widths))
+        reduce = self._AGGREGATIONS[self.aggregation]
+        grouped = values[np.argsort(ids, kind="stable")]
+        for count in np.unique(counts[filled]):
+            lines = np.flatnonzero(counts == count)
+            line_widths[lines] = reduce(grouped[starts[lines, None] + np.arange(count)], axis=1)
         if self.rules is not None:
             line_widths = self.rules.legalize_widths(line_widths)
         return line_widths

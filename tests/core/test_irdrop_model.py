@@ -82,6 +82,15 @@ class TestPrediction:
         with pytest.raises(ValueError):
             estimator.predict(tiny_floorplan, tiny_topology, bad_widths)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_widths_rejected_with_line_ids(
+        self, estimator, tiny_floorplan, tiny_topology, bad
+    ):
+        widths = np.full(tiny_topology.num_lines, 5.0)
+        widths[[3, 10]] = bad
+        with pytest.raises(ValueError, match=r"offending line ids: \[3, 10\]"):
+            estimator.predict(tiny_floorplan, tiny_topology, widths)
+
     def test_constructor_validation(self, technology):
         with pytest.raises(ValueError):
             KirchhoffIRDropEstimator(technology, distance_decay=0.0)

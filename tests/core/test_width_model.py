@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import WidthPredictor
+from repro.core import RegressionDataset, WidthPredictor
 from repro.design import DesignRules
 from repro.nn import RegressorConfig, TrainingConfig
 
@@ -82,12 +82,40 @@ class TestPrediction:
         assert result.line_widths.shape == (small_benchmark.topology.num_lines,)
         assert result.sample_widths.shape[1] == 2
 
-    def test_aggregation_modes(self, small_dataset, small_benchmark):
-        config = RegressorConfig.fast(epochs=5)
+    def test_aggregation_modes(self, small_dataset):
+        training = small_dataset.training
+        num_vertical = int(training.line_ids[:, 0].max()) + 1
+        # All horizontal lines but the last half-covered one keep every
+        # vertical sample (an even count), the vertical lines keep 14 or 13
+        # samples (even and odd), one horizontal line keeps 5 (odd), and the
+        # later horizontal lines keep none.
+        keep = 13 * num_vertical + 5
+        subset = RegressionDataset(
+            name="uneven",
+            features=training.features[:keep],
+            widths=training.widths[:keep],
+            line_ids=training.line_ids[:keep],
+            num_lines=training.num_lines,
+        )
+        predictor = WidthPredictor(config=RegressorConfig.fast(epochs=5))
+        predictor.fit(training)
+        reducers = {"median": np.median, "mean": np.mean, "max": np.max}
         results = {}
-        for mode in ("median", "mean", "max"):
-            predictor = WidthPredictor(config=config, aggregation=mode)
-            predictor.fit(small_dataset.training)
-            results[mode] = predictor.predict_dataset(small_dataset.training).line_widths
-        # max aggregation can never be below the median aggregation
-        assert np.all(results["max"] >= results["median"] - 1e-9)
+        for mode, reduce in reducers.items():
+            predictor.aggregation = mode
+            result = predictor.predict_dataset(subset)
+            samples = result.sample_widths
+            expected = np.empty(training.num_lines)
+            for line in range(training.num_lines):
+                values = np.concatenate(
+                    [samples[subset.line_ids[:, 0] == line, 0],
+                     samples[subset.line_ids[:, 1] == line, 1]]
+                )
+                expected[line] = reduce(values) if values.size else np.median(samples)
+            assert result.line_widths.tobytes() == expected.tobytes(), mode
+            results[mode] = result.line_widths
+        counts = np.bincount(subset.line_ids.ravel(), minlength=training.num_lines)
+        assert {0, 5, 13, 14, num_vertical} <= set(counts.tolist())
+        # The modes must differ, or the comparisons above could not tell them apart.
+        assert np.any(results["max"] > results["median"])
+        assert not np.array_equal(results["mean"], results["median"])
