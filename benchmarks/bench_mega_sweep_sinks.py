@@ -22,23 +22,29 @@ After the timed sequential sweep, the same mega-sweep is re-run twice more:
   and the sequential-vs-threaded speedup is recorded (``>= 1.5x`` bar,
   multi-core full-scale runners only);
 * the **process-sharded executor** at every tested shard count — the
-  scenario range splits across worker processes, each with its own
-  factorization, and the merged reductions plus every *exact* mergeable
+  scenario range splits across worker processes, which inherit the
+  parent's factorization under ``fork``, and the merged reductions plus
+  every *exact* mergeable
   sink (histogram, exceedance, joint exceedance, top-k) must again be
   bitwise-identical (asserted; the reservoir merge is statistically
   resampled and recorded, not asserted).  The sequential-vs-process
   speedup is recorded and gated ``>= 2x`` by ``check_results.py`` on
   multi-core (``cpu_count >= 4``) full-scale runners;
 * the **hybrid executor** (process shards each running the threaded chunk
-  pipeline, with the grid shipped through one zero-copy shared-memory
-  payload) at several ``shard_workers × threads_per_shard`` combinations
-  — the merged reductions and every exact mergeable sink must again be
-  bitwise-identical to the sequential sweep (asserted at every scale).
-  The sequential-vs-hybrid speedup and ``payload_bytes_shared`` are
-  recorded; ``check_results.py`` gates ``hybrid_speedup >=
-  max(parallel_speedup, process_speedup)`` on ``>= 4``-core full-scale
-  runners and ``payload_bytes_shared > 0`` everywhere, so the zero-copy
-  claim is measured rather than asserted;
+  pipeline) at several ``shard_workers × threads_per_shard``
+  combinations on the default start method, where ``fork`` shards
+  inherit the parent's grid and factorization, plus the timed
+  combination once more under ``forkserver``, where the grid ships
+  through one zero-copy shared-memory payload — the merged reductions
+  and every exact mergeable sink must again be bitwise-identical to the
+  sequential sweep (asserted at every scale and for both start
+  methods).  The sequential-vs-hybrid speedup and both runs'
+  ``payload_bytes_shared`` are recorded; ``check_results.py`` gates
+  ``hybrid_speedup >= max(parallel_speedup, process_speedup)`` on
+  ``>= 4``-core full-scale runners, and on full-scale runners a payload
+  of 0 bytes for the ``fork`` run (nothing ships) and more than 0 for
+  the ``forkserver`` run, so both claims are measured rather than
+  asserted;
 * the **remote fleet executor** (embedded localhost coordinator +
   workers) at 1 / 2 / non-divisor shard counts — the merged reductions,
   every exact mergeable sink and the deterministic quantile sketch must
@@ -85,6 +91,7 @@ from repro.analysis import (
     ReservoirQuantileSink,
     TopKScenarioSink,
 )
+from repro.analysis.executors import start_context
 from repro.core import format_key_values
 from repro.grid import SyntheticIBMSuite, mega_sweep_matrices
 
@@ -389,21 +396,28 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     process_speedup = result.analysis_time / process_elapsed if process_elapsed > 0 else 0.0
 
     # --- Hybrid executor: process shards each running the threaded chunk
-    # pipeline, the grid shipped once through a shared-memory payload.
-    # Bitwise identity to the sequential sweep is asserted at every
-    # (shard_workers, threads_per_shard) combination and every scale; the
-    # last combination is timed.  check_results.py gates hybrid_speedup >=
+    # pipeline.  Bitwise identity to the sequential sweep is asserted at
+    # every (shard_workers, threads_per_shard) combination and every
+    # scale; the last combination is timed on the default start method
+    # (fork shards inherit the grid and factors: nothing ships), then run
+    # once more under forkserver, whose shards map the shared-memory
+    # payload.  check_results.py gates hybrid_speedup >=
     # max(parallel_speedup, process_speedup) on >= 4-core full-scale
-    # runners, and payload_bytes_shared > 0 everywhere the shared-memory
-    # path is available.
+    # runners, and the two runs' payload_bytes_shared (0 under fork,
+    # > 0 under forkserver) on full-scale runners.
     hybrid_matches = True
     hybrid_elapsed = 0.0
     hybrid_stats: dict = {}
-    for shard_workers, threads_per_shard in HYBRID_CONFIGS:
+    forkserver_stats: dict = {}
+    hybrid_runs = [(*config, None) for config in HYBRID_CONFIGS]
+    hybrid_runs.append((*HYBRID_CONFIGS[-1], "forkserver"))
+    for shard_workers, threads_per_shard, start_method in hybrid_runs:
         hybrid_engine = BatchedAnalysisEngine()
         hybrid_sinks = mergeable_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
         hybrid_executor = HybridExecutor(
-            shard_workers=shard_workers, threads_per_shard=threads_per_shard
+            shard_workers=shard_workers,
+            threads_per_shard=threads_per_shard,
+            start_method=start_method,
         )
         hybrid = hybrid_engine.analyze_mega_sweep(
             grid,
@@ -438,10 +452,13 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         )
         assert hybrid_matches, (
             f"hybrid sweep diverged at {shard_workers} shards x "
-            f"{threads_per_shard} threads"
+            f"{threads_per_shard} threads (start method {start_method or 'default'})"
         )
-        hybrid_elapsed = hybrid.analysis_time
-        hybrid_stats = dict(hybrid_executor.last_stats)
+        if start_method is None:
+            hybrid_elapsed = hybrid.analysis_time
+            hybrid_stats = dict(hybrid_executor.last_stats)
+        else:
+            forkserver_stats = dict(hybrid_executor.last_stats)
     hybrid_shard_workers, hybrid_threads = HYBRID_CONFIGS[-1]
     hybrid_speedup = result.analysis_time / hybrid_elapsed if hybrid_elapsed > 0 else 0.0
 
@@ -536,7 +553,11 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         ),
         "hybrid_speedup": hybrid_speedup,
         "hybrid_matches": hybrid_matches,
+        "hybrid_start_method": start_context(None).get_start_method(),
         "hybrid_payload_bytes_shared": hybrid_stats.get("payload_bytes_shared", 0),
+        "hybrid_forkserver_payload_bytes_shared": forkserver_stats.get(
+            "payload_bytes_shared", 0
+        ),
         "hybrid_rebalances": hybrid_stats.get("rebalances", 0),
         "hybrid_tasks": hybrid_stats.get("tasks", 0),
         "remote_worker_counts": list(REMOTE_WORKER_COUNTS),
@@ -598,6 +619,9 @@ def test_mega_sweep_sinks(benchmark, results_dir):
                 "hybrid matches": hybrid_matches,
                 "hybrid shared MB": round(
                     hybrid_stats.get("payload_bytes_shared", 0) / 1e6, 3
+                ),
+                "hybrid forkserver shared MB": round(
+                    forkserver_stats.get("payload_bytes_shared", 0) / 1e6, 3
                 ),
                 f"remote x{remote_workers} (s)": round(remote_elapsed, 3),
                 "remote speedup": round(remote_speedup, 2),

@@ -30,10 +30,10 @@ in ascending scenario order, bitwise-identical to the sequential path with
 memory bounded at ``O(num_nodes * chunk_size * workers)``.  ``executor=``
 selects the strategy explicitly: ``SerialExecutor`` / ``ThreadedExecutor``
 (the above), or ``ProcessShardedExecutor``, which splits the *scenario
-range* across worker processes — each with its own factorization and its
-own fold — and merges the shard results through the
-:class:`~repro.analysis.sinks.MergeableSink` protocol, scaling sweeps past
-the GIL-bound fold.
+range* across worker processes — each with its own fold, solving with
+the parent's factorization under ``fork`` — and merges the shard results
+through the :class:`~repro.analysis.sinks.MergeableSink` protocol,
+scaling sweeps past the GIL-bound fold.
 """
 
 from __future__ import annotations
@@ -670,6 +670,35 @@ class BatchedAnalysisEngine:
         """Drop all cached factorizations (every counter is kept)."""
         with self._cache_lock:
             self._cache.clear()
+
+    def shard_engine(self, compiled: CompiledGrid) -> "BatchedAnalysisEngine":
+        """A single-threaded engine that starts with this one's factors of ``compiled``.
+
+        The new engine mirrors this one's solver configuration (cache
+        size, direct-vs-CG threshold, backend, incremental-update policy)
+        and its cache holds the very entry this engine cached for
+        ``compiled`` — shared, not copied; empty if there is none.
+        Sharded executors hand it to ``fork``-started workers, which
+        inherit it with the parent's memory, so no worker factors again
+        and every shard solves with the parent's factors (a low-rank
+        update of a cached base included).
+        """
+        engine = BatchedAnalysisEngine(
+            cache_size=self.cache_size,
+            direct_size_limit=self.direct_size_limit,
+            default_workers=1,
+            default_executor="serial",
+            solver=self.solver_backend,
+            incremental_updates=self.incremental_updates,
+            update_policy=self.update_policy,
+        )
+        key = self._cache_key(compiled.fingerprint)
+        with self._cache_lock:
+            entry = self._cache.get(key)
+        if entry is not None:
+            with engine._cache_lock:
+                engine._store_entry(key, entry)
+        return engine
 
     def _cache_key(self, fingerprint: str) -> str:
         """Per-backend cache key: factors from different backends never mix."""

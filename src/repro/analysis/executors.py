@@ -12,8 +12,8 @@ engine's :class:`SweepPlan` and drives the chunk pipeline:
   every result, including every sink.
 * :class:`ProcessShardedExecutor` — splits the *scenario range* into
   contiguous shards across a ``ProcessPoolExecutor``.  Each worker process
-  holds its own factorization and runs the serial pipeline over its shard
-  with fresh copies of the sinks; the parent merges the shard reductions
+  runs the serial pipeline over its shard with fresh copies of the
+  sinks; the parent merges the shard reductions
   (exact by construction — per-scenario reductions are chunk-local) and
   the shard sink snapshots via the
   :class:`~repro.analysis.sinks.MergeableSink` protocol.  This is the
@@ -32,29 +32,43 @@ executors additionally publish a ``last_stats`` dict (shard / thread
 counts, shared-payload bytes, rebalances) describing the *most recent*
 ``execute`` call — observability only, overwritten per sweep.
 
-Zero-copy payloads
-------------------
+Worker context
+--------------
 
-Sharded executors on one host do not re-pickle the grid into every
-worker: :class:`SharedGridPayload` pickles the sweep context once with
+The two local sharded executors prefer the ``fork`` start method
+(:func:`start_context`).  Under ``fork`` nothing ships: the parent
+factors the grid, builds the workers' context — the compiled grid with
+its lazily-built arrays warmed, the scenario source, unbound copies of
+the sinks and a single-threaded engine already holding the parent's
+cached factorization (:meth:`~repro.analysis.engine.BatchedAnalysisEngine.shard_engine`)
+— and hands it to the pool initializer as a live object the forked
+children inherit.  No worker unpickles a grid or factors it again, and
+every shard solves with the very factors the parent's own solves use.
+
+Under ``spawn`` / ``forkserver`` (and for the remote executor's embedded
+fleet) the context is serialised instead, without re-pickling the grid
+into every worker: :class:`SharedGridPayload` pickles it once with
 out-of-band buffers (pickle protocol 5) and places the buffer bytes —
 the compiled grid's CSR/COO arrays and the scenario matrices — into a
 single :mod:`multiprocessing.shared_memory` segment.  Workers re-attach
 the segment by name and rebuild the context as views over the mapping,
-so a 100 MB grid costs one copy for any number of shards.  Lifetime is
-explicit: the parent owns the segment and unlinks it when the sweep
-leaves the ``with`` block (success *or* error); children only attach.
-Where shared memory is unavailable the payload silently degrades to the
+so a 100 MB grid costs one copy for any number of shards; each such
+worker then factors the grid once itself.  Lifetime is explicit: the
+parent owns the segment and unlinks it when the sweep leaves the
+``with`` block (success *or* error); children only attach.  Where
+shared memory is unavailable the payload silently degrades to the
 classic in-band pickle with a :class:`RuntimeWarning` naming the
 executor — results are identical either way.
 
 Process-sharding contract
 -------------------------
 
-The scenario source and the compiled grid are pickled once and shipped to
-every worker, so both must be picklable — the engine's own sources
-(matrix slices, cross products, the vectorless budget sampler) are;
-ad-hoc lambdas and closures are not.  Every sink must implement
+Whatever the start method, the scenario source and every sink must be
+picklable — the engine's own sources (matrix slices, cross products,
+the vectorless budget sampler) are; ad-hoc lambdas and closures are
+not.  Under ``fork`` only a cheap probe pickles them (out-of-band
+buffers discarded), so a sweep is accepted or rejected the same way on
+every platform.  Every sink must implement
 :class:`~repro.analysis.sinks.MergeableSink`; ``P2QuantileSink`` is
 order-dependent and therefore rejected with a pointer to the reservoir
 sink.  Incompatible sweeps raise :class:`ExecutorIncompatibility` *before*
@@ -66,7 +80,11 @@ runs an entire test suite process-sharded wherever that is well-defined.
 Exactness: shard boundaries are just another chunking, so the streamed
 worst / mean / worst-node reductions and every *exact* sink (histogram,
 exceedance, joint exceedance, top-k) are bitwise-identical to the
-sequential sweep for every shard count.  The reservoir sink merges by
+sequential sweep for every shard count — also on low-rank-update clones
+(:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`), whose
+shards under ``fork`` solve with the parent's update factorization.
+``spawn`` / ``forkserver`` workers factor such a clone fresh and agree
+with the sequential sweep within 1e-12 V.  The reservoir sink merges by
 weighted resampling (statistically equivalent); P² does not merge at all.
 """
 
@@ -80,8 +98,9 @@ import time
 import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
@@ -247,33 +266,37 @@ class ProcessShardedExecutor(SweepExecutor):
     """Shard the scenario range across worker processes and merge.
 
     The sweep's ``[0, num_scenarios)`` range is split into ``shards``
-    contiguous, near-equal sub-ranges.  Each worker process unpickles the
-    compiled grid and scenario source once (pool initializer), then runs
-    the engine's serial chunk pipeline over its shard with its *own*
-    factorization and fresh deep-copies of the sinks — no GIL, no shared
-    fold thread.  The parent scatters the shard reductions into the full
-    per-scenario arrays and merges the shard sink snapshots in ascending
-    shard order through :class:`~repro.analysis.sinks.MergeableSink`.
+    contiguous, near-equal sub-ranges.  Each worker process installs the
+    sweep's context once (pool initializer, see :func:`shard_worker_context`),
+    then runs the engine's serial chunk pipeline over its shard with fresh
+    deep-copies of the sinks — no GIL, no shared fold thread.  The parent
+    scatters the shard reductions into the full per-scenario arrays and
+    merges the shard sink snapshots in ascending shard order through
+    :class:`~repro.analysis.sinks.MergeableSink`.
 
-    The parent engine also warms its own factorization cache (direct path
-    only), so follow-up single solves — e.g.
+    The parent factors the grid first (direct path only), so follow-up
+    single solves — e.g.
     :meth:`~repro.analysis.sinks.TopKScenarioSink.rematerialize` — reuse
     it, and the usual one-factorization-per-sweep accounting holds.
+    Under ``fork`` the workers inherit that factorization and the
+    compiled grid with the parent's memory: nothing is pickled, no worker
+    factors, and every result is bitwise-identical to serial, low-rank
+    update clones included.  ``spawn`` / ``forkserver`` workers attach a
+    :class:`SharedGridPayload` and factor the grid themselves, agreeing
+    with serial within 1e-12 V on update clones (bitwise elsewhere).
 
-    Memory: each worker holds its own factorization plus
-    ``O(num_nodes * chunk_size)`` chunk state, so the high-water mark is
-    ``shards × `` the serial pipeline's (factorization included) — minus
-    the grid itself, which ships once through a
-    :class:`SharedGridPayload` segment all workers map instead of
-    unpickling private copies.
+    Memory: each worker holds ``O(num_nodes * chunk_size)`` chunk state.
+    Forked workers share the parent's grid and factorization
+    copy-on-write; ``spawn`` / ``forkserver`` workers map one
+    shared-memory copy of the grid and hold a factorization each.
 
     Args:
         shards: Number of worker processes / scenario shards.  ``None``
             uses ``max(2, os.cpu_count())`` so the sharded path is
             exercised even on single-core hosts.
         start_method: ``multiprocessing`` start method; ``None`` prefers
-            ``fork`` (cheap, copy-on-write grid) where available and the
-            platform default elsewhere.
+            ``fork`` where available and the platform default elsewhere
+            (:func:`start_context`).
     """
 
     name = "processes"
@@ -283,11 +306,7 @@ class ProcessShardedExecutor(SweepExecutor):
             shards = max(2, os.cpu_count() or 1)
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        if start_method is not None and start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start_method {start_method!r} not available; "
-                f"choose from {mp.get_all_start_methods()}"
-            )
+        start_context(start_method)
         self.shards = shards
         self.start_method = start_method
         self.last_stats: dict = {}
@@ -296,15 +315,7 @@ class ProcessShardedExecutor(SweepExecutor):
     def parallelism(self) -> int:
         return self.shards
 
-    def _context(self) -> mp.context.BaseContext:
-        method = self.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        return mp.get_context(method)
-
     def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
-        from .engine import BatchReductions
-
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
         require_mergeable_sinks(sinks, "process")
         num_scenarios = plan.num_scenarios
@@ -314,24 +325,19 @@ class ProcessShardedExecutor(SweepExecutor):
             return engine._run_chunk_pipeline(
                 compiled, plan.scenario_source, num_scenarios, plan.chunk_size, sinks, workers=1
             )
-        shared = SharedGridPayload.create(plan, "process")
-        with shared:
+        reused = False
+        if not engine._use_cg(compiled):
+            _, reused = engine._factor(compiled)
+        worker_context = shard_worker_context(plan, self.start_method, "process")
+        with worker_context as (pool_arguments, payload_bytes):
             for sink in sinks:
                 sink.bind(compiled, num_scenarios)
-            reused = False
-            if not engine._use_cg(compiled):
-                _, reused = engine._factor(compiled)
 
             ranges = shard_ranges(num_scenarios, shards)
-            with ProcessPoolExecutor(
-                max_workers=shards,
-                mp_context=self._context(),
-                initializer=_init_shard_worker,
-                initargs=(shared.descriptor,),
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=shards, **pool_arguments) as pool:
                 futures = [pool.submit(_solve_shard, begin, end) for begin, end in ranges]
                 outcomes = [future.result() for future in futures]
-        self.last_stats = {"shards": shards, "payload_bytes_shared": shared.nbytes}
+        self.last_stats = {"shards": shards, "payload_bytes_shared": payload_bytes}
         return fold_shard_outcomes(plan, outcomes, reused)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -342,8 +348,8 @@ class HybridExecutor(SweepExecutor):
     """Process shards, each running the threaded chunk pipeline inside.
 
     Multiplies the repo's two scaling axes: the scenario range is split
-    across ``shard_workers`` worker processes (their own factorizations,
-    parallel folds — the process axis), and *within* each shard the
+    across ``shard_workers`` worker processes (parallel folds — the
+    process axis), and *within* each shard the
     chunk solves run on ``threads_per_shard`` solver threads (SuperLU
     releases the GIL — the thread axis).  Effective parallelism is the
     product, which is exactly what :attr:`parallelism` reports: up to
@@ -355,7 +361,11 @@ class HybridExecutor(SweepExecutor):
     bitwise-identical to serial within each shard, and shard snapshots
     merge in ascending range order — so every result, including every
     exact sink, is bitwise-identical to :class:`SerialExecutor` for
-    every ``(shards, threads, chunk_size)`` combination.
+    every ``(shards, threads, chunk_size)`` combination.  That includes
+    low-rank-update clones under ``fork``, where every shard solves with
+    the factorization the parent cached; ``spawn`` / ``forkserver``
+    workers factor fresh and agree with serial within 1e-12 V on update
+    clones.
 
     Cost-based auto-balancing: with ``rebalance`` on (the default), only
     about half the range is committed up-front (one task per shard
@@ -367,9 +377,14 @@ class HybridExecutor(SweepExecutor):
     pull-based queue.  Outcomes fold in ascending range order regardless
     of completion order, so balancing never affects results.
 
-    The grid ships to the workers through a :class:`SharedGridPayload` —
-    one shared-memory copy of the compiled arrays for any number of
-    shards (pickle fallback where shared memory is unavailable).
+    Each worker installs the sweep's context once
+    (:func:`shard_worker_context`).  Under ``fork`` it inherits the
+    parent's compiled grid and cached factorization: nothing is pickled
+    and no worker factors.  Under ``spawn`` / ``forkserver`` the context
+    ships through a :class:`SharedGridPayload` — one shared-memory copy
+    of the compiled arrays for any number of shards (pickle fallback
+    where shared memory is unavailable) — and each worker factors the
+    grid once.
 
     Args:
         shard_workers: Worker processes / scenario shards.  ``None``
@@ -380,7 +395,7 @@ class HybridExecutor(SweepExecutor):
             reads :data:`HYBRID_THREADS_ENV`, then auto-resolves so the
             product roughly matches the host CPU count.
         start_method: ``multiprocessing`` start method; ``None`` prefers
-            ``fork`` where available.
+            ``fork`` where available (:func:`start_context`).
         rebalance: Hold back ~half the range and re-split it by measured
             shard cost (see above).  Off, the range is split once like
             the process-sharded executor.
@@ -427,11 +442,7 @@ class HybridExecutor(SweepExecutor):
             raise ValueError("threads_per_shard must be at least 1")
         if max_oversubscribe < 1:
             raise ValueError("max_oversubscribe must be at least 1")
-        if start_method is not None and start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start_method {start_method!r} not available; "
-                f"choose from {mp.get_all_start_methods()}"
-            )
+        start_context(start_method)
         self.shard_workers = shard_workers
         self.threads_per_shard = threads_per_shard
         self.start_method = start_method
@@ -448,12 +459,6 @@ class HybridExecutor(SweepExecutor):
         width itself does not depend on it.
         """
         return self.shard_workers * self.threads_per_shard
-
-    def _context(self) -> mp.context.BaseContext:
-        method = self.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        return mp.get_context(method)
 
     def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
@@ -477,24 +482,19 @@ class HybridExecutor(SweepExecutor):
                 sinks,
                 workers=threads,
             )
-        shared = SharedGridPayload.create(plan, "hybrid", threads=threads)
-        with shared:
+        reused = False
+        if not engine._use_cg(compiled):
+            _, reused = engine._factor(compiled)
+        worker_context = shard_worker_context(plan, self.start_method, "hybrid", threads)
+        with worker_context as (pool_arguments, payload_bytes):
             for sink in sinks:
                 sink.bind(compiled, num_scenarios)
-            reused = False
-            if not engine._use_cg(compiled):
-                _, reused = engine._factor(compiled)
-            with ProcessPoolExecutor(
-                max_workers=shards,
-                mp_context=self._context(),
-                initializer=_init_shard_worker,
-                initargs=(shared.descriptor,),
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=shards, **pool_arguments) as pool:
                 outcomes, rebalances = self._drive(pool, num_scenarios, shards)
         self.last_stats = {
             "shards": shards,
             "threads_per_shard": threads,
-            "payload_bytes_shared": shared.nbytes,
+            "payload_bytes_shared": payload_bytes,
             "rebalances": rebalances,
             "tasks": len(outcomes),
         }
@@ -594,6 +594,78 @@ def require_mergeable_sinks(sinks: Sequence[ScenarioSink], shard_kind: str) -> N
         )
 
 
+def start_context(start_method: str | None) -> mp.context.BaseContext:
+    """The ``multiprocessing`` context a sharded executor starts workers with.
+
+    ``None`` prefers ``fork`` where the platform offers it — the workers
+    then inherit their context instead of unpickling it (see
+    :func:`shard_worker_context`) — and the platform default elsewhere.
+    Executors call this from their constructors too, so an unavailable
+    method fails at construction instead of at the first sweep.
+    """
+    methods = mp.get_all_start_methods()
+    if start_method is None:
+        start_method = "fork" if "fork" in methods else None
+    elif start_method not in methods:
+        raise ValueError(f"start_method {start_method!r} not available; choose from {methods}")
+    return mp.get_context(start_method)
+
+
+@contextmanager
+def shard_worker_context(
+    plan: SweepPlan, start_method: str | None, shard_kind: str, threads: int = 1
+) -> Iterator[tuple[dict[str, Any], int]]:
+    """Yield the worker-pool arguments of one sharded sweep.
+
+    Enter after the parent has factored ``plan.compiled`` and before any
+    sink binds.  Yields ``(pool_arguments, payload_bytes_shared)``: the
+    :class:`~concurrent.futures.ProcessPoolExecutor` keywords — the
+    :func:`start_context` of ``start_method`` and the pool initializer
+    with its argument — and the bytes shipped through shared memory.
+
+    Under ``fork`` the initializer argument is the worker state itself,
+    built here and inherited by the children with the parent's memory:
+    the compiled grid with its lazily-built arrays warmed (as the
+    threaded pipeline does), the source, unbound deep copies of the
+    sinks, and a single-threaded engine holding the parent's cached
+    factorization
+    (:meth:`~repro.analysis.engine.BatchedAnalysisEngine.shard_engine`).
+    Nothing ships, so ``payload_bytes_shared`` is 0.  Under any other
+    start method it is the descriptor of a :class:`SharedGridPayload`
+    that lives as long as the ``with`` block.
+
+    Either way an unpicklable source or sink raises
+    :class:`ExecutorIncompatibility` on entry; under ``fork`` a protocol-5
+    probe that discards the out-of-band buffers checks just those two (the
+    grid always pickles), so the contract does not depend on the platform.
+    """
+    mp_context = start_context(start_method)
+    pool_arguments: dict[str, Any] = dict(mp_context=mp_context, initializer=_init_shard_worker)
+    if mp_context.get_start_method() != "fork":
+        with SharedGridPayload.create(plan, shard_kind, threads) as shared:
+            yield dict(pool_arguments, initargs=(shared.descriptor,)), shared.nbytes
+        return
+    try:
+        pickle.dumps(
+            (plan.scenario_source, plan.sinks), protocol=5, buffer_callback=lambda _: None
+        )
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise _incompatibility(shard_kind, exc) from exc
+    compiled = plan.compiled
+    compiled.reduced_matrix
+    compiled.pad_rhs
+    compiled.pad_incidence
+    state = dict(
+        engine=plan.engine.shard_engine(compiled),
+        compiled=compiled,
+        source=plan.scenario_source,
+        chunk_size=plan.chunk_size,
+        sink_prototypes=copy.deepcopy(plan.sinks),
+        threads=threads,
+    )
+    yield dict(pool_arguments, initargs=(state,)), 0
+
+
 def _payload_tuple(plan: SweepPlan, threads: int) -> tuple:
     """The picklable worker context of one sweep (see :func:`load_shard_state`)."""
     engine = plan.engine
@@ -616,10 +688,10 @@ def _payload_tuple(plan: SweepPlan, threads: int) -> tuple:
 
 def _incompatibility(shard_kind: str, exc: Exception) -> ExecutorIncompatibility:
     return ExecutorIncompatibility(
-        f"{shard_kind}-sharded sweeps must pickle the scenario source, the "
-        "compiled grid and every sink into the worker processes; use a "
-        "picklable source (e.g. MatrixScenarioSource / "
-        f"CrossProductScenarioSource) or the threads executor: {exc}"
+        f"{shard_kind}-sharded sweeps need a picklable scenario source and "
+        "picklable sinks (spawned workers unpickle them); use a picklable "
+        "source (e.g. MatrixScenarioSource / CrossProductScenarioSource) or "
+        f"the threads executor: {exc}"
     )
 
 
@@ -825,8 +897,8 @@ def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
     source is shifted by ``begin`` and fresh sink copies observe
     shard-local offsets — :meth:`MergeableSink.merge` re-bases any
     indices when the parent folds the snapshots back together.  The
-    pipeline runs at the payload's ``threads`` count (1 = serial; the
-    hybrid executor and threaded fleet workers ship more) — the threaded
+    pipeline runs at the context's ``threads`` count (1 = serial; the
+    hybrid executor and threaded fleet workers set more) — the threaded
     pipeline is bitwise-identical to serial, so the shard result does
     not depend on it.
     """
@@ -898,12 +970,13 @@ _WORKER_STATE: dict = {}
 """Per-worker sweep context, installed once by the pool initializer."""
 
 
-def _init_shard_worker(descriptor) -> None:
-    """Install the sweep context (attaching shared memory) into this worker."""
-    if isinstance(descriptor, (bytes, bytearray)):
-        _WORKER_STATE.update(load_shard_state(descriptor))
-    else:
-        _WORKER_STATE.update(attach_shard_state(descriptor))
+def _init_shard_worker(initarg: "dict | tuple") -> None:
+    """Install the sweep context into this worker (see :func:`shard_worker_context`).
+
+    A dict is the parent's live state, inherited under ``fork``; a tuple
+    is a :class:`SharedGridPayload` descriptor to attach.
+    """
+    _WORKER_STATE.update(initarg if isinstance(initarg, dict) else attach_shard_state(initarg))
 
 
 def _solve_shard(begin: int, end: int) -> tuple:

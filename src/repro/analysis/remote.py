@@ -112,6 +112,7 @@ from .executors import (
     require_mergeable_sinks,
     shard_ranges,
     solve_shard_range,
+    start_context,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -602,10 +603,7 @@ class _EmbeddedFleet:
     """
 
     def __init__(self, start_method: str | None) -> None:
-        method = start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        self._ctx = mp.get_context(method)
+        self._ctx = start_context(start_method)
         self._lock = threading.Lock()
         self.server = make_coordinator("127.0.0.1", 0)
         self.url = self.server.url
@@ -779,11 +777,7 @@ class RemoteExecutor(SweepExecutor):
             raise ValueError("timeout must be positive")
         if threads_per_shard < 1:
             raise ValueError("threads_per_shard must be at least 1")
-        if start_method is not None and start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start_method {start_method!r} not available; "
-                f"choose from {mp.get_all_start_methods()}"
-            )
+        start_context(start_method)
         if coordinator is None:
             coordinator = os.environ.get(COORDINATOR_ENV, "").strip() or None
         self.workers = workers
@@ -800,12 +794,6 @@ class RemoteExecutor(SweepExecutor):
     @property
     def parallelism(self) -> int:
         return self.workers * self.threads_per_shard
-
-    def _context(self) -> mp.context.BaseContext:
-        method = self.start_method
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        return mp.get_context(method)
 
     def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks

@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
             "thread pool, one ordered fold), processes (scenario range "
             "sharded across worker processes, mergeable sinks), hybrid "
             "(process shards each running the threaded pipeline, "
-            "zero-copy shared-memory payload, cost-based rebalancing) or "
+            "cost-based rebalancing) or "
             "remote (range sharded across fleet workers behind a "
             "coordinator; embedded localhost fleet unless --coordinator "
             "is given). Under processes/hybrid/remote, quantiles switch "

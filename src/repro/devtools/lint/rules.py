@@ -249,8 +249,9 @@ class PicklabilityRule(Rule):
 
     Protects: the process-sharded / remote payload contract — the
     scenario source, the compiled grid and every sink are pickled once
-    and rebuilt inside worker processes, so lambdas, nested functions and
-    locally-defined classes cannot ride along.
+    and rebuilt inside spawned or remote worker processes (forked shards
+    are held to the same contract by a pickle probe), so lambdas, nested
+    functions and locally-defined classes cannot ride along.
 
     Flags a lambda / nested function / local class passed as the
     ``source`` / ``scenario_source`` / ``sinks`` of an ``analyze_*``

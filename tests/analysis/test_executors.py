@@ -1,18 +1,22 @@
 """Tests for the pluggable sweep-execution layer.
 
 The core guarantee: a process-sharded sweep — scenario range split across
-worker processes, each with its own factorization and its own fold — is
-**bitwise-identical** to the sequential sweep for the streamed reductions
-and every exact mergeable sink, at every shard count (1, an even split,
-and a non-divisor).  The reservoir sink merges by weighted resampling and
-is validated statistically; the order-dependent P² sink is rejected up
-front with a pointer to the quantile sketch.  Also covered: executor
-resolution
-precedence (explicit executor > workers= > environment default), the
-lenient fallback of :data:`EXECUTOR_ENV`, the adaptive chunk-width
-heuristic, and top-k rematerialisation.
+worker processes, each with its own fold — is **bitwise-identical** to
+the sequential sweep for the streamed reductions and every exact
+mergeable sink, at every shard count (1, an even split, and a
+non-divisor).  Under the default ``fork`` start method the workers
+inherit the parent's factorization instead of factoring (pinned by a
+factor patch that fails in any other process), which keeps low-rank
+update clones bitwise too.  The reservoir sink merges by weighted
+resampling and is validated statistically; the order-dependent P² sink
+is rejected up front with a pointer to the quantile sketch.  Also
+covered: executor resolution precedence (explicit executor > workers= >
+environment default), the lenient fallback of :data:`EXECUTOR_ENV`, the
+adaptive chunk-width heuristic, and top-k rematerialisation.
 """
 
+import multiprocessing
+import os
 import pickle
 
 import numpy as np
@@ -33,6 +37,7 @@ from repro.analysis import (
     ReservoirQuantileSink,
     SerialExecutor,
     SharedGridPayload,
+    SpluBackend,
     SweepPlan,
     ThreadedExecutor,
     TopKScenarioSink,
@@ -63,6 +68,11 @@ from repro.grid import (
 
 SHARD_COUNTS = [1, 2, 3]
 """Degenerate single shard, even split, and a non-divisor of 37."""
+
+FORK_DEFAULT = "fork" in multiprocessing.get_all_start_methods()
+"""The sharded executors' default start method is ``fork`` on this host."""
+
+needs_fork = pytest.mark.skipif(not FORK_DEFAULT, reason="needs the fork start method")
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +291,9 @@ class TestProcessShardedRejections:
         assert not isinstance(P2QuantileSink([0.5]), MergeableSink)
         assert isinstance(ReservoirQuantileSink(8, [0.5]), MergeableSink)
 
-    def test_unpicklable_source_rejected(self, ibmpg1_grid, load_sweep):
+    @pytest.mark.parametrize("executor", ["processes", "hybrid"])
+    def test_unpicklable_source_rejected(self, ibmpg1_grid, load_sweep, executor):
+        """Fork workers need no pickle, yet the sweep is rejected as on spawn."""
         engine = BatchedAnalysisEngine()
         with pytest.raises(ExecutorIncompatibility, match="picklable"):
             engine.analyze_scenario_stream(
@@ -291,8 +303,27 @@ class TestProcessShardedRejections:
                 lambda begin, end: (load_sweep[begin:end], None),  # reprolint: disable=RPR002
                 load_sweep.shape[0],
                 chunk_size=5,
-                executor="processes",
+                executor=executor,
             )
+
+    @pytest.mark.parametrize("executor", ["processes", "hybrid"])
+    def test_unpicklable_sink_rejected_before_binding(self, ibmpg1_grid, load_sweep, executor):
+        class LocalSink(ExceedanceCountSink):  # a local class does not pickle
+            pass
+
+        sink = LocalSink(0.1)
+        engine = BatchedAnalysisEngine()
+        with pytest.raises(ExecutorIncompatibility, match="picklable"):
+            engine.analyze_batch(
+                ibmpg1_grid,
+                load_sweep,
+                chunk_size=7,
+                sinks=[sink],
+                executor=executor,
+            )
+        assert sink.num_consumed == 0
+        with pytest.raises(ValueError, match="bound"):
+            sink.result()
 
     def test_incompatibility_raised_before_sinks_bind(self, ibmpg1_grid, load_sweep):
         """Rejection must leave the sinks reusable (nothing observed)."""
@@ -550,7 +581,8 @@ class TestHybridEquivalence:
         assert stats["shards"] == min(shards, load_sweep.shape[0])
         assert stats["threads_per_shard"] == threads
         if stats["shards"] > 1:
-            assert stats["payload_bytes_shared"] > 0
+            # Forked shards inherit their context: no payload ships.
+            assert (stats["payload_bytes_shared"] == 0) == FORK_DEFAULT
             assert stats["tasks"] >= stats["shards"]
 
     def test_mega_sweep_bitwise_matches_sequential(
@@ -702,6 +734,79 @@ class TestHybridResolution:
         assert_reductions_identical(reference, hybrid)
 
 
+def two_shard_executor(kind: str, start_method: str | None = None):
+    if kind == "hybrid":
+        return HybridExecutor(shard_workers=2, threads_per_shard=1, start_method=start_method)
+    return ProcessShardedExecutor(shards=2, start_method=start_method)
+
+
+class TestWorkerContext:
+    """Shard workers solve with the parent's cached factorization under
+    fork, and with their own under forkserver."""
+
+    @pytest.mark.parametrize(
+        ("kind", "start_method", "atol"),
+        [
+            pytest.param("hybrid", None, 0.0, marks=needs_fork),
+            pytest.param("processes", None, 0.0, marks=needs_fork),
+            ("hybrid", "forkserver", 1e-12),
+        ],
+    )
+    def test_update_clone_matches_serial(
+        self, ibmpg1_grid, ibmpg1_bench, kind, start_method, atol
+    ):
+        """Forked shards solve a low-rank-update clone with the parent's
+        update factorization (bitwise); forkserver ones factor it fresh."""
+        compiled = ibmpg1_grid.compile()
+        engine = BatchedAnalysisEngine()
+        engine.analyze(compiled)  # caches the base factorization
+        conductance = compiled.conductance.copy()
+        conductance[np.arange(5) * 37] *= 1.3
+        clone = compiled.with_conductances(conductance)
+        load_matrix, pad_matrix = mega_sweep_matrices(
+            ibmpg1_grid, ibmpg1_bench.floorplan, 0.2, 8, 8, seed=7
+        )
+        serial = engine.analyze_mega_sweep(
+            clone, load_matrix, pad_matrix, chunk_size=16, executor="serial"
+        )
+        assert engine.cache_info().updates == 1
+        sharded = engine.analyze_mega_sweep(
+            clone,
+            load_matrix,
+            pad_matrix,
+            chunk_size=16,
+            executor=two_shard_executor(kind, start_method),
+        )
+        for name in ("worst_ir_drop", "average_ir_drop"):
+            np.testing.assert_allclose(
+                getattr(sharded, name), getattr(serial, name), rtol=0.0, atol=atol
+            )
+
+    @needs_fork
+    def test_workers_never_factor(self, monkeypatch, ibmpg1_grid, load_sweep):
+        """A factorization in any process but this one fails the sweep."""
+        parent = os.getpid()
+        factor = SpluBackend.factor
+
+        def factor_in_parent_only(backend, matrix):
+            if os.getpid() != parent:
+                raise RuntimeError("a shard worker factored the grid")
+            return factor(backend, matrix)
+
+        monkeypatch.setattr(SpluBackend, "factor", factor_in_parent_only)
+        engine = BatchedAnalysisEngine()
+        sharded = [
+            engine.analyze_batch(
+                ibmpg1_grid, load_sweep, chunk_size=7, executor=two_shard_executor(kind)
+            )
+            for kind in ("hybrid", "processes")
+        ]
+        serial = engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, executor="serial")
+        for result in sharded:
+            assert_reductions_identical(serial, result)
+        assert engine.cache_info().factorizations == 1
+
+
 class TestSharedGridPayload:
     """Lifetime contract: parent owns the segment, the with-block unlinks
     on success and on error alike, children only attach, and the pickle
@@ -790,7 +895,11 @@ class TestSharedGridPayload:
             executor=SerialExecutor(),
         )
         hybrid_sinks = mergeable_sinks(nominal_worst)
-        executor = HybridExecutor(shard_workers=2, threads_per_shard=2)
+        # Forked workers inherit their context; forkserver ones take the
+        # payload, so the pickle fallback is what they receive.
+        executor = HybridExecutor(
+            shard_workers=2, threads_per_shard=2, start_method="forkserver"
+        )
         with pytest.warns(RuntimeWarning, match="hybrid executor cannot allocate"):
             hybrid = engine.analyze_batch(
                 ibmpg1_grid,
@@ -821,7 +930,7 @@ class TestSharedGridPayload:
     def test_process_sharded_uses_shared_payload(
         self, ibmpg1_grid, load_sweep, nominal_worst
     ):
-        """The PR-8 executor gets the zero-copy startup win for free."""
+        """Non-fork process shards map the zero-copy shared payload."""
         engine = BatchedAnalysisEngine()
         seq_sinks = mergeable_sinks(nominal_worst)
         sequential = engine.analyze_batch(
@@ -832,7 +941,7 @@ class TestSharedGridPayload:
             workers=1,
         )
         shard_sinks = mergeable_sinks(nominal_worst)
-        executor = ProcessShardedExecutor(shards=2)
+        executor = ProcessShardedExecutor(shards=2, start_method="forkserver")
         sharded = engine.analyze_batch(
             ibmpg1_grid,
             load_sweep,
