@@ -21,7 +21,8 @@ After the timed sequential sweep, the same mega-sweep is re-run twice more:
   produce **bitwise-identical** reductions and sink results (asserted),
   and the sequential-vs-threaded speedup is recorded (``>= 1.5x`` bar,
   multi-core full-scale runners only);
-* the **process-sharded executor** at every tested shard count — the
+* the **processes** row of the local executor (``make_executor("processes",
+  n)``: ``n`` shards × 1 thread) at every tested shard count — the
   scenario range splits across worker processes, which inherit the
   parent's factorization under ``fork``, and the merged reductions plus
   every *exact* mergeable
@@ -34,8 +35,8 @@ After the timed sequential sweep, the same mega-sweep is re-run twice more:
   pipeline) at several ``shard_workers × threads_per_shard``
   combinations on the default start method, where ``fork`` shards
   inherit the parent's grid and factorization, plus the timed
-  combination once more under ``forkserver``, where the grid ships
-  through one zero-copy shared-memory payload — the merged reductions
+  combination once more under ``forkserver``, whose shards load the
+  pickled sweep payload remote workers load — the merged reductions
   and every exact mergeable sink must again be bitwise-identical to the
   sequential sweep (asserted at every scale and for both start
   methods).  The sequential-vs-hybrid speedup and both runs'
@@ -45,8 +46,9 @@ After the timed sequential sweep, the same mega-sweep is re-run twice more:
   of 0 bytes for the ``fork`` run (nothing ships) and more than 0 for
   the ``forkserver`` run, so both claims are measured rather than
   asserted;
-* the **remote fleet executor** (embedded localhost coordinator +
-  workers) at 1 / 2 / non-divisor shard counts — the merged reductions,
+* the **remote fleet executor** (a loopback coordinator and three worker
+  processes the bench starts, and stops when the section ends) at 1 / 2 /
+  non-divisor shard counts — the merged reductions,
   every exact mergeable sink and the deterministic quantile sketch must
   be bitwise-identical to the sequential sweep at every count (asserted),
   and the sequential-vs-remote speedup is recorded and gated ``>= 1.5x``
@@ -72,7 +74,9 @@ Environment variables:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -85,11 +89,13 @@ from repro.analysis import (
     JointExceedanceSink,
     NodeHistogramSink,
     P2QuantileSink,
-    ProcessShardedExecutor,
     QuantileSketchSink,
     RemoteExecutor,
     ReservoirQuantileSink,
     TopKScenarioSink,
+    make_coordinator,
+    make_executor,
+    run_worker,
 )
 from repro.analysis.executors import start_context
 from repro.core import format_key_values
@@ -114,6 +120,8 @@ HYBRID_CONFIGS = tuple(
 """(shard_workers, threads_per_shard) combinations; the last one is timed."""
 REMOTE_WORKER_COUNTS = (1, 2, 3)
 """Single shard, even split and a non-divisor of the full scenario count."""
+REMOTE_FLEET_SIZE = max(REMOTE_WORKER_COUNTS)
+"""Worker processes polling the bench's loopback coordinator."""
 SKETCH_RELATIVE_ERROR = 0.01
 """Documented bound of the quantile sketch (checked against dense ranks)."""
 P2_FOLD_BUDGET_FRACTION = 0.25
@@ -361,7 +369,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
             pad_matrix,
             chunk_size=CHUNK_SIZE,
             sinks=tuple(process_sinks.values()),
-            executor=ProcessShardedExecutor(shards=shards),
+            executor=make_executor("processes", shards),
         )
         process_topk = process_sinks["topk"].result()
         process_matches = process_matches and all(
@@ -400,7 +408,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     # every (shard_workers, threads_per_shard) combination and every
     # scale; the last combination is timed on the default start method
     # (fork shards inherit the grid and factors: nothing ships), then run
-    # once more under forkserver, whose shards map the shared-memory
+    # once more under forkserver, whose shards load the pickled sweep
     # payload.  check_results.py gates hybrid_speedup >=
     # max(parallel_speedup, process_speedup) on >= 4-core full-scale
     # runners, and the two runs' payload_bytes_shared (0 under fork,
@@ -463,53 +471,85 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     hybrid_speedup = result.analysis_time / hybrid_elapsed if hybrid_elapsed > 0 else 0.0
 
     # --- Remote fleet executor: the same sweep through the coordinator /
-    # worker protocol (embedded localhost fleet), at 1 / 2 / non-divisor
-    # shard counts (oversubscribe=1 pins shards == workers).  The merged
-    # reductions and every exact mergeable sink must again be
-    # bitwise-identical to the sequential sweep, and the sketch must merge
-    # bitwise at every count.  The largest fleet is timed for the recorded
-    # speedup (gated >= 1.5x by check_results.py on multi-core full-scale
-    # runners; embedded mode pays worker spawn per sweep).
+    # worker protocol, at 1 / 2 / non-divisor shard counts
+    # (oversubscribe=1 pins shards == workers), against a loopback
+    # coordinator and REMOTE_FLEET_SIZE worker processes started here —
+    # the fleet CI's remote lane starts — and stopped in the finally
+    # block.  The merged reductions and every exact mergeable sink must
+    # again be bitwise-identical to the sequential sweep, and the sketch
+    # must merge bitwise at every count.  The largest fleet is timed for
+    # the recorded speedup (gated >= 1.5x by check_results.py on
+    # multi-core full-scale runners; every sweep pays the payload upload
+    # and one factorization per worker).
     remote_matches = True
     remote_elapsed = 0.0
     remote_factorizations = 0
-    for workers in REMOTE_WORKER_COUNTS:
-        remote_engine = BatchedAnalysisEngine()
-        remote_sinks = mergeable_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
-        remote = remote_engine.analyze_mega_sweep(
-            grid,
-            load_matrix,
-            pad_matrix,
-            chunk_size=CHUNK_SIZE,
-            sinks=tuple(remote_sinks.values()),
-            executor=RemoteExecutor(workers=workers, oversubscribe=1),
+    server = make_coordinator("127.0.0.1", 0)
+    # Spawned, not forked: this process has run thread pools, and the
+    # workers only need the coordinator's URL.
+    fleet = [
+        multiprocessing.get_context("spawn").Process(
+            target=run_worker,
+            args=(server.url,),
+            kwargs={"poll_interval": 0.01, "unreachable_timeout": 10.0},
+            daemon=True,
         )
-        remote_topk = remote_sinks["topk"].result()
-        remote_matches = remote_matches and all(
-            (
-                np.array_equal(remote.worst_ir_drop, result.worst_ir_drop),
-                np.array_equal(remote.average_ir_drop, result.average_ir_drop),
-                np.array_equal(remote.worst_node_index, result.worst_node_index),
-                np.array_equal(
-                    remote_sinks["histogram"].result().counts, sequential_histogram.counts
-                ),
-                np.array_equal(
-                    remote_sinks["exceedance"].result().counts, exceedance.counts
-                ),
-                np.array_equal(
-                    remote_sinks["joint"].result().violating_node_counts,
-                    joint.violating_node_counts,
-                ),
-                np.array_equal(remote_topk.scenario_index, topk.scenario_index),
-                np.array_equal(remote_topk.worst_ir_drop, topk.worst_ir_drop),
-                np.array_equal(
-                    remote_sinks["sketch"].result().values, sketch_estimate.values
+        for _ in range(REMOTE_FLEET_SIZE)
+    ]
+    for process in fleet:
+        process.start()
+    serve_thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    serve_thread.start()
+    try:
+        for workers in REMOTE_WORKER_COUNTS:
+            remote_engine = BatchedAnalysisEngine()
+            remote_sinks = mergeable_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+            remote = remote_engine.analyze_mega_sweep(
+                grid,
+                load_matrix,
+                pad_matrix,
+                chunk_size=CHUNK_SIZE,
+                sinks=tuple(remote_sinks.values()),
+                executor=RemoteExecutor(
+                    workers=workers, oversubscribe=1, coordinator=server.url
                 ),
             )
-        )
-        assert remote_matches, f"remote sweep diverged at {workers} workers"
-        remote_elapsed = remote.analysis_time
-        remote_factorizations = remote_engine.cache_info().factorizations
+            remote_topk = remote_sinks["topk"].result()
+            remote_matches = remote_matches and all(
+                (
+                    np.array_equal(remote.worst_ir_drop, result.worst_ir_drop),
+                    np.array_equal(remote.average_ir_drop, result.average_ir_drop),
+                    np.array_equal(remote.worst_node_index, result.worst_node_index),
+                    np.array_equal(
+                        remote_sinks["histogram"].result().counts, sequential_histogram.counts
+                    ),
+                    np.array_equal(
+                        remote_sinks["exceedance"].result().counts, exceedance.counts
+                    ),
+                    np.array_equal(
+                        remote_sinks["joint"].result().violating_node_counts,
+                        joint.violating_node_counts,
+                    ),
+                    np.array_equal(remote_topk.scenario_index, topk.scenario_index),
+                    np.array_equal(remote_topk.worst_ir_drop, topk.worst_ir_drop),
+                    np.array_equal(
+                        remote_sinks["sketch"].result().values, sketch_estimate.values
+                    ),
+                )
+            )
+            assert remote_matches, f"remote sweep diverged at {workers} workers"
+            remote_elapsed = remote.analysis_time
+            remote_factorizations = remote_engine.cache_info().factorizations
+    finally:
+        for process in fleet:
+            process.terminate()
+        for process in fleet:
+            process.join(timeout=5.0)
+        server.shutdown()
+        serve_thread.join(timeout=5.0)
+        server.server_close()
     remote_workers = REMOTE_WORKER_COUNTS[-1]
     remote_speedup = result.analysis_time / remote_elapsed if remote_elapsed > 0 else 0.0
 

@@ -161,7 +161,7 @@ def check_mega_sweep_sinks(record: dict) -> list[str]:
             )
         # At full scale both worker-context claims are measured, not
         # asserted: forked shards inherit the grid (nothing ships), and
-        # the forkserver rerun carries it through the shared-memory path.
+        # the forkserver rerun ships it as the pickled sweep payload.
         full_scale = _gate_performance(record)
         forked_bytes = record["hybrid_payload_bytes_shared"]
         if full_scale and record.get("hybrid_start_method") == "fork" and forked_bytes != 0:
@@ -171,9 +171,9 @@ def check_mega_sweep_sinks(record: dict) -> list[str]:
             )
         if full_scale and record.get("hybrid_forkserver_payload_bytes_shared", 0) <= 0:
             problems.append(
-                "forkserver hybrid mega-sweep shipped its payload by pickle "
-                "(hybrid_forkserver_payload_bytes_shared == 0); the shared-memory "
-                "path was not exercised"
+                "forkserver hybrid mega-sweep shipped no payload "
+                "(hybrid_forkserver_payload_bytes_shared == 0); the pickled "
+                "worker-payload path was not exercised"
             )
     # Multiplying the two axes must beat each axis alone — but only where
     # there are enough real cores for both axes to make progress at once.
@@ -210,8 +210,9 @@ def check_mega_sweep_sinks(record: dict) -> list[str]:
                 f"quantile sketch relative error {record['sketch_rel_error']} "
                 f"above its documented {bound} bound"
             )
-    # Like process sharding, the remote path pays coordinator + embedded
-    # worker-spawn overhead, so its >= 1.5x bar needs real cores.
+    # Like process sharding, the remote path pays coordinator + payload
+    # overhead (HTTP upload, one factorization per worker), so its >= 1.5x
+    # bar needs real cores.
     if (
         _gate_performance(record)
         and int(record.get("cpu_count", 1)) >= 4

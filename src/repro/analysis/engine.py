@@ -28,8 +28,10 @@ triangular solve and the large NumPy reductions release the GIL) while the
 calling thread folds finished chunks into the reductions and sinks strictly
 in ascending scenario order, bitwise-identical to the sequential path with
 memory bounded at ``O(num_nodes * chunk_size * workers)``.  ``executor=``
-selects the strategy explicitly: ``SerialExecutor`` / ``ThreadedExecutor``
-(the above), or ``ProcessShardedExecutor``, which splits the *scenario
+selects the strategy explicitly: a name (``"serial"``, ``"threads"``,
+``"processes"``, ``"hybrid"``, ``"remote"``) or an instance.  The local
+executor, :class:`~repro.analysis.executors.HybridExecutor`, runs the
+above in-process for one shard, and for several splits the *scenario
 range* across worker processes — each with its own fold, solving with
 the parent's factorization under ``fork`` — and merges the shard results
 through the :class:`~repro.analysis.sinks.MergeableSink` protocol,
@@ -55,9 +57,9 @@ from ..grid.network import PowerGridNetwork
 from .executors import (
     EXECUTOR_ENV,
     ExecutorIncompatibility,
+    HybridExecutor,
     SweepExecutor,
     SweepPlan,
-    ThreadedExecutor,
     make_executor,
 )
 from .irdrop import IRDropResult
@@ -109,8 +111,8 @@ Called with a half-open scenario range ``(begin, end)``; returns the
 pad-voltage chunk for those scenarios (either may be ``None`` to use the
 grid's own loads / pad voltages).  Sources must be pure functions of the
 range so that resuming, re-chunking or *sharding* a sweep reproduces it
-exactly — the process-sharded executor calls pickled copies of the source
-from its worker processes, each over a sub-range.
+exactly — sharded executors call pickled copies of the source from their
+worker processes, each over a sub-range.
 """
 
 
@@ -159,9 +161,8 @@ class MatrixScenarioSource:
     """Picklable :data:`ScenarioSource` slicing preassembled matrices.
 
     The batched entry points wrap their scenario matrices in this source
-    so that sharded solves — including process-sharded ones, which pickle
-    the source into worker processes — read rows straight out of the
-    shared arrays.
+    so that sharded solves — whose workers pickle the source — read rows
+    straight out of the shared arrays.
 
     Attributes:
         load_matrix: Optional ``(num_scenarios, num_nodes)`` loads.
@@ -467,10 +468,9 @@ class StreamedSweepResult:
         factorization_reused: True if at least one chunk was served from
             a factorization cache (the engine's, or a process shard
             worker's).
-        workers: Parallelism the sweep ran with — solver threads for the
-            serial / threaded executors, shard processes for the
-            process-sharded one, ``shard_workers × threads_per_shard``
-            for the hybrid one.  Does not affect any exact result value.
+        workers: Parallelism the sweep ran with — the executor's
+            ``parallelism`` (``shard_workers × threads_per_shard`` for the
+            local executor).  Does not affect any exact result value.
         executor: Name of the executor that drove the sweep (one of
             :data:`~repro.analysis.executors.EXECUTOR_NAMES`).
         solver_method: The solver that produced every chunk
@@ -567,8 +567,8 @@ class BatchedAnalysisEngine:
             :data:`~repro.analysis.executors.EXECUTOR_ENV` — in that case
             sweeps the strategy cannot run (non-mergeable sinks or an
             unpicklable source under ``processes``) fall back to the
-            threaded pipeline instead of failing — and otherwise uses the
-            threaded pipeline at ``default_workers``.  A name from
+            in-process pipeline instead of failing — and otherwise uses the
+            in-process pipeline at ``default_workers``.  A name from
             :data:`~repro.analysis.executors.EXECUTOR_NAMES` or an
             executor instance pins the strategy strictly.
         solver: Solver backend policy — a name from
@@ -894,16 +894,17 @@ class BatchedAnalysisEngine:
 
         Precedence: an explicit ``executor`` argument (by instance or
         name) wins; an explicit ``workers`` keeps its original semantics
-        — the threaded pipeline at that thread count; otherwise the
-        engine default applies (``lenient`` marks the environment-derived
-        default, whose incompatible sweeps downgrade to threads).
+        — the in-process pipeline at that thread count (the ``1 × n``
+        row); otherwise the engine default applies (``lenient`` marks the
+        environment-derived default, whose incompatible sweeps downgrade
+        to the in-process pipeline).
         """
         if executor is None:
             if workers is not None:
-                return ThreadedExecutor(self._resolve_workers(workers)), False
+                return HybridExecutor(1, self._resolve_workers(workers)), False
             if self._default_executor is not None:
                 return self._default_executor, self._default_executor_lenient
-            return ThreadedExecutor(self.default_workers), False
+            return HybridExecutor(1, self.default_workers), False
         if isinstance(executor, str):
             return make_executor(executor, workers), False
         if workers is not None:
@@ -1074,11 +1075,11 @@ class BatchedAnalysisEngine:
 
         ``lenient`` marks an environment-default executor: if it declares
         the sweep incompatible (:class:`ExecutorIncompatibility`, raised
-        before any sink binds), the sweep downgrades to the threaded
+        before any sink binds), the sweep downgrades to the in-process
         pipeline at the engine's default worker count instead of failing —
         with a :class:`RuntimeWarning` naming the entry point and the
         offending sink class / source, so environment-sharded suites show
-        which sweeps silently ran threaded.  Returns the reductions,
+        which sweeps silently ran in-process.  Returns the reductions,
         reuse flag, iteration counts and the executor that actually ran
         the sweep.
         """
@@ -1099,11 +1100,11 @@ class BatchedAnalysisEngine:
                 raise
             warnings.warn(
                 f"{entry_point}: the environment-default {executor.name!r} executor "
-                f"cannot run this sweep ({exc}); falling back to the threaded pipeline",
+                f"cannot run this sweep ({exc}); falling back to the in-process pipeline",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            executor = ThreadedExecutor(self.default_workers)
+            executor = HybridExecutor(1, self.default_workers)
             reductions, reused, iterations = executor.execute(plan)
         return reductions, reused, iterations, executor
 
@@ -1115,15 +1116,23 @@ class BatchedAnalysisEngine:
         chunk_size: int,
         sinks: Sequence[ScenarioSink],
         workers: int = 1,
+        first: int = 0,
     ) -> tuple[BatchReductions, bool, np.ndarray]:
         """Solve a sweep chunk by chunk, feeding reductions and sinks.
 
-        This is the engine-side pipeline the serial and threaded executors
-        drive (process shard workers run it too, one serial pipeline per
-        shard).  The dense ``(num_nodes, num_scenarios)`` voltage matrix
-        never exists: each ``(num_nodes, ≤chunk_size)`` chunk is folded
-        into the per-scenario reduction vectors and every attached sink,
-        then dropped.
+        This is the engine-side pipeline every executor drives: in-process
+        for a single shard, and once per shard inside shard workers.  The
+        dense ``(num_nodes, num_scenarios)`` voltage matrix never exists:
+        each ``(num_nodes, ≤chunk_size)`` chunk is folded into the
+        per-scenario reduction vectors and every attached sink, then
+        dropped.
+
+        ``first`` is the global index of the sweep's first scenario — a
+        shard's range start.  The source is called, and its chunks are
+        validated, at ``first + local`` indices, so errors name the
+        scenarios of the whole sweep; reductions and sinks use local
+        offsets, which :meth:`~repro.analysis.sinks.MergeableSink.merge`
+        re-bases.
 
         With ``workers > 1`` the chunk solves run on a thread pool while
         this thread keeps three sequential roles: it *produces* chunks (the
@@ -1147,8 +1156,10 @@ class BatchedAnalysisEngine:
         reused = False
 
         def produce(begin: int, end: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-            load_chunk, pad_chunk = scenario_source(begin, end)
-            self._validate_source_chunk(compiled, load_chunk, pad_chunk, begin, end)
+            load_chunk, pad_chunk = scenario_source(first + begin, first + end)
+            self._validate_source_chunk(
+                compiled, load_chunk, pad_chunk, first + begin, first + end
+            )
             return load_chunk, pad_chunk
 
         def solve_chunk(
@@ -1292,9 +1303,9 @@ class BatchedAnalysisEngine:
                 into (see :mod:`repro.analysis.sinks`); composes with
                 ``chunk_size``.  Each sink observes every scenario exactly
                 once, in order.
-            workers: Solver threads for the chunked path (the threaded
-                executor); results are bitwise-identical to the sequential
-                solve.  ``None`` uses the engine default.
+            workers: Solver threads for the chunked path (the in-process
+                ``1 × workers`` executor row); results are bitwise-identical
+                to the sequential solve.  ``None`` uses the engine default.
             executor: Sweep-execution strategy for the chunked path — an
                 executor instance or a name from
                 :data:`~repro.analysis.executors.EXECUTOR_NAMES`
@@ -1434,10 +1445,9 @@ class BatchedAnalysisEngine:
         Args:
             network: The grid (or its compiled form) all scenarios share.
             scenario_source: Chunk generator; see :data:`ScenarioSource`.
-                The serial / threaded executors always call it from the
-                calling thread in ascending order; the process-sharded
-                executor calls pickled copies from its workers, each over
-                a contiguous sub-range.
+                A single-shard executor calls it from the calling thread
+                in ascending order; sharded executors call pickled copies
+                from their workers, each over a contiguous sub-range.
             num_scenarios: Total number of scenarios to stream.
             chunk_size: RHS chunk width (and source request size).
                 ``None`` picks an adaptive width via

@@ -3,89 +3,86 @@
 :class:`~repro.analysis.engine.BatchedAnalysisEngine` describes *what* a
 sweep is — a scenario source, a chunk width, reductions and sinks.  This
 module decides *how* it runs.  A :class:`SweepExecutor` receives the
-engine's :class:`SweepPlan` and drives the chunk pipeline:
+engine's :class:`SweepPlan` and drives the chunk pipeline.
 
-* :class:`SerialExecutor` — produce → solve → fold on the calling thread.
-* :class:`ThreadedExecutor` — the PR-4 pipeline: chunk solves on a thread
-  pool (SuperLU releases the GIL) while the calling thread folds finished
-  chunks in ascending scenario order.  Bitwise-identical to serial for
-  every result, including every sink.
-* :class:`ProcessShardedExecutor` — splits the *scenario range* into
-  contiguous shards across a ``ProcessPoolExecutor``.  Each worker process
-  runs the serial pipeline over its shard with fresh copies of the
-  sinks; the parent merges the shard reductions
-  (exact by construction — per-scenario reductions are chunk-local) and
-  the shard sink snapshots via the
-  :class:`~repro.analysis.sinks.MergeableSink` protocol.  This is the
-  executor that scales past the GIL-bound fold: the sink/reduction fold
-  itself runs in parallel, one fold per shard.
-* :class:`HybridExecutor` — multiplies the two axes: process shards as
-  above, each running the *threaded* chunk pipeline over its sub-range
-  (``shard_workers × threads_per_shard`` effective parallelism), with
-  cost-based auto-balancing — the first completed shard prices the
-  remaining work, which is re-split finely enough that a straggler shard
-  cannot dominate the sweep's wall-clock.
+One local executor, :class:`HybridExecutor`, covers the whole
+``(shards × threads)`` grid, and :func:`make_executor` names its rows:
+
+=============  =======  ====================================================
+name           shape    what runs
+=============  =======  ====================================================
+``serial``     1 × 1    produce → solve → fold on the calling thread
+``threads``    1 × t    chunk solves on ``t`` threads, one ordered fold
+``processes``  s × 1    ``s`` process shards, a serial pipeline in each
+``hybrid``     s × t    ``s`` process shards, ``t`` solver threads in each
+=============  =======  ====================================================
+
+A single shard *is* the engine's in-process chunk pipeline: the source is
+called from the calling thread in ascending order, chunk solves run on
+``t`` threads (SuperLU releases the GIL) and finished chunks fold FIFO,
+so every result — every sink included, P² too — is bitwise-identical to
+the serial sweep.  Several shards split the *scenario range* across a
+``ProcessPoolExecutor``: each worker runs that pipeline over its
+sub-range with fresh copies of the sinks, and the parent merges the
+shard reductions (exact by construction — per-scenario reductions are
+chunk-local) and the shard sink snapshots through the
+:class:`~repro.analysis.sinks.MergeableSink` protocol, so the fold itself
+runs in parallel.  The remote executor (:mod:`repro.analysis.remote`)
+ships the same shards to a coordinator's worker fleet.
 
 Executors are stateless between calls (pools are created per sweep), so
-one instance can be shared across engines and sweeps.  The sharded
-executors additionally publish a ``last_stats`` dict (shard / thread
-counts, shared-payload bytes, rebalances) describing the *most recent*
+one instance can be shared across engines and sweeps.  The local
+executor also publishes a ``last_stats`` dict (shard / thread / task
+counts, payload bytes, rebalances) describing the *most recent*
 ``execute`` call — observability only, overwritten per sweep.
 
 Worker context
 --------------
 
-The two local sharded executors prefer the ``fork`` start method
-(:func:`start_context`).  Under ``fork`` nothing ships: the parent
-factors the grid, builds the workers' context — the compiled grid with
-its lazily-built arrays warmed, the scenario source, unbound copies of
-the sinks and a single-threaded engine already holding the parent's
-cached factorization (:meth:`~repro.analysis.engine.BatchedAnalysisEngine.shard_engine`)
+Sharded sweeps prefer the ``fork`` start method (:func:`start_context`).
+Under ``fork`` nothing ships: the parent factors the grid, builds the
+workers' context — the compiled grid with its lazily-built arrays
+warmed, the scenario source, unbound copies of the sinks and a
+single-threaded engine already holding the parent's cached
+factorization (:meth:`~repro.analysis.engine.BatchedAnalysisEngine.shard_engine`)
 — and hands it to the pool initializer as a live object the forked
 children inherit.  No worker unpickles a grid or factors it again, and
 every shard solves with the very factors the parent's own solves use.
 
-Under ``spawn`` / ``forkserver`` (and for the remote executor's embedded
-fleet) the context is serialised instead, without re-pickling the grid
-into every worker: :class:`SharedGridPayload` pickles it once with
-out-of-band buffers (pickle protocol 5) and places the buffer bytes —
-the compiled grid's CSR/COO arrays and the scenario matrices — into a
-single :mod:`multiprocessing.shared_memory` segment.  Workers re-attach
-the segment by name and rebuild the context as views over the mapping,
-so a 100 MB grid costs one copy for any number of shards; each such
-worker then factors the grid once itself.  Lifetime is explicit: the
-parent owns the segment and unlinks it when the sweep leaves the
-``with`` block (success *or* error); children only attach.  Where
-shared memory is unavailable the payload silently degrades to the
-classic in-band pickle with a :class:`RuntimeWarning` naming the
-executor — results are identical either way.
+Under ``spawn`` / ``forkserver`` the initializer receives the pickled
+sweep payload (:func:`pickle_sweep_payload`) — the same bytes a remote
+worker loads — and each worker rebuilds it with :func:`load_shard_state`
+and factors the grid once.
 
-Process-sharding contract
--------------------------
+Sharding contract
+-----------------
 
-Whatever the start method, the scenario source and every sink must be
-picklable — the engine's own sources (matrix slices, cross products,
-the vectorless budget sampler) are; ad-hoc lambdas and closures are
-not.  Under ``fork`` only a cheap probe pickles them (out-of-band
-buffers discarded), so a sweep is accepted or rejected the same way on
-every platform.  Every sink must implement
-:class:`~repro.analysis.sinks.MergeableSink`; ``P2QuantileSink`` is
-order-dependent and therefore rejected with a pointer to the reservoir
-sink.  Incompatible sweeps raise :class:`ExecutorIncompatibility` *before*
-any sink observes the sweep — the engine downgrades to the threaded
-pipeline instead when the executor was only an environment default
-(:data:`EXECUTOR_ENV`), so exporting ``REPRO_TEST_EXECUTOR=processes``
-runs an entire test suite process-sharded wherever that is well-defined.
+Whatever the start method, a sweep on more than one shard needs every
+sink to implement :class:`~repro.analysis.sinks.MergeableSink`
+(``P2QuantileSink`` is order-dependent and rejected with a pointer to the
+quantile sketch) and a picklable scenario source and sinks — the
+engine's own sources (matrix slices, cross products, the vectorless
+budget sampler) are; ad-hoc lambdas and closures are not.
+:func:`require_shardable` checks both with a cheap pickle probe, so a
+sweep is accepted or rejected the same way on every platform and for
+every scenario count.  Incompatible sweeps raise
+:class:`ExecutorIncompatibility` *before* any sink observes the sweep —
+the engine downgrades to the in-process pipeline instead when the
+executor was only an environment default (:data:`EXECUTOR_ENV`), so
+exporting ``REPRO_TEST_EXECUTOR=processes`` runs an entire test suite
+process-sharded wherever that is well-defined.
 
 Exactness: shard boundaries are just another chunking, so the streamed
 worst / mean / worst-node reductions and every *exact* sink (histogram,
-exceedance, joint exceedance, top-k) are bitwise-identical to the
-sequential sweep for every shard count — also on low-rank-update clones
+exceedance, joint exceedance, top-k, quantile sketch) are
+bitwise-identical to the sequential sweep for every shape — also on
+low-rank-update clones
 (:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`), whose
 shards under ``fork`` solve with the parent's update factorization.
 ``spawn`` / ``forkserver`` workers factor such a clone fresh and agree
 with the sequential sweep within 1e-12 V.  The reservoir sink merges by
-weighted resampling (statistically equivalent); P² does not merge at all.
+weighted resampling (statistically equivalent, and it may vary with the
+measured split); P² does not merge at all.
 """
 
 from __future__ import annotations
@@ -95,12 +92,10 @@ import multiprocessing as mp
 import os
 import pickle
 import time
-import warnings
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -117,36 +112,25 @@ Lets CI (and local runs) push the whole test suite through one execution
 strategy without touching any call site: every chunked / streamed sweep
 that passes neither ``executor=`` nor ``workers=`` uses this strategy.
 Accepted values are the :data:`EXECUTOR_NAMES`; unset or empty means the
-threaded pipeline at the engine's default worker count.  Sweeps a strategy
-cannot run (non-mergeable sinks or an unpicklable source under
-``processes``) silently fall back to the threaded pipeline — an explicit
-``executor=`` argument raises instead.
+in-process pipeline at the engine's default worker count.  Sweeps a
+strategy cannot run (non-mergeable sinks or an unpicklable source under
+``processes``) silently fall back to the in-process pipeline — an
+explicit ``executor=`` argument raises instead.
 """
 
 EXECUTOR_NAMES = ("serial", "threads", "processes", "hybrid", "remote")
 """Names accepted by :func:`make_executor` (and :data:`EXECUTOR_ENV`)."""
 
-HYBRID_SHARD_WORKERS_ENV = "REPRO_HYBRID_SHARD_WORKERS"
-"""Environment variable sizing :class:`HybridExecutor`'s process shards.
-
-Read when ``shard_workers`` is not passed explicitly — e.g. under
-``REPRO_TEST_EXECUTOR=hybrid``, where no call site names a size.  Unset
-means auto-resolve from ``os.cpu_count()``.
-"""
-
-HYBRID_THREADS_ENV = "REPRO_HYBRID_THREADS"
-"""Environment variable sizing :class:`HybridExecutor`'s per-shard threads.
-
-Read when ``threads_per_shard`` is not passed explicitly.  Unset means
-auto-resolve from ``os.cpu_count()`` and the shard count.
-"""
+MAX_OVERSUBSCRIBE = 8
+"""Upper bound on tail pieces per shard worker after a re-split, so
+per-task overhead stays bounded."""
 
 
 class ExecutorIncompatibility(ValueError):
     """A sweep cannot run on the requested executor as specified.
 
     Raised *before* any sink observes the sweep, so the engine can fall
-    back to the threaded pipeline when the executor was only an
+    back to the in-process pipeline when the executor was only an
     environment default.
     """
 
@@ -187,7 +171,10 @@ class SweepExecutor(ABC):
     :class:`ExecutorIncompatibility` before the first sink is bound.
     """
 
-    name: str = "abstract"
+    @property
+    @abstractmethod
+    def name(self) -> str:
+        """The executor's entry in :data:`EXECUTOR_NAMES`."""
 
     @property
     @abstractmethod
@@ -199,238 +186,76 @@ class SweepExecutor(ABC):
         """Run the sweep; return ``(reductions, reused, iterations)``."""
 
 
-class SerialExecutor(SweepExecutor):
-    """Produce → solve → fold sequentially on the calling thread."""
-
-    name = "serial"
-
-    @property
-    def parallelism(self) -> int:
-        return 1
-
-    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
-        return plan.engine._run_chunk_pipeline(
-            plan.compiled,
-            plan.scenario_source,
-            plan.num_scenarios,
-            plan.chunk_size,
-            plan.sinks,
-            workers=1,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return "SerialExecutor()"
-
-
-class ThreadedExecutor(SweepExecutor):
-    """Chunk solves on a thread pool, one ordered fold on the caller.
-
-    The exact PR-4 pipeline (``workers=`` on the engine entry points maps
-    to this executor): at most ``workers`` chunks are in flight, the
-    scenario source is always called from the calling thread in ascending
-    order, and finished chunks fold FIFO — so every result, including
-    every sink state, is bitwise-identical to :class:`SerialExecutor`.
-
-    Args:
-        workers: Solver threads (``None`` uses ``os.cpu_count()``).
-    """
-
-    name = "threads"
-
-    def __init__(self, workers: int | None = None) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = workers
-
-    @property
-    def parallelism(self) -> int:
-        return self.workers
-
-    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
-        return plan.engine._run_chunk_pipeline(
-            plan.compiled,
-            plan.scenario_source,
-            plan.num_scenarios,
-            plan.chunk_size,
-            plan.sinks,
-            workers=self.workers,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ThreadedExecutor(workers={self.workers})"
-
-
-class ProcessShardedExecutor(SweepExecutor):
-    """Shard the scenario range across worker processes and merge.
-
-    The sweep's ``[0, num_scenarios)`` range is split into ``shards``
-    contiguous, near-equal sub-ranges.  Each worker process installs the
-    sweep's context once (pool initializer, see :func:`shard_worker_context`),
-    then runs the engine's serial chunk pipeline over its shard with fresh
-    deep-copies of the sinks — no GIL, no shared fold thread.  The parent
-    scatters the shard reductions into the full per-scenario arrays and
-    merges the shard sink snapshots in ascending shard order through
-    :class:`~repro.analysis.sinks.MergeableSink`.
-
-    The parent factors the grid first (direct path only), so follow-up
-    single solves — e.g.
-    :meth:`~repro.analysis.sinks.TopKScenarioSink.rematerialize` — reuse
-    it, and the usual one-factorization-per-sweep accounting holds.
-    Under ``fork`` the workers inherit that factorization and the
-    compiled grid with the parent's memory: nothing is pickled, no worker
-    factors, and every result is bitwise-identical to serial, low-rank
-    update clones included.  ``spawn`` / ``forkserver`` workers attach a
-    :class:`SharedGridPayload` and factor the grid themselves, agreeing
-    with serial within 1e-12 V on update clones (bitwise elsewhere).
-
-    Memory: each worker holds ``O(num_nodes * chunk_size)`` chunk state.
-    Forked workers share the parent's grid and factorization
-    copy-on-write; ``spawn`` / ``forkserver`` workers map one
-    shared-memory copy of the grid and hold a factorization each.
-
-    Args:
-        shards: Number of worker processes / scenario shards.  ``None``
-            uses ``max(2, os.cpu_count())`` so the sharded path is
-            exercised even on single-core hosts.
-        start_method: ``multiprocessing`` start method; ``None`` prefers
-            ``fork`` where available and the platform default elsewhere
-            (:func:`start_context`).
-    """
-
-    name = "processes"
-
-    def __init__(self, shards: int | None = None, start_method: str | None = None) -> None:
-        if shards is None:
-            shards = max(2, os.cpu_count() or 1)
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        start_context(start_method)
-        self.shards = shards
-        self.start_method = start_method
-        self.last_stats: dict = {}
-
-    @property
-    def parallelism(self) -> int:
-        return self.shards
-
-    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
-        engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
-        require_mergeable_sinks(sinks, "process")
-        num_scenarios = plan.num_scenarios
-        shards = min(self.shards, num_scenarios)
-        if shards <= 1:
-            self.last_stats = {"shards": 1, "payload_bytes_shared": 0}
-            return engine._run_chunk_pipeline(
-                compiled, plan.scenario_source, num_scenarios, plan.chunk_size, sinks, workers=1
-            )
-        reused = False
-        if not engine._use_cg(compiled):
-            _, reused = engine._factor(compiled)
-        worker_context = shard_worker_context(plan, self.start_method, "process")
-        with worker_context as (pool_arguments, payload_bytes):
-            for sink in sinks:
-                sink.bind(compiled, num_scenarios)
-
-            ranges = shard_ranges(num_scenarios, shards)
-            with ProcessPoolExecutor(max_workers=shards, **pool_arguments) as pool:
-                futures = [pool.submit(_solve_shard, begin, end) for begin, end in ranges]
-                outcomes = [future.result() for future in futures]
-        self.last_stats = {"shards": shards, "payload_bytes_shared": payload_bytes}
-        return fold_shard_outcomes(plan, outcomes, reused)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ProcessShardedExecutor(shards={self.shards})"
-
-
 class HybridExecutor(SweepExecutor):
-    """Process shards, each running the threaded chunk pipeline inside.
+    """The local executor: process shards, each running the threaded chunk pipeline.
 
     Multiplies the repo's two scaling axes: the scenario range is split
     across ``shard_workers`` worker processes (parallel folds — the
-    process axis), and *within* each shard the
-    chunk solves run on ``threads_per_shard`` solver threads (SuperLU
-    releases the GIL — the thread axis).  Effective parallelism is the
-    product, which is exactly what :attr:`parallelism` reports: up to
-    ``shard_workers × threads_per_shard`` chunks are in flight at once,
-    each of the cache-sized width
-    :func:`~repro.analysis.engine.resolve_chunk_size` picks.
+    process axis), and *within* each shard the chunk solves run on
+    ``threads_per_shard`` solver threads (SuperLU releases the GIL — the
+    thread axis).  Effective parallelism is the product, which is exactly
+    what :attr:`parallelism` reports: up to ``shard_workers ×
+    threads_per_shard`` chunks are in flight at once, each of the
+    cache-sized width :func:`~repro.analysis.engine.resolve_chunk_size`
+    picks.  :attr:`name` is the row of the module's shape table.
+
+    With ``shard_workers == 1`` :meth:`execute` is the engine's
+    in-process chunk pipeline at ``threads_per_shard`` threads: no pool,
+    no pickling, and any sink (P² included) or source (closures
+    included) runs.  With more shards the sweep must pass
+    :func:`require_shardable` — whatever its scenario count — and the
+    parent factors the grid first (direct path only), so follow-up
+    single solves — e.g.
+    :meth:`~repro.analysis.sinks.TopKScenarioSink.rematerialize` — reuse
+    it and the usual one-factorization-per-sweep accounting holds.  Each
+    worker installs the sweep's context once (:func:`shard_worker_context`):
+    under ``fork`` it inherits the parent's compiled grid and cached
+    factorization, so nothing is pickled and no worker factors; under
+    ``spawn`` / ``forkserver`` it loads the pickled payload and factors
+    the grid once.
 
     Exactness is inherited twice over: the threaded pipeline is
     bitwise-identical to serial within each shard, and shard snapshots
     merge in ascending range order — so every result, including every
-    exact sink, is bitwise-identical to :class:`SerialExecutor` for
-    every ``(shards, threads, chunk_size)`` combination.  That includes
-    low-rank-update clones under ``fork``, where every shard solves with
-    the factorization the parent cached; ``spawn`` / ``forkserver``
+    exact sink, is bitwise-identical to the serial sweep for every
+    ``(shards, threads, chunk_size)`` combination.  That includes
+    low-rank-update clones under ``fork``; ``spawn`` / ``forkserver``
     workers factor fresh and agree with serial within 1e-12 V on update
     clones.
 
-    Cost-based auto-balancing: with ``rebalance`` on (the default), only
-    about half the range is committed up-front (one task per shard
-    worker).  The first task to complete prices a scenario, and the
-    held-back tail is re-split into pieces sized from that measured cost
-    — small enough that a straggler worker holds one piece instead of a
-    fixed share of the sweep, bounded by ``max_oversubscribe`` pieces
-    per worker.  Fast workers drain more tail pieces from the pool's
-    pull-based queue.  Outcomes fold in ascending range order regardless
-    of completion order, so balancing never affects results.
+    Cost-based auto-balancing: only about half the range is committed
+    up-front (one task per shard worker).  The first task to complete
+    prices a scenario, and the held-back tail is re-split into pieces
+    sized from that measured cost — small enough that a straggler worker
+    holds one piece instead of a fixed share of the sweep, bounded by
+    :data:`MAX_OVERSUBSCRIBE` pieces per worker.  Fast workers drain more
+    tail pieces from the pool's pull-based queue.  Outcomes fold in
+    ascending range order regardless of completion order, so balancing
+    never affects results.
 
-    Each worker installs the sweep's context once
-    (:func:`shard_worker_context`).  Under ``fork`` it inherits the
-    parent's compiled grid and cached factorization: nothing is pickled
-    and no worker factors.  Under ``spawn`` / ``forkserver`` the context
-    ships through a :class:`SharedGridPayload` — one shared-memory copy
-    of the compiled arrays for any number of shards (pickle fallback
-    where shared memory is unavailable) — and each worker factors the
-    grid once.
+    Memory: each shard holds ``O(num_nodes * chunk_size * threads_per_shard)``
+    chunk state.  Forked workers share the parent's grid and
+    factorization copy-on-write; ``spawn`` / ``forkserver`` workers each
+    hold an unpickled copy of the grid and a factorization.
 
     Args:
         shard_workers: Worker processes / scenario shards.  ``None``
-            reads :data:`HYBRID_SHARD_WORKERS_ENV`, then auto-resolves
-            from ``os.cpu_count()`` (at least 2, so the sharded path is
-            exercised even on small hosts).
+            auto-resolves from ``os.cpu_count()`` (at least 2, so the
+            sharded path is exercised even on small hosts).
         threads_per_shard: Solver threads inside each shard.  ``None``
-            reads :data:`HYBRID_THREADS_ENV`, then auto-resolves so the
-            product roughly matches the host CPU count.
-        start_method: ``multiprocessing`` start method; ``None`` prefers
-            ``fork`` where available (:func:`start_context`).
-        rebalance: Hold back ~half the range and re-split it by measured
-            shard cost (see above).  Off, the range is split once like
-            the process-sharded executor.
-        max_oversubscribe: Upper bound on tail pieces per shard worker
-            after a re-split, so per-task overhead stays bounded.
+            auto-resolves so the product roughly matches the host CPU
+            count.
+        start_method: ``multiprocessing`` start method of the shard
+            workers; ``None`` prefers ``fork`` where available
+            (:func:`start_context`).
     """
-
-    name = "hybrid"
 
     def __init__(
         self,
         shard_workers: int | None = None,
         threads_per_shard: int | None = None,
         start_method: str | None = None,
-        rebalance: bool = True,
-        max_oversubscribe: int = 8,
     ) -> None:
-        if shard_workers is None:
-            raw = os.environ.get(HYBRID_SHARD_WORKERS_ENV, "").strip()
-            if raw:
-                try:
-                    shard_workers = int(raw)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{HYBRID_SHARD_WORKERS_ENV} must be an integer, got {raw!r}"
-                    ) from exc
-        if threads_per_shard is None:
-            raw = os.environ.get(HYBRID_THREADS_ENV, "").strip()
-            if raw:
-                try:
-                    threads_per_shard = int(raw)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{HYBRID_THREADS_ENV} must be an integer, got {raw!r}"
-                    ) from exc
         cpu = os.cpu_count() or 1
         if shard_workers is None:
             shard_workers = max(2, cpu // (threads_per_shard or 2))
@@ -440,15 +265,18 @@ class HybridExecutor(SweepExecutor):
             threads_per_shard = max(1, min(4, cpu // shard_workers))
         if threads_per_shard < 1:
             raise ValueError("threads_per_shard must be at least 1")
-        if max_oversubscribe < 1:
-            raise ValueError("max_oversubscribe must be at least 1")
         start_context(start_method)
         self.shard_workers = shard_workers
         self.threads_per_shard = threads_per_shard
         self.start_method = start_method
-        self.rebalance = rebalance
-        self.max_oversubscribe = max_oversubscribe
         self.last_stats: dict = {}
+
+    @property
+    def name(self) -> str:
+        """``serial``, ``threads``, ``processes`` or ``hybrid``, by shape."""
+        if self.shard_workers == 1:
+            return "serial" if self.threads_per_shard == 1 else "threads"
+        return "processes" if self.threads_per_shard == 1 else "hybrid"
 
     @property
     def parallelism(self) -> int:
@@ -462,46 +290,46 @@ class HybridExecutor(SweepExecutor):
 
     def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
-        require_mergeable_sinks(sinks, "hybrid")
-        num_scenarios = plan.num_scenarios
-        shards = min(self.shard_workers, num_scenarios)
-        threads = self.threads_per_shard
+        if self.shard_workers > 1:
+            require_shardable(plan, self.name)
+        shards = min(self.shard_workers, plan.num_scenarios)
         if shards <= 1:
-            self.last_stats = {
-                "shards": 1,
-                "threads_per_shard": threads,
-                "payload_bytes_shared": 0,
-                "rebalances": 0,
-                "tasks": 1,
-            }
+            self._record(shards=1)
             return engine._run_chunk_pipeline(
                 compiled,
                 plan.scenario_source,
-                num_scenarios,
+                plan.num_scenarios,
                 plan.chunk_size,
                 sinks,
-                workers=threads,
+                workers=self.threads_per_shard,
             )
         reused = False
         if not engine._use_cg(compiled):
             _, reused = engine._factor(compiled)
-        worker_context = shard_worker_context(plan, self.start_method, "hybrid", threads)
-        with worker_context as (pool_arguments, payload_bytes):
-            for sink in sinks:
-                sink.bind(compiled, num_scenarios)
-            with ProcessPoolExecutor(max_workers=shards, **pool_arguments) as pool:
-                outcomes, rebalances = self._drive(pool, num_scenarios, shards)
-        self.last_stats = {
-            "shards": shards,
-            "threads_per_shard": threads,
-            "payload_bytes_shared": payload_bytes,
-            "rebalances": rebalances,
-            "tasks": len(outcomes),
-        }
+        pool_arguments, payload_bytes = shard_worker_context(
+            plan, self.start_method, self.threads_per_shard
+        )
+        for sink in sinks:
+            sink.bind(compiled, plan.num_scenarios)
+        with ProcessPoolExecutor(max_workers=shards, **pool_arguments) as pool:
+            outcomes, rebalances = self._drive(pool, plan.num_scenarios, shards)
+        self._record(shards, payload_bytes, rebalances, tasks=len(outcomes))
         return fold_shard_outcomes(plan, outcomes, reused)
 
+    def _record(
+        self, shards: int, payload_bytes: int = 0, rebalances: int = 0, tasks: int = 1
+    ) -> None:
+        self.last_stats = {
+            "shards": shards,
+            "threads_per_shard": self.threads_per_shard,
+            "payload_bytes_shared": payload_bytes,
+            "rebalances": rebalances,
+            "tasks": tasks,
+        }
+
+    @staticmethod
     def _drive(
-        self, pool: ProcessPoolExecutor, num_scenarios: int, shards: int
+        pool: ProcessPoolExecutor, num_scenarios: int, shards: int
     ) -> tuple[list[tuple], int]:
         """Submit shard tasks, re-splitting the held-back tail by cost.
 
@@ -509,7 +337,7 @@ class HybridExecutor(SweepExecutor):
         (coverage of ``[0, num_scenarios)`` is exact by construction)
         and the number of rebalance events.
         """
-        head = num_scenarios if not self.rebalance else max(shards, num_scenarios // 2)
+        head = max(shards, num_scenarios // 2)
         if num_scenarios - head < shards:
             head = num_scenarios  # tail too small to be worth re-splitting
         start = time.perf_counter()
@@ -529,7 +357,7 @@ class HybridExecutor(SweepExecutor):
             # Aim each tail piece at a quarter of the probe's wall-clock
             # (but >= ~50 ms so per-task overhead stays negligible).
             per_piece = max(1, int(rate * max(elapsed / 4.0, 0.05)))
-            pieces = min(shards * self.max_oversubscribe, max(shards, -(-tail // per_piece)))
+            pieces = min(shards * MAX_OVERSUBSCRIBE, max(shards, -(-tail // per_piece)))
             if pieces > shards:
                 rebalances = 1
             for begin, end in shard_ranges(tail, pieces):
@@ -550,20 +378,21 @@ def make_executor(name: str, workers: int | None = None) -> SweepExecutor:
 
     Args:
         name: One of :data:`EXECUTOR_NAMES`.
-        workers: Parallelism — threads for ``threads``, shards for
-            ``processes``, shard workers for ``hybrid`` (whose per-shard
-            threads come from :data:`HYBRID_THREADS_ENV` / the CPU
-            count); ``None`` = derive from ``os.cpu_count()``.
-            ``serial`` accepts only ``None`` / 1.
+        workers: Parallelism — threads for ``threads`` (``None``: the
+            CPU count), shards for ``processes`` (``None``:
+            ``max(2, cpu_count)``), shard workers for ``hybrid`` (whose
+            per-shard threads auto-resolve), the worker hint for
+            ``remote``.  ``serial`` accepts only ``None`` / 1.
     """
+    cpu = os.cpu_count() or 1
     if name == "serial":
         if workers not in (None, 1):
             raise ValueError("the serial executor runs single-threaded; do not pass workers")
-        return SerialExecutor()
+        return HybridExecutor(1, 1)
     if name == "threads":
-        return ThreadedExecutor(workers)
+        return HybridExecutor(1, cpu if workers is None else workers)
     if name == "processes":
-        return ProcessShardedExecutor(shards=workers)
+        return HybridExecutor(max(2, cpu) if workers is None else workers, 1)
     if name == "hybrid":
         return HybridExecutor(shard_workers=workers)
     if name == "remote":
@@ -574,34 +403,53 @@ def make_executor(name: str, workers: int | None = None) -> SweepExecutor:
 
 
 # ----------------------------------------------------------------------
-# Shared shard machinery (process-sharded and remote executors)
+# Shared shard machinery (local process shards and remote workers)
 # ----------------------------------------------------------------------
-def require_mergeable_sinks(sinks: Sequence[ScenarioSink], shard_kind: str) -> None:
-    """Reject sweeps whose sinks cannot merge across shards.
+def require_shardable(plan: SweepPlan, executor_name: str) -> None:
+    """Reject a sweep that cannot run on process or remote shards.
 
-    Raised before any sink binds, so an environment-default executor can
-    downgrade the sweep to the threaded pipeline instead of failing.
+    Every sink must merge across shards (:class:`MergeableSink`), and the
+    scenario source and sinks must pickle: spawned and remote workers
+    unpickle them, and forked ones are held to the same contract so a
+    sweep is accepted or rejected the same way on every platform.  The
+    pickle is a protocol-5 probe that discards the out-of-band buffers
+    (microseconds; the grid always pickles).  Raises
+    :class:`ExecutorIncompatibility` before any sink binds, so an
+    environment-default executor can downgrade the sweep to the
+    in-process pipeline instead of failing.
     """
     non_mergeable = sorted(
-        {type(sink).__name__ for sink in sinks if not isinstance(sink, MergeableSink)}
+        {type(sink).__name__ for sink in plan.sinks if not isinstance(sink, MergeableSink)}
     )
     if non_mergeable:
         raise ExecutorIncompatibility(
-            f"sinks {non_mergeable} cannot merge across {shard_kind} shards "
+            f"sinks {non_mergeable} cannot merge across {executor_name} shards "
             "(their state is order-dependent); use mergeable sinks — e.g. "
             "QuantileSketchSink instead of P2QuantileSink — or the "
             "threads executor"
         )
+    try:
+        pickle.dumps(
+            (plan.scenario_source, plan.sinks), protocol=5, buffer_callback=lambda _: None
+        )
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise ExecutorIncompatibility(
+            f"{executor_name} shards need a picklable scenario source and "
+            "picklable sinks (spawned and remote workers unpickle them); use a "
+            "picklable source (e.g. MatrixScenarioSource / "
+            f"CrossProductScenarioSource) or the threads executor: {exc}"
+        ) from exc
 
 
 def start_context(start_method: str | None) -> mp.context.BaseContext:
-    """The ``multiprocessing`` context a sharded executor starts workers with.
+    """The ``multiprocessing`` context sharded sweeps start workers with.
 
     ``None`` prefers ``fork`` where the platform offers it — the workers
     then inherit their context instead of unpickling it (see
     :func:`shard_worker_context`) — and the platform default elsewhere.
-    Executors call this from their constructors too, so an unavailable
-    method fails at construction instead of at the first sweep.
+    :class:`HybridExecutor` calls this from its constructor too, so an
+    unavailable method fails at construction instead of at the first
+    sweep.
     """
     methods = mp.get_all_start_methods()
     if start_method is None:
@@ -611,17 +459,17 @@ def start_context(start_method: str | None) -> mp.context.BaseContext:
     return mp.get_context(start_method)
 
 
-@contextmanager
 def shard_worker_context(
-    plan: SweepPlan, start_method: str | None, shard_kind: str, threads: int = 1
-) -> Iterator[tuple[dict[str, Any], int]]:
-    """Yield the worker-pool arguments of one sharded sweep.
+    plan: SweepPlan, start_method: str | None, threads: int = 1
+) -> tuple[dict[str, Any], int]:
+    """The worker-pool arguments of one sharded sweep and the bytes they ship.
 
-    Enter after the parent has factored ``plan.compiled`` and before any
-    sink binds.  Yields ``(pool_arguments, payload_bytes_shared)``: the
+    Call after :func:`require_shardable` accepted the plan and the parent
+    factored ``plan.compiled``, and before any sink binds.  Returns
+    ``(pool_arguments, payload_bytes_shared)``: the
     :class:`~concurrent.futures.ProcessPoolExecutor` keywords — the
     :func:`start_context` of ``start_method`` and the pool initializer
-    with its argument — and the bytes shipped through shared memory.
+    with its argument — and the size of the serialized context.
 
     Under ``fork`` the initializer argument is the worker state itself,
     built here and inherited by the children with the parent's memory:
@@ -630,27 +478,15 @@ def shard_worker_context(
     sinks, and a single-threaded engine holding the parent's cached
     factorization
     (:meth:`~repro.analysis.engine.BatchedAnalysisEngine.shard_engine`).
-    Nothing ships, so ``payload_bytes_shared`` is 0.  Under any other
-    start method it is the descriptor of a :class:`SharedGridPayload`
-    that lives as long as the ``with`` block.
-
-    Either way an unpicklable source or sink raises
-    :class:`ExecutorIncompatibility` on entry; under ``fork`` a protocol-5
-    probe that discards the out-of-band buffers checks just those two (the
-    grid always pickles), so the contract does not depend on the platform.
+    Nothing ships, so the byte count is 0.  Under any other start method
+    it is the :func:`pickle_sweep_payload` bytes, which each worker
+    rebuilds with :func:`load_shard_state`.
     """
     mp_context = start_context(start_method)
     pool_arguments: dict[str, Any] = dict(mp_context=mp_context, initializer=_init_shard_worker)
     if mp_context.get_start_method() != "fork":
-        with SharedGridPayload.create(plan, shard_kind, threads) as shared:
-            yield dict(pool_arguments, initargs=(shared.descriptor,)), shared.nbytes
-        return
-    try:
-        pickle.dumps(
-            (plan.scenario_source, plan.sinks), protocol=5, buffer_callback=lambda _: None
-        )
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        raise _incompatibility(shard_kind, exc) from exc
+        payload = pickle_sweep_payload(plan, threads)
+        return dict(pool_arguments, initargs=(payload,)), len(payload)
     compiled = plan.compiled
     compiled.reduced_matrix
     compiled.pad_rhs
@@ -663,11 +499,19 @@ def shard_worker_context(
         sink_prototypes=copy.deepcopy(plan.sinks),
         threads=threads,
     )
-    yield dict(pool_arguments, initargs=(state,)), 0
+    return dict(pool_arguments, initargs=(state,)), 0
 
 
-def _payload_tuple(plan: SweepPlan, threads: int) -> tuple:
-    """The picklable worker context of one sweep (see :func:`load_shard_state`)."""
+def pickle_sweep_payload(plan: SweepPlan, threads: int = 1) -> bytes:
+    """Pickle one sweep's worker context (engine config, grid, source, sinks).
+
+    The payload is what shard workers — spawned local processes or remote
+    worker processes — unpickle via :func:`load_shard_state` to rebuild
+    the sweep on their side.  ``threads`` is the solver-thread count each
+    worker runs its chunk pipeline with (1 = the serial pipeline).  Check
+    the plan with :func:`require_shardable` first: that is where an
+    unpicklable source or sink raises :class:`ExecutorIncompatibility`.
+    """
     engine = plan.engine
     plan.compiled.fingerprint  # hash once here; workers inherit the digest
     engine_config = {
@@ -676,195 +520,25 @@ def _payload_tuple(plan: SweepPlan, threads: int) -> tuple:
         "solver": engine.solver_backend.name,
         "incremental_updates": engine.incremental_updates,
     }
-    return (
-        engine_config,
-        plan.compiled,
-        plan.scenario_source,
-        plan.chunk_size,
-        plan.sinks,
-        threads,
+    return pickle.dumps(
+        (engine_config, plan.compiled, plan.scenario_source, plan.chunk_size, plan.sinks, threads),
+        protocol=pickle.HIGHEST_PROTOCOL,
     )
 
 
-def _incompatibility(shard_kind: str, exc: Exception) -> ExecutorIncompatibility:
-    return ExecutorIncompatibility(
-        f"{shard_kind}-sharded sweeps need a picklable scenario source and "
-        "picklable sinks (spawned workers unpickle them); use a picklable "
-        "source (e.g. MatrixScenarioSource / CrossProductScenarioSource) or "
-        f"the threads executor: {exc}"
-    )
+def load_shard_state(payload: bytes) -> dict:
+    """Rebuild the worker-side sweep context from a pickled payload.
 
-
-def pickle_sweep_payload(plan: SweepPlan, shard_kind: str, threads: int = 1) -> bytes:
-    """Pickle one sweep's worker context (engine config, grid, source, sinks).
-
-    The payload is what shard workers — local processes or remote worker
-    processes — unpickle via :func:`load_shard_state` to rebuild the sweep
-    on their side.  ``threads`` is the solver-thread count each worker
-    runs its chunk pipeline with (1 = the serial pipeline).  Unpicklable
-    plans raise :class:`ExecutorIncompatibility` before any sink binds.
+    The worker's engine mirrors the parent's solver configuration (cache
+    size, direct-vs-CG threshold, backend) so shards solve exactly the
+    way the parent would have.
     """
-    try:
-        return pickle.dumps(_payload_tuple(plan, threads), protocol=pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        raise _incompatibility(shard_kind, exc) from exc
-
-
-class SharedGridPayload:
-    """One sweep's worker context with its array buffers in shared memory.
-
-    The context tuple is pickled once with protocol-5 *out-of-band*
-    buffers: every sizable array — the compiled grid's COO stamp arrays,
-    its cached CSR factors, the scenario matrices inside the source —
-    leaves the pickle stream as a raw buffer, and all buffers land
-    back-to-back in a single :mod:`multiprocessing.shared_memory`
-    segment.  What remains in-band (:attr:`descriptor`) is small: object
-    scaffolding, names, the segment name and per-buffer spans.  Workers
-    :func:`attach_shard_state` by name and unpickle the metadata with
-    the mapped spans as buffers, so their arrays are *views* of the
-    shared mapping — one physical copy of the grid for any number of
-    shard processes.
-
-    Lifetime is explicit and parent-owned: ``create`` allocates the
-    segment, the ``with`` block (or :meth:`close`) closes **and
-    unlinks** it — on success and on error alike; children only ever
-    attach and never unlink.  On platforms or sandboxes without shared
-    memory, ``create`` degrades to the classic in-band pickle with a
-    :class:`RuntimeWarning` naming the executor; ``nbytes`` is then 0
-    and the context manager is a no-op.
-
-    Attributes:
-        descriptor: Small picklable handle shipped to workers —
-            ``("shm", segment_name, metadata, spans)`` or
-            ``("pickle", payload_bytes)`` after a fallback.
-        nbytes: Bytes placed in shared memory (0 on the pickle fallback);
-            surfaced as the ``payload_bytes_shared`` counter.
-    """
-
-    def __init__(self, descriptor: tuple, segment, nbytes: int) -> None:
-        self.descriptor = descriptor
-        self.nbytes = nbytes
-        self._segment = segment
-
-    @classmethod
-    def create(cls, plan: SweepPlan, shard_kind: str, threads: int = 1) -> "SharedGridPayload":
-        """Build the shared payload of one sweep (parent side).
-
-        Raises :class:`ExecutorIncompatibility` for unpicklable plans —
-        before any sink binds, like :func:`pickle_sweep_payload`.
-        """
-        state = _payload_tuple(plan, threads)
-        buffers: list[pickle.PickleBuffer] = []
-        try:
-            meta = pickle.dumps(state, protocol=5, buffer_callback=buffers.append)
-            views = [buffer.raw() for buffer in buffers]
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            raise _incompatibility(shard_kind, exc) from exc
-        except BufferError:
-            # A non-contiguous out-of-band buffer cannot be mapped raw;
-            # ship the whole payload in-band instead (no warning — the
-            # result is identical, only the zero-copy win is lost).
-            return cls(("pickle", pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)), None, 0)
-        total = sum(view.nbytes for view in views)
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(create=True, size=max(1, total))
-        except (ImportError, OSError, ValueError) as exc:
-            warnings.warn(
-                f"the {shard_kind} executor cannot allocate a shared-memory payload "
-                f"segment ({exc}); shipping the sweep payload by pickle instead",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return cls(("pickle", pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)), None, 0)
-        spans = []
-        cursor = 0
-        for view in views:
-            segment.buf[cursor : cursor + view.nbytes] = view
-            spans.append((cursor, view.nbytes))
-            cursor += view.nbytes
-        return cls(("shm", segment.name, meta, tuple(spans)), segment, total)
-
-    def close(self) -> None:
-        """Release the parent's mapping and unlink the segment (idempotent)."""
-        if self._segment is not None:
-            segment, self._segment = self._segment, None
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def __enter__(self) -> "SharedGridPayload":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def _attach_segment(name: str):
-    """Attach a named shared-memory segment *without* tracking its lifetime.
-
-    Attaching normally registers the segment with :mod:`multiprocessing`'s
-    resource tracker, which would unlink it when the attaching process
-    exits — but the segment is parent-owned (the parent unlinks in
-    :meth:`SharedGridPayload.close`), and under ``fork`` all children
-    share one tracker, so child-side registration is both wrong and
-    noisy.  Python 3.13+ exposes ``track=False`` for exactly this;
-    earlier versions need the registration call shimmed out for the
-    duration of the attach (pool initializers and fleet workers attach
-    from a single thread, so the shim cannot race).
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        pass  # Python < 3.13: no track= keyword; shim the tracker instead
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-
-    def _skip_shared_memory(rname: str, rtype: str) -> None:
-        if rtype != "shared_memory":
-            original(rname, rtype)
-
-    resource_tracker.register = _skip_shared_memory
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-def attach_shard_state(descriptor: tuple) -> dict:
-    """Rebuild a worker-side sweep context from a payload descriptor.
-
-    ``("pickle", bytes)`` descriptors unpickle in-band;
-    ``("shm", name, meta, spans)`` descriptors attach the named shared
-    segment and unpickle the metadata with the mapped spans as protocol-5
-    buffers, so the rebuilt arrays are views of the shared mapping.  The
-    returned state keeps the segment object alive for as long as the
-    context is cached.
-    """
-    kind = descriptor[0]
-    if kind == "pickle":
-        return load_shard_state(descriptor[1])
-    _, name, meta, spans = descriptor
-    segment = _attach_segment(name)
-    buffers = [segment.buf[begin : begin + length] for begin, length in spans]
-    state = _state_from_tuple(pickle.loads(meta, buffers=buffers))
-    state["segment"] = segment  # keeps the mapping alive with the cached state
-    return state
-
-
-def _state_from_tuple(payload_tuple: tuple) -> dict:
     from .engine import BatchedAnalysisEngine
 
-    engine_config, compiled, source, chunk_size, sink_prototypes, threads = payload_tuple
+    engine_config, compiled, source, chunk_size, sink_prototypes, threads = pickle.loads(payload)
     return dict(
         engine=BatchedAnalysisEngine(
-            default_workers=1, default_executor=SerialExecutor(), **engine_config
+            default_workers=1, default_executor="serial", **engine_config
         ),
         compiled=compiled,
         source=source,
@@ -874,47 +548,27 @@ def _state_from_tuple(payload_tuple: tuple) -> dict:
     )
 
 
-def load_shard_state(payload: bytes) -> dict:
-    """Rebuild the worker-side sweep context from a pickled payload.
-
-    The worker's engine mirrors the parent's solver configuration (cache
-    size, direct-vs-CG threshold) so shards solve exactly the way the
-    parent would have.  Payloads that unpickle to a
-    :class:`SharedGridPayload` descriptor (localhost fleets ship those
-    instead of full pickles) are re-attached via
-    :func:`attach_shard_state`.
-    """
-    obj = pickle.loads(payload)
-    if isinstance(obj, tuple) and obj and obj[0] in ("shm", "pickle"):
-        return attach_shard_state(obj)
-    return _state_from_tuple(obj)
-
-
 def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
     """Run the chunk pipeline over ``[begin, end)`` of one sweep.
 
     The shard runs as its own sweep of ``end - begin`` scenarios: the
-    source is shifted by ``begin`` and fresh sink copies observe
-    shard-local offsets — :meth:`MergeableSink.merge` re-bases any
-    indices when the parent folds the snapshots back together.  The
-    pipeline runs at the context's ``threads`` count (1 = serial; the
-    hybrid executor and threaded fleet workers set more) — the threaded
-    pipeline is bitwise-identical to serial, so the shard result does
-    not depend on it.
+    source is called (and its chunks validated) at the sweep's global
+    indices, while fresh sink copies observe shard-local offsets —
+    :meth:`MergeableSink.merge` re-bases any indices when the parent
+    folds the snapshots back together.  The pipeline runs at the
+    context's ``threads`` count (1 = serial) — the threaded pipeline is
+    bitwise-identical to serial, so the shard result does not depend on
+    it.
     """
-    source = state["source"]
     sinks: Sequence[ScenarioSink] = copy.deepcopy(state["sink_prototypes"])
-
-    def shard_source(lo: int, hi: int) -> "tuple[np.ndarray | None, np.ndarray | None]":
-        return source(begin + lo, begin + hi)
-
     reductions, reused, iterations = state["engine"]._run_chunk_pipeline(
         state["compiled"],
-        shard_source,
+        state["source"],
         end - begin,
         state["chunk_size"],
         sinks,
-        workers=state.get("threads", 1),
+        workers=state["threads"],
+        first=begin,
     )
     return (
         begin,
@@ -970,13 +624,13 @@ _WORKER_STATE: dict = {}
 """Per-worker sweep context, installed once by the pool initializer."""
 
 
-def _init_shard_worker(initarg: "dict | tuple") -> None:
+def _init_shard_worker(initarg: "dict | bytes") -> None:
     """Install the sweep context into this worker (see :func:`shard_worker_context`).
 
-    A dict is the parent's live state, inherited under ``fork``; a tuple
-    is a :class:`SharedGridPayload` descriptor to attach.
+    A dict is the parent's live state, inherited under ``fork``; bytes
+    are a :func:`pickle_sweep_payload` to load.
     """
-    _WORKER_STATE.update(initarg if isinstance(initarg, dict) else attach_shard_state(initarg))
+    _WORKER_STATE.update(initarg if isinstance(initarg, dict) else load_shard_state(initarg))
 
 
 def _solve_shard(begin: int, end: int) -> tuple:

@@ -164,40 +164,40 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,
         help=(
-            "sweep-execution strategy: serial, threads (chunk solves on a "
-            "thread pool, one ordered fold), processes (scenario range "
-            "sharded across worker processes, mergeable sinks), hybrid "
-            "(process shards each running the threaded pipeline, "
-            "cost-based rebalancing) or "
-            "remote (range sharded across fleet workers behind a "
-            "coordinator; embedded localhost fleet unless --coordinator "
-            "is given). Under processes/hybrid/remote, quantiles switch "
-            "from P2 to a deterministic mergeable sketch"
+            "sweep-execution strategy: a row of the local (shards x "
+            "threads) executor - serial (1 x 1), threads (1 x --workers: "
+            "chunk solves on a thread pool, one ordered fold), processes "
+            "(--workers x 1: scenario range sharded across worker "
+            "processes, mergeable sinks) or hybrid (--shard-workers x "
+            "--threads-per-shard, cost-based rebalancing) - or remote "
+            "(range sharded across the fleet workers of a standing "
+            "coordinator; needs --coordinator). Under "
+            "processes/hybrid/remote, quantiles switch from P2 to a "
+            "deterministic mergeable sketch"
         ),
     )
     sweep.add_argument(
         "--shard-workers", type=int, default=None,
         help=(
             "hybrid executor: process shards to fan the scenario range "
-            "across (default: auto from the host CPU count, or the "
-            "REPRO_HYBRID_SHARD_WORKERS environment)"
+            "across (default: auto from the host CPU count; 1 runs the "
+            "sweep in-process)"
         ),
     )
     sweep.add_argument(
         "--threads-per-shard", type=int, default=None,
         help=(
             "hybrid executor: solver threads inside each process shard "
-            "(default: auto, or the REPRO_HYBRID_THREADS environment)"
+            "(default: auto from the host CPU count and the shard count)"
         ),
     )
     sweep.add_argument(
         "--coordinator", default=None, metavar="URL",
         help=(
             "base URL of a standing sweep coordinator (see `python -m "
-            "repro.analysis.remote coordinator`); implies --executor "
-            "remote. Without it the remote executor serves an embedded "
-            "localhost coordinator and spawns its own workers. Unset "
-            "reads the REPRO_REMOTE_COORDINATOR environment"
+            "repro.analysis.remote coordinator` and its `worker`s); "
+            "implies --executor remote, which cannot run without one. "
+            "Unset reads the REPRO_REMOTE_COORDINATOR environment"
         ),
     )
     sweep.add_argument(
@@ -529,6 +529,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: invalid --quantiles {args.quantiles!r}: {exc}", file=sys.stderr)
         return 2
 
+    executor = args.executor
+    if args.coordinator is not None or args.executor == "remote":
+        try:
+            executor = RemoteExecutor(workers=args.workers, coordinator=args.coordinator)
+        except ValueError as exc:
+            print(f"error: --executor remote needs --coordinator URL ({exc})", file=sys.stderr)
+            return 2
+    elif args.executor == "hybrid":
+        # Built here (instead of resolved by name inside the engine) so the
+        # per-sweep observability counters in `last_stats` can be read back
+        # into the summary and the JSON record below.
+        executor = HybridExecutor(
+            shard_workers=args.shard_workers, threads_per_shard=args.threads_per_shard
+        )
+
     bench = SyntheticIBMSuite().load(args.benchmark)
     grid = bench.build_uniform_grid(args.width)
     engine = BatchedAnalysisEngine(solver=args.solver)
@@ -539,16 +554,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     load_matrix, pad_matrix = mega_sweep_matrices(
         grid, bench.floorplan, args.gamma, args.num_loads, args.num_pads, seed=args.seed
     )
-    executor = args.executor
-    if args.coordinator is not None or args.executor == "remote":
-        executor = RemoteExecutor(workers=args.workers, coordinator=args.coordinator)
-    elif args.executor == "hybrid":
-        # Built here (instead of resolved by name inside the engine) so the
-        # per-sweep observability counters in `last_stats` can be read back
-        # into the summary and the JSON record below.
-        executor = HybridExecutor(
-            shard_workers=args.shard_workers, threads_per_shard=args.threads_per_shard
-        )
     if args.executor in ("processes", "hybrid", "remote") or args.coordinator is not None:
         # P2 marker state is order-dependent and cannot merge across
         # shards; the log-bucket sketch merges by counter addition and is
@@ -571,9 +576,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers if isinstance(executor, (str, type(None))) else None,
         executor=executor,
     )
-    # Sharded executor instances expose the counters of the sweep they
-    # just ran (shards, threads_per_shard, payload_bytes_shared,
-    # rebalances, workers_reused); name-resolved executors expose none.
+    # A hybrid executor instance exposes the counters of the sweep it just
+    # ran (shards, threads_per_shard, payload_bytes_shared, rebalances,
+    # tasks); name-resolved and remote executors expose none.
     executor_stats = dict(getattr(executor, "last_stats", None) or {})
 
     estimate = quantile_sink.result()

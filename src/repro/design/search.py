@@ -212,8 +212,8 @@ class CandidateRanker:
     exactly what :meth:`SearchStats.training_data` returns), then
     ``select`` the most promising candidates of a batch before any
     solve is paid.  The object is picklable once fitted, so a ranker
-    survives :class:`~repro.analysis.executors.ProcessShardedExecutor`
-    workers.
+    survives the process-shard workers of
+    :class:`~repro.analysis.executors.HybridExecutor`.
 
     Args:
         regressor: Pre-built (possibly pre-trained) regressor; a fresh

@@ -238,7 +238,7 @@ _ANALYZE_ENTRY_POINTS = {
     "analyze_statistical",
 }
 _SHARDED_EXECUTOR_NAMES = {"processes", "hybrid", "remote"}
-_SHARDED_EXECUTOR_CLASSES = {"ProcessShardedExecutor", "HybridExecutor", "RemoteExecutor"}
+_SHARDED_EXECUTOR_CLASSES = {"HybridExecutor", "RemoteExecutor"}
 #: Positional slot of the scenario source per entry point (after self).
 _SOURCE_POSITIONS = {"analyze_scenario_stream": 1}
 
@@ -258,8 +258,9 @@ class PicklabilityRule(Rule):
     entry point when either
 
     * the call names a sharded executor (``executor="processes"`` /
-      ``"remote"``, a ``ProcessShardedExecutor`` / ``RemoteExecutor``
-      instance, or ``make_executor`` with one of those names), or
+      ``"hybrid"`` / ``"remote"``, a ``HybridExecutor`` /
+      ``RemoteExecutor`` instance, or ``make_executor`` with one of those
+      names), or
     * the file is library code (non-test) — production sources must be
       module-level picklable classes such as ``MatrixScenarioSource``,
       whatever executor today's caller picks.
@@ -775,64 +776,3 @@ class MutableGlobalRule(Rule):
             name = _call_name(value)
             return name in _MUTABLE_CALLS and not value.args and not value.keywords
         return False
-
-
-# ----------------------------------------------------------------------
-# RPR008 — executor contract surface
-# ----------------------------------------------------------------------
-_EXECUTOR_BASE = "SweepExecutor"
-_EXECUTOR_SURFACE = ("name", "parallelism", "execute")
-
-
-@register
-class ExecutorContractRule(Rule):
-    """``SweepExecutor`` subclasses must implement the full strategy surface.
-
-    Protects: the pluggable execution layer.  ``make_executor``, the CLI
-    and the environment default all drive executors through exactly
-    ``name`` / ``parallelism`` / ``execute``; a subclass missing one
-    inherits the abstract placeholder (``name = "abstract"``) and fails
-    at sweep time instead of review time.  Private (``_``-prefixed)
-    intermediate bases are exempt, like RPR003's sink intermediates.
-    """
-
-    code = "RPR008"
-    name = "executor-contract"
-    description = "SweepExecutor subclasses define name, parallelism and execute"
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        table = _ClassTable(context.tree)
-        for cls in table.classes.values():
-            if cls.name == _EXECUTOR_BASE or cls.name.startswith("_"):
-                continue
-            bases, chain_methods = table.ancestry(cls)
-            if _EXECUTOR_BASE not in bases:
-                continue
-            # The chain walk unions SweepExecutor's own defaults in when it
-            # is defined in-file; the subclass must override regardless.
-            own_chain = self._methods_excluding_base(table, cls)
-            missing = [m for m in _EXECUTOR_SURFACE if m not in own_chain]
-            if missing:
-                yield self.finding(
-                    context,
-                    cls,
-                    f"executor class {cls.name} does not define {missing}; the "
-                    "SweepExecutor contract (name, parallelism, execute) is what "
-                    "make_executor and the engine drive",
-                )
-
-    @staticmethod
-    def _methods_excluding_base(table: _ClassTable, cls: ast.ClassDef) -> set[str]:
-        methods = _class_methods(cls)
-        stack = [b for b in _base_names(cls) if b != _EXECUTOR_BASE]
-        seen: set[str] = set()
-        while stack:
-            base = stack.pop()
-            if base in seen or base == _EXECUTOR_BASE:
-                continue
-            seen.add(base)
-            parent = table.classes.get(base)
-            if parent is not None:
-                methods |= _class_methods(parent)
-                stack.extend(b for b in _base_names(parent) if b != _EXECUTOR_BASE)
-        return methods

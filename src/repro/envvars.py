@@ -29,26 +29,14 @@ KNOWN_ENV_VARS: dict[str, str] = {
         "for every analyze_* call that passes neither executor= nor "
         "workers=."
     ),
-    "REPRO_HYBRID_SHARD_WORKERS": (
-        "Process-shard count of HybridExecutor when shard_workers= is "
-        "not passed; auto-resolved from os.cpu_count() when unset."
-    ),
-    "REPRO_HYBRID_THREADS": (
-        "Solver threads inside each HybridExecutor process shard when "
-        "threads_per_shard= is not passed."
-    ),
     "REPRO_TEST_SOLVER": (
         "Default factorization backend (splu|cholmod|auto) of "
         "resolve_solver_backend."
     ),
     # --- remote fleet -------------------------------------------------
     "REPRO_REMOTE_COORDINATOR": (
-        "Base URL of a standing sweep coordinator; RemoteExecutor submits "
-        "there instead of hosting an embedded localhost fleet."
-    ),
-    "REPRO_REMOTE_WORKERS": (
-        "Worker hint of RemoteExecutor: embedded worker processes spawned "
-        "and the basis of the workers x oversubscribe shard count."
+        "Base URL of the standing sweep coordinator RemoteExecutor submits "
+        "to when coordinator= is not passed; required by the remote executor."
     ),
     # --- benchmark harness --------------------------------------------
     "REPRO_BENCH_SCALE": (

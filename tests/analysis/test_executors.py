@@ -1,23 +1,29 @@
 """Tests for the pluggable sweep-execution layer.
 
-The core guarantee: a process-sharded sweep — scenario range split across
-worker processes, each with its own fold — is **bitwise-identical** to
-the sequential sweep for the streamed reductions and every exact
-mergeable sink, at every shard count (1, an even split, and a
-non-divisor).  Under the default ``fork`` start method the workers
-inherit the parent's factorization instead of factoring (pinned by a
-factor patch that fails in any other process), which keeps low-rank
-update clones bitwise too.  The reservoir sink merges by weighted
-resampling and is validated statistically; the order-dependent P² sink
-is rejected up front with a pointer to the quantile sketch.  Also
-covered: executor resolution precedence (explicit executor > workers= >
+The core guarantee: the local executor is **bitwise-identical** to the
+sequential sweep for the streamed reductions and every exact mergeable
+sink at every ``(shards × threads × chunk_size)`` shape — one shard (the
+in-process pipeline), an even split and a non-divisor of the scenario
+count; one and two threads per shard.  Under the default ``fork`` start
+method the workers inherit the parent's factorization instead of
+factoring (pinned by a factor patch that fails in any other process),
+which keeps low-rank update clones bitwise too; spawned workers load the
+same pickled payload remote workers do.  The reservoir sink merges by
+weighted resampling and is validated statistically; the order-dependent
+P² sink runs on single-shard rows and is rejected by sharded ones with a
+pointer to the quantile sketch.  Also covered: the executor names of
+each shape, resolution precedence (explicit executor > workers= >
 environment default), the lenient fallback of :data:`EXECUTOR_ENV`, the
-adaptive chunk-width heuristic, and top-k rematerialisation.
+tail re-split of the balancer, source-validation errors naming global
+scenarios, the adaptive chunk-width heuristic, and top-k
+rematerialisation.
 """
 
 import multiprocessing
 import os
 import pickle
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -33,19 +39,18 @@ from repro.analysis import (
     MergeableSink,
     NodeHistogramSink,
     P2QuantileSink,
-    ProcessShardedExecutor,
+    QuantileSketchSink,
     ReservoirQuantileSink,
-    SerialExecutor,
-    SharedGridPayload,
     SpluBackend,
+    SweepExecutor,
     SweepPlan,
-    ThreadedExecutor,
     TopKScenarioSink,
     VectorlessAnalyzer,
     make_executor,
     resolve_chunk_size,
     uniform_budget,
 )
+from repro.analysis import executors as executors_module
 from repro.analysis.engine import (
     CHUNK_CACHE_BYTES,
     MAX_CHUNK_SIZE,
@@ -54,9 +59,9 @@ from repro.analysis.engine import (
 from repro.analysis.executors import (
     EXECUTOR_ENV,
     EXECUTOR_NAMES,
-    HYBRID_SHARD_WORKERS_ENV,
-    HYBRID_THREADS_ENV,
-    attach_shard_state,
+    load_shard_state,
+    pickle_sweep_payload,
+    require_shardable,
 )
 from repro.grid import (
     PerturbationKind,
@@ -67,10 +72,10 @@ from repro.grid import (
 )
 
 SHARD_COUNTS = [1, 2, 3]
-"""Degenerate single shard, even split, and a non-divisor of 37."""
+"""In-process single shard, even split, and a non-divisor of 37."""
 
 FORK_DEFAULT = "fork" in multiprocessing.get_all_start_methods()
-"""The sharded executors' default start method is ``fork`` on this host."""
+"""The local executor's default start method is ``fork`` on this host."""
 
 needs_fork = pytest.mark.skipif(not FORK_DEFAULT, reason="needs the fork start method")
 
@@ -100,6 +105,7 @@ def mergeable_sinks(threshold: float) -> dict:
     """Fresh instances of every mergeable sink family."""
     return {
         "reservoir": ReservoirQuantileSink(16, (0.5, 0.9), seed=3),
+        "sketch": QuantileSketchSink((0.5, 0.9)),
         "histogram": NodeHistogramSink.uniform(0.0, 2.0 * threshold + 1e-6, 8),
         "exceedance": ExceedanceCountSink(threshold),
         "joint": JointExceedanceSink(threshold),
@@ -109,6 +115,9 @@ def mergeable_sinks(threshold: float) -> dict:
 
 def assert_exact_sinks_identical(sequential: dict, sharded: dict) -> None:
     """Every exact mergeable sink must be bitwise-equal between sweeps."""
+    assert np.array_equal(
+        sequential["sketch"].result().values, sharded["sketch"].result().values
+    )
     seq_hist, shard_hist = sequential["histogram"].result(), sharded["histogram"].result()
     assert np.array_equal(seq_hist.counts, shard_hist.counts)
     assert np.array_equal(seq_hist.underflow, shard_hist.underflow)
@@ -133,29 +142,58 @@ def assert_reductions_identical(sequential, sharded) -> None:
     assert np.array_equal(sequential.worst_node_index, sharded.worst_node_index)
 
 
-class TestProcessShardedEquivalence:
-    """Merge-equivalence suite: process shards == sequential, bitwise."""
+@dataclass(frozen=True)
+class ShortChunkSource:
+    """Picklable load source that returns one row too few for the chunk
+    holding scenario ``short_at`` (a malformed-generator stand-in)."""
 
+    load_matrix: np.ndarray
+    short_at: int
+
+    def __call__(self, begin: int, end: int):
+        rows = self.load_matrix[begin:end]
+        return (rows[:-1] if begin <= self.short_at < end else rows), None
+
+
+class SteppedClock:
+    """Stand-in for the executors module's ``time``: readings 10 s apart,
+    so the balancer always prices a scenario as slow and re-splits."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 10.0
+        return self.now
+
+
+class TestShapeEquivalence:
+    """Merge-equivalence matrix: every (shards, threads, chunk_size) shape
+    of the local executor == the sequential sweep, bitwise."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 7])
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_batch_bitwise_matches_sequential(
-        self, ibmpg1_grid, load_sweep, nominal_worst, shards
+        self, ibmpg1_grid, load_sweep, nominal_worst, shards, threads, chunk_size
     ):
         engine = BatchedAnalysisEngine()
         seq_sinks = mergeable_sinks(nominal_worst)
         sequential = engine.analyze_batch(
             ibmpg1_grid,
             load_sweep,
-            chunk_size=7,
+            chunk_size=chunk_size,
             sinks=tuple(seq_sinks.values()),
-            workers=1,
+            executor="serial",
         )
         shard_sinks = mergeable_sinks(nominal_worst)
+        executor = HybridExecutor(shard_workers=shards, threads_per_shard=threads)
         sharded = engine.analyze_batch(
             ibmpg1_grid,
             load_sweep,
-            chunk_size=7,
+            chunk_size=chunk_size,
             sinks=tuple(shard_sinks.values()),
-            executor=ProcessShardedExecutor(shards=shards),
+            executor=executor,
         )
         assert_reductions_identical(sequential, sharded)
         assert_exact_sinks_identical(seq_sinks, shard_sinks)
@@ -163,6 +201,38 @@ class TestProcessShardedEquivalence:
         assert sharded.solver_method == sequential.solver_method
         # Every shard observed the whole of its range exactly once.
         assert shard_sinks["topk"].num_consumed == load_sweep.shape[0]
+        stats = executor.last_stats
+        assert stats["shards"] == shards
+        assert stats["threads_per_shard"] == threads
+        if shards > 1:
+            # Forked shards inherit their context: no payload ships.
+            assert (stats["payload_bytes_shared"] == 0) == FORK_DEFAULT
+            assert stats["tasks"] >= stats["shards"]
+        else:
+            assert stats["tasks"] == 1 and stats["payload_bytes_shared"] == 0
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_single_shard_runs_p2_and_closures(self, ibmpg1_grid, load_sweep, threads):
+        """The 1 × t rows are the in-process pipeline: order-dependent
+        sinks and unpicklable sources run, bitwise-equal to serial."""
+        engine = BatchedAnalysisEngine()
+        runs = []
+        for executor in ("serial", HybridExecutor(1, threads)):
+            p2 = P2QuantileSink([0.5, 0.9])
+            stream = engine.analyze_scenario_stream(
+                ibmpg1_grid,
+                # The closure is the point: single-shard rows never pickle.
+                lambda begin, end: (load_sweep[begin:end], None),
+                load_sweep.shape[0],
+                chunk_size=5,
+                sinks=[p2],
+                executor=executor,
+            )
+            runs.append((stream, p2.result().values))
+        (serial, serial_p2), (single_shard, single_shard_p2) = runs
+        assert (single_shard.executor, single_shard.workers) == ("threads", threads)
+        assert_reductions_identical(serial, single_shard)
+        assert np.array_equal(serial_p2, single_shard_p2)
 
     @pytest.mark.parametrize("shards", [2, 3])
     def test_mega_sweep_bitwise_matches_sequential(
@@ -188,12 +258,41 @@ class TestProcessShardedEquivalence:
             pad_matrix,
             chunk_size=13,
             sinks=tuple(shard_sinks.values()),
-            executor=ProcessShardedExecutor(shards=shards),
+            executor=make_executor("processes", shards),
         )
         assert_reductions_identical(sequential, sharded)
         assert_exact_sinks_identical(seq_sinks, shard_sinks)
         assert sharded.executor == "processes"
         assert sharded.workers == shards
+
+    def test_hybrid_mega_sweep_bitwise_matches_sequential(
+        self, ibmpg1_grid, ibmpg1_bench, nominal_worst
+    ):
+        load_matrix, pad_matrix = mega_sweep_matrices(
+            ibmpg1_grid, ibmpg1_bench.floorplan, 0.2, 12, 8, seed=7
+        )
+        engine = BatchedAnalysisEngine()
+        seq_sinks = mergeable_sinks(nominal_worst)
+        sequential = engine.analyze_mega_sweep(
+            ibmpg1_grid,
+            load_matrix,
+            pad_matrix,
+            chunk_size=13,
+            sinks=tuple(seq_sinks.values()),
+            workers=1,
+        )
+        hybrid_sinks = mergeable_sinks(nominal_worst)
+        hybrid = engine.analyze_mega_sweep(
+            ibmpg1_grid,
+            load_matrix,
+            pad_matrix,
+            chunk_size=13,
+            sinks=tuple(hybrid_sinks.values()),
+            executor=HybridExecutor(shard_workers=2, threads_per_shard=2),
+        )
+        assert_reductions_identical(sequential, hybrid)
+        assert_exact_sinks_identical(seq_sinks, hybrid_sinks)
+        assert hybrid.executor == "hybrid"
 
     def test_pad_batch_bitwise_matches_sequential(self, ibmpg1_grid, ibmpg1_bench):
         from repro.grid import perturbed_pad_voltage_matrix
@@ -218,7 +317,7 @@ class TestProcessShardedEquivalence:
             source,
             load_sweep.shape[0],
             chunk_size=5,
-            executor=ProcessShardedExecutor(shards=3),
+            executor=make_executor("processes", 3),
         )
         assert_reductions_identical(sequential, sharded)
         assert sharded.executor == "processes"
@@ -234,7 +333,7 @@ class TestProcessShardedEquivalence:
             30,
             chunk_size=7,
             seed=5,
-            executor=ProcessShardedExecutor(shards=2),
+            executor=make_executor("processes", 2),
         )
         assert_reductions_identical(sequential.sweep, sharded.sweep)
         assert sequential.worst_observed == sharded.worst_observed
@@ -268,14 +367,41 @@ class TestProcessShardedEquivalence:
             big_sweep,
             chunk_size=64,
             sinks=[sink],
-            executor=ProcessShardedExecutor(shards=4),
+            executor=make_executor("processes", 4),
         )
         estimate = sink.result()
         assert estimate.num_scenarios == 400
         assert np.all(np.abs(estimate.values - true) <= 0.15 * spread)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tail_resplit_matches_serial(
+        self, monkeypatch, ibmpg1_grid, load_sweep, nominal_worst, threads
+    ):
+        """A slow first task makes the balancer re-split the held-back
+        tail into finer pieces; results stay bitwise-equal to serial."""
+        engine = BatchedAnalysisEngine()
+        seq_sinks = mergeable_sinks(nominal_worst)
+        sequential = engine.analyze_batch(
+            ibmpg1_grid, load_sweep, chunk_size=5, sinks=tuple(seq_sinks.values()),
+            executor="serial",
+        )
+        monkeypatch.setattr(executors_module, "time", SteppedClock())
+        shard_sinks = mergeable_sinks(nominal_worst)
+        executor = HybridExecutor(shard_workers=2, threads_per_shard=threads)
+        sharded = engine.analyze_batch(
+            ibmpg1_grid, load_sweep, chunk_size=5, sinks=tuple(shard_sinks.values()),
+            executor=executor,
+        )
+        # 37 scenarios on 2 shards: a head of 2 x 9 scenarios, then the
+        # 19-scenario tail priced at 9 scenarios per 10 s is cut into
+        # 10 pieces of about 2.5 s each.
+        assert executor.last_stats["rebalances"] == 1
+        assert executor.last_stats["tasks"] == 12
+        assert_reductions_identical(sequential, sharded)
+        assert_exact_sinks_identical(seq_sinks, shard_sinks)
 
-class TestProcessShardedRejections:
+
+class TestShardedRejections:
     def test_p2_rejected_with_pointer_to_sketch(self, ibmpg1_grid, load_sweep):
         engine = BatchedAnalysisEngine()
         with pytest.raises(ExecutorIncompatibility, match="QuantileSketchSink"):
@@ -284,7 +410,7 @@ class TestProcessShardedRejections:
                 load_sweep,
                 chunk_size=7,
                 sinks=[P2QuantileSink([0.5])],
-                executor=ProcessShardedExecutor(shards=2),
+                executor=make_executor("processes", 2),
             )
 
     def test_p2_not_mergeable_reservoir_is(self):
@@ -344,16 +470,100 @@ class TestProcessShardedRejections:
         )
         assert exceedance.num_consumed == load_sweep.shape[0]
 
+    def test_acceptance_ignores_scenario_count(self, ibmpg1_grid, load_sweep):
+        """A one-scenario sweep runs in-process, yet a sharded executor
+        rejects it exactly as it rejects a large one."""
+        engine = BatchedAnalysisEngine()
+        executor = HybridExecutor(shard_workers=2, threads_per_shard=1)
+        with pytest.raises(ExecutorIncompatibility, match="QuantileSketchSink"):
+            engine.analyze_batch(
+                ibmpg1_grid, load_sweep[:1], chunk_size=7, sinks=[P2QuantileSink([0.5])],
+                executor=executor,
+            )
+        with pytest.raises(ExecutorIncompatibility, match="picklable"):
+            engine.analyze_scenario_stream(
+                ibmpg1_grid,
+                lambda begin, end: (load_sweep[begin:end], None),  # reprolint: disable=RPR002
+                1,
+                executor=executor,
+            )
+
+    @pytest.mark.parametrize(
+        "executor",
+        [
+            pytest.param(lambda: "serial", id="serial"),
+            pytest.param(lambda: HybridExecutor(2, 1), id="processes"),
+            pytest.param(lambda: HybridExecutor(2, 2), id="hybrid"),
+        ],
+    )
+    def test_source_errors_name_global_scenarios(self, ibmpg1_grid, load_sweep, executor):
+        """Shards call and validate the source at the sweep's scenario
+        indices, so a malformed chunk is reported where it is."""
+        engine = BatchedAnalysisEngine()
+        source = ShortChunkSource(load_sweep, short_at=30)
+        with pytest.raises(ValueError, match="scenario source returned") as raised:
+            engine.analyze_scenario_stream(
+                ibmpg1_grid, source, load_sweep.shape[0], chunk_size=7, executor=executor()
+            )
+        rows, begin, end = map(
+            int, re.search(r"(\d+) rows for scenarios \[(\d+), (\d+)\)", str(raised.value)).groups()
+        )
+        assert begin <= 30 < end and rows == end - begin - 1
+        if executor() == "serial":
+            assert "6 rows for scenarios [28, 35)" in str(raised.value)
+
 
 class TestExecutorResolution:
     def test_make_executor_names(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
+        cpu = os.cpu_count() or 1
+        for name, workers, shape in (
+            ("serial", None, (1, 1)),
+            ("threads", 3, (1, 3)),
+            ("threads", None, (1, cpu)),
+            ("processes", 5, (5, 1)),
+            ("processes", None, (max(2, cpu), 1)),
+        ):
+            executor = make_executor(name, workers)
+            assert isinstance(executor, HybridExecutor)
+            assert (executor.shard_workers, executor.threads_per_shard) == shape
         assert make_executor("threads", 3).parallelism == 3
         assert make_executor("processes", 5).parallelism == 5
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("fibers")
         with pytest.raises(ValueError, match="serial"):
             make_executor("serial", 4)
+
+    def test_name_follows_shape(self):
+        for shape, name in (
+            ((1, 1), "serial"),
+            ((1, 3), "threads"),
+            ((3, 1), "processes"),
+            ((2, 2), "hybrid"),
+        ):
+            executor = HybridExecutor(*shape)
+            assert executor.name == name
+            assert executor.parallelism == shape[0] * shape[1]
+
+    @pytest.mark.parametrize("missing", ["name", "parallelism", "execute"])
+    def test_incomplete_subclass_fails_at_construction(self, missing):
+        members = {
+            "name": property(lambda self: "custom"),
+            "parallelism": property(lambda self: 1),
+            "execute": lambda self, plan: None,
+        }
+        del members[missing]
+        incomplete = type("IncompleteExecutor", (SweepExecutor,), members)
+        with pytest.raises(TypeError, match=missing):
+            incomplete()
+
+    def test_workers_one_reports_serial(self, ibmpg1_grid, load_sweep):
+        engine = BatchedAnalysisEngine()
+        source = MatrixScenarioSource(load_matrix=load_sweep)
+        for workers, name in ((1, "serial"), (2, "threads")):
+            result = engine.analyze_scenario_stream(
+                ibmpg1_grid, source, load_sweep.shape[0], chunk_size=5, workers=workers
+            )
+            assert (result.executor, result.workers) == (name, workers)
 
     def test_executor_and_workers_conflict(self, ibmpg1_grid, load_sweep):
         engine = BatchedAnalysisEngine()
@@ -363,7 +573,7 @@ class TestExecutorResolution:
                 load_sweep,
                 chunk_size=7,
                 workers=2,
-                executor=SerialExecutor(),
+                executor=HybridExecutor(1, 1),
             )
         # A *named* executor combines with workers= as its parallelism.
         result = engine.analyze_batch(
@@ -374,10 +584,10 @@ class TestExecutorResolution:
     def test_serial_executor_matches_threads(self, ibmpg1_grid, load_sweep):
         engine = BatchedAnalysisEngine()
         serial = engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7, executor=SerialExecutor()
+            ibmpg1_grid, load_sweep, chunk_size=7, executor=make_executor("serial")
         )
         threaded = engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7, executor=ThreadedExecutor(3)
+            ibmpg1_grid, load_sweep, chunk_size=7, executor=make_executor("threads", 3)
         )
         assert_reductions_identical(serial, threaded)
 
@@ -389,7 +599,7 @@ class TestExecutorResolution:
             source,
             load_sweep.shape[0],
             chunk_size=5,
-            executor=SerialExecutor(),
+            executor=make_executor("serial"),
         )
         assert result.executor == "serial"
         assert result.workers == 1
@@ -408,18 +618,19 @@ class TestExecutorResolution:
     ):
         monkeypatch.setenv(EXECUTOR_ENV, "processes")
         engine = BatchedAnalysisEngine()
-        # P² sink: not mergeable -> threads fallback, sweep still succeeds.
+        # P² sink: not mergeable -> in-process fallback, sweep still succeeds.
         sink = P2QuantileSink([0.5])
         engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[sink])
         assert sink.result().num_scenarios == load_sweep.shape[0]
-        # Closure source: not picklable -> threads fallback.
+        # Closure source: not picklable -> the 1 x default_workers row.
         stream = engine.analyze_scenario_stream(
             ibmpg1_grid,
             lambda begin, end: (load_sweep[begin:end], None),
             load_sweep.shape[0],
             chunk_size=5,
         )
-        assert stream.executor == "threads"
+        fallback = HybridExecutor(1, engine.default_workers)
+        assert (stream.executor, stream.workers) == (fallback.name, fallback.parallelism)
 
     def test_env_value_validated(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV, "bogus")
@@ -439,12 +650,6 @@ class TestExecutorResolution:
                 sinks=[P2QuantileSink([0.5])],
                 executor="processes",
             )
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            ProcessShardedExecutor(shards=0)
-        with pytest.raises(ValueError, match="start_method"):
-            ProcessShardedExecutor(start_method="telepathy")
 
 
 class TestCompiledGridPickling:
@@ -525,7 +730,7 @@ class TestRematerialize:
             load_sweep,
             chunk_size=7,
             sinks=[topk_sink],
-            executor=ProcessShardedExecutor(shards=3),
+            executor=make_executor("processes", 3),
         )
         replayed = topk_sink.rematerialize(
             engine, ibmpg1_grid, MatrixScenarioSource(load_matrix=load_sweep)
@@ -541,118 +746,6 @@ class TestRematerialize:
             TopKScenarioSink(2).rematerialize(
                 engine, ibmpg1_grid, MatrixScenarioSource(load_matrix=load_sweep)
             )
-
-
-class TestHybridEquivalence:
-    """Merge-equivalence matrix: hybrid == sequential, bitwise, for every
-    (shards, threads, chunk_size) combination — shards covering the
-    degenerate single shard, an even split and a non-divisor of 37, and
-    chunk sizes including the pathological width of 1."""
-
-    @pytest.mark.parametrize("chunk_size", [1, 7])
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_batch_bitwise_matches_sequential(
-        self, ibmpg1_grid, load_sweep, nominal_worst, shards, threads, chunk_size
-    ):
-        engine = BatchedAnalysisEngine()
-        seq_sinks = mergeable_sinks(nominal_worst)
-        sequential = engine.analyze_batch(
-            ibmpg1_grid,
-            load_sweep,
-            chunk_size=chunk_size,
-            sinks=tuple(seq_sinks.values()),
-            executor=SerialExecutor(),
-        )
-        hybrid_sinks = mergeable_sinks(nominal_worst)
-        executor = HybridExecutor(shard_workers=shards, threads_per_shard=threads)
-        hybrid = engine.analyze_batch(
-            ibmpg1_grid,
-            load_sweep,
-            chunk_size=chunk_size,
-            sinks=tuple(hybrid_sinks.values()),
-            executor=executor,
-        )
-        assert_reductions_identical(sequential, hybrid)
-        assert_exact_sinks_identical(seq_sinks, hybrid_sinks)
-        assert np.array_equal(sequential.solver_iterations, hybrid.solver_iterations)
-        assert hybrid_sinks["topk"].num_consumed == load_sweep.shape[0]
-        stats = executor.last_stats
-        assert stats["shards"] == min(shards, load_sweep.shape[0])
-        assert stats["threads_per_shard"] == threads
-        if stats["shards"] > 1:
-            # Forked shards inherit their context: no payload ships.
-            assert (stats["payload_bytes_shared"] == 0) == FORK_DEFAULT
-            assert stats["tasks"] >= stats["shards"]
-
-    def test_mega_sweep_bitwise_matches_sequential(
-        self, ibmpg1_grid, ibmpg1_bench, nominal_worst
-    ):
-        load_matrix, pad_matrix = mega_sweep_matrices(
-            ibmpg1_grid, ibmpg1_bench.floorplan, 0.2, 12, 8, seed=7
-        )
-        engine = BatchedAnalysisEngine()
-        seq_sinks = mergeable_sinks(nominal_worst)
-        sequential = engine.analyze_mega_sweep(
-            ibmpg1_grid,
-            load_matrix,
-            pad_matrix,
-            chunk_size=13,
-            sinks=tuple(seq_sinks.values()),
-            workers=1,
-        )
-        hybrid_sinks = mergeable_sinks(nominal_worst)
-        hybrid = engine.analyze_mega_sweep(
-            ibmpg1_grid,
-            load_matrix,
-            pad_matrix,
-            chunk_size=13,
-            sinks=tuple(hybrid_sinks.values()),
-            executor=HybridExecutor(shard_workers=2, threads_per_shard=2),
-        )
-        assert_reductions_identical(sequential, hybrid)
-        assert_exact_sinks_identical(seq_sinks, hybrid_sinks)
-        assert hybrid.executor == "hybrid"
-
-    def test_rebalance_off_matches_on(self, ibmpg1_grid, load_sweep, nominal_worst):
-        """Balancing redistributes work, never results."""
-        engine = BatchedAnalysisEngine()
-        results = {}
-        for rebalance in (False, True):
-            sinks = mergeable_sinks(nominal_worst)
-            executor = HybridExecutor(
-                shard_workers=3, threads_per_shard=2, rebalance=rebalance
-            )
-            results[rebalance] = (
-                engine.analyze_batch(
-                    ibmpg1_grid,
-                    load_sweep,
-                    chunk_size=5,
-                    sinks=tuple(sinks.values()),
-                    executor=executor,
-                ),
-                sinks,
-                dict(executor.last_stats),
-            )
-        assert_reductions_identical(results[False][0], results[True][0])
-        assert_exact_sinks_identical(results[False][1], results[True][1])
-        assert results[False][2]["rebalances"] == 0
-        assert results[False][2]["tasks"] == 3
-
-    def test_p2_rejected_before_sinks_bind(self, ibmpg1_grid, load_sweep):
-        engine = BatchedAnalysisEngine()
-        p2 = P2QuantileSink([0.5])
-        with pytest.raises(ExecutorIncompatibility, match="hybrid"):
-            engine.analyze_batch(
-                ibmpg1_grid,
-                load_sweep,
-                chunk_size=7,
-                sinks=[p2],
-                executor=HybridExecutor(shard_workers=2),
-            )
-        # The rejection left the sink unbound and reusable.
-        engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[p2], workers=1)
-        assert p2.result().num_scenarios == load_sweep.shape[0]
 
 
 class TestHybridResolution:
@@ -678,14 +771,14 @@ class TestHybridResolution:
         assert 4 * 8 * 50_000 * resolve_chunk_size(50_000) == 256 * 50_000
 
     def test_adaptive_chunk_ignores_parallelism(self, ibmpg1_grid, load_sweep):
-        """Each in-flight chunk sits in its own core's cache, so serial,
-        threaded and hybrid sweeps stream the same adaptive width."""
+        """Each in-flight chunk sits in its own core's cache, so every
+        shape streams the same adaptive width."""
         engine = BatchedAnalysisEngine()
         source = MatrixScenarioSource(load_matrix=load_sweep)
         width = resolve_chunk_size(ibmpg1_grid.compile().num_unknowns)
         for executor in (
-            SerialExecutor(),
-            ThreadedExecutor(3),
+            HybridExecutor(1, 1),
+            HybridExecutor(1, 3),
             HybridExecutor(shard_workers=2, threads_per_shard=2),
         ):
             result = engine.analyze_scenario_stream(
@@ -695,25 +788,32 @@ class TestHybridResolution:
             assert result.executor == executor.name
             assert result.workers == executor.parallelism
 
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv(HYBRID_SHARD_WORKERS_ENV, "3")
-        monkeypatch.setenv(HYBRID_THREADS_ENV, "2")
-        executor = HybridExecutor()
-        assert executor.shard_workers == 3
-        assert executor.threads_per_shard == 2
-        monkeypatch.setenv(HYBRID_SHARD_WORKERS_ENV, "many")
-        with pytest.raises(ValueError, match=HYBRID_SHARD_WORKERS_ENV):
-            HybridExecutor()
-
     def test_validation(self):
         with pytest.raises(ValueError, match="shard_workers"):
             HybridExecutor(shard_workers=0)
+        with pytest.raises(ValueError, match="shard_workers"):
+            make_executor("processes", 0)
         with pytest.raises(ValueError, match="threads_per_shard"):
             HybridExecutor(shard_workers=2, threads_per_shard=0)
-        with pytest.raises(ValueError, match="max_oversubscribe"):
-            HybridExecutor(shard_workers=2, max_oversubscribe=0)
+        with pytest.raises(ValueError, match="threads_per_shard"):
+            make_executor("threads", 0)
         with pytest.raises(ValueError, match="start_method"):
             HybridExecutor(shard_workers=2, start_method="telepathy")
+
+    def test_p2_rejected_before_sinks_bind(self, ibmpg1_grid, load_sweep):
+        engine = BatchedAnalysisEngine()
+        p2 = P2QuantileSink([0.5])
+        with pytest.raises(ExecutorIncompatibility, match="hybrid"):
+            engine.analyze_batch(
+                ibmpg1_grid,
+                load_sweep,
+                chunk_size=7,
+                sinks=[p2],
+                executor=HybridExecutor(shard_workers=2, threads_per_shard=2),
+            )
+        # The rejection left the sink unbound and reusable.
+        engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[p2], workers=1)
+        assert p2.result().num_scenarios == load_sweep.shape[0]
 
     def test_env_default_falls_back_for_incompatible_sweeps(
         self, monkeypatch, ibmpg1_grid, load_sweep
@@ -721,7 +821,10 @@ class TestHybridResolution:
         monkeypatch.setenv(EXECUTOR_ENV, "hybrid")
         engine = BatchedAnalysisEngine()
         sink = P2QuantileSink([0.5])
-        with pytest.warns(RuntimeWarning, match="hybrid"):
+        with pytest.warns(
+            RuntimeWarning,
+            match=rf"environment-default {HybridExecutor().name!r} executor.*P2QuantileSink",
+        ):
             engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[sink])
         assert sink.result().num_scenarios == load_sweep.shape[0]
 
@@ -734,15 +837,14 @@ class TestHybridResolution:
         assert_reductions_identical(reference, hybrid)
 
 
-def two_shard_executor(kind: str, start_method: str | None = None):
-    if kind == "hybrid":
-        return HybridExecutor(shard_workers=2, threads_per_shard=1, start_method=start_method)
-    return ProcessShardedExecutor(shards=2, start_method=start_method)
+def two_shard_executor(kind: str, start_method: str | None = None) -> HybridExecutor:
+    """The ``processes`` (2 x 1) or ``hybrid`` (2 x 2) row."""
+    return HybridExecutor(2, 2 if kind == "hybrid" else 1, start_method=start_method)
 
 
 class TestWorkerContext:
     """Shard workers solve with the parent's cached factorization under
-    fork, and with their own under forkserver."""
+    fork, and load the pickled payload and factor under forkserver."""
 
     @pytest.mark.parametrize(
         ("kind", "start_method", "atol"),
@@ -807,130 +909,43 @@ class TestWorkerContext:
         assert engine.cache_info().factorizations == 1
 
 
-class TestSharedGridPayload:
-    """Lifetime contract: parent owns the segment, the with-block unlinks
-    on success and on error alike, children only attach, and the pickle
-    fallback is a warned no-op."""
+class TestPicklePayload:
+    """Spawned shard workers and remote workers load one payload format."""
 
     @staticmethod
-    def _plan(grid, load_sweep) -> SweepPlan:
+    def _plan(grid, load_sweep, source=None) -> SweepPlan:
         return SweepPlan(
             engine=BatchedAnalysisEngine(),
             compiled=grid.compile(),
-            scenario_source=MatrixScenarioSource(load_matrix=load_sweep),
+            scenario_source=source or MatrixScenarioSource(load_matrix=load_sweep),
             num_scenarios=load_sweep.shape[0],
             chunk_size=7,
             sinks=(),
         )
 
-    @staticmethod
-    def _segment_gone(name: str) -> bool:
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            return True
-        segment.close()
-        return False
-
-    def test_attach_rebuilds_identical_state(self, ibmpg1_grid, load_sweep):
+    def test_load_rebuilds_identical_state(self, ibmpg1_grid, load_sweep):
         plan = self._plan(ibmpg1_grid, load_sweep)
-        with SharedGridPayload.create(plan, "test", threads=2) as shared:
-            kind, name, _, spans = shared.descriptor
-            assert kind == "shm"
-            assert shared.nbytes == sum(length for _, length in spans) > 0
-            state = attach_shard_state(shared.descriptor)
-            assert state["threads"] == 2
-            assert state["chunk_size"] == plan.chunk_size
-            assert state["compiled"].fingerprint == plan.compiled.fingerprint
-            clone_csr = state["compiled"].reduced_matrix
-            assert (clone_csr != plan.compiled.reduced_matrix).nnz == 0
-            # Release the attached views, then the child-side mapping,
-            # before the parent unlinks (the order workers observe).
-            segment = state.pop("segment")
-            del state, clone_csr
-            segment.close()
-
-    def test_unlinked_on_success(self, ibmpg1_grid, load_sweep):
-        plan = self._plan(ibmpg1_grid, load_sweep)
-        with SharedGridPayload.create(plan, "test") as shared:
-            name = shared.descriptor[1]
-            assert not self._segment_gone(name)
-        assert self._segment_gone(name)
-        shared.close()  # idempotent
-
-    def test_unlinked_on_error(self, ibmpg1_grid, load_sweep):
-        plan = self._plan(ibmpg1_grid, load_sweep)
-        with pytest.raises(RuntimeError, match="mid-sweep"):
-            with SharedGridPayload.create(plan, "test") as shared:
-                name = shared.descriptor[1]
-                raise RuntimeError("mid-sweep failure")
-        assert self._segment_gone(name)
-
-    def test_pickle_fallback_warns_and_matches(
-        self, monkeypatch, ibmpg1_grid, load_sweep, nominal_worst
-    ):
-        from multiprocessing import shared_memory
-
-        def refuse(*args, **kwargs):
-            raise OSError("no shared memory in this sandbox")
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
-        plan = self._plan(ibmpg1_grid, load_sweep)
-        with pytest.warns(RuntimeWarning, match="test executor cannot allocate"):
-            shared = SharedGridPayload.create(plan, "test")
-        assert shared.descriptor[0] == "pickle"
-        assert shared.nbytes == 0
-        shared.close()  # no segment: a no-op
-        # The whole hybrid sweep still runs — and stays bitwise-identical —
-        # on the in-band payload path.
-        engine = BatchedAnalysisEngine()
-        seq_sinks = mergeable_sinks(nominal_worst)
-        sequential = engine.analyze_batch(
-            ibmpg1_grid,
-            load_sweep,
-            chunk_size=7,
-            sinks=tuple(seq_sinks.values()),
-            executor=SerialExecutor(),
-        )
-        hybrid_sinks = mergeable_sinks(nominal_worst)
-        # Forked workers inherit their context; forkserver ones take the
-        # payload, so the pickle fallback is what they receive.
-        executor = HybridExecutor(
-            shard_workers=2, threads_per_shard=2, start_method="forkserver"
-        )
-        with pytest.warns(RuntimeWarning, match="hybrid executor cannot allocate"):
-            hybrid = engine.analyze_batch(
-                ibmpg1_grid,
-                load_sweep,
-                chunk_size=7,
-                sinks=tuple(hybrid_sinks.values()),
-                executor=executor,
-            )
-        assert_reductions_identical(sequential, hybrid)
-        assert_exact_sinks_identical(seq_sinks, hybrid_sinks)
-        assert executor.last_stats["payload_bytes_shared"] == 0
+        state = load_shard_state(pickle_sweep_payload(plan, threads=2))
+        assert state["threads"] == 2
+        assert state["chunk_size"] == plan.chunk_size
+        assert state["compiled"].fingerprint == plan.compiled.fingerprint
+        assert (state["compiled"].reduced_matrix != plan.compiled.reduced_matrix).nnz == 0
+        assert state["engine"].solver_backend.name == plan.engine.solver_backend.name
 
     def test_unpicklable_plan_rejected(self, ibmpg1_grid, load_sweep):
-        plan = SweepPlan(
-            engine=BatchedAnalysisEngine(),
-            compiled=ibmpg1_grid.compile(),
-            # The closure is the point: unpicklable sources must raise the
-            # same incompatibility the pickle payload raises, before any
-            # segment is allocated.
-            scenario_source=lambda begin, end: (load_sweep[begin:end], None),  # reprolint: disable=RPR002
-            num_scenarios=load_sweep.shape[0],
-            chunk_size=7,
-            sinks=(),
+        # The closure is the point: unpicklable sources raise before any
+        # payload is built or sink bound.
+        plan = self._plan(
+            ibmpg1_grid, load_sweep, lambda begin, end: (load_sweep[begin:end], None)
         )
         with pytest.raises(ExecutorIncompatibility, match="picklable"):
-            SharedGridPayload.create(plan, "test")
+            require_shardable(plan, "test")
 
-    def test_process_sharded_uses_shared_payload(
-        self, ibmpg1_grid, load_sweep, nominal_worst
+    @pytest.mark.parametrize("kind", ["processes", "hybrid"])
+    def test_forkserver_shards_load_the_pickled_payload(
+        self, ibmpg1_grid, load_sweep, nominal_worst, kind
     ):
-        """Non-fork process shards map the zero-copy shared payload."""
+        """Non-fork shards receive the pickle_sweep_payload bytes."""
         engine = BatchedAnalysisEngine()
         seq_sinks = mergeable_sinks(nominal_worst)
         sequential = engine.analyze_batch(
@@ -941,7 +956,7 @@ class TestSharedGridPayload:
             workers=1,
         )
         shard_sinks = mergeable_sinks(nominal_worst)
-        executor = ProcessShardedExecutor(shards=2, start_method="forkserver")
+        executor = two_shard_executor(kind, start_method="forkserver")
         sharded = engine.analyze_batch(
             ibmpg1_grid,
             load_sweep,

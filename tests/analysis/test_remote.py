@@ -4,13 +4,15 @@ Three layers: :class:`SweepQueue` unit tests (leasing, expiry-driven work
 stealing, retry caps, outcome collection) with an injected clock and no
 HTTP; coordinator + in-process worker integration over real HTTP on a
 loopback socket (bitwise equivalence against the sequential sweep at
-several worker counts, lease-expiry recovery from a worker that leases
-and vanishes); and executor resolution (``make_executor("remote")``,
-``REPRO_TEST_EXECUTOR=remote``, the lenient-fallback warning naming the
-sink and the entry point).
+several worker counts and with threaded workers, lease-expiry recovery
+from a worker that leases and vanishes); and executor resolution
+(``make_executor("remote")``, ``REPRO_TEST_EXECUTOR=remote``, the
+required coordinator, the lenient-fallback warning naming the sink and
+the entry point).
 """
 
 import pickle
+import re
 import threading
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     ExecutorIncompatibility,
+    MatrixScenarioSource,
     P2QuantileSink,
     QuantileSketchSink,
     RemoteExecutor,
@@ -29,12 +32,7 @@ from repro.analysis import (
     run_worker,
 )
 from repro.analysis.executors import EXECUTOR_ENV, EXECUTOR_NAMES
-from repro.analysis.remote import (
-    COORDINATOR_ENV,
-    REMOTE_WORKERS_ENV,
-    _request,
-    shutdown_warm_fleets,
-)
+from repro.analysis.remote import COORDINATOR_ENV, _request
 from repro.grid import (
     PerturbationKind,
     PerturbationSpec,
@@ -68,6 +66,9 @@ def queue(clock):
 
 
 RANGES = [(0, 10), (10, 20), (20, 25)]
+
+DEAD_COORDINATOR = "http://127.0.0.1:9"
+"""A coordinator URL nothing listens on (sweeps rejected up front never call it)."""
 
 
 class TestSweepQueue:
@@ -308,38 +309,75 @@ class TestRemoteSweeps:
             for thread in threads:
                 thread.join(timeout=10.0)
 
+    def test_source_errors_name_global_scenarios(self, ibmpg1_grid, load_sweep, coordinator):
+        """Workers call and validate the source at the sweep's indices."""
+        stop, threads = start_workers(coordinator.url, 1)
+        try:
+            executor = RemoteExecutor(
+                workers=2, coordinator=coordinator.url, max_attempts=1, timeout=120.0
+            )
+            # Rows run out at scenario 30: the chunks past it come back short.
+            source = MatrixScenarioSource(load_matrix=load_sweep[:30])
+            with pytest.raises(RuntimeError, match="scenario source returned") as raised:
+                BatchedAnalysisEngine().analyze_scenario_stream(
+                    ibmpg1_grid, source, load_sweep.shape[0], chunk_size=7, executor=executor
+                )
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        rows, begin, end = map(
+            int, re.search(r"(\d+) rows for scenarios \[(\d+), (\d+)\)", str(raised.value)).groups()
+        )
+        assert end > 30 and rows == max(0, 30 - begin)
+
     def test_unreachable_coordinator_fails_loudly(self, ibmpg1_grid, load_sweep):
-        executor = RemoteExecutor(workers=2, coordinator="http://127.0.0.1:9")
+        executor = RemoteExecutor(workers=2, coordinator=DEAD_COORDINATOR)
         with pytest.raises(RuntimeError, match="cannot reach the remote coordinator"):
             run_remote_sweep(ibmpg1_grid, load_sweep, executor, ())
 
     def test_p2_rejected_before_anything_runs(self, ibmpg1_grid, load_sweep):
-        executor = RemoteExecutor(workers=2, coordinator="http://127.0.0.1:9")
+        executor = RemoteExecutor(workers=2, coordinator=DEAD_COORDINATOR)
         # Incompatibility precedes any coordinator traffic: the dead URL
         # is never contacted.
         with pytest.raises(ExecutorIncompatibility, match="remote shards"):
             run_remote_sweep(ibmpg1_grid, load_sweep, executor, (P2QuantileSink([0.5]),))
 
-    def test_embedded_mode_needs_no_coordinator(
-        self, ibmpg1_grid, load_sweep, sequential, monkeypatch
+    def test_threads_per_shard_matches_serial(
+        self, ibmpg1_grid, load_sweep, coordinator, sequential
     ):
-        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
-        sinks = (QuantileSketchSink((0.5, 0.9)),)
-        executor = RemoteExecutor(workers=2, timeout=120.0)
-        assert executor.coordinator is None
-        batch, _ = run_remote_sweep(ibmpg1_grid, load_sweep, executor, sinks)
+        """Workers run the threaded pipeline the payload asks for."""
+        stop, threads = start_workers(coordinator.url, 2)
+        try:
+            sinks = (QuantileSketchSink((0.5, 0.9)), TopKScenarioSink(4))
+            executor = RemoteExecutor(
+                workers=2,
+                coordinator=coordinator.url,
+                threads_per_shard=2,
+                oversubscribe=2,
+                timeout=120.0,
+            )
+            batch, _ = run_remote_sweep(ibmpg1_grid, load_sweep, executor, sinks)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
         seq_batch, seq_sinks = sequential
         assert np.array_equal(
             batch.reductions.worst_ir_drop, seq_batch.reductions.worst_ir_drop
         )
         assert np.array_equal(sinks[0].result().values, seq_sinks[0].result().values)
+        assert np.array_equal(
+            sinks[1].result().scenario_index, seq_sinks[1].result().scenario_index
+        )
 
 
 # ----------------------------------------------------------------------
 # Resolution and configuration
 # ----------------------------------------------------------------------
 class TestResolution:
-    def test_remote_is_a_registered_executor_name(self):
+    def test_remote_is_a_registered_executor_name(self, monkeypatch):
+        monkeypatch.setenv(COORDINATOR_ENV, DEAD_COORDINATOR)
         assert "remote" in EXECUTOR_NAMES
         executor = make_executor("remote", 3)
         assert isinstance(executor, RemoteExecutor)
@@ -350,16 +388,20 @@ class TestResolution:
         executor = RemoteExecutor(workers=2)
         assert executor.coordinator == "http://example.invalid:1234"
 
-    def test_workers_env_sizes_the_hint(self, monkeypatch):
-        monkeypatch.setenv(REMOTE_WORKERS_ENV, "5")
-        assert RemoteExecutor().workers == 5
-        monkeypatch.setenv(REMOTE_WORKERS_ENV, "two")
-        with pytest.raises(ValueError, match=REMOTE_WORKERS_ENV):
-            RemoteExecutor()
+    def test_requires_a_coordinator(self, monkeypatch):
+        """No embedded fleet: without a coordinator nothing can run."""
+        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
+        with pytest.raises(ValueError, match=COORDINATOR_ENV) as raised:
+            RemoteExecutor(workers=2)
+        assert "coordinator=" in str(raised.value)
+        assert "python -m repro.analysis.remote coordinator" in str(raised.value)
+        monkeypatch.setenv(EXECUTOR_ENV, "remote")
+        with pytest.raises(ValueError, match=EXECUTOR_ENV):
+            BatchedAnalysisEngine()
 
     def test_executor_env_selects_remote(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV, "remote")
-        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
+        monkeypatch.setenv(COORDINATOR_ENV, DEAD_COORDINATOR)
         engine = BatchedAnalysisEngine()
         assert isinstance(engine._default_executor, RemoteExecutor)
         assert engine._default_executor_lenient
@@ -372,19 +414,24 @@ class TestResolution:
             {"lease_timeout": 0.0},
             {"max_attempts": 0},
             {"timeout": 0.0},
-            {"start_method": "nonsense"},
+            {"threads_per_shard": 0},
         ],
     )
     def test_rejects_bad_configuration(self, kwargs):
-        with pytest.raises(ValueError):
-            RemoteExecutor(**kwargs)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            RemoteExecutor(coordinator=DEAD_COORDINATOR, **kwargs)
+
+    def test_threads_per_shard_config(self):
+        executor = RemoteExecutor(workers=3, threads_per_shard=2, coordinator=DEAD_COORDINATOR)
+        assert executor.parallelism == 6
 
     def test_lenient_fallback_warns_with_sink_and_entry_point(
         self, ibmpg1_grid, load_sweep, monkeypatch
     ):
         """The env-default downgrade names the offender and the entry point."""
         monkeypatch.setenv(EXECUTOR_ENV, "remote")
-        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
+        # The P² sweep is rejected before the (dead) coordinator is called.
+        monkeypatch.setenv(COORDINATOR_ENV, DEAD_COORDINATOR)
         engine = BatchedAnalysisEngine()
         with pytest.warns(RuntimeWarning, match=r"analyze_batch:.*P2QuantileSink"):
             engine.analyze_batch(
@@ -411,72 +458,5 @@ class TestResolution:
                 load_sweep,
                 chunk_size=7,
                 sinks=[P2QuantileSink([0.5])],
-                executor=RemoteExecutor(workers=2),
+                executor=RemoteExecutor(workers=2, coordinator=DEAD_COORDINATOR),
             )
-
-
-# ----------------------------------------------------------------------
-# Warm embedded fleet
-# ----------------------------------------------------------------------
-class TestWarmEmbeddedFleet:
-    @pytest.fixture(autouse=True)
-    def cold_fleet(self, monkeypatch):
-        """Each test starts (and ends) with no warm fleet alive."""
-        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
-        shutdown_warm_fleets()
-        yield
-        shutdown_warm_fleets()
-
-    def test_workers_reused_across_sweeps(self, ibmpg1_grid, load_sweep):
-        executor = RemoteExecutor(workers=2, oversubscribe=2, timeout=120.0)
-        sinks = (QuantileSketchSink((0.5, 0.9)),)
-        first, _ = run_remote_sweep(ibmpg1_grid, load_sweep, executor, sinks)
-        assert executor.last_stats["workers_reused"] == 0  # cold start
-        assert executor.last_stats["payload_bytes_shared"] > 0
-        second, _ = run_remote_sweep(
-            ibmpg1_grid, load_sweep, executor, (QuantileSketchSink((0.5, 0.9)),)
-        )
-        assert executor.last_stats["workers_reused"] == 2
-        assert np.array_equal(
-            first.reductions.worst_ir_drop, second.reductions.worst_ir_drop
-        )
-
-    def test_fleet_shared_between_executor_instances(self, ibmpg1_grid, load_sweep):
-        sinks = (TopKScenarioSink(4),)
-        run_remote_sweep(
-            ibmpg1_grid, load_sweep, RemoteExecutor(workers=2, timeout=120.0), sinks
-        )
-        executor = RemoteExecutor(workers=2, timeout=120.0)
-        run_remote_sweep(ibmpg1_grid, load_sweep, executor, (TopKScenarioSink(4),))
-        assert executor.last_stats["workers_reused"] == 2
-
-    def test_shutdown_is_idempotent_and_cools_the_fleet(self, ibmpg1_grid, load_sweep):
-        executor = RemoteExecutor(workers=2, timeout=120.0)
-        run_remote_sweep(ibmpg1_grid, load_sweep, executor, (TopKScenarioSink(4),))
-        shutdown_warm_fleets()
-        shutdown_warm_fleets()  # second call: nothing left, no error
-        run_remote_sweep(ibmpg1_grid, load_sweep, executor, (TopKScenarioSink(4),))
-        assert executor.last_stats["workers_reused"] == 0  # cold again
-
-    def test_embedded_matches_serial_with_threads_per_shard(
-        self, ibmpg1_grid, load_sweep
-    ):
-        sinks = (QuantileSketchSink((0.5, 0.9)), TopKScenarioSink(4))
-        serial, _ = run_remote_sweep(ibmpg1_grid, load_sweep, "serial", sinks)
-        executor = RemoteExecutor(
-            workers=2, threads_per_shard=2, oversubscribe=2, timeout=120.0
-        )
-        hybrid_sinks = (QuantileSketchSink((0.5, 0.9)), TopKScenarioSink(4))
-        remote, _ = run_remote_sweep(ibmpg1_grid, load_sweep, executor, hybrid_sinks)
-        assert np.array_equal(
-            serial.reductions.worst_ir_drop, remote.reductions.worst_ir_drop
-        )
-        assert np.array_equal(sinks[0].result().values, hybrid_sinks[0].result().values)
-        assert np.array_equal(
-            sinks[1].result().scenario_index, hybrid_sinks[1].result().scenario_index
-        )
-
-    def test_threads_per_shard_config(self):
-        assert RemoteExecutor(workers=3, threads_per_shard=2).parallelism == 6
-        with pytest.raises(ValueError, match="threads_per_shard"):
-            RemoteExecutor(workers=2, threads_per_shard=0)

@@ -15,8 +15,8 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     MergeableSink,
-    ProcessShardedExecutor,
     QuantileSketchSink,
+    make_executor,
 )
 from repro.grid import (
     PerturbationKind,
@@ -222,7 +222,7 @@ class TestSketchOnRealSweeps:
             load_sweep,
             chunk_size=7,
             sinks=[sink],
-            executor=ProcessShardedExecutor(shards=shards),
+            executor=make_executor("processes", shards),
         )
         assert np.array_equal(sink.result().values, sequential_values)
 

@@ -76,7 +76,7 @@ def test_no_pragmas_audit_mode(tmp_path):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("RPR001", "RPR008"):
+    for code in ("RPR001", "RPR007"):
         assert code in out
 
 

@@ -200,6 +200,14 @@ class TestSweep:
         assert main(["sweep", "ibmpg1", "--executor", "serial", "--workers", "2"]) == 2
         assert "--executor serial" in capsys.readouterr().err
 
+    def test_sweep_remote_needs_a_coordinator(self, monkeypatch, capsys):
+        from repro.analysis.remote import COORDINATOR_ENV
+
+        monkeypatch.delenv(COORDINATOR_ENV, raising=False)
+        assert main(["sweep", "ibmpg1", "--executor", "remote"]) == 2
+        err = capsys.readouterr().err
+        assert "--coordinator" in err and COORDINATOR_ENV in err
+
     def test_sweep_executor_processes(self, tmp_path, capsys):
         """--executor processes shards the sweep and reports exact
         statistics identical to the threaded run (quantiles switch to the
@@ -211,7 +219,16 @@ class TestSweep:
         ]
         threads_path = tmp_path / "threads.json"
         process_path = tmp_path / "processes.json"
-        assert main(args + ["--executor", "threads", "--json-out", str(threads_path)]) == 0
+        assert (
+            main(
+                args
+                + [
+                    "--executor", "threads", "--workers", "2",
+                    "--json-out", str(threads_path),
+                ]
+            )
+            == 0
+        )
         assert (
             main(
                 args
@@ -258,9 +275,9 @@ class TestSweep:
 
         sequential = json.loads(sequential_path.read_text())
         parallel = json.loads(parallel_path.read_text())
-        assert sequential["workers"] == 1
-        assert parallel["workers"] == 2
-        for volatile in ("workers", "analysis_time_seconds", "scenarios_per_second"):
+        assert (sequential["executor"], sequential["workers"]) == ("serial", 1)
+        assert (parallel["executor"], parallel["workers"]) == ("threads", 2)
+        for volatile in ("executor", "workers", "analysis_time_seconds", "scenarios_per_second"):
             sequential.pop(volatile)
             parallel.pop(volatile)
         assert sequential == parallel
