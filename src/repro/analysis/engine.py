@@ -36,6 +36,12 @@ range* across worker processes — each with its own fold, solving with
 the parent's factorization under ``fork`` — and merges the shard results
 through the :class:`~repro.analysis.sinks.MergeableSink` protocol,
 scaling sweeps past the GIL-bound fold.
+
+Bad inputs fail where they enter, before any factorization or sink sees
+them: a grid with no pads, or with a node that reaches neither a pad nor
+ground, raises ``ValueError`` naming the grid and a floating node; a
+non-finite load or pad voltage raises ``ValueError`` naming its row (or
+global scenario) and its column with the node or pad.
 """
 
 from __future__ import annotations
@@ -130,8 +136,8 @@ def resolve_chunk_size(num_unknowns: int) -> int:
     """Adaptive RHS chunk width for streamed sweeps.
 
     Sizes one ``(num_unknowns, chunk)`` block of doubles to fit a core's
-    cache, so the triangular solve, the voltage expansion and the drop
-    transpose of a chunk work on cache-resident blocks instead of
+    cache, so the RHS assembly, the triangular solve and the drop-row
+    assembly of a chunk work on cache-resident blocks instead of
     streaming from main memory:
 
     ``chunk = CHUNK_CACHE_BYTES // (8 * num_unknowns)``
@@ -139,7 +145,9 @@ def resolve_chunk_size(num_unknowns: int) -> int:
     clamped to ``[MIN_CHUNK_SIZE, MAX_CHUNK_SIZE]``.  Every in-flight
     chunk sits in the cache of the core solving it, so the width does not
     depend on the executor's parallelism; each in-flight chunk holds
-    about four such blocks (RHS, solution, voltages, drop rows).
+    about four such blocks (RHS, solution, the drop rows in solve order
+    and in node order), plus two voltage blocks only while a sink that
+    consumes raw voltages is attached.
     Streamed entry points use it whenever ``chunk_size`` is omitted.
 
     Args:
@@ -189,6 +197,11 @@ class CrossProductScenarioSource:
     mega-sweep ordering.  Chunks gather their rows by index, so the
     combined scenario set is never materialised.
 
+    The engine does not call the source per chunk: it builds the
+    :class:`_CrossProductLayout` of the source once per grid and keeps it
+    on the instance, where forked shard workers inherit it.  Pickles
+    (spawned and remote workers) leave it behind and are rebuilt there.
+
     Attributes:
         load_matrix: ``(num_load_scenarios, num_nodes)`` load rows.
         pad_voltage_matrix: ``(num_pad_scenarios, num_pads)`` pad rows.
@@ -204,6 +217,193 @@ class CrossProductScenarioSource:
             self.load_matrix[indices // num_pad_rows],
             self.pad_voltage_matrix[indices % num_pad_rows],
         )
+
+    def _layout(self, compiled: CompiledGrid) -> "_CrossProductLayout":
+        """The per-row parts of this cross product on ``compiled``, built once."""
+        layout = self.__dict__.get("_cached_layout")
+        if layout is None or layout.compiled is not compiled:
+            layout = _CrossProductLayout(compiled, self.load_matrix, self.pad_voltage_matrix)
+            # Frozen dataclass: the cache bypasses __setattr__.
+            self.__dict__["_cached_layout"] = layout
+        return layout
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_cached_layout", None)
+        return state
+
+
+def _require_finite(
+    values: np.ndarray,
+    row_label: str,
+    compiled: CompiledGrid,
+    column_kind: str,
+    first: int = 0,
+) -> None:
+    """Reject a non-finite input entry, naming its row, column and node or pad.
+
+    ``values`` is a ``(k, m)`` block whose row ``r`` is ``row_label``
+    ``first + r`` (or one ``(m,)`` vector called ``row_label``) and whose
+    column ``c`` is ``compiled``'s node ``c`` (``column_kind="node"``) or
+    pad ``c`` (``"pad"``).  Names are looked up only on failure, so
+    array-built grids never synthesise them for valid inputs.
+    """
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    *row, column = (int(i) for i in np.argwhere(~finite)[0])
+    where = f"{row_label} {first + row[0]}," if row else row_label
+    names = compiled.node_names if column_kind == "node" else compiled.pad_names
+    raise ValueError(
+        f"{where} column {column} ({column_kind} {names[column]!r}) is "
+        f"{values[(*row, column)]}; inputs must be finite"
+    )
+
+
+def _validate_source_chunk(
+    compiled: CompiledGrid,
+    load_chunk: np.ndarray | None,
+    pad_chunk: np.ndarray | None,
+    begin: int,
+    end: int,
+) -> None:
+    """Reject malformed source chunks before any sink observes them.
+
+    Errors name the offending half-open scenario range, so a bad
+    generator in a 1e5-scenario sweep points at the scenarios that
+    produced it instead of a shape mismatch deep inside the RHS
+    assembly; a non-finite entry is named by its global scenario index,
+    column and node or pad.
+    """
+    if load_chunk is None and pad_chunk is None:
+        raise ValueError(
+            f"scenario source returned neither loads nor pad voltages "
+            f"for scenarios [{begin}, {end})"
+        )
+    for label, chunk, width in (
+        ("a load chunk", load_chunk, compiled.num_nodes),
+        ("a pad-voltage chunk", pad_chunk, len(compiled.pad_node)),
+    ):
+        if chunk is None:
+            continue
+        if chunk.ndim != 2:
+            raise ValueError(
+                f"scenario source returned {label} of shape {chunk.shape} for "
+                f"scenarios [{begin}, {end}); expected ({end - begin}, {width})"
+            )
+        if chunk.shape[0] != end - begin:
+            raise ValueError(
+                f"scenario source returned {chunk.shape[0]} rows for "
+                f"scenarios [{begin}, {end})"
+            )
+        if chunk.shape[1] != width:
+            raise ValueError(
+                f"scenario source returned {label} of width {chunk.shape[1]} for "
+                f"scenarios [{begin}, {end}); expected {width}"
+            )
+    if load_chunk is not None:
+        _require_finite(load_chunk, "scenario source load at scenario", compiled, "node", begin)
+    if pad_chunk is not None:
+        _require_finite(
+            pad_chunk, "scenario source pad voltage at scenario", compiled, "pad", begin
+        )
+
+
+class _PairedLayout:
+    """Chunk assembly for an arbitrary :data:`ScenarioSource`: one load and pad row per scenario.
+
+    :meth:`fetch` calls the source and validates its chunk on the calling
+    thread (sources need not be thread-safe); :meth:`assemble` builds the
+    reduced right-hand sides with
+    :meth:`~repro.grid.compiled.CompiledGrid.rhs_matrix` and may run on
+    any thread.
+    """
+
+    def __init__(self, compiled: CompiledGrid, source: ScenarioSource) -> None:
+        self.compiled = compiled
+        self.source = source
+
+    def fetch(self, begin: int, end: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        load_chunk, pad_chunk = self.source(begin, end)
+        _validate_source_chunk(self.compiled, load_chunk, pad_chunk, begin, end)
+        return load_chunk, pad_chunk
+
+    def assemble(
+        self, chunk: tuple[np.ndarray | None, np.ndarray | None]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(num_unknowns, c)`` RHS block and ``(c, len(pad_sel))`` pad-node voltages."""
+        load_chunk, pad_chunk = chunk
+        compiled = self.compiled
+        rhs = compiled.rhs_matrix(load_chunk, pad_chunk)
+        if pad_chunk is None:
+            nominal = compiled.pad_voltage[compiled.pad_sel]
+            return rhs, np.broadcast_to(nominal, (rhs.shape[1], nominal.size))
+        return rhs, compiled.pad_node_voltages(pad_chunk)
+
+
+class _CrossProductLayout:
+    """A load × pad cross product split into its ``L + P`` distinct rows.
+
+    Scenario ``(i, j)``'s reduced right-hand side is
+    ``pad_incidence @ v_pad[j] − load[i][unknowns]``.  Both parts are
+    computed once, per input row: :attr:`pad_part` (the sparse product of
+    every pad row,
+    :meth:`~repro.grid.compiled.CompiledGrid.pad_rhs_matrix`),
+    :attr:`load_part` (every load row's unknown-node slice) and
+    :attr:`pad_voltages` (every pad row at the pad nodes).  A
+    chunk's RHS is then one gather and subtract, written scenario-major so
+    the block SuperLU copies is already Fortran-ordered.  Every element is
+    the same subtraction of the same operands as
+    :meth:`~repro.grid.compiled.CompiledGrid.rhs_matrix` on the chunk's
+    materialised rows (a CSR product's columns do not depend on which
+    columns share it), so the solve sees bitwise the same block.
+
+    Construction checks the shapes and the finiteness of both matrices
+    once, naming the first bad row and column.  :meth:`fetch` and
+    :meth:`assemble` only read the parts, so they may run on any thread.
+    """
+
+    def __init__(
+        self, compiled: CompiledGrid, load_matrix: np.ndarray, pad_voltage_matrix: np.ndarray
+    ) -> None:
+        load_matrix = np.asarray(load_matrix, dtype=float)
+        if load_matrix.ndim != 2 or load_matrix.shape[1] != compiled.num_nodes:
+            raise ValueError(
+                f"load_matrix must be 2-D (num_load_scenarios, {compiled.num_nodes}), "
+                f"got shape {load_matrix.shape}"
+            )
+        pad_voltage_matrix = np.asarray(pad_voltage_matrix, dtype=float)
+        num_pads = len(compiled.pad_node)
+        if pad_voltage_matrix.ndim != 2 or pad_voltage_matrix.shape[1] != num_pads:
+            raise ValueError(
+                f"pad_voltage_matrix must be 2-D (num_pad_scenarios, {num_pads}), "
+                f"got shape {pad_voltage_matrix.shape}"
+            )
+        if load_matrix.shape[0] == 0 or pad_voltage_matrix.shape[0] == 0:
+            raise ValueError("both matrices must contain at least one scenario row")
+        _require_finite(load_matrix, "load_matrix row", compiled, "node")
+        _require_finite(pad_voltage_matrix, "pad_voltage_matrix row", compiled, "pad")
+        self.compiled = compiled
+        self.num_pad_rows = pad_voltage_matrix.shape[0]
+        self.num_scenarios = load_matrix.shape[0] * self.num_pad_rows
+        self.pad_part = np.ascontiguousarray(compiled.pad_rhs_matrix(pad_voltage_matrix).T)
+        self.load_part = load_matrix[:, compiled.unknown_sel]
+        self.pad_voltages = compiled.pad_node_voltages(pad_voltage_matrix)
+
+    def fetch(self, begin: int, end: int) -> tuple[int, int]:
+        if end > self.num_scenarios:
+            raise ValueError(
+                f"scenarios [{begin}, {end}) run past the cross product's "
+                f"{self.num_scenarios} scenarios"
+            )
+        return begin, end
+
+    def assemble(self, span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(num_unknowns, c)`` RHS block and ``(c, len(pad_sel))`` pad-node voltages."""
+        load_rows, pad_rows = np.divmod(np.arange(*span), self.num_pad_rows)
+        rhs_rows = self.pad_part.take(pad_rows, axis=0)
+        rhs_rows -= self.load_part[load_rows]
+        return rhs_rows.T, self.pad_voltages[pad_rows]
 
 
 @dataclass(frozen=True)
@@ -279,9 +479,33 @@ def _column_reductions(ir_drop: np.ndarray) -> "BatchReductions":
     return _row_reductions(np.ascontiguousarray(ir_drop.T))
 
 
+def _node_rows(
+    compiled: CompiledGrid, unknown: np.ndarray, pad_voltages: np.ndarray, *, drops: bool
+) -> np.ndarray:
+    """One solved block as contiguous ``(c, num_nodes)`` rows in node order.
+
+    ``unknown`` is the ``(num_unknowns, c)`` solution and ``pad_voltages``
+    the ``(c, len(pad_sel))`` pad-node voltages.  With ``drops`` the rows
+    hold IR drops ``vdd − v``, else voltages.  Each scenario's unknown and
+    pad columns are written straight into its row and put into node order
+    by one gather (:meth:`~repro.grid.compiled.CompiledGrid.to_node_order`):
+    the same values as scattering a ``(num_nodes, c)`` voltage block and
+    transposing it, without either step.
+    """
+    u = compiled.num_unknowns
+    rows = np.empty((unknown.shape[1], compiled.num_nodes))
+    if drops:
+        np.subtract(compiled.vdd, unknown.T, out=rows[:, :u])
+        np.subtract(compiled.vdd, pad_voltages, out=rows[:, u:])
+    else:
+        rows[:, :u] = unknown.T
+        rows[:, u:] = pad_voltages
+    return compiled.to_node_order(rows)
+
+
 def _feed_sinks(
     sinks: Sequence[ScenarioSink],
-    voltages: np.ndarray,
+    voltages: np.ndarray | None,
     drop_rows: np.ndarray,
     scenario_offset: int,
 ) -> None:
@@ -290,7 +514,8 @@ def _feed_sinks(
     :class:`~repro.analysis.sinks.IRDropSink` subclasses take the
     precomputed contiguous ``(c, num_nodes)`` IR-drop block the engine
     already derived for its reductions; other protocol implementations get
-    the raw voltage chunk.
+    the raw ``(num_nodes, c)`` voltage chunk, which the engine builds only
+    when such a sink is attached.
     """
     for sink in sinks:
         if isinstance(sink, IRDropSink):
@@ -869,10 +1094,27 @@ class BatchedAnalysisEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _compiled(network: PowerGridNetwork | CompiledGrid) -> CompiledGrid:
+        """The compiled grid of ``network``, rejected if its system is singular.
+
+        Every entry point passes through here: a grid without pads, or
+        with a node that reaches neither a pad nor ground
+        (:meth:`~repro.grid.compiled.CompiledGrid.require_connected`,
+        checked once per topology), raises ``ValueError``.  That is what
+        lets the direct backend factor the reduced matrix as SPD.
+        """
         compiled = network if isinstance(network, CompiledGrid) else network.compile()
         if compiled.pad_node.size == 0:
             raise ValueError("network has no voltage sources; the nodal system is singular")
+        compiled.require_connected()
         return compiled
+
+    @staticmethod
+    def _load_rhs(compiled: CompiledGrid, loads: np.ndarray | None) -> np.ndarray:
+        """One scenario's RHS, rejecting a non-finite load at entry."""
+        rhs = compiled.rhs(loads)
+        if loads is not None:
+            _require_finite(np.asarray(loads, dtype=float), "loads", compiled, "node")
+        return rhs
 
     def _use_cg(self, compiled: CompiledGrid) -> bool:
         return compiled.num_unknowns > self.direct_size_limit
@@ -949,7 +1191,7 @@ class BatchedAnalysisEngine:
     ) -> np.ndarray:
         """Solve one scenario and return per-node voltages in compiled order."""
         compiled = self._compiled(network)
-        unknown, _ = self._solve_unknowns(compiled, compiled.rhs(loads))
+        unknown, _ = self._solve_unknowns(compiled, self._load_rhs(compiled, loads))
         if not np.all(np.isfinite(unknown)):
             raise LinearSolverError("direct solve produced non-finite voltages")
         return compiled.full_voltages(unknown)
@@ -969,7 +1211,7 @@ class BatchedAnalysisEngine:
         """
         start = time.perf_counter()
         compiled = self._compiled(network)
-        unknown, iterations = self._solve_unknowns(compiled, compiled.rhs(loads))
+        unknown, iterations = self._solve_unknowns(compiled, self._load_rhs(compiled, loads))
         if not np.all(np.isfinite(unknown)):
             raise LinearSolverError("direct solve produced non-finite voltages")
         voltages = compiled.full_voltages(unknown)
@@ -1017,48 +1259,6 @@ class BatchedAnalysisEngine:
         if not np.all(np.isfinite(unknown)):
             raise LinearSolverError("batched solve produced non-finite voltages")
         return unknown, reused, iterations
-
-    def _validate_source_chunk(
-        self,
-        compiled: CompiledGrid,
-        load_chunk: np.ndarray | None,
-        pad_chunk: np.ndarray | None,
-        begin: int,
-        end: int,
-    ) -> None:
-        """Reject malformed source chunks before any sink observes them.
-
-        Errors name the offending half-open scenario range, so a bad
-        generator in a 1e5-scenario sweep points at the scenarios that
-        produced it instead of a shape mismatch deep inside the RHS
-        assembly.
-        """
-        if load_chunk is None and pad_chunk is None:
-            raise ValueError(
-                f"scenario source returned neither loads nor pad voltages "
-                f"for scenarios [{begin}, {end})"
-            )
-        for label, chunk, width in (
-            ("a load chunk", load_chunk, compiled.num_nodes),
-            ("a pad-voltage chunk", pad_chunk, len(compiled.pad_node)),
-        ):
-            if chunk is None:
-                continue
-            if chunk.ndim != 2:
-                raise ValueError(
-                    f"scenario source returned {label} of shape {chunk.shape} for "
-                    f"scenarios [{begin}, {end}); expected ({end - begin}, {width})"
-                )
-            if chunk.shape[0] != end - begin:
-                raise ValueError(
-                    f"scenario source returned {chunk.shape[0]} rows for "
-                    f"scenarios [{begin}, {end})"
-                )
-            if chunk.shape[1] != width:
-                raise ValueError(
-                    f"scenario source returned {label} of width {chunk.shape[1]} for "
-                    f"scenarios [{begin}, {end}); expected {width}"
-                )
 
     def _stream_scenarios(
         self,
@@ -1108,6 +1308,21 @@ class BatchedAnalysisEngine:
             reductions, reused, iterations = executor.execute(plan)
         return reductions, reused, iterations, executor
 
+    @staticmethod
+    def _chunk_layout(
+        compiled: CompiledGrid, scenario_source: ScenarioSource
+    ) -> "_CrossProductLayout | _PairedLayout":
+        """How the chunks of ``scenario_source`` are fetched and assembled.
+
+        A :class:`CrossProductScenarioSource` is served from its per-row
+        parts, built (and checked) once per grid; any other source is
+        called and validated per chunk.  The only place the pipeline
+        tells the two apart.
+        """
+        if isinstance(scenario_source, CrossProductScenarioSource):
+            return scenario_source._layout(compiled)
+        return _PairedLayout(compiled, scenario_source)
+
     def _run_chunk_pipeline(
         self,
         compiled: CompiledGrid,
@@ -1123,14 +1338,16 @@ class BatchedAnalysisEngine:
         This is the engine-side pipeline every executor drives: in-process
         for a single shard, and once per shard inside shard workers.  The
         dense ``(num_nodes, num_scenarios)`` voltage matrix never exists:
-        each ``(num_nodes, ≤chunk_size)`` chunk is folded into the
+        each ``≤chunk_size``-scenario chunk is solved, its IR-drop rows
+        written directly (:func:`_node_rows`) and folded into the
         per-scenario reduction vectors and every attached sink, then
-        dropped.
+        dropped.  Per-node voltages are built only for sinks that consume
+        raw voltages.
 
         ``first`` is the global index of the sweep's first scenario — a
-        shard's range start.  The source is called, and its chunks are
-        validated, at ``first + local`` indices, so errors name the
-        scenarios of the whole sweep; reductions and sinks use local
+        shard's range start.  Chunks are fetched, and validated, at
+        ``first + local`` indices (:meth:`_chunk_layout`), so errors name
+        the scenarios of the whole sweep; reductions and sinks use local
         offsets, which :meth:`~repro.analysis.sinks.MergeableSink.merge`
         re-bases.
 
@@ -1147,6 +1364,8 @@ class BatchedAnalysisEngine:
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
+        layout = self._chunk_layout(compiled, scenario_source)
+        with_voltages = any(not isinstance(sink, IRDropSink) for sink in sinks)
         for sink in sinks:
             sink.bind(compiled, num_scenarios)
         worst = np.empty(num_scenarios, dtype=float)
@@ -1155,21 +1374,20 @@ class BatchedAnalysisEngine:
         iterations = np.zeros(num_scenarios, dtype=np.int64)
         reused = False
 
-        def produce(begin: int, end: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-            load_chunk, pad_chunk = scenario_source(first + begin, first + end)
-            self._validate_source_chunk(
-                compiled, load_chunk, pad_chunk, first + begin, first + end
-            )
-            return load_chunk, pad_chunk
+        def produce(begin: int, end: int) -> object:
+            return layout.fetch(first + begin, first + end)
 
         def solve_chunk(
-            load_chunk: np.ndarray | None, pad_chunk: np.ndarray | None
-        ) -> tuple[np.ndarray, np.ndarray, BatchReductions, np.ndarray, bool]:
-            pad_vectors = None if pad_chunk is None else compiled.pad_voltage_vectors(pad_chunk)
-            rhs = compiled.rhs_matrix(load_chunk, pad_chunk)
+            chunk: object,
+        ) -> tuple[np.ndarray | None, np.ndarray, BatchReductions, np.ndarray, bool]:
+            rhs, pad_voltages = layout.assemble(chunk)
             unknown, chunk_reused, chunk_iterations = self._solve_rhs_block(compiled, rhs)
-            voltages = compiled.full_voltages(unknown, pad_voltage_vectors=pad_vectors)
-            drop_rows = np.ascontiguousarray((compiled.vdd - voltages).T)
+            drop_rows = _node_rows(compiled, unknown, pad_voltages, drops=True)
+            voltages = (
+                _node_rows(compiled, unknown, pad_voltages, drops=False).T
+                if with_voltages
+                else None
+            )
             # The chunk-local reductions are deterministic, so computing
             # them here keeps them on the worker pool instead of adding to
             # the fold thread's serial work.
@@ -1178,7 +1396,7 @@ class BatchedAnalysisEngine:
         def fold(
             begin: int,
             end: int,
-            solved: tuple[np.ndarray, np.ndarray, BatchReductions, np.ndarray, bool],
+            solved: tuple[np.ndarray | None, np.ndarray, BatchReductions, np.ndarray, bool],
         ) -> None:
             nonlocal reused
             voltages, drop_rows, chunk_reductions, chunk_iterations, chunk_reused = solved
@@ -1195,7 +1413,7 @@ class BatchedAnalysisEngine:
         ]
         if workers <= 1 or len(ranges) <= 1:
             for begin, end in ranges:
-                fold(begin, end, solve_chunk(*produce(begin, end)))
+                fold(begin, end, solve_chunk(produce(begin, end)))
         else:
             # Warm the lazily-built shared state (reduced matrix, pad RHS /
             # incidence) from this thread so workers only ever read it.
@@ -1210,10 +1428,8 @@ class BatchedAnalysisEngine:
                     while len(in_flight) >= workers:
                         oldest_begin, oldest_end, future = in_flight.popleft()
                         fold(oldest_begin, oldest_end, future.result())
-                    load_chunk, pad_chunk = produce(begin, end)
-                    in_flight.append(
-                        (begin, end, pool.submit(solve_chunk, load_chunk, pad_chunk))
-                    )
+                    chunk = produce(begin, end)
+                    in_flight.append((begin, end, pool.submit(solve_chunk, chunk)))
                 while in_flight:
                     oldest_begin, oldest_end, future = in_flight.popleft()
                     fold(oldest_begin, oldest_end, future.result())
@@ -1243,24 +1459,21 @@ class BatchedAnalysisEngine:
         RHS matrix) never exist for huge sweeps.  The executor only applies
         to the chunked path (an unsharded batch is a single RHS block).
         """
+        source = MatrixScenarioSource(load_matrix, pad_voltage_matrix)
         k = (load_matrix if pad_voltage_matrix is None else pad_voltage_matrix).shape[0]
         if chunk_size is None:
             for sink in sinks:
                 sink.bind(compiled, k)
-            pad_vectors = (
-                None
-                if pad_voltage_matrix is None
-                else compiled.pad_voltage_vectors(pad_voltage_matrix)
+            rhs, pad_voltages = _PairedLayout(compiled, source).assemble(
+                (load_matrix, pad_voltage_matrix)
             )
-            rhs = compiled.rhs_matrix(load_matrix, pad_voltage_matrix)
             unknown, reused, iterations = self._solve_rhs_block(compiled, rhs)
-            voltages = compiled.full_voltages(unknown, pad_voltage_vectors=pad_vectors)
+            voltages = _node_rows(compiled, unknown, pad_voltages, drops=False).T
             if sinks:
-                drop_rows = np.ascontiguousarray((compiled.vdd - voltages).T)
+                drop_rows = _node_rows(compiled, unknown, pad_voltages, drops=True)
                 _feed_sinks(sinks, voltages, drop_rows, 0)
             return voltages, None, reused, iterations
 
-        source = MatrixScenarioSource(load_matrix, pad_voltage_matrix)
         reductions, reused, iterations, _ = self._stream_scenarios(
             compiled, source, k, chunk_size, sinks, executor, lenient, entry_point
         )
@@ -1328,6 +1541,7 @@ class BatchedAnalysisEngine:
             )
         if load_matrix.shape[0] == 0:
             raise ValueError("load_matrix must contain at least one scenario")
+        _require_finite(load_matrix, "load_matrix row", compiled, "node")
         voltages, reductions, reused, iterations = self._batch_scenarios(
             compiled, load_matrix, None, chunk_size, sinks, executor_used, lenient,
             "analyze_batch",
@@ -1404,6 +1618,8 @@ class BatchedAnalysisEngine:
                     f"num_nodes) matching pad_voltage_matrix, got shape "
                     f"{load_matrix.shape}"
                 )
+            _require_finite(load_matrix, "load_matrix row", compiled, "node")
+        _require_finite(pad_voltage_matrix, "pad_voltage_matrix row", compiled, "pad")
         voltages, reductions, reused, iterations = self._batch_scenarios(
             compiled, load_matrix, pad_voltage_matrix, chunk_size, sinks, executor_used, lenient,
             "analyze_pad_batch",
@@ -1505,9 +1721,14 @@ class BatchedAnalysisEngine:
         scenario (``num_load_scenarios * num_pad_scenarios`` in total,
         loads outer, pads inner), solved against a single cached
         factorization.  The combined scenario set is never materialised:
-        each chunk gathers its load / pad rows by index, so a
-        ``400 × 256 = 102 400``-scenario mega-sweep costs the memory of
-        one chunk plus the two input matrices.  This is the vectorless-
+        the pad part and the load part of the right-hand side are computed
+        once per input row, and each chunk's right-hand side is one gather
+        and subtract of those rows, so a ``400 × 256 = 102 400``-scenario
+        mega-sweep costs the memory of one chunk plus ``400 + 256`` rows
+        of unknowns next to the two input matrices.  Both matrices are
+        checked once, before any sink binds: a wrong shape or a
+        non-finite entry raises ``ValueError`` naming its row and column.
+        This is the vectorless-
         style workload entry point: pair it with quantile / histogram /
         exceedance / top-k sinks to characterise the whole operating
         envelope in one pass.
@@ -1538,26 +1759,15 @@ class BatchedAnalysisEngine:
         compiled = self._compiled(network)
         executor_used, lenient = self._sweep_executor(workers, executor)
         load_matrix = np.asarray(load_matrix, dtype=float)
-        if load_matrix.ndim != 2 or load_matrix.shape[1] != compiled.num_nodes:
-            raise ValueError(
-                f"load_matrix must be 2-D (num_load_scenarios, {compiled.num_nodes}), "
-                f"got shape {load_matrix.shape}"
-            )
         pad_voltage_matrix = np.asarray(pad_voltage_matrix, dtype=float)
-        num_pads = len(compiled.pad_node)
-        if pad_voltage_matrix.ndim != 2 or pad_voltage_matrix.shape[1] != num_pads:
-            raise ValueError(
-                f"pad_voltage_matrix must be 2-D (num_pad_scenarios, {num_pads}), "
-                f"got shape {pad_voltage_matrix.shape}"
-            )
+        cross_source = CrossProductScenarioSource(load_matrix, pad_voltage_matrix)
+        # Checks both matrices and builds the per-row parts once, here in
+        # the parent: before any sink binds, and before any shard forks.
+        cross_source._layout(compiled)
         num_loads, num_pad_rows = load_matrix.shape[0], pad_voltage_matrix.shape[0]
-        if num_loads == 0 or num_pad_rows == 0:
-            raise ValueError("both matrices must contain at least one scenario row")
-
+        num_scenarios = num_loads * num_pad_rows
         if chunk_size is None:
             chunk_size = resolve_chunk_size(compiled.num_unknowns)
-        cross_source = CrossProductScenarioSource(load_matrix, pad_voltage_matrix)
-        num_scenarios = num_loads * num_pad_rows
         reductions, reused, iterations, executor_used = self._stream_scenarios(
             compiled, cross_source, num_scenarios, chunk_size, sinks, executor_used, lenient,
             "analyze_mega_sweep",

@@ -42,7 +42,8 @@ Worker context
 Sharded sweeps prefer the ``fork`` start method (:func:`start_context`).
 Under ``fork`` nothing ships: the parent factors the grid, builds the
 workers' context — the compiled grid with its lazily-built arrays
-warmed, the scenario source, unbound copies of the sinks and a
+warmed, the scenario source (a cross product's per-row parts
+included), unbound copies of the sinks and a
 single-threaded engine already holding the parent's cached
 factorization (:meth:`~repro.analysis.engine.BatchedAnalysisEngine.shard_engine`)
 — and hands it to the pool initializer as a live object the forked
@@ -474,13 +475,15 @@ def shard_worker_context(
     Under ``fork`` the initializer argument is the worker state itself,
     built here and inherited by the children with the parent's memory:
     the compiled grid with its lazily-built arrays warmed (as the
-    threaded pipeline does), the source, unbound deep copies of the
-    sinks, and a single-threaded engine holding the parent's cached
-    factorization
+    threaded pipeline does), the source — a cross product with its
+    per-row parts already built — unbound deep copies of the sinks, and
+    a single-threaded engine holding the parent's cached factorization
     (:meth:`~repro.analysis.engine.BatchedAnalysisEngine.shard_engine`).
     Nothing ships, so the byte count is 0.  Under any other start method
     it is the :func:`pickle_sweep_payload` bytes, which each worker
-    rebuilds with :func:`load_shard_state`.
+    rebuilds with :func:`load_shard_state` (a cross product's parts are
+    rebuilt from its two matrices on the worker's first task, at
+    ``O((loads + pad rows) · nodes)``).
     """
     mp_context = start_context(start_method)
     pool_arguments: dict[str, Any] = dict(mp_context=mp_context, initializer=_init_shard_worker)
@@ -491,6 +494,9 @@ def shard_worker_context(
     compiled.reduced_matrix
     compiled.pad_rhs
     compiled.pad_incidence
+    # A cross product's per-row parts are cached on its source, which the
+    # children inherit with everything else.
+    plan.engine._chunk_layout(compiled, plan.scenario_source)
     state = dict(
         engine=plan.engine.shard_engine(compiled),
         compiled=compiled,

@@ -83,9 +83,15 @@ class IRDropAnalyzer:
         self._assembler = MNAAssembler()
 
     def analyze(self, network: PowerGridNetwork) -> IRDropResult:
-        """Run the analysis and return per-node voltages and IR drops."""
+        """Run the analysis and return per-node voltages and IR drops.
+
+        Raises:
+            ValueError: If the grid has no pads, or a node that reaches
+                neither a pad nor ground (the nodal system is singular).
+        """
         start = time.perf_counter()
         system = self._assembler.assemble(network)
+        network.compile().require_connected()
         solve_result = self.solver.solve(system)
         voltages = system.full_solution(solve_result.voltages)
         elapsed = time.perf_counter() - start

@@ -281,7 +281,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: netlist {args.netlist} does not exist", file=sys.stderr)
         return 2
     network = read_netlist(args.netlist)
-    result = BatchedAnalysisEngine().analyze(network)
+    try:
+        result = BatchedAnalysisEngine().analyze(network)
+    except ValueError as exc:  # no pads, or a floating node: a singular system
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         format_key_values(
             {

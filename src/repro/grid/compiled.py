@@ -138,6 +138,9 @@ class CompiledGrid:
         res_length: Per-resistor segment length in um (0 for vias).
         res_line_id: Per-resistor power-grid line id (-1 for vias).
         is_pad: Boolean mask over nodes marking supply-pad nodes.
+        unknown_sel: Indices of the unknown (non-pad) nodes, in
+            reduced-system order.
+        pad_sel: Indices of the pad nodes, in node order.
         pad_voltage: Per-node pad voltage (0 for non-pad nodes).  When
             several pads share a node, the last added pad wins, matching the
             legacy assembler.
@@ -353,8 +356,19 @@ class CompiledGrid:
         self.unknown_sel = np.flatnonzero(~self.is_pad)
         self.unknown_index = np.full(n, _GROUND_INDEX, dtype=np.int64)
         self.unknown_index[self.unknown_sel] = np.arange(len(self.unknown_sel))
+        self.pad_sel = np.flatnonzero(self.is_pad)
+        # Column of every node in the [unknowns | pad nodes] row layout of
+        # to_node_order, and the pad-matrix column feeding each pad node
+        # (last wins, like pad_voltage above).
+        self._node_column = np.empty(n, dtype=np.int64)
+        self._node_column[self.unknown_sel] = np.arange(len(self.unknown_sel))
+        self._node_column[self.pad_sel] = len(self.unknown_sel) + np.arange(len(self.pad_sel))
+        pad_of_node = np.zeros(n, dtype=np.int64)
+        pad_of_node[self.pad_node] = np.arange(len(self.pad_node))
+        self._pad_sel_column = pad_of_node[self.pad_sel]
         self._classify_branches()
         self._pattern_box: list[_SparsityPattern | None] = [None]
+        self._floating_box: list[np.ndarray | None] = [None]
         # Update provenance (set by with_conductances on its clones).
         self.update_base_fingerprint: str | None = None
         self.update_indices: np.ndarray | None = None
@@ -609,16 +623,19 @@ class CompiledGrid:
 
     @cached_property
     def pad_incidence(self) -> sp.csr_matrix:
-        """Sparse ``(num_unknowns, num_nodes)`` pad-conductance incidence.
+        """Sparse ``(num_unknowns, len(pad_sel))`` pad-conductance incidence.
 
-        Multiplying a per-node pad-voltage vector by this incidence yields
-        the pad contribution to the reduced right-hand side — the batched
-        generalisation of :attr:`pad_rhs`.
+        Column ``k`` belongs to pad node ``pad_sel[k]``.  Multiplying the
+        pad-node voltages (:meth:`pad_node_voltages`) by this incidence
+        yields the pad contribution to the reduced right-hand side — the
+        batched generalisation of :attr:`pad_rhs`.  ``pad_sel`` is sorted,
+        so each row holds its entries in node order, exactly as an
+        incidence over all nodes would.
         """
         pf_g = self.conductance[self._pf_sel]
         matrix = sp.csr_matrix(
-            (pf_g, (self._pf_free, self._pf_pad)),
-            shape=(self.num_unknowns, self.num_nodes),
+            (pf_g, (self._pf_free, self._node_column[self._pf_pad] - self.num_unknowns)),
+            shape=(self.num_unknowns, len(self.pad_sel)),
         )
         matrix.sum_duplicates()
         return matrix
@@ -648,11 +665,13 @@ class CompiledGrid:
     def pad_rhs_matrix(self, pad_voltage_matrix: np.ndarray) -> np.ndarray:
         """Pad contribution to the RHS for many pad-voltage scenarios.
 
+        Each column is computed on its own, so it does not depend on which
+        other scenarios share the call.
+
         Returns:
             ``(num_unknowns, num_scenarios)`` matrix.
         """
-        vectors = self.pad_voltage_vectors(pad_voltage_matrix)
-        return self.pad_incidence @ vectors.T
+        return self.pad_incidence @ self.pad_node_voltages(pad_voltage_matrix).T
 
     @cached_property
     def load_incidence(self) -> sp.csr_matrix:
@@ -732,6 +751,52 @@ class CompiledGrid:
         return incidence, active
 
     # ------------------------------------------------------------------
+    # Connectivity
+    # ------------------------------------------------------------------
+    @property
+    def floating_nodes(self) -> np.ndarray:
+        """Indices of the nodes with no resistive path to a pad or ground.
+
+        A single such node makes the reduced matrix singular.  Found with
+        one connected-components pass over the resistor graph in which the
+        pads and ground are merged into one root, once per topology:
+        conductances are positive, so :meth:`with_conductances` clones
+        share the result.
+        """
+        if self._floating_box[0] is None:
+            n = self.num_nodes
+            root = n
+            ends_a = np.where(self._res_a_ground, root, self.res_a)
+            ends_b = np.where(self._res_b_ground, root, self.res_b)
+            rows = np.concatenate((ends_a, self.pad_sel))
+            cols = np.concatenate((ends_b, np.full(self.pad_sel.size, root)))
+            graph = sp.coo_matrix(
+                (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n + 1, n + 1)
+            )
+            # Deferred: importing csgraph with this module measurably
+            # slowed every interpreter's start-up, and only this check uses it.
+            from scipy.sparse.csgraph import connected_components
+
+            _, labels = connected_components(graph, directed=False)
+            self._floating_box[0] = np.flatnonzero(labels[:n] != labels[root])
+        return self._floating_box[0]
+
+    def require_connected(self) -> None:
+        """Reject a grid in which some node reaches neither a pad nor ground.
+
+        Raises:
+            ValueError: Naming the grid, the number of floating nodes and
+                the first of them.
+        """
+        floating = self.floating_nodes
+        if floating.size:
+            raise ValueError(
+                f"grid {self.name!r} has {floating.size} node(s) with no resistive "
+                f"path to a pad or ground, e.g. {self.node_names[floating[0]]!r}; "
+                "the nodal system is singular"
+            )
+
+    # ------------------------------------------------------------------
     # Fingerprint
     # ------------------------------------------------------------------
     @cached_property
@@ -791,7 +856,7 @@ class CompiledGrid:
         shape = (self.num_nodes,) + unknown_voltages.shape[1:]
         voltages = np.empty(shape, dtype=float)
         voltages[self.unknown_sel] = unknown_voltages
-        pad_sel = np.flatnonzero(self.is_pad)
+        pad_sel = self.pad_sel
         if pad_voltage_vectors is not None:
             if unknown_voltages.ndim != 2:
                 raise ValueError("per-scenario pad voltages require a batched solution")
@@ -803,6 +868,42 @@ class CompiledGrid:
                 else self.pad_voltage[pad_sel]
             )
         return voltages
+
+    def pad_node_voltages(self, pad_voltage_matrix: np.ndarray) -> np.ndarray:
+        """Per-pad voltage scenarios at the pad nodes.
+
+        Args:
+            pad_voltage_matrix: ``(num_scenarios, num_pads)`` voltages
+                aligned with :attr:`pad_names`.
+
+        Returns:
+            ``(num_scenarios, len(pad_sel))`` voltages of the pad nodes in
+            :attr:`pad_sel` order — the pad columns of
+            :meth:`pad_voltage_vectors`, duplicates resolved last-wins
+            alike, without scattering the full per-node vectors.
+        """
+        pad_voltage_matrix = np.asarray(pad_voltage_matrix, dtype=float)
+        if pad_voltage_matrix.ndim != 2 or pad_voltage_matrix.shape[1] != len(self.pad_node):
+            raise ValueError(
+                f"expected pad voltage matrix of shape (k, {len(self.pad_node)}), "
+                f"got {pad_voltage_matrix.shape}"
+            )
+        return pad_voltage_matrix[:, self._pad_sel_column]
+
+    def to_node_order(self, rows: np.ndarray) -> np.ndarray:
+        """Reorder per-scenario rows from the solve layout into node order.
+
+        Args:
+            rows: ``(k, num_nodes)`` rows holding each scenario's unknown
+                nodes first, in reduced-system order, then its pad nodes,
+                in :attr:`pad_sel` order — the layout in which a solved
+                block and its pad voltages arrive.
+
+        Returns:
+            ``(k, num_nodes)`` C-contiguous rows in compiled node order,
+            gathered in one pass.
+        """
+        return rows.take(self._node_column, axis=1)
 
     def voltages_dict(self, voltages: np.ndarray) -> dict[str, float]:
         """Convert a per-node voltage vector into a name-keyed mapping."""

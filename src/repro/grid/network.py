@@ -270,8 +270,12 @@ class PowerGridNetwork:
     def is_connected_to_pads(self) -> bool:
         """Check that every node can reach at least one supply pad.
 
-        A disconnected node would make the conductance matrix singular, so
-        the analysis engine and the grid builder use this check as a guard.
+        This is stricter than what analysis needs: a node that reaches
+        neither a pad nor ground makes the conductance matrix singular,
+        and the analysis engine rejects such grids through
+        :meth:`~repro.grid.compiled.CompiledGrid.require_connected`, which
+        also accepts a resistive path to ground.  This pad-only check is a
+        convenience for builders and tests; no analysis path calls it.
         """
         pads = self.pad_nodes()
         if not pads:

@@ -620,15 +620,20 @@ class TestExecutorResolution:
         engine = BatchedAnalysisEngine()
         # P² sink: not mergeable -> in-process fallback, sweep still succeeds.
         sink = P2QuantileSink([0.5])
-        engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[sink])
+        with pytest.warns(RuntimeWarning, match=r"^analyze_batch: .*P2QuantileSink"):
+            engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[sink])
         assert sink.result().num_scenarios == load_sweep.shape[0]
         # Closure source: not picklable -> the 1 x default_workers row.
-        stream = engine.analyze_scenario_stream(
-            ibmpg1_grid,
-            lambda begin, end: (load_sweep[begin:end], None),
-            load_sweep.shape[0],
-            chunk_size=5,
-        )
+        with pytest.warns(
+            RuntimeWarning,
+            match=r"^analyze_scenario_stream: .*need a picklable scenario source",
+        ):
+            stream = engine.analyze_scenario_stream(
+                ibmpg1_grid,
+                lambda begin, end: (load_sweep[begin:end], None),
+                load_sweep.shape[0],
+                chunk_size=5,
+            )
         fallback = HybridExecutor(1, engine.default_workers)
         assert (stream.executor, stream.workers) == (fallback.name, fallback.parallelism)
 

@@ -17,11 +17,13 @@ from repro.analysis import (
     BatchedAnalysisEngine,
     ExceedanceCounts,
     ExceedanceCountSink,
+    HybridExecutor,
     IRDropAnalyzer,
     JointExceedanceSink,
     NodeHistogramSink,
     P2QuantileSink,
     ReservoirQuantileSink,
+    SinkSnapshot,
     TopKScenarioSink,
     VectorlessAnalyzer,
     uniform_budget,
@@ -574,33 +576,134 @@ class TestSnapshotMerge:
         assert estimate.values[0] == np.quantile(worst, 0.5)
 
 
+class VoltageRecorder:
+    """A plain protocol sink, not an :class:`IRDropSink`: it keeps every raw voltage column.
+
+    Mergeable and picklable, so it also runs on process shards.
+    """
+
+    def bind(self, compiled, num_scenarios):
+        self.voltages = np.full((compiled.num_nodes, num_scenarios), np.nan)
+        self.merged = 0
+
+    def consume(self, chunk_voltages, scenario_offset):
+        width = chunk_voltages.shape[1]
+        self.voltages[:, scenario_offset : scenario_offset + width] = chunk_voltages
+
+    def result(self):
+        return self.voltages
+
+    def snapshot(self):
+        return SinkSnapshot("VoltageRecorder", self.voltages.shape[1], {"v": self.voltages.copy()})
+
+    def merge(self, snapshot):
+        width = snapshot.num_scenarios
+        self.voltages[:, self.merged : self.merged + width] = snapshot.state["v"]
+        self.merged += width
+
+
+def exact_sinks(threshold: float, edges: np.ndarray) -> tuple:
+    return (
+        NodeHistogramSink(edges),
+        ExceedanceCountSink(threshold),
+        JointExceedanceSink(threshold),
+        TopKScenarioSink(5),
+    )
+
+
+def exact_sink_arrays(sinks) -> dict:
+    histogram, exceedance, joint, topk = (sink.result() for sink in sinks)
+    return {
+        "histogram.counts": histogram.counts,
+        "histogram.underflow": histogram.underflow,
+        "histogram.overflow": histogram.overflow,
+        "exceedance.counts": exceedance.counts,
+        "joint.counts": joint.violating_node_counts,
+        "topk.index": topk.scenario_index,
+        "topk.worst": topk.worst_ir_drop,
+        "topk.node": topk.worst_node_index,
+    }
+
+
 class TestMegaSweep:
     @pytest.fixture(scope="class")
     def sweep_matrices(self, ibmpg1_grid, ibmpg1_bench):
         return mega_sweep_matrices(ibmpg1_grid, ibmpg1_bench.floorplan, 0.2, 6, 4, seed=3)
 
     @pytest.fixture(scope="class")
-    def dense_cross(self, ibmpg1_grid, sweep_matrices):
-        """The cross product materialised explicitly (loads outer)."""
+    def materialised(self, sweep_matrices):
+        """The cross product's rows materialised explicitly (loads outer)."""
         load_matrix, pad_matrix = sweep_matrices
-        return BatchedAnalysisEngine().analyze_pad_batch(
-            ibmpg1_grid,
+        return (
             np.tile(pad_matrix, (load_matrix.shape[0], 1)),
-            load_matrix=np.repeat(load_matrix, pad_matrix.shape[0], axis=0),
+            np.repeat(load_matrix, pad_matrix.shape[0], axis=0),
         )
+
+    @pytest.fixture(scope="class")
+    def dense_cross(self, ibmpg1_grid, materialised):
+        pads, loads = materialised
+        return BatchedAnalysisEngine().analyze_pad_batch(ibmpg1_grid, pads, load_matrix=loads)
+
+    @pytest.fixture(scope="class")
+    def sink_setup(self, dense_cross):
+        """A threshold and edges that put scenarios on both sides of every test."""
+        drops = dense_cross.ir_drop
+        return float(np.quantile(drops, 0.8)), np.linspace(drops.min(), drops.max(), 9)[1:-1]
+
+    @pytest.fixture(scope="class")
+    def dense_sinks(self, ibmpg1_grid, materialised, sink_setup):
+        pads, loads = materialised
+        sinks = exact_sinks(*sink_setup)
+        BatchedAnalysisEngine().analyze_pad_batch(
+            ibmpg1_grid, pads, load_matrix=loads, sinks=sinks
+        )
+        return exact_sink_arrays(sinks)
 
     @pytest.mark.parametrize("chunk_size", [1, 5, 24, 100])
     def test_mega_sweep_matches_materialised_cross_product(
-        self, ibmpg1_grid, sweep_matrices, dense_cross, chunk_size
+        self, ibmpg1_grid, sweep_matrices, dense_cross, sink_setup, dense_sinks, chunk_size
     ):
         load_matrix, pad_matrix = sweep_matrices
+        sinks = exact_sinks(*sink_setup)
         result = BatchedAnalysisEngine().analyze_mega_sweep(
-            ibmpg1_grid, load_matrix, pad_matrix, chunk_size=chunk_size
+            ibmpg1_grid, load_matrix, pad_matrix, chunk_size=chunk_size, sinks=sinks
         )
         assert result.num_scenarios == 24
         assert np.array_equal(result.worst_ir_drop, dense_cross.worst_ir_drop)
         assert np.array_equal(result.average_ir_drop, dense_cross.average_ir_drop)
         assert np.array_equal(result.worst_node_index, dense_cross.worst_node_index)
+        swept = exact_sink_arrays(sinks)
+        for name, expected in dense_sinks.items():
+            assert np.array_equal(swept[name], expected), name
+        assert dense_sinks["histogram.underflow"].sum() > 0
+        assert dense_sinks["histogram.overflow"].sum() > 0
+        assert 0 < dense_sinks["exceedance.counts"].sum() < dense_cross.ir_drop.size
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, None])
+    @pytest.mark.parametrize(
+        "executor",
+        [
+            pytest.param(lambda: HybridExecutor(1, 1), id="1x1"),
+            pytest.param(lambda: HybridExecutor(1, 2), id="1x2"),
+            pytest.param(lambda: HybridExecutor(2, 1), id="2x1"),
+        ],
+    )
+    def test_raw_voltage_sink_matches_materialised_cross_product(
+        self, ibmpg1_grid, sweep_matrices, dense_cross, chunk_size, executor
+    ):
+        """A sink outside IRDropSink gets the voltages themselves, at every width and shape."""
+        load_matrix, pad_matrix = sweep_matrices
+        recorder = VoltageRecorder()
+        result = BatchedAnalysisEngine().analyze_mega_sweep(
+            ibmpg1_grid,
+            load_matrix,
+            pad_matrix,
+            chunk_size=chunk_size,
+            sinks=[recorder],
+            executor=executor(),
+        )
+        assert result.chunk_size == (84 if chunk_size is None else chunk_size)
+        assert np.array_equal(recorder.result(), dense_cross.voltages)
 
     def test_mega_sweep_shares_one_factorization(self, ibmpg1_grid, sweep_matrices):
         load_matrix, pad_matrix = sweep_matrices

@@ -10,6 +10,7 @@ CHOLMOD backend, where installed, must be solution-equivalent to SuperLU.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.analysis import (
     SOLVER_ENV,
@@ -417,6 +418,27 @@ class TestBackendResolution:
 
         with pytest.raises(LinearSolverError, match="scikit-sparse"):
             CholmodBackend().factor(base_compiled.reduced_matrix)
+
+
+class TestSpluFactorization:
+    """The default backend factors the SPD reduced matrix in symmetric mode."""
+
+    def test_fill_below_the_unsymmetric_default(self, base_compiled):
+        matrix = base_compiled.reduced_matrix.tocsc()
+        unsymmetric = spla.splu(matrix)
+        symmetric = SpluBackend().factor(matrix)._factor
+        assert symmetric.L.nnz + symmetric.U.nnz < unsymmetric.L.nnz + unsymmetric.U.nnz
+
+    @pytest.mark.parametrize("grid_name", ["ibmpg1", "ibmpgnew1"])
+    def test_block_solve_residual(self, grid_name):
+        compiled = SyntheticIBMSuite().load(grid_name).build_uniform_grid(5.0).compile()
+        rng = np.random.default_rng(11)
+        loads = compiled.base_loads * rng.uniform(0.5, 1.5, (16, compiled.num_nodes))
+        rhs = compiled.rhs_matrix(loads)
+        solution = SpluBackend().factor(compiled.reduced_matrix).solve(rhs)
+        residual = compiled.reduced_matrix @ solution - rhs
+        relative = np.linalg.norm(residual, axis=0) / np.linalg.norm(rhs, axis=0)
+        assert relative.max() <= 1e-12
 
 
 # ----------------------------------------------------------------------

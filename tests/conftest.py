@@ -13,12 +13,17 @@ import pytest
 from repro.core import DatasetBuilder, PowerPlanningDL
 from repro.design import ConventionalPowerPlanner
 from repro.grid import (
+    CurrentSource,
     Floorplan,
     FunctionalBlock,
     GridBuilder,
+    GridNode,
     GridTopology,
+    PowerGridNetwork,
     PowerPad,
+    Resistor,
     SyntheticIBMSuite,
+    VoltageSource,
     generic_45nm,
     uniform_topology,
 )
@@ -112,3 +117,33 @@ def trained_framework(small_benchmark, fast_regressor_config):
 def rng() -> np.random.Generator:
     """A fresh deterministic random generator per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def floating_island() -> PowerGridNetwork:
+    """An 8-node grid whose loaded 4-node ring reaches neither a pad nor ground.
+
+    A 4-node chain ``n0..n3`` hangs off the pad on ``n0``; the resistor
+    ring ``f1..f4`` carries a 10 mA load at ``f2`` and has no resistive
+    path to the chain, so its nodal system is singular.
+    """
+    network = PowerGridNetwork(name="island", vdd=1.0)
+    for index in range(4):
+        network.add_node(GridNode(name=f"n{index}", x=float(index), y=0.0))
+        network.add_node(GridNode(name=f"f{index + 1}", x=float(index), y=5.0))
+    for index in range(3):
+        network.add_resistor(
+            Resistor(name=f"R{index}", node_a=f"n{index}", node_b=f"n{index + 1}", resistance=1.0)
+        )
+    for index in range(4):
+        network.add_resistor(
+            Resistor(
+                name=f"Rf{index}",
+                node_a=f"f{index + 1}",
+                node_b=f"f{(index + 1) % 4 + 1}",
+                resistance=1.0,
+            )
+        )
+    network.add_voltage_source(VoltageSource(name="V1", node="n0", voltage=1.0))
+    network.add_current_source(CurrentSource(name="I1", node="f2", current=0.01))
+    return network

@@ -198,6 +198,24 @@ class TestSolutionHelpers:
         for k in range(4):
             np.testing.assert_allclose(full[:, k], compiled.full_voltages(unknown[:, k]))
 
+    def test_solve_layout_rows_match_full_voltages(self):
+        """Rows assembled as [unknowns | pad nodes] and gathered into node
+        order equal the scattered voltages bitwise; a second pad on one
+        node wins over the first, as in pad_voltage_vectors."""
+        network = awkward_network()
+        network.add_voltage_source(VoltageSource(name="V3", node="p1", voltage=1.3))
+        compiled = compile_grid(network)
+        rng = np.random.default_rng(7)
+        unknown = rng.random((compiled.num_unknowns, 4))
+        pads = rng.random((4, len(compiled.pad_node)))
+        vectors = compiled.pad_voltage_vectors(pads)
+        pad_voltages = compiled.pad_node_voltages(pads)
+        assert np.array_equal(pad_voltages, vectors[:, compiled.pad_sel])
+        assert np.array_equal(pad_voltages[:, 0], pads[:, 2])
+        rows = compiled.to_node_order(np.hstack((unknown.T, pad_voltages)))
+        expected = compiled.full_voltages(unknown, pad_voltage_vectors=vectors)
+        assert np.array_equal(rows, expected.T)
+
     def test_rhs_matrix_matches_single_rhs(self):
         compiled = compile_grid(awkward_network())
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.grid import write_netlist
 
 
 class TestParser:
@@ -40,6 +41,24 @@ class TestGenerateAndAnalyze:
     def test_analyze_missing_file_errors(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "missing.spice")]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_analyze_rejects_a_floating_island(self, tmp_path, capsys, floating_island):
+        netlist = write_netlist(floating_island, tmp_path / "island.spice")
+        assert main(["analyze", str(netlist)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: grid ")
+        assert "4 node(s) with no resistive path to a pad or ground" in lines[0]
+
+    def test_analyze_rejects_a_netlist_without_pads(self, tmp_path, capsys):
+        netlist = tmp_path / "no_pads.spice"
+        netlist.write_text("R1 n1 n2 1.0\nI1 n2 0 0.01\n.end\n")
+        assert main(["analyze", str(netlist)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: network has no voltage sources; the nodal system is singular"
+        ]
 
 
 class TestPlan:
