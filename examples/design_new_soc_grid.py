@@ -24,7 +24,7 @@ from pathlib import Path
 import tempfile
 
 from repro import PowerPlanningDL, load_benchmark
-from repro.analysis import EMChecker, IRDropAnalyzer
+from repro.analysis import BatchedAnalysisEngine, EMChecker
 from repro.core import format_key_values, format_table
 from repro.design import DesignRules
 from repro.grid import Floorplan, FunctionalBlock, GridBuilder, PowerPad, uniform_topology
@@ -90,7 +90,7 @@ def main() -> None:
     rules = DesignRules.from_technology(history.technology)
     widths = rules.legalize_widths(predicted.line_widths)
     network = GridBuilder(history.technology).build(soc, topology, widths)
-    analysis = IRDropAnalyzer().analyze(network)
+    analysis = BatchedAnalysisEngine().analyze(network)
     em_report = EMChecker(history.technology).check(network, analysis)
     print(
         format_table(

@@ -1,10 +1,11 @@
 """Cached-factorization, multi-RHS power-grid analysis engine.
 
-The conventional analysis path re-assembles and re-factorizes the nodal
-system for every solve.  For the workloads this repository actually runs —
-perturbation sweeps, vectorless budget bounds, planner iterations over many
-load scenarios — the expensive part (the sparse LU factorization of the
-reduced conductance matrix) depends only on the grid *topology* and branch
+This is the repository's one IR-drop analysis path: the conventional
+flow's analysis, the planner's analyse–resize loop, the vectorless bounds
+and every sweep all solve through it.  For these workloads — perturbation
+sweeps, vectorless budget bounds, planner iterations over many load
+scenarios — the expensive part (the sparse factorization of the reduced
+conductance matrix) depends only on the grid *topology* and branch
 conductances, not on the loads or pad voltages.
 
 :class:`BatchedAnalysisEngine` exploits that: it compiles the network once
@@ -13,9 +14,8 @@ factorization — produced by a pluggable solver backend
 (:mod:`repro.analysis.solvers`): SuperLU by default, CHOLMOD when
 ``scikit-sparse`` is installed — keyed on the compiled grid's topology
 fingerprint, and solves arbitrarily many right-hand sides against one
-factorization — either one at a time (:meth:`analyze`, a drop-in
-replacement for :class:`~repro.analysis.irdrop.IRDropAnalyzer`) or as a
-single multi-RHS triangular solve (:meth:`analyze_batch`).  Grids derived
+factorization — either one at a time (:meth:`analyze`) or as a single
+multi-RHS triangular solve (:meth:`analyze_batch`).  Grids derived
 by a conductance-only change
 (:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`, the
 planner's resize step) are served by **low-rank incremental updates** of
@@ -69,11 +69,7 @@ from .executors import (
     make_executor,
 )
 from .irdrop import IRDropResult
-from .mna import system_from_compiled
 from .sinks import IRDropSink, ScenarioSink
-# The legacy module still owns the CG fallback solver and the method
-# enum; LinearSolverError moved to .solvers (its canonical home).
-from .solver import PowerGridSolver, SolverMethod  # reprolint: disable=RPR005
 from .solvers import (
     Factorization,
     LinearSolverError,
@@ -81,6 +77,7 @@ from .solvers import (
     UpdatePolicy,
     make_update_factorization,
     resolve_solver_backend,
+    solve_cg,
 )
 
 ENGINE_METHOD = "cached_lu"
@@ -770,19 +767,19 @@ class MegaSweepResult(StreamedSweepResult):
 class BatchedAnalysisEngine:
     """IR-drop analysis with a cross-solve sparse-factorization cache.
 
-    The engine quacks like :class:`~repro.analysis.irdrop.IRDropAnalyzer`
-    (its :meth:`analyze` signature and result type are identical), so it can
-    be handed to every consumer that previously owned an analyzer — the
-    planner, the vectorless analyzer, the CLI.  On top of that it offers
-    batched multi-RHS solving for sweeps where only the loads change.
+    :meth:`analyze` returns one scenario's full
+    :class:`~repro.analysis.irdrop.IRDropResult`; it is what the planner,
+    the vectorless analyzer and the CLI consume.  On top of that the
+    engine offers batched multi-RHS solving for sweeps where only the
+    loads or pad voltages change.
 
     Args:
         cache_size: Maximum number of factorizations kept alive (LRU).
         direct_size_limit: Systems with more unknowns than this fall back to
-            the memory-lean preconditioned-CG solver instead of a cached LU
-            factorization — the same threshold the legacy ``AUTO`` solver
-            policy used, preserved because SuperLU fill-in can exhaust
-            memory on the largest grids.
+            the memory-lean Jacobi-preconditioned CG solver
+            (:func:`~repro.analysis.solvers.solve_cg`) instead of a cached
+            factorization, because SuperLU fill-in can exhaust memory on
+            the largest grids.
         default_workers: Worker-thread count used by chunked / streamed
             sweeps whose callers do not pass ``workers=`` explicitly.
             ``None`` (the default) reads :data:`WORKERS_ENV` and falls back
@@ -856,7 +853,6 @@ class BatchedAnalysisEngine:
         self.solver_backend = resolve_solver_backend(solver)
         self.incremental_updates = bool(incremental_updates)
         self.update_policy = update_policy or UpdatePolicy()
-        self._cg_solver = PowerGridSolver(method=SolverMethod.CG)
         self._cache_lock = threading.Lock()
         self._cache: OrderedDict[str, _FactorCacheEntry] = OrderedDict()  # guarded-by: _cache_lock
         self._factorizations = 0  # guarded-by: _cache_lock
@@ -1121,7 +1117,7 @@ class BatchedAnalysisEngine:
 
     def _solver_method(self, compiled: CompiledGrid) -> str:
         """The method every solve on this grid actually uses."""
-        return SolverMethod.CG.value if self._use_cg(compiled) else ENGINE_METHOD
+        return "cg" if self._use_cg(compiled) else ENGINE_METHOD
 
     def _resolve_workers(self, workers: int | None) -> int:
         workers = self.default_workers if workers is None else workers
@@ -1155,12 +1151,6 @@ class BatchedAnalysisEngine:
             )
         return executor, False
 
-    def _solve_cg(self, compiled: CompiledGrid, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-        system = system_from_compiled(compiled, matrix_copy=False)
-        system.rhs = rhs
-        result = self._cg_solver.solve(system)
-        return result.voltages, result.iterations
-
     def _solve_factored(self, compiled: CompiledGrid, rhs: np.ndarray) -> np.ndarray:
         """Solve via the cached factorization, refactorizing on divergence.
 
@@ -1181,8 +1171,14 @@ class BatchedAnalysisEngine:
         if rhs.size == 0:
             return np.empty(0), 0
         if self._use_cg(compiled):
-            return self._solve_cg(compiled, rhs)
-        return self._solve_factored(compiled, rhs), 0
+            unknown, iterations = solve_cg(compiled.reduced_matrix, rhs)
+            solver = "CG"
+        else:
+            unknown, iterations = self._solve_factored(compiled, rhs), 0
+            solver = "direct"
+        if not np.all(np.isfinite(unknown)):
+            raise LinearSolverError(f"{solver} solve produced non-finite voltages")
+        return unknown, iterations
 
     def solve_voltages(
         self,
@@ -1192,8 +1188,6 @@ class BatchedAnalysisEngine:
         """Solve one scenario and return per-node voltages in compiled order."""
         compiled = self._compiled(network)
         unknown, _ = self._solve_unknowns(compiled, self._load_rhs(compiled, loads))
-        if not np.all(np.isfinite(unknown)):
-            raise LinearSolverError("direct solve produced non-finite voltages")
         return compiled.full_voltages(unknown)
 
     def analyze(
@@ -1202,7 +1196,7 @@ class BatchedAnalysisEngine:
         loads: np.ndarray | None = None,
         name: str | None = None,
     ) -> IRDropResult:
-        """Run one IR-drop analysis (drop-in for ``IRDropAnalyzer.analyze``).
+        """Run one IR-drop analysis and return the full per-node result.
 
         Args:
             network: The grid (or its compiled form) to analyse.
@@ -1212,8 +1206,6 @@ class BatchedAnalysisEngine:
         start = time.perf_counter()
         compiled = self._compiled(network)
         unknown, iterations = self._solve_unknowns(compiled, self._load_rhs(compiled, loads))
-        if not np.all(np.isfinite(unknown)):
-            raise LinearSolverError("direct solve produced non-finite voltages")
         voltages = compiled.full_voltages(unknown)
         drops = compiled.vdd - voltages
         worst = int(drops.argmax()) if drops.size else 0
@@ -1246,7 +1238,7 @@ class BatchedAnalysisEngine:
         if self._use_cg(compiled):
             columns = []
             for k in range(rhs.shape[1]):
-                voltages, iterations[k] = self._solve_cg(compiled, rhs[:, k])
+                voltages, iterations[k] = solve_cg(compiled.reduced_matrix, rhs[:, k])
                 columns.append(voltages)
             unknown = np.column_stack(columns)
             reused = False

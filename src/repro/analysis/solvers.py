@@ -38,6 +38,10 @@ solver-policy layer splits that decision into three parts:
 * **Policy** (:class:`UpdatePolicy`) holds the crossover knobs: the dense
   Woodbury rank limit, the rank fraction past which an update is not
   attempted at all, and the CG tolerance / iteration cap.
+
+Systems above the engine's ``direct_size_limit`` are never factored:
+:func:`solve_cg` solves them by Jacobi-preconditioned conjugate gradients,
+one right-hand side at a time, holding only the matrix and a few vectors.
 """
 
 from __future__ import annotations
@@ -54,9 +58,8 @@ import scipy.sparse.linalg as spla
 class LinearSolverError(RuntimeError):
     """Raised when the nodal system could not be solved to tolerance.
 
-    Canonical home of the error shared by the solver backends, the
-    engine and the legacy :mod:`repro.analysis.solver` module (which
-    re-exports it for backward compatibility).
+    Shared by the solver backends, the conjugate-gradient fallback and
+    the engine.
     """
 
 
@@ -368,6 +371,54 @@ class PreconditionedUpdateFactorization(Factorization):
         if rhs.ndim == 1:
             return self._solve_column(rhs)
         return np.column_stack([self._solve_column(rhs[:, k]) for k in range(rhs.shape[1])])
+
+
+CG_RTOL = 1e-10
+"""Relative residual tolerance of :func:`solve_cg`."""
+
+CG_MAX_ITERATIONS = 20_000
+"""Iteration cap of :func:`solve_cg`; reaching it raises :class:`LinearSolverError`."""
+
+
+def solve_cg(matrix: sp.spmatrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve ``matrix @ x = rhs`` by Jacobi-preconditioned conjugate gradients.
+
+    The engine's path for systems too large to factor: CG to a relative
+    residual of :data:`CG_RTOL`, preconditioned by the inverse diagonal.
+
+    Returns:
+        The solution and the number of CG iterations it took.
+
+    Raises:
+        LinearSolverError: If the matrix has a non-positive diagonal entry
+            (it cannot be SPD), or CG does not converge within
+            :data:`CG_MAX_ITERATIONS` iterations.
+    """
+    diagonal = matrix.diagonal()
+    if np.any(diagonal <= 0):
+        raise LinearSolverError("conductance matrix has a non-positive diagonal entry")
+    preconditioner = spla.LinearOperator(matrix.shape, matvec=lambda x: x / diagonal)
+    iterations = 0
+
+    def count(_xk: np.ndarray) -> None:
+        nonlocal iterations
+        iterations += 1
+
+    solution, info = spla.cg(
+        matrix,
+        rhs,
+        rtol=CG_RTOL,
+        maxiter=CG_MAX_ITERATIONS,
+        M=preconditioner,
+        callback=count,
+    )
+    if info > 0:
+        raise LinearSolverError(
+            f"CG did not converge within {CG_MAX_ITERATIONS} iterations (info={info})"
+        )
+    if info < 0:
+        raise LinearSolverError(f"CG failed with illegal input (info={info})")
+    return solution, iterations
 
 
 def make_update_factorization(

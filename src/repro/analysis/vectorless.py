@@ -20,17 +20,18 @@ instead of a single pessimistic corner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..grid.elements import CurrentSource
+from ..grid.compiled import CompiledGrid
 from ..grid.network import PowerGridNetwork
 from .engine import BatchedAnalysisEngine, StreamedSweepResult
 from .executors import SweepExecutor
-from .irdrop import IRDropAnalyzer, IRDropResult
+from .irdrop import IRDropResult
 from .sinks import ScenarioSink
 
 
@@ -74,7 +75,8 @@ class VectorlessBudget:
     Attributes:
         per_load_max: Mapping of load (current-source) name to its maximum
             budgeted current in amperes.  Loads not listed keep their nominal
-            current.
+            current; a name that matches no load of the analysed grid is
+            rejected at analysis time.
         global_utilisation: Upper bound on the sum of all load currents as a
             fraction of the sum of per-load maxima (1.0 disables the global
             constraint).
@@ -87,6 +89,8 @@ class VectorlessBudget:
         if not 0 < self.global_utilisation <= 1.0:
             raise ValueError("global_utilisation must be in (0, 1]")
         for name, value in self.per_load_max.items():
+            if not math.isfinite(value):
+                raise ValueError(f"budget for {name!r} must be finite, got {value!r}")
             if value < 0:
                 raise ValueError(f"budget for {name!r} must be non-negative")
 
@@ -151,18 +155,16 @@ class StatisticalVectorlessResult:
 class VectorlessAnalyzer:
     """Budget-based vectorless IR-drop bound analysis.
 
-    With the default :class:`~repro.analysis.engine.BatchedAnalysisEngine`
-    backend, the nominal and budgeted solves share one compiled grid and one
-    sparse factorization (the two scenarios only differ in their load
-    vectors).  A legacy :class:`IRDropAnalyzer` can still be supplied, in
-    which case both solves run independently.
+    The nominal and budgeted solves share one compiled grid and one sparse
+    factorization of the engine (the two scenarios only differ in their
+    load vectors).
 
     Args:
-        analyzer: The IR-drop analyzer or batched engine to use for both the
-            nominal and the bounded solve.
+        analyzer: The engine to use for both the nominal and the bounded
+            solve; a default :class:`BatchedAnalysisEngine` when omitted.
     """
 
-    def __init__(self, analyzer: IRDropAnalyzer | BatchedAnalysisEngine | None = None) -> None:
+    def __init__(self, analyzer: BatchedAnalysisEngine | None = None) -> None:
         self.analyzer = analyzer or BatchedAnalysisEngine()
 
     def analyze(self, network: PowerGridNetwork, budget: VectorlessBudget) -> VectorlessResult:
@@ -170,58 +172,12 @@ class VectorlessAnalyzer:
 
         The worst-case scenario replaces each budgeted load by its maximum
         value, then scales all loads uniformly so that the total respects the
-        global utilisation bound.
+        global utilisation bound.  Both scenarios are solved in one
+        multi-RHS batch.
+
+        Raises:
+            ValueError: If the budget names a load the grid does not have.
         """
-        if isinstance(self.analyzer, BatchedAnalysisEngine):
-            nominal, bound = self._analyze_batched(network, budget)
-        else:
-            nominal = self.analyzer.analyze(network)
-            bounded_network = network.replace_loads(
-                self._budgeted_loads(network, budget), name=f"{network.name}_vectorless"
-            )
-            bound = self.analyzer.analyze(bounded_network)
-        pessimism = (
-            bound.worst_ir_drop / nominal.worst_ir_drop
-            if nominal.worst_ir_drop > 0
-            else float("inf")
-        )
-        return VectorlessResult(bound_result=bound, nominal_result=nominal, pessimism=pessimism)
-
-    @staticmethod
-    def _budgeted_loads(network: PowerGridNetwork, budget: VectorlessBudget) -> list[CurrentSource]:
-        """Worst-case loads: per-load maxima capped by the global utilisation."""
-        budgeted_loads = [
-            CurrentSource(
-                name=load.name,
-                node=load.node,
-                current=budget.per_load_max.get(load.name, load.current),
-                block=load.block,
-            )
-            for load in network.iter_loads()
-        ]
-        total_maximum = sum(load.current for load in budgeted_loads)
-        allowed_total = total_maximum * budget.global_utilisation
-        if total_maximum > 0 and allowed_total < total_maximum:
-            scale = allowed_total / total_maximum
-            budgeted_loads = [load.scaled(scale) for load in budgeted_loads]
-        return budgeted_loads
-
-    @staticmethod
-    def _budgeted_maxima(compiled, budget: VectorlessBudget) -> np.ndarray:
-        """Per-source maximum currents (before the global utilisation cap)."""
-        return np.fromiter(
-            (
-                budget.per_load_max.get(name, float(current))
-                for name, current in zip(compiled.load_names, compiled.load_current)
-            ),
-            dtype=float,
-            count=len(compiled.load_names),
-        )
-
-    def _analyze_batched(
-        self, network: PowerGridNetwork, budget: VectorlessBudget
-    ) -> tuple[IRDropResult, IRDropResult]:
-        """Solve the nominal and budgeted scenarios in one multi-RHS batch."""
         compiled = network.compile()
         budgeted = self._budgeted_maxima(compiled, budget)
         total_maximum = float(budgeted.sum())
@@ -237,7 +193,38 @@ class VectorlessAnalyzer:
             np.vstack((compiled.base_loads, bounded_loads)),
             names=(network.name, f"{network.name}_vectorless"),
         )
-        return batch.result(0), batch.result(1)
+        nominal, bound = batch.result(0), batch.result(1)
+        pessimism = (
+            bound.worst_ir_drop / nominal.worst_ir_drop
+            if nominal.worst_ir_drop > 0
+            else float("inf")
+        )
+        return VectorlessResult(bound_result=bound, nominal_result=nominal, pessimism=pessimism)
+
+    @staticmethod
+    def _budgeted_maxima(compiled: CompiledGrid, budget: VectorlessBudget) -> np.ndarray:
+        """Per-source maximum currents (before the global utilisation cap).
+
+        Raises:
+            ValueError: If the budget names loads that ``compiled`` does not
+                have, naming the grid, their count and up to three of them.
+        """
+        known = set(compiled.load_names)
+        unknown = [name for name in budget.per_load_max if name not in known]
+        if unknown:
+            shown = ", ".join(repr(name) for name in unknown[:3])
+            raise ValueError(
+                f"budget names {len(unknown)} load(s) that grid {compiled.name!r} "
+                f"does not have, e.g. {shown}"
+            )
+        return np.fromiter(
+            (
+                budget.per_load_max.get(name, float(current))
+                for name, current in zip(compiled.load_names, compiled.load_current)
+            ),
+            dtype=float,
+            count=len(compiled.load_names),
+        )
 
     def analyze_statistical(
         self,
@@ -283,14 +270,8 @@ class VectorlessAnalyzer:
             deterministic nominal / bound analysis with the streamed sweep.
 
         Raises:
-            TypeError: If the analyzer backend is not a
-                :class:`BatchedAnalysisEngine`.
+            ValueError: If the budget names a load the grid does not have.
         """
-        if not isinstance(self.analyzer, BatchedAnalysisEngine):
-            raise TypeError(
-                "analyze_statistical requires a BatchedAnalysisEngine backend; "
-                f"got {type(self.analyzer).__name__}"
-            )
         if num_scenarios < 1:
             raise ValueError("num_scenarios must be at least 1")
         vectorless = self.analyze(network, budget)

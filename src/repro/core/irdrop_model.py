@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis.irdrop import rasterise_max
 from ..grid.builder import GridTopology
 from ..grid.floorplan import Floorplan
 from ..grid.technology import Technology
@@ -235,36 +236,31 @@ class KirchhoffIRDropEstimator:
     ) -> np.ndarray:
         """Rasterise the predicted per-segment IR drops onto a map (Fig. 8).
 
-        Every segment midpoint deposits its predicted drop into its bin
-        (keeping the maximum per bin); empty bins are filled with the minimum
-        observed drop, mirroring :func:`repro.analysis.irdrop.ir_drop_map`.
+        Every segment midpoint deposits its predicted drop into its bin over
+        the core extent (keeping the maximum per bin); empty bins are filled
+        with the minimum observed drop, as in
+        :func:`repro.analysis.irdrop.ir_drop_map`.
         """
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
-        grid = np.full((resolution, resolution), np.nan)
-        width = max(floorplan.core_width, 1e-12)
-        height = max(floorplan.core_height, 1e-12)
-        for line_id in range(topology.num_lines):
-            drops = prediction.segment_ir_drop[line_id]
-            vertical = topology.is_vertical(line_id)
-            if vertical:
-                x = topology.vertical_positions[line_id]
-                span = np.asarray(topology.horizontal_positions)
-                midpoints_x = np.full(drops.shape, x)
-                midpoints_y = (span[:-1] + span[1:]) / 2.0
-            else:
-                y = topology.horizontal_positions[line_id - topology.num_vertical]
-                span = np.asarray(topology.vertical_positions)
-                midpoints_y = np.full(drops.shape, y)
-                midpoints_x = (span[:-1] + span[1:]) / 2.0
-            x_bins = np.clip((midpoints_x / width * resolution).astype(int), 0, resolution - 1)
-            y_bins = np.clip((midpoints_y / height * resolution).astype(int), 0, resolution - 1)
-            for xb, yb, drop in zip(x_bins, y_bins, drops):
-                current = grid[yb, xb]
-                if np.isnan(current) or drop > current:
-                    grid[yb, xb] = drop
-        observed_min = np.nanmin(grid) if np.any(~np.isnan(grid)) else 0.0
-        return np.where(np.isnan(grid), observed_min, grid)
+        # Lines 0..num_vertical-1 are vertical, each with one segment between
+        # consecutive horizontal lines; the horizontal lines follow.
+        v_positions = np.asarray(topology.vertical_positions, dtype=float)
+        h_positions = np.asarray(topology.horizontal_positions, dtype=float)
+        v_midpoints = (h_positions[:-1] + h_positions[1:]) / 2.0
+        h_midpoints = (v_positions[:-1] + v_positions[1:]) / 2.0
+        xs = np.concatenate(
+            (np.repeat(v_positions, v_midpoints.size), np.tile(h_midpoints, h_positions.size))
+        )
+        ys = np.concatenate(
+            (np.tile(v_midpoints, v_positions.size), np.repeat(h_positions, h_midpoints.size))
+        )
+        return rasterise_max(
+            xs,
+            ys,
+            np.concatenate(prediction.segment_ir_drop),
+            origin=(0.0, 0.0),
+            size=(max(floorplan.core_width, 1e-12), max(floorplan.core_height, 1e-12)),
+            resolution=resolution,
+        )
 
     # ------------------------------------------------------------------
     # Internals

@@ -7,7 +7,7 @@ links), every rule is a :class:`Rule` subclass registered under a stable
 :class:`Finding`\\ s.  Suppression is comment-driven::
 
     x = eval(blob)        # reprolint: disable=RPR004
-    # reprolint: disable-file=RPR005   (anywhere in the file)
+    # reprolint: disable-file=RPR007   (anywhere in the file)
 
 ``disable=all`` works in both forms.  Rules never read pragmas — the
 runner filters findings afterwards, so ``respect_pragmas=False`` (used by

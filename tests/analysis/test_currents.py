@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import (
-    IRDropAnalyzer,
+    BatchedAnalysisEngine,
     branch_currents,
     line_currents,
     pad_currents,
@@ -13,7 +13,7 @@ from repro.analysis import (
 
 @pytest.fixture(scope="module")
 def solved(tiny_grid):
-    return tiny_grid, IRDropAnalyzer().analyze(tiny_grid)
+    return tiny_grid, BatchedAnalysisEngine().analyze(tiny_grid)
 
 
 class TestBranchCurrents:

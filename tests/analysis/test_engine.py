@@ -1,9 +1,10 @@
 """Tests for the cached-factorization, multi-RHS analysis engine.
 
-The acceptance bar for the engine is strict numerical equivalence with the
-legacy per-solve :class:`IRDropAnalyzer` path (≤ 1e-9 per node voltage) plus
-the guarantee that a current-only perturbation sweep is served by exactly
-one sparse factorization.
+The acceptance bar for the engine is numerical equivalence with an
+independent dense solve of the grid's nodal equations
+(:mod:`tests.dense_oracle`, ≤ 1e-9 per node voltage) plus the guarantee
+that a current-only perturbation sweep is served by exactly one sparse
+factorization.
 """
 
 import numpy as np
@@ -11,28 +12,47 @@ import pytest
 
 from repro.analysis import (
     BatchedAnalysisEngine,
-    IRDropAnalyzer,
+    LinearSolverError,
     VectorlessAnalyzer,
+    solvers,
     uniform_budget,
 )
 from repro.core import batched_solve_study
 from repro.grid import (
+    CurrentSource,
+    GridNode,
     NetworkPerturbator,
     PerturbationKind,
     PerturbationSpec,
+    PowerGridNetwork,
+    Resistor,
     SyntheticIBMSuite,
+    VoltageSource,
     perturbed_load_matrix,
 )
+
+from ..dense_oracle import reference_loads, reference_voltages
 
 VOLTAGE_TOLERANCE = 1e-9
 
 
-def max_voltage_difference(legacy_result, engine_result):
+def max_voltage_difference(result, expected_voltages):
+    """Worst per-node voltage difference of a result against node-order voltages.
+
+    ``result.node_voltages`` is keyed in compiled node order, which is the
+    network's node order the oracle returns.
+    """
+    names = list(result.node_voltages)
+    voltages = np.array([result.node_voltages[name] for name in names])
+    return float(np.abs(voltages - expected_voltages).max())
+
+
+def max_result_difference(expected, actual):
     """Worst per-node voltage difference between two analysis results."""
-    assert set(legacy_result.node_voltages) == set(engine_result.node_voltages)
+    assert set(expected.node_voltages) == set(actual.node_voltages)
     return max(
-        abs(voltage - engine_result.node_voltages[name])
-        for name, voltage in legacy_result.node_voltages.items()
+        abs(voltage - actual.node_voltages[name])
+        for name, voltage in expected.node_voltages.items()
     )
 
 
@@ -48,34 +68,46 @@ def ibmpg2_grid():
     return SyntheticIBMSuite(scale=0.5).load("ibmpg2").build_uniform_grid(5.0)
 
 
+@pytest.fixture(scope="module")
+def ibmpg2_full_grid():
+    """Full-scale ibmpg2 (4 544 unknowns): the oracle solves it sparsely."""
+    return SyntheticIBMSuite().load("ibmpg2").build_uniform_grid(5.0)
+
+
+@pytest.fixture(scope="module")
+def ibmpg1_reference(ibmpg1_grid):
+    """Oracle voltages of the nominal ibmpg1 grid, in node order."""
+    return reference_voltages(ibmpg1_grid)
+
+
 class TestSingleSolveEquivalence:
-    @pytest.mark.parametrize("grid_fixture", ["ibmpg1_grid", "ibmpg2_grid"])
-    def test_engine_matches_legacy_analyzer(self, grid_fixture, request):
+    @pytest.mark.parametrize("grid_fixture", ["ibmpg1_grid", "ibmpg2_grid", "ibmpg2_full_grid"])
+    def test_engine_matches_dense_oracle(self, grid_fixture, request):
         grid = request.getfixturevalue(grid_fixture)
-        legacy = IRDropAnalyzer().analyze(grid)
+        expected = reference_voltages(grid)
         engine = BatchedAnalysisEngine().analyze(grid)
-        assert max_voltage_difference(legacy, engine) <= VOLTAGE_TOLERANCE
-        assert engine.worst_ir_drop == pytest.approx(legacy.worst_ir_drop, abs=1e-9)
-        assert engine.worst_node == legacy.worst_node
-        assert engine.average_ir_drop == pytest.approx(legacy.average_ir_drop, abs=1e-9)
+        assert max_voltage_difference(engine, expected) <= VOLTAGE_TOLERANCE
+        drops = grid.vdd - expected
+        assert engine.worst_ir_drop == pytest.approx(drops.max(), abs=1e-9)
+        worst = list(grid.nodes).index(engine.worst_node)
+        assert drops[worst] == pytest.approx(drops.max(), abs=1e-9)
+        assert engine.average_ir_drop == pytest.approx(drops.mean(), abs=1e-9)
 
     @pytest.mark.parametrize("grid_fixture", ["ibmpg1_grid", "ibmpg2_grid"])
     def test_load_perturbed_equivalence(self, grid_fixture, request):
         grid = request.getfixturevalue(grid_fixture)
         spec = PerturbationSpec(gamma=0.25, kind=PerturbationKind.CURRENT_WORKLOADS, seed=42)
         perturbed = NetworkPerturbator(spec).perturb(grid)
-        legacy = IRDropAnalyzer().analyze(perturbed)
         engine = BatchedAnalysisEngine().analyze(perturbed)
-        assert max_voltage_difference(legacy, engine) <= VOLTAGE_TOLERANCE
+        assert max_voltage_difference(engine, reference_voltages(perturbed)) <= VOLTAGE_TOLERANCE
 
     @pytest.mark.parametrize("grid_fixture", ["ibmpg1_grid", "ibmpg2_grid"])
     def test_pad_perturbed_equivalence(self, grid_fixture, request):
         grid = request.getfixturevalue(grid_fixture)
         spec = PerturbationSpec(gamma=0.15, kind=PerturbationKind.NODE_VOLTAGES, seed=17)
         perturbed = NetworkPerturbator(spec).perturb(grid)
-        legacy = IRDropAnalyzer().analyze(perturbed)
         engine = BatchedAnalysisEngine().analyze(perturbed)
-        assert max_voltage_difference(legacy, engine) <= VOLTAGE_TOLERANCE
+        assert max_voltage_difference(engine, reference_voltages(perturbed)) <= VOLTAGE_TOLERANCE
 
     def test_pad_perturbation_reuses_factorization(self, ibmpg1_grid):
         """Pad voltages only enter the RHS, so the factorization is shared."""
@@ -89,21 +121,25 @@ class TestSingleSolveEquivalence:
 
 
 class TestBatchedSolve:
-    def test_batch_matches_legacy_per_scenario(self, ibmpg1_grid):
+    def test_batch_matches_oracle_per_scenario(self, ibmpg1_grid):
+        """Row ``i`` of the batch is the perturbed network of seed ``seed + i``."""
         spec = PerturbationSpec(gamma=0.2, kind=PerturbationKind.CURRENT_WORKLOADS, seed=5)
         num_scenarios = 12
         load_matrix = perturbed_load_matrix(ibmpg1_grid, spec, num_scenarios)
         batch = BatchedAnalysisEngine().analyze_batch(ibmpg1_grid, load_matrix)
-        compiled = ibmpg1_grid.compile()
-        analyzer = IRDropAnalyzer()
+        perturbed_loads = np.array(
+            [
+                reference_loads(
+                    NetworkPerturbator(
+                        PerturbationSpec(gamma=spec.gamma, kind=spec.kind, seed=spec.seed + i)
+                    ).perturb(ibmpg1_grid)
+                )
+                for i in range(num_scenarios)
+            ]
+        )
+        expected = reference_voltages(ibmpg1_grid, loads=perturbed_loads)
         for scenario in range(num_scenarios):
-            per_scenario_spec = PerturbationSpec(
-                gamma=spec.gamma, kind=spec.kind, seed=spec.seed + scenario
-            )
-            perturbed = NetworkPerturbator(per_scenario_spec).perturb(ibmpg1_grid)
-            legacy = analyzer.analyze(perturbed)
-            legacy_voltages = compiled.voltage_array(legacy.node_voltages)
-            difference = np.abs(legacy_voltages - batch.scenario_voltages(scenario)).max()
+            difference = np.abs(expected[scenario] - batch.scenario_voltages(scenario)).max()
             assert difference <= VOLTAGE_TOLERANCE
 
     def test_sweep_of_50_scenarios_uses_one_factorization(self, ibmpg1_grid):
@@ -162,32 +198,34 @@ class TestBatchedSolve:
 
 
 class TestCGFallback:
-    """Above direct_size_limit the engine preserves the legacy AUTO policy:
-    memory-lean preconditioned CG instead of a cached LU factorization."""
+    """Above direct_size_limit the engine solves by Jacobi-preconditioned CG
+    instead of a cached factorization."""
 
-    def test_large_system_falls_back_to_cg(self, ibmpg1_grid):
+    def test_large_system_falls_back_to_cg(self, ibmpg1_grid, ibmpg1_reference):
         engine = BatchedAnalysisEngine(direct_size_limit=10)
-        legacy = IRDropAnalyzer().analyze(ibmpg1_grid)
         result = engine.analyze(ibmpg1_grid)
         assert result.solver_method == "cg"
         assert result.solver_iterations > 0
         assert engine.cache_info().factorizations == 0
-        assert max_voltage_difference(legacy, result) <= 1e-6
+        assert max_voltage_difference(result, ibmpg1_reference) <= 1e-6
 
-    def test_cg_fallback_batch(self, ibmpg1_grid):
+    def test_cg_fallback_batch(self, ibmpg1_grid, ibmpg1_reference):
         engine = BatchedAnalysisEngine(direct_size_limit=10)
         loads = np.tile(ibmpg1_grid.compile().base_loads, (3, 1))
         batch = engine.analyze_batch(ibmpg1_grid, loads)
         assert batch.num_scenarios == 3
         assert not batch.factorization_reused
         assert engine.cache_info().factorizations == 0
-        reference = IRDropAnalyzer().analyze(ibmpg1_grid)
-        compiled = ibmpg1_grid.compile()
-        reference_voltages = compiled.voltage_array(reference.node_voltages)
         for scenario in range(3):
             assert np.abs(
-                batch.scenario_voltages(scenario) - reference_voltages
+                batch.scenario_voltages(scenario) - ibmpg1_reference
             ).max() <= 1e-6
+
+    def test_cg_non_convergence_raises(self, ibmpg1_grid, monkeypatch):
+        monkeypatch.setattr(solvers, "CG_MAX_ITERATIONS", 1)
+        engine = BatchedAnalysisEngine(direct_size_limit=10)
+        with pytest.raises(LinearSolverError, match="CG did not converge within 1 iterations"):
+            engine.analyze(ibmpg1_grid)
 
     def test_invalid_direct_size_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -226,18 +264,35 @@ class TestCacheManagement:
 
 
 class TestVectorlessWithEngine:
-    def test_batched_vectorless_matches_legacy(self, ibmpg1_grid):
+    def test_batched_vectorless_matches_object_level_reference(self, ibmpg1_grid):
+        """The array-built budget equals budgeted current sources on the network."""
         budget = uniform_budget(ibmpg1_grid, headroom=1.4, utilisation=0.9)
-        legacy = VectorlessAnalyzer(IRDropAnalyzer()).analyze(ibmpg1_grid, budget)
         batched = VectorlessAnalyzer(BatchedAnalysisEngine()).analyze(ibmpg1_grid, budget)
-        assert max_voltage_difference(
-            legacy.nominal_result, batched.nominal_result
-        ) <= VOLTAGE_TOLERANCE
-        assert max_voltage_difference(
-            legacy.bound_result, batched.bound_result
-        ) <= VOLTAGE_TOLERANCE
-        assert batched.pessimism == pytest.approx(legacy.pessimism, rel=1e-9)
-        assert batched.bound_result.network_name == legacy.bound_result.network_name
+
+        budgeted_loads = [
+            CurrentSource(
+                name=load.name,
+                node=load.node,
+                current=budget.per_load_max.get(load.name, load.current),
+                block=load.block,
+            )
+            for load in ibmpg1_grid.iter_loads()
+        ]
+        total_maximum = sum(load.current for load in budgeted_loads)
+        scale = total_maximum * budget.global_utilisation / total_maximum
+        bounded = ibmpg1_grid.replace_loads(
+            [load.scaled(scale) for load in budgeted_loads],
+            name=f"{ibmpg1_grid.name}_vectorless",
+        )
+        engine = BatchedAnalysisEngine()
+        nominal = engine.analyze(ibmpg1_grid)
+        bound = engine.analyze(bounded)
+
+        assert max_result_difference(nominal, batched.nominal_result) <= VOLTAGE_TOLERANCE
+        assert max_result_difference(bound, batched.bound_result) <= VOLTAGE_TOLERANCE
+        pessimism = bound.worst_ir_drop / nominal.worst_ir_drop
+        assert batched.pessimism == pytest.approx(pessimism, rel=1e-9)
+        assert batched.bound_result.network_name == bound.network_name
 
     def test_default_vectorless_uses_one_factorization(self, ibmpg1_grid):
         engine = BatchedAnalysisEngine()
@@ -255,3 +310,47 @@ class TestBatchedSolveStudy:
         record = study.as_record()
         assert record["benchmark"] == ibmpg1_grid.name
         assert record["speedup"] == pytest.approx(study.speedup)
+
+
+def voltage_divider(load_current=0.1, r1=1.0, r2=2.0, vdd=1.0):
+    """Pad -- R1 -- middle -- R2 -- sink, load at sink."""
+    network = PowerGridNetwork(name="divider", vdd=vdd)
+    for name in ("pad", "middle", "sink"):
+        network.add_node(GridNode(name=name, x=0.0, y=0.0))
+    network.add_resistor(Resistor(name="R1", node_a="pad", node_b="middle", resistance=r1))
+    network.add_resistor(Resistor(name="R2", node_a="middle", node_b="sink", resistance=r2))
+    network.add_voltage_source(VoltageSource(name="V1", node="pad", voltage=vdd))
+    network.add_current_source(CurrentSource(name="I1", node="sink", current=load_current))
+    return network
+
+
+class TestAnalyticSolutions:
+    def test_voltage_divider_solution(self):
+        """Series chain: middle = vdd - I*R1, sink = vdd - I*(R1+R2)."""
+        network = voltage_divider(load_current=0.1, r1=1.0, r2=2.0, vdd=1.0)
+        result = BatchedAnalysisEngine().analyze(network)
+        assert result.node_voltages["pad"] == pytest.approx(1.0)
+        assert result.node_voltages["middle"] == pytest.approx(1.0 - 0.1 * 1.0)
+        assert result.node_voltages["sink"] == pytest.approx(1.0 - 0.1 * 3.0)
+
+    def test_two_pads_share_load_symmetrically(self):
+        """A load fed by two equal resistors from two pads sits at vdd - I*R/2."""
+        network = PowerGridNetwork(name="two_pads", vdd=1.0)
+        for name in ("p1", "p2", "mid"):
+            network.add_node(GridNode(name=name, x=0.0, y=0.0))
+        network.add_resistor(Resistor(name="R1", node_a="p1", node_b="mid", resistance=2.0))
+        network.add_resistor(Resistor(name="R2", node_a="p2", node_b="mid", resistance=2.0))
+        network.add_voltage_source(VoltageSource(name="V1", node="p1", voltage=1.0))
+        network.add_voltage_source(VoltageSource(name="V2", node="p2", voltage=1.0))
+        network.add_current_source(CurrentSource(name="I1", node="mid", current=0.2))
+        result = BatchedAnalysisEngine().analyze(network)
+        assert result.node_voltages["mid"] == pytest.approx(1.0 - 0.2 * 1.0)
+
+    def test_superposition_of_loads(self):
+        """Node voltages are linear in the load currents."""
+        engine = BatchedAnalysisEngine()
+        base = engine.analyze(voltage_divider(load_current=0.05))
+        double = engine.analyze(voltage_divider(load_current=0.10))
+        drop_base = 1.0 - base.node_voltages["sink"]
+        drop_double = 1.0 - double.node_voltages["sink"]
+        assert drop_double == pytest.approx(2.0 * drop_base)

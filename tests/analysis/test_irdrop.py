@@ -3,13 +3,34 @@
 import numpy as np
 import pytest
 
-from repro.analysis import IRDropAnalyzer, current_conservation_error, ir_drop_map
+from repro.analysis import BatchedAnalysisEngine, current_conservation_error, ir_drop_map
 from repro.grid import CurrentSource, GridNode, PowerGridNetwork, Resistor, VoltageSource
+
+
+def loop_ir_drop_map(network, result, resolution):
+    """Per-point reference rasteriser: one Python step per node, bounding-box bins."""
+    names = list(network.nodes)
+    xs = np.asarray([network.nodes[name].x for name in names], dtype=float)
+    ys = np.asarray([network.nodes[name].y for name in names], dtype=float)
+    drops = np.asarray([result.node_ir_drop[name] for name in names], dtype=float)
+    x_min, x_max = xs.min(), xs.max()
+    y_min, y_max = ys.min(), ys.max()
+    x_span = max(x_max - x_min, 1e-12)
+    y_span = max(y_max - y_min, 1e-12)
+    x_bins = np.clip(((xs - x_min) / x_span * resolution).astype(int), 0, resolution - 1)
+    y_bins = np.clip(((ys - y_min) / y_span * resolution).astype(int), 0, resolution - 1)
+    grid = np.full((resolution, resolution), np.nan)
+    for xb, yb, drop in zip(x_bins, y_bins, drops):
+        current = grid[yb, xb]
+        if np.isnan(current) or drop > current:
+            grid[yb, xb] = drop
+    observed_min = np.nanmin(grid) if np.any(~np.isnan(grid)) else 0.0
+    return np.where(np.isnan(grid), observed_min, grid)
 
 
 @pytest.fixture(scope="module")
 def tiny_result(tiny_grid):
-    return IRDropAnalyzer().analyze(tiny_grid)
+    return BatchedAnalysisEngine().analyze(tiny_grid)
 
 
 class TestIRDropAnalysis:
@@ -41,7 +62,7 @@ class TestIRDropAnalysis:
         assert current_conservation_error(tiny_grid, tiny_result) < 1e-8
 
     def test_more_current_more_drop(self, tiny_grid):
-        analyzer = IRDropAnalyzer()
+        analyzer = BatchedAnalysisEngine()
         nominal = analyzer.analyze(tiny_grid)
         heavy = analyzer.analyze(tiny_grid.with_scaled_loads(2.0))
         assert heavy.worst_ir_drop == pytest.approx(2.0 * nominal.worst_ir_drop, rel=1e-6)
@@ -53,7 +74,7 @@ class TestIRDropAnalysis:
         network.add_resistor(Resistor(name="R1", node_a="pad", node_b="load", resistance=5.0))
         network.add_voltage_source(VoltageSource(name="V1", node="pad", voltage=1.0))
         network.add_current_source(CurrentSource(name="I1", node="load", current=0.01))
-        result = IRDropAnalyzer().analyze(network)
+        result = BatchedAnalysisEngine().analyze(network)
         assert result.worst_ir_drop == pytest.approx(0.05)
         assert result.worst_node == "load"
 
@@ -84,3 +105,14 @@ class TestIRDropMap:
         cx, cy = heaviest.center
         assert abs(hot_x / 20.0 - cx / tiny_floorplan.core_width) < 0.5
         assert abs(hot_y / 20.0 - cy / tiny_floorplan.core_height) < 0.5
+
+    @pytest.mark.parametrize("resolution", [1, 7, 20, 100, 400])
+    def test_map_equals_per_point_reference(self, tiny_grid, tiny_result, resolution):
+        expected = loop_ir_drop_map(tiny_grid, tiny_result, resolution)
+        assert np.array_equal(ir_drop_map(tiny_grid, tiny_result, resolution), expected)
+
+    @pytest.mark.parametrize("resolution", [20, 100, 400])
+    def test_benchmark_map_equals_per_point_reference(self, golden_plan, resolution):
+        network, result = golden_plan.network, golden_plan.ir_result
+        expected = loop_ir_drop_map(network, result, resolution)
+        assert np.array_equal(ir_drop_map(network, result, resolution), expected)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import IRDropAnalyzer
+from repro.analysis import BatchedAnalysisEngine
 from repro.core import KirchhoffIRDropEstimator, pg_line_count
 from repro.grid import GridBuilder
 
@@ -70,7 +70,7 @@ class TestPrediction:
         """The Algorithm 2 estimate should land within ~3x of the MNA solve."""
         prediction = estimator.predict(tiny_floorplan, tiny_topology, uniform_widths)
         network = GridBuilder(technology).build(tiny_floorplan, tiny_topology, uniform_widths)
-        golden = IRDropAnalyzer().analyze(network)
+        golden = BatchedAnalysisEngine().analyze(network)
         ratio = prediction.worst_ir_drop / golden.worst_ir_drop
         assert 1 / 3 <= ratio <= 3.0
 
@@ -100,7 +100,54 @@ class TestPrediction:
             KirchhoffIRDropEstimator(technology, approach_factor=2.0)
 
 
+def loop_predicted_map(floorplan, topology, prediction, resolution):
+    """Per-point reference rasteriser: one Python step per segment midpoint."""
+    grid = np.full((resolution, resolution), np.nan)
+    width = max(floorplan.core_width, 1e-12)
+    height = max(floorplan.core_height, 1e-12)
+    for line_id in range(topology.num_lines):
+        drops = prediction.segment_ir_drop[line_id]
+        if topology.is_vertical(line_id):
+            span = np.asarray(topology.horizontal_positions)
+            midpoints_x = np.full(drops.shape, topology.vertical_positions[line_id])
+            midpoints_y = (span[:-1] + span[1:]) / 2.0
+        else:
+            span = np.asarray(topology.vertical_positions)
+            midpoints_y = np.full(
+                drops.shape, topology.horizontal_positions[line_id - topology.num_vertical]
+            )
+            midpoints_x = (span[:-1] + span[1:]) / 2.0
+        x_bins = np.clip((midpoints_x / width * resolution).astype(int), 0, resolution - 1)
+        y_bins = np.clip((midpoints_y / height * resolution).astype(int), 0, resolution - 1)
+        for xb, yb, drop in zip(x_bins, y_bins, drops):
+            current = grid[yb, xb]
+            if np.isnan(current) or drop > current:
+                grid[yb, xb] = drop
+    observed_min = np.nanmin(grid) if np.any(~np.isnan(grid)) else 0.0
+    return np.where(np.isnan(grid), observed_min, grid)
+
+
 class TestMap:
+    @pytest.mark.parametrize("resolution", [1, 7, 20, 100, 400])
+    def test_map_equals_per_point_reference(
+        self, estimator, tiny_floorplan, tiny_topology, uniform_widths, resolution
+    ):
+        prediction = estimator.predict(tiny_floorplan, tiny_topology, uniform_widths)
+        expected = loop_predicted_map(tiny_floorplan, tiny_topology, prediction, resolution)
+        ir_map = estimator.ir_drop_map(tiny_floorplan, tiny_topology, prediction, resolution)
+        assert np.array_equal(ir_map, expected)
+
+    @pytest.mark.parametrize("resolution", [20, 100, 400])
+    def test_benchmark_map_equals_per_point_reference(
+        self, estimator, small_benchmark, golden_plan, resolution
+    ):
+        floorplan, topology = small_benchmark.floorplan, small_benchmark.topology
+        prediction = estimator.predict(floorplan, topology, golden_plan.widths)
+        expected = loop_predicted_map(floorplan, topology, prediction, resolution)
+        ir_map = estimator.ir_drop_map(floorplan, topology, prediction, resolution)
+        assert np.array_equal(ir_map, expected)
+
+
     def test_map_shape_and_worst_value(
         self, estimator, tiny_floorplan, tiny_topology, uniform_widths
     ):

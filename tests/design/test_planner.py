@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import IRDropAnalyzer
+from repro.analysis import BatchedAnalysisEngine
 from repro.design import ConventionalPowerPlanner, DesignRules, ReliabilityConstraints
 
 
@@ -126,16 +126,25 @@ class TestCompiledLoopEquivalence:
             assert iteration.analysis_time > 0
             assert iteration.build_time > 0
 
-    def test_legacy_analyzer_falls_back_to_rebuild_loop(self, small_benchmark):
-        """A non-engine analyzer cannot drive the compiled loop."""
+
+class TestSolverTag:
+    """The final result names the solver the engine used on the final grid."""
+
+    @pytest.mark.parametrize("search", [False, True], ids=["compiled", "search"])
+    @pytest.mark.parametrize(
+        ("direct_size_limit", "expected"), [(60000, "cached_lu"), (10, "cg")]
+    )
+    def test_final_result_reports_the_engine_solver(
+        self, technology, tiny_floorplan, tiny_topology, direct_size_limit, expected, search
+    ):
         planner = ConventionalPowerPlanner(
-            small_benchmark.technology,
-            analyzer=IRDropAnalyzer(),
-            use_compiled_loop=True,
+            technology,
+            max_iterations=2,
+            analyzer=BatchedAnalysisEngine(direct_size_limit=direct_size_limit),
+            search=search,
         )
-        plan = planner.plan(small_benchmark.floorplan, small_benchmark.topology)
-        assert plan.converged
-        assert plan.ir_result.solver_method not in ("",)
+        plan = planner.plan(tiny_floorplan, tiny_topology)
+        assert plan.ir_result.solver_method == expected
 
 
 class TestParameters:

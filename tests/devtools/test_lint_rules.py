@@ -88,10 +88,10 @@ def test_lock_rule_flags_the_seeded_sweepqueue_fixture():
 
 
 def test_pragma_silences_a_fixture_finding():
-    source, virtual_path, _ = load_fixture("rpr005_flags.py.txt")
+    source, virtual_path, _ = load_fixture("rpr007_flags.py.txt")
     silenced = source.replace(
-        "import repro.analysis.solver  # expect: RPR005",
-        "import repro.analysis.solver  # reprolint: disable=RPR005",
+        "pending = []  # expect: RPR007",
+        "pending = []  # reprolint: disable=RPR007",
     )
     findings = lint_source(silenced, virtual_path)
     assert len(findings) == len(lint_source(source, virtual_path)) - 1

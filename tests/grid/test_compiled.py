@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis import assemble
 from repro.grid import (
     GROUND_NODE,
     CompiledGrid,
@@ -18,49 +17,7 @@ from repro.grid import (
     compile_grid,
 )
 
-
-def reference_assemble(network):
-    """Straightforward dict-based re-implementation of the legacy stamping.
-
-    Kept as an independent oracle for the vectorised COO assembly: it
-    mirrors, element by element, the per-resistor Python loop the assembler
-    used before the CompiledGrid refactor.
-    """
-    fixed = {}
-    for source in network.iter_pads():
-        fixed[source.node] = source.voltage
-    unknown = [name for name in network.nodes if name not in fixed]
-    index = {name: i for i, name in enumerate(unknown)}
-    n = len(unknown)
-    matrix = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for resistor in network.iter_resistors():
-        g = 1.0 / resistor.resistance
-        a, b = resistor.node_a, resistor.node_b
-        if a == GROUND_NODE and b == GROUND_NODE:
-            continue
-        if a == GROUND_NODE or b == GROUND_NODE:
-            node = b if a == GROUND_NODE else a
-            if node in index:
-                matrix[index[node], index[node]] += g
-            continue
-        a_fixed, b_fixed = a in fixed, b in fixed
-        if a_fixed and b_fixed:
-            continue
-        if a_fixed or b_fixed:
-            fixed_node, free = (a, b) if a_fixed else (b, a)
-            matrix[index[free], index[free]] += g
-            rhs[index[free]] += g * fixed[fixed_node]
-            continue
-        i, j = index[a], index[b]
-        matrix[i, i] += g
-        matrix[j, j] += g
-        matrix[i, j] -= g
-        matrix[j, i] -= g
-    for load in network.iter_loads():
-        if load.node in index:
-            rhs[index[load.node]] -= load.current
-    return matrix, rhs, unknown
+from ..dense_oracle import reference_assemble
 
 
 def awkward_network():
@@ -81,6 +38,54 @@ def awkward_network():
     network.add_current_source(CurrentSource(name="I2", node="c", current=0.01))
     network.add_current_source(CurrentSource(name="Ipad", node="p1", current=0.5))
     return network
+
+
+def voltage_divider():
+    """Pad -- R1 (1 ohm) -- middle -- R2 (2 ohm) -- sink, 0.1 A load at sink."""
+    network = PowerGridNetwork(name="divider", vdd=1.0)
+    for name in ("pad", "middle", "sink"):
+        network.add_node(GridNode(name=name, x=0.0, y=0.0))
+    network.add_resistor(Resistor(name="R1", node_a="pad", node_b="middle", resistance=1.0))
+    network.add_resistor(Resistor(name="R2", node_a="middle", node_b="sink", resistance=2.0))
+    network.add_voltage_source(VoltageSource(name="V1", node="pad", voltage=1.0))
+    network.add_current_source(CurrentSource(name="I1", node="sink", current=0.1))
+    return network
+
+
+class TestStamping:
+    """Hand-checkable stamps of the reduced system, independent of the reference."""
+
+    def test_unknowns_exclude_pad_nodes(self):
+        compiled = compile_grid(voltage_divider())
+        assert list(compiled.unknown_nodes) == ["middle", "sink"]
+        assert compiled.pad_voltage[compiled.node_index["pad"]] == 1.0
+
+    def test_matrix_is_symmetric(self, tiny_grid):
+        matrix = compile_grid(tiny_grid).reduced_matrix
+        np.testing.assert_allclose((matrix - matrix.T).toarray(), 0.0, atol=1e-12)
+
+    def test_matrix_diagonal_positive(self, tiny_grid):
+        assert np.all(compile_grid(tiny_grid).reduced_matrix.diagonal() > 0)
+
+    def test_rhs_contains_loads_and_pad_contributions(self):
+        compiled = compile_grid(voltage_divider())
+        index = {name: i for i, name in enumerate(compiled.unknown_nodes)}
+        # middle node: pad contribution = G1 * vdd = 1.0; sink: -load
+        rhs = compiled.rhs()
+        assert rhs[index["middle"]] == pytest.approx(1.0)
+        assert rhs[index["sink"]] == pytest.approx(-0.1)
+
+    def test_ground_resistor_stamped_on_diagonal(self):
+        network = voltage_divider()
+        network.add_resistor(Resistor(name="Rg", node_a="sink", node_b="0", resistance=10.0))
+        compiled = compile_grid(network)
+        assert compiled.ground_connected
+        sink = list(compiled.unknown_nodes).index("sink")
+        plain = compile_grid(voltage_divider())
+        # the diagonal gains 1/10
+        assert compiled.reduced_matrix[sink, sink] == pytest.approx(
+            plain.reduced_matrix[sink, sink] + 0.1
+        )
 
 
 class TestCompilation:
@@ -107,22 +112,6 @@ class TestCompilation:
         assert compiled.ground_connected
         np.testing.assert_allclose(compiled.reduced_matrix.toarray(), matrix, atol=1e-15)
         np.testing.assert_allclose(compiled.rhs(), rhs, atol=1e-15)
-
-    def test_assemble_wrapper_uses_compiled_grid(self, tiny_grid):
-        system = assemble(tiny_grid)
-        compiled = tiny_grid.compile()
-        assert system.unknown_nodes == list(compiled.unknown_nodes)
-        np.testing.assert_allclose(
-            system.matrix.toarray(), compiled.reduced_matrix.toarray(), atol=1e-15
-        )
-
-    def test_assembled_matrix_is_independently_mutable(self, tiny_grid):
-        """Mutating one assembled system must not poison the compiled cache."""
-        system = assemble(tiny_grid)
-        original_diagonal = system.matrix.diagonal().copy()
-        system.matrix.setdiag(system.matrix.diagonal() + 1e3)
-        fresh = assemble(tiny_grid)
-        np.testing.assert_allclose(fresh.matrix.diagonal(), original_diagonal)
 
     def test_base_loads_aggregate_per_node(self):
         network = awkward_network()

@@ -8,17 +8,17 @@ results, i.e. the file format carries everything the analysis needs.
 
 import pytest
 
-from repro.analysis import IRDropAnalyzer
+from repro.analysis import BatchedAnalysisEngine
 from repro.grid import read_netlist, write_netlist
 
 
 class TestNetlistAnalysisRoundTrip:
     def test_analysis_identical_after_roundtrip(self, tiny_grid, tmp_path):
-        original_result = IRDropAnalyzer().analyze(tiny_grid)
+        original_result = BatchedAnalysisEngine().analyze(tiny_grid)
 
         path = write_netlist(tiny_grid, tmp_path / "grid.spice")
         recovered = read_netlist(path)
-        recovered_result = IRDropAnalyzer().analyze(recovered)
+        recovered_result = BatchedAnalysisEngine().analyze(recovered)
 
         assert recovered_result.worst_ir_drop == pytest.approx(
             original_result.worst_ir_drop, rel=1e-6
@@ -33,7 +33,7 @@ class TestNetlistAnalysisRoundTrip:
         path = write_netlist(network, tmp_path / "bench.spice")
         recovered = read_netlist(path)
         assert recovered.statistics().as_row() == network.statistics().as_row()
-        recovered_result = IRDropAnalyzer().analyze(recovered)
+        recovered_result = BatchedAnalysisEngine().analyze(recovered)
         assert recovered_result.worst_ir_drop == pytest.approx(
             golden_plan.ir_result.worst_ir_drop, rel=1e-6
         )
