@@ -90,14 +90,12 @@ from repro.analysis import (
     NodeHistogramSink,
     P2QuantileSink,
     QuantileSketchSink,
-    RemoteExecutor,
     ReservoirQuantileSink,
     TopKScenarioSink,
-    make_coordinator,
     make_executor,
-    run_worker,
 )
 from repro.analysis.executors import start_context
+from repro.analysis.remote import RemoteExecutor, make_coordinator, run_worker
 from repro.core import format_key_values
 from repro.grid import SyntheticIBMSuite, mega_sweep_matrices
 

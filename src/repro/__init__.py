@@ -59,7 +59,7 @@ from .grid import (
 )
 from .nn import MultiTargetRegressor, RegressorConfig
 
-__version__ = "1.0.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BatchedAnalysisEngine",

@@ -7,6 +7,12 @@ factor), IR-drop map rasterisation, branch-current extraction,
 electromigration checking against ``Jmax`` and an early vectorless bound
 analysis — i.e. the time-consuming steps of the conventional power-planning
 flow that PowerPlanningDL is designed to avoid.
+
+The cross-host executor and its HTTP transport (``RemoteExecutor``,
+``SweepQueue``, ``make_coordinator``, ``run_worker``, ``COORDINATOR_ENV``)
+live in :mod:`repro.analysis.remote` and are imported from there, so a
+process that never runs a remote sweep never loads the HTTP stack;
+``make_executor("remote")`` imports it on demand.
 """
 
 from .currents import (
@@ -43,7 +49,6 @@ from .executors import (
     make_executor,
 )
 from .irdrop import IRDropResult, ir_drop_map
-from .remote import COORDINATOR_ENV, RemoteExecutor, SweepQueue, make_coordinator, run_worker
 from .sinks import (
     ExceedanceCounts,
     ExceedanceCountSink,
@@ -118,12 +123,9 @@ __all__ = [
     "PreconditionedUpdateFactorization",
     "QuantileEstimate",
     "QuantileSketchSink",
-    "RemoteExecutor",
     "ReservoirQuantileSink",
-    "COORDINATOR_ENV",
     "SOLVER_ENV",
     "SOLVER_NAMES",
-    "SweepQueue",
     "ScenarioSink",
     "ScenarioSource",
     "SinkSnapshot",
@@ -141,10 +143,8 @@ __all__ = [
     "VectorlessResult",
     "WoodburyFactorization",
     "cholmod_available",
-    "make_coordinator",
     "make_executor",
     "make_update_factorization",
-    "run_worker",
     "resolve_chunk_size",
     "resolve_solver_backend",
     "branch_current_array",

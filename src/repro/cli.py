@@ -38,7 +38,6 @@ from .analysis import (
     NodeHistogramSink,
     P2QuantileSink,
     QuantileSketchSink,
-    RemoteExecutor,
     TopKScenarioSink,
 )
 from .core import PowerPlanningDL, format_key_values, format_table
@@ -535,6 +534,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     executor = args.executor
     if args.coordinator is not None or args.executor == "remote":
+        from .analysis.remote import RemoteExecutor
+
         try:
             executor = RemoteExecutor(workers=args.workers, coordinator=args.coordinator)
         except ValueError as exc:

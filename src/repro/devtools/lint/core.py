@@ -108,22 +108,6 @@ class ModuleContext:
             or path.name == "conftest.py"
         )
 
-    @property
-    def module_dotted(self) -> str | None:
-        """Dotted module path (``repro.analysis.engine``) when derivable.
-
-        Derived from the first ``repro`` component of the file path, so
-        it works for ``src/repro/…`` checkouts and installed trees alike;
-        ``None`` for files outside a ``repro`` package (tests, scripts).
-        """
-        parts = list(Path(self.path).with_suffix("").parts)
-        if "repro" not in parts:
-            return None
-        parts = parts[parts.index("repro"):]
-        if parts[-1] == "__init__":
-            parts = parts[:-1]
-        return ".".join(parts)
-
     # -- comments ------------------------------------------------------
     def comment_on(self, line: int) -> str:
         """The comment text (sans ``#``) on ``line``, or ``""``."""

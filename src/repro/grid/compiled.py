@@ -142,8 +142,7 @@ class CompiledGrid:
             reduced-system order.
         pad_sel: Indices of the pad nodes, in node order.
         pad_voltage: Per-node pad voltage (0 for non-pad nodes).  When
-            several pads share a node, the last added pad wins, matching the
-            legacy assembler.
+            several pads share a node, the last added pad wins.
         pad_node: Per-pad node index, in insertion order.
         pad_voltage_values: Per-pad voltage, aligned with ``pad_node``.
         base_loads: Per-node total load current in amperes.
@@ -341,8 +340,8 @@ class CompiledGrid:
         self.pad_voltage = np.zeros(n, dtype=float)
         if self.pad_node.size:
             self.is_pad[self.pad_node] = True
-            # Fancy assignment resolves duplicate pad nodes last-wins,
-            # matching the legacy assembler's iteration order.
+            # Several pads on one node: the last added pad sets its
+            # voltage (fancy assignment resolves duplicates last-wins).
             self.pad_voltage[self.pad_node] = self.pad_voltage_values
 
         self.base_loads = (
@@ -351,8 +350,8 @@ class CompiledGrid:
             else np.zeros(n, dtype=float)
         )
 
-        # Unknown (non-pad) nodes keep their relative insertion order,
-        # exactly like the legacy assembler.
+        # Unknown (non-pad) nodes keep their relative insertion order, so
+        # the reduced system's row order is the network's node order.
         self.unknown_sel = np.flatnonzero(~self.is_pad)
         self.unknown_index = np.full(n, _GROUND_INDEX, dtype=np.int64)
         self.unknown_index[self.unknown_sel] = np.arange(len(self.unknown_sel))
@@ -571,7 +570,7 @@ class CompiledGrid:
         Args:
             loads: Per-node load currents over all nodes (defaults to the
                 compiled network's own loads).  Loads attached to pad nodes
-                are ignored, as in the legacy assembler.
+                are ignored: a pad fixes its node's voltage.
         """
         loads = self.base_loads if loads is None else np.asarray(loads, dtype=float)
         if loads.shape != (self.num_nodes,):
@@ -649,8 +648,8 @@ class CompiledGrid:
 
         Returns:
             ``(num_scenarios, num_nodes)`` per-node pad voltages (0 on
-            non-pad nodes; duplicates resolve last-wins like the legacy
-            assembler).
+            non-pad nodes; when several pads share a node, the last added
+            pad wins).
         """
         pad_voltage_matrix = np.asarray(pad_voltage_matrix, dtype=float)
         if pad_voltage_matrix.ndim != 2 or pad_voltage_matrix.shape[1] != len(self.pad_node):

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import networkx as nx
+import numpy as np
+import scipy.sparse as sp
 
 from .compiled import CompiledGrid
 from .elements import GROUND_NODE, CurrentSource, GridNode, Resistor, VoltageSource
@@ -248,31 +249,14 @@ class PowerGridNetwork:
             groups.setdefault(resistor.line_id, []).append(resistor)
         return groups
 
-    def to_graph(self) -> nx.Graph:
-        """Return an undirected NetworkX graph of the resistive network.
-
-        Nodes keep their coordinates and layer as attributes; edges carry the
-        branch resistance and the originating resistor name.  The ground node
-        is included if any resistor references it.
-        """
-        graph = nx.Graph()
-        for node in self._nodes.values():
-            graph.add_node(node.name, x=node.x, y=node.y, layer=node.layer)
-        for resistor in self._resistors.values():
-            graph.add_edge(
-                resistor.node_a,
-                resistor.node_b,
-                resistance=resistor.resistance,
-                name=resistor.name,
-            )
-        return graph
-
     def is_connected_to_pads(self) -> bool:
         """Check that every node can reach at least one supply pad.
 
-        This is stricter than what analysis needs: a node that reaches
-        neither a pad nor ground makes the conductance matrix singular,
-        and the analysis engine rejects such grids through
+        The graph has one vertex per node and per resistor endpoint (so
+        ground joins it when a resistor names it) and one edge per
+        resistor.  This is stricter than what analysis needs: a node that
+        reaches neither a pad nor ground makes the conductance matrix
+        singular, and the analysis engine rejects such grids through
         :meth:`~repro.grid.compiled.CompiledGrid.require_connected`, which
         also accepts a resistive path to ground.  This pad-only check is a
         convenience for builders and tests; no analysis path calls it.
@@ -280,12 +264,26 @@ class PowerGridNetwork:
         pads = self.pad_nodes()
         if not pads:
             return False
-        graph = self.to_graph()
-        reachable: set[str] = set()
-        for pad in pads:
-            if pad in graph:
-                reachable |= nx.node_connected_component(graph, pad)
-        return all(name in reachable for name in self._nodes)
+        # Deferred, as in CompiledGrid.floating_nodes: importing csgraph at
+        # module level measurably slowed every interpreter's start-up.
+        from scipy.sparse.csgraph import connected_components
+
+        vertex = dict(self.node_index())
+        ends = np.array(
+            [
+                vertex.setdefault(name, len(vertex))
+                for resistor in self._resistors.values()
+                for name in (resistor.node_a, resistor.node_b)
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        graph = sp.coo_matrix(
+            (np.ones(len(ends), dtype=np.int8), (ends[:, 0], ends[:, 1])),
+            shape=(len(vertex), len(vertex)),
+        )
+        _, labels = connected_components(graph, directed=False)
+        fed = [labels[vertex[pad]] for pad in pads if pad in vertex]
+        return bool(np.isin(labels[: len(self._nodes)], fed).all())
 
     # ------------------------------------------------------------------
     # Copying / modification helpers

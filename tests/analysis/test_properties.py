@@ -9,6 +9,8 @@ independent dense solve (:mod:`tests.dense_oracle`) and satisfy the
 properties any correct static IR-drop engine must: voltage bounds,
 Kirchhoff's current law, linearity in the loads (superposition),
 monotonicity in wire width, and conservation of current at the pads.
+The mega sweep is also checked under every executor shape, and the
+incremental (low-rank update) factorizations against the same oracle.
 """
 
 import numpy as np
@@ -16,13 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import BatchedAnalysisEngine
+from repro.analysis import (
+    BatchedAnalysisEngine,
+    HybridExecutor,
+    PreconditionedUpdateFactorization,
+    WoodburyFactorization,
+)
 from repro.grid import (
     Floorplan,
     FunctionalBlock,
     GridBuilder,
     GridTopology,
     PowerPad,
+    SyntheticIBMSuite,
     generic_45nm,
     uniform_topology,
 )
@@ -35,6 +43,9 @@ _TECH = generic_45nm()
 ENTRY_POINTS = ("analyze", "analyze_batch", "analyze_pad_batch", "analyze_mega_sweep")
 
 ORACLE_TOLERANCE = 1e-9
+
+SHARDED_SHAPES = ((1, 2), (2, 1), (2, 2))
+"""``(shard_workers, threads_per_shard)`` shapes checked against ``serial``."""
 
 
 def _random_floorplan(data: st.DataObject) -> Floorplan:
@@ -93,6 +104,15 @@ def _build(floorplan: Floorplan, topology: GridTopology, width: float = 5.0):
     return GridBuilder(_TECH).build(floorplan, topology, width)
 
 
+def _mega_sweep(network, load_rows, pad_rows, executor=None):
+    """One mega sweep recording every voltage: ``(reductions, voltages)``."""
+    recorder = VoltageRecorder()
+    result = BatchedAnalysisEngine().analyze_mega_sweep(
+        network, load_rows, pad_rows, chunk_size=3, sinks=[recorder], executor=executor
+    )
+    return result.reductions, recorder.result().T
+
+
 def _solve(entry: str, network, load_rows: np.ndarray, pad_rows: np.ndarray):
     """Solve the (load row, pad row) scenarios one entry point supports.
 
@@ -126,9 +146,7 @@ def _solve(entry: str, network, load_rows: np.ndarray, pad_rows: np.ndarray):
         batch = engine.analyze_pad_batch(network, pads, load_matrix=loads)
         voltages = np.array([batch.scenario_voltages(k) for k in range(len(loads))])
     else:
-        recorder = VoltageRecorder()
-        engine.analyze_mega_sweep(network, load_rows, pad_rows, chunk_size=3, sinks=[recorder])
-        voltages = recorder.result().T
+        voltages = _mega_sweep(network, load_rows, pad_rows)[1]
     shape = (num_loads, num_pads)
     return (
         loads.reshape(*shape, -1),
@@ -232,3 +250,62 @@ def test_wider_wires_never_increase_worst_drop(data):
         narrow_worst = (_TECH.vdd - narrow_voltages).max()
         wide_worst = (_TECH.vdd - wide_voltages).max()
         assert wide_worst <= narrow_worst + 1e-12, entry
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_mega_sweep_under_every_executor_shape(data):
+    """Serial, threaded, sharded and hybrid sweeps all agree with the dense
+    oracle, and each reproduces the serial shape's reductions and recorded
+    voltages bitwise."""
+    floorplan = _random_floorplan(data)
+    network = _build(floorplan, _random_topology(data, floorplan))
+    load_rows, pad_rows, _ = _scenario_inputs(data, network)
+    expected = reference_voltages(
+        network,
+        np.repeat(load_rows, len(pad_rows), axis=0),
+        np.tile(pad_rows, (len(load_rows), 1)),
+    )
+    serial_reductions, serial_voltages = _mega_sweep(network, load_rows, pad_rows, "serial")
+    assert np.abs(serial_voltages - expected).max() <= ORACLE_TOLERANCE
+    for shards, threads in SHARDED_SHAPES:
+        reductions, voltages = _mega_sweep(
+            network, load_rows, pad_rows, HybridExecutor(shards, threads)
+        )
+        shape = f"{shards}x{threads}"
+        assert np.abs(voltages - expected).max() <= ORACLE_TOLERANCE, shape
+        np.testing.assert_array_equal(voltages, serial_voltages, err_msg=shape)
+        for field in ("worst_ir_drop", "average_ir_drop", "worst_node_index"):
+            np.testing.assert_array_equal(
+                getattr(reductions, field), getattr(serial_reductions, field), err_msg=shape
+            )
+
+
+def test_chained_incremental_updates_match_the_dense_oracle():
+    """A one-line resize is served by a dense Woodbury update; four more
+    lines resized from that clone exceed the dense rank limit and are
+    served by preconditioned CG on the union delta against the direct base
+    factors.  Both stay within 1e-9 V of the dense oracle."""
+    bench = SyntheticIBMSuite().load("ibmpg1")
+    builder = GridBuilder(bench.technology)
+    floorplan, topology = bench.floorplan, bench.topology
+    engine = BatchedAnalysisEngine()
+    widths = np.full(topology.num_lines, 5.0)
+    previous = builder.build_compiled(floorplan, topology, widths)
+    engine.analyze(previous)
+    steps = (
+        ({0: 7.0}, WoodburyFactorization, 27),
+        ({3: 6.0, 10: 4.0, 20: 8.0, 30: 3.0}, PreconditionedUpdateFactorization, 135),
+    )
+    for resize, kind, rank in steps:
+        widths = widths.copy()
+        widths[list(resize)] = list(resize.values())
+        clone = builder.resize_compiled(previous, topology, widths)
+        factor = engine.factor_update(previous, clone)
+        assert type(factor) is kind
+        assert factor.update_rank == rank
+        expected = reference_voltages(builder.build(floorplan, topology, widths))
+        assert np.abs(engine.solve_voltages(clone) - expected).max() <= ORACLE_TOLERANCE
+        previous = clone
+    info = engine.cache_info()
+    assert (info.updates, info.update_fallbacks) == (2, 0)

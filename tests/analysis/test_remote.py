@@ -24,15 +24,18 @@ from repro.analysis import (
     MatrixScenarioSource,
     P2QuantileSink,
     QuantileSketchSink,
-    RemoteExecutor,
-    SweepQueue,
     TopKScenarioSink,
-    make_coordinator,
     make_executor,
-    run_worker,
 )
 from repro.analysis.executors import EXECUTOR_ENV, EXECUTOR_NAMES
-from repro.analysis.remote import COORDINATOR_ENV, _request
+from repro.analysis.remote import (
+    COORDINATOR_ENV,
+    RemoteExecutor,
+    SweepQueue,
+    _request,
+    make_coordinator,
+    run_worker,
+)
 from repro.grid import (
     PerturbationKind,
     PerturbationSpec,

@@ -90,18 +90,17 @@ def test_finding_render_is_path_line_col_code():
 # ModuleContext path predicates
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    ("path", "dotted", "is_test"),
+    ("path", "is_test"),
     [
-        ("src/repro/analysis/engine.py", "repro.analysis.engine", False),
-        ("src/repro/analysis/__init__.py", "repro.analysis", False),
-        ("tests/analysis/test_engine.py", None, True),
-        ("scripts/sweep.py", None, False),
-        ("conftest.py", None, True),
+        ("src/repro/analysis/engine.py", False),
+        ("src/repro/analysis/__init__.py", False),
+        ("tests/analysis/test_engine.py", True),
+        ("scripts/sweep.py", False),
+        ("conftest.py", True),
     ],
 )
-def test_module_context_path_predicates(path, dotted, is_test):
+def test_module_context_path_predicates(path, is_test):
     context = ModuleContext(path, "x = 1\n", ast.parse("x = 1\n"))
-    assert context.module_dotted == dotted
     assert context.is_test_file is is_test
 
 

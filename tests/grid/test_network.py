@@ -104,12 +104,6 @@ class TestDerivedQuantities:
         assert set(lines) == {0}
         assert len(lines[0]) == 2
 
-    def test_to_graph_preserves_connectivity(self):
-        network = make_chain(4)
-        graph = network.to_graph()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 3
-
     def test_is_connected_to_pads_true_for_chain(self):
         assert make_chain(4).is_connected_to_pads()
 
@@ -117,6 +111,16 @@ class TestDerivedQuantities:
         network = make_chain(3)
         network.add_node(GridNode(name="island", x=99.0, y=99.0))
         assert not network.is_connected_to_pads()
+
+    def test_is_connected_to_pads_through_ground(self):
+        """Ground is a vertex once a resistor names it, so a node whose only
+        path to a pad runs through ground still counts as connected."""
+        network = make_chain(3)
+        network.add_node(GridNode(name="leaf", x=9.0, y=9.0))
+        network.add_resistor(Resistor(name="Rg0", node_a="n0", node_b="0", resistance=1.0))
+        assert not network.is_connected_to_pads()
+        network.add_resistor(Resistor(name="Rg1", node_a="0", node_b="leaf", resistance=1.0))
+        assert network.is_connected_to_pads()
 
     def test_is_connected_to_pads_false_without_pads(self):
         network = PowerGridNetwork()
