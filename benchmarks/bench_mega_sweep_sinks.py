@@ -4,7 +4,7 @@ The paper's value proposition is evaluating huge numbers of PDN scenarios
 cheaply.  This bench drives the combined pad-voltage x load-perturbation
 cross product (:meth:`BatchedAnalysisEngine.analyze_mega_sweep`) at
 ``>= 1e5`` scenarios on ``ibmpg1``, with the full sink stack attached —
-P2 / reservoir quantiles, per-node histograms, exceedance counts and a
+P2 / sketch quantiles, per-node histograms, exceedance counts and a
 top-k shortlist — all in chunk-bounded memory: neither the dense
 ``(num_nodes, k)`` voltage matrix nor the ``(k, num_nodes)`` scenario
 matrix is ever allocated (the cross product is generated per chunk).
@@ -12,8 +12,8 @@ matrix is ever allocated (the cross product is generated per chunk).
 Before the timed run, the exact-reduction sinks (histogram, exceedance,
 top-k) and the streamed worst/mean reductions are verified **bitwise**
 against a dense single-shot reference on a cross-product subset small
-enough to materialise, and the reservoir quantile sink (sized to hold the
-whole subset) is verified bitwise against ``numpy.quantile``.
+enough to materialise, and the quantile sketch is gated against its
+documented relative-error bound at the dense rank quantiles.
 
 After the timed sequential sweep, the same mega-sweep is re-run twice more:
 
@@ -25,10 +25,9 @@ After the timed sequential sweep, the same mega-sweep is re-run twice more:
   n)``: ``n`` shards × 1 thread) at every tested shard count — the
   scenario range splits across worker processes, which inherit the
   parent's factorization under ``fork``, and the merged reductions plus
-  every *exact* mergeable
-  sink (histogram, exceedance, joint exceedance, top-k) must again be
-  bitwise-identical (asserted; the reservoir merge is statistically
-  resampled and recorded, not asserted).  The sequential-vs-process
+  every mergeable sink (quantile sketch, histogram, exceedance, joint
+  exceedance, top-k) must again be bitwise-identical (asserted).  The
+  sequential-vs-process
   speedup is recorded and gated ``>= 2x`` by ``check_results.py`` on
   multi-core (``cpu_count >= 4``) full-scale runners;
 * the **hybrid executor** (process shards each running the threaded chunk
@@ -90,7 +89,6 @@ from repro.analysis import (
     NodeHistogramSink,
     P2QuantileSink,
     QuantileSketchSink,
-    ReservoirQuantileSink,
     TopKScenarioSink,
     make_executor,
 )
@@ -131,18 +129,17 @@ def scenario_counts(scale: float) -> tuple[int, int]:
     return max(6, round(FULL_NUM_LOADS * scale)), max(4, round(FULL_NUM_PADS * scale))
 
 
-def build_sinks(nominal_worst: float, reservoir_capacity: int) -> dict:
+def build_sinks(nominal_worst: float) -> dict:
     """One fresh instance of every sink the bench exercises."""
     return {
         "p2": P2QuantileSink(QUANTILES),
-        **mergeable_sinks(nominal_worst, reservoir_capacity),
+        **mergeable_sinks(nominal_worst),
     }
 
 
-def mergeable_sinks(nominal_worst: float, reservoir_capacity: int) -> dict:
+def mergeable_sinks(nominal_worst: float) -> dict:
     """The sink stack minus P² — everything the process shards can merge."""
     return {
-        "reservoir": ReservoirQuantileSink(reservoir_capacity, QUANTILES, seed=SEED),
         "sketch": QuantileSketchSink(QUANTILES, relative_error=SKETCH_RELATIVE_ERROR),
         "histogram": NodeHistogramSink.uniform(0.0, max(2.0 * nominal_worst, 1e-6), NUM_BINS),
         "exceedance": ExceedanceCountSink(nominal_worst),
@@ -179,7 +176,6 @@ def dense_reference(engine, grid, load_rows, pad_matrix, edges, threshold):
         "topk_index": order,
         "topk_value": worst[order],
         "topk_node": rows.argmax(axis=1)[order],
-        "quantiles": np.quantile(worst, QUANTILES),
         # The sketch targets the dense rank quantile (floor(q * (n - 1))),
         # i.e. numpy's "lower" method, within its relative-error bound.
         "quantiles_lower": np.quantile(worst, QUANTILES, method="lower"),
@@ -204,7 +200,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     # on a materialisable cross-product subset (loads-outer ordering).
     ref_loads = max(1, min(num_loads, REFERENCE_SCENARIO_BUDGET // num_pads))
     ref_scenarios = ref_loads * num_pads
-    ref_sinks = build_sinks(nominal.worst_ir_drop, reservoir_capacity=ref_scenarios)
+    ref_sinks = build_sinks(nominal.worst_ir_drop)
     streamed_ref = engine.analyze_mega_sweep(
         grid,
         load_matrix[:ref_loads],
@@ -231,10 +227,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     assert np.array_equal(topk.scenario_index, reference["topk_index"])
     assert np.array_equal(topk.worst_ir_drop, reference["topk_value"])
     assert np.array_equal(topk.worst_node_index, reference["topk_node"])
-    # Reservoir sized to the whole subset == exact empirical quantiles.
-    reservoir = ref_sinks["reservoir"].result()
-    assert reservoir.exact
-    assert np.array_equal(reservoir.values, reference["quantiles"])
     # The sketch is approximate by design; gate it against its documented
     # relative-error bound at the dense rank quantiles.
     ref_sketch = ref_sinks["sketch"].result()
@@ -249,7 +241,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
 
     # --- Timed full mega-sweep, chunk-bounded memory, one factorization.
     sweep_engine = BatchedAnalysisEngine()
-    sinks = build_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+    sinks = build_sinks(nominal.worst_ir_drop)
     result = benchmark.pedantic(
         # workers=1 pinned: the baseline must stay sequential even when
         # REPRO_TEST_WORKERS is exported, or the speedup record lies.
@@ -270,7 +262,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         assert result.num_scenarios >= MIN_FULL_SCALE_SCENARIOS
 
     p2_estimate = sinks["p2"].result()
-    reservoir_estimate = sinks["reservoir"].result()
     sketch_estimate = sinks["sketch"].result()
     sketch_reference = np.quantile(result.worst_ir_drop, QUANTILES, method="lower")
     sketch_rel_error = float(
@@ -309,7 +300,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     # the speedup is recorded and gated (multi-core runners only) by
     # check_results.py.
     parallel_engine = BatchedAnalysisEngine()
-    parallel_sinks = build_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+    parallel_sinks = build_sinks(nominal.worst_ir_drop)
     parallel = parallel_engine.analyze_mega_sweep(
         grid,
         load_matrix,
@@ -337,9 +328,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
             np.array_equal(parallel_topk.scenario_index, topk.scenario_index),
             np.array_equal(parallel_topk.worst_ir_drop, topk.worst_ir_drop),
             np.array_equal(parallel_sinks["p2"].result().values, p2_estimate.values),
-            np.array_equal(
-                parallel_sinks["reservoir"].result().values, reservoir_estimate.values
-            ),
             np.array_equal(parallel_sinks["sketch"].result().values, sketch_estimate.values),
         )
     )
@@ -360,7 +348,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     process_factorizations = 0
     for shards in PROCESS_SHARD_COUNTS:
         process_engine = BatchedAnalysisEngine()
-        process_sinks = mergeable_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+        process_sinks = mergeable_sinks(nominal.worst_ir_drop)
         process = process_engine.analyze_mega_sweep(
             grid,
             load_matrix,
@@ -388,7 +376,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
                 np.array_equal(process_topk.scenario_index, topk.scenario_index),
                 np.array_equal(process_topk.worst_ir_drop, topk.worst_ir_drop),
                 # The sketch merge is aligned counter addition: bitwise
-                # identical at every shard count, unlike the reservoir.
+                # identical at every shard count.
                 np.array_equal(
                     process_sinks["sketch"].result().values, sketch_estimate.values
                 ),
@@ -397,7 +385,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         assert process_matches, f"process-sharded sweep diverged at {shards} shards"
         process_elapsed = process.analysis_time
         process_factorizations = process_engine.cache_info().factorizations
-        process_reservoir = process_sinks["reservoir"].result()
     process_shards = PROCESS_SHARD_COUNTS[-1]
     process_speedup = result.analysis_time / process_elapsed if process_elapsed > 0 else 0.0
 
@@ -419,7 +406,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     hybrid_runs.append((*HYBRID_CONFIGS[-1], "forkserver"))
     for shard_workers, threads_per_shard, start_method in hybrid_runs:
         hybrid_engine = BatchedAnalysisEngine()
-        hybrid_sinks = mergeable_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+        hybrid_sinks = mergeable_sinks(nominal.worst_ir_drop)
         hybrid_executor = HybridExecutor(
             shard_workers=shard_workers,
             threads_per_shard=threads_per_shard,
@@ -503,7 +490,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     try:
         for workers in REMOTE_WORKER_COUNTS:
             remote_engine = BatchedAnalysisEngine()
-            remote_sinks = mergeable_sinks(nominal.worst_ir_drop, reservoir_capacity=4096)
+            remote_sinks = mergeable_sinks(nominal.worst_ir_drop)
             remote = remote_engine.analyze_mega_sweep(
                 grid,
                 load_matrix,
@@ -579,9 +566,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         "process_speedup": process_speedup,
         "process_matches": process_matches,
         "process_factorizations": process_factorizations,
-        "process_reservoir_quantiles": dict(
-            zip(map(str, QUANTILES), process_reservoir.values.tolist())
-        ),
         "hybrid_configs": [list(config) for config in HYBRID_CONFIGS],
         "hybrid_shard_workers": hybrid_shard_workers,
         "hybrid_threads_per_shard": hybrid_threads,
@@ -625,9 +609,6 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         "nominal_worst_ir_drop": nominal.worst_ir_drop,
         "sweep_worst_ir_drop": float(result.worst_ir_drop.max()),
         "p2_quantiles": dict(zip(map(str, QUANTILES), p2_estimate.values.tolist())),
-        "reservoir_quantiles": dict(
-            zip(map(str, QUANTILES), reservoir_estimate.values.tolist())
-        ),
         "max_node_exceedance_rate": float(exceedance.rates.max()),
         "scenarios_with_violation": joint.scenarios_with_violation,
         "any_exceedance_rate": joint.any_exceedance_rate,

@@ -16,8 +16,8 @@ The acceptance bar is a ≥ 3x per-iteration construction speedup at full
 grid scale.
 
 On top of construction, the bench times the *solve* side of one
-analyse–resize iteration through the solver-policy layer: the resized
-grid served by a low-rank incremental update of the base factorization
+analyse–resize iteration through the engine's incremental-update path:
+the resized grid served by a low-rank incremental update of the base factorization
 (Sherman–Morrison–Woodbury / preconditioned CG) versus a fresh
 factorization.  Voltages must agree to 1e-9 at any scale; at full scale
 the incremental path must be ≥ 3x faster.  Reduced-scale records carry
@@ -196,7 +196,6 @@ def test_planner_iteration_speedup(benchmark, results_dir):
         "compiled_iteration_build_seconds": compiled_seconds,
         "compiled_first_build_seconds": first_build_time,
         "iteration_build_speedup": speedup,
-        "solver_backend": cache.backend,
         "incremental_update_rank": update_rank,
         "resized_lines": num_resized_lines,
         "fresh_iteration_solve_seconds": fresh_solve_seconds,
@@ -223,7 +222,6 @@ def test_planner_iteration_speedup(benchmark, results_dir):
                 "compiled resize (s)": round(compiled_seconds, 5),
                 "compiled first build (s)": round(first_build_time, 5),
                 "per-iteration speedup": round(speedup, 2),
-                "solver backend": cache.backend,
                 "update rank": update_rank,
                 "fresh factor+solve (s)": round(fresh_solve_seconds, 5),
                 "incremental solve (s)": round(incremental_solve_seconds, 5),

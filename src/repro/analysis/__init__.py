@@ -61,26 +61,20 @@ from .sinks import (
     P2QuantileSink,
     QuantileEstimate,
     QuantileSketchSink,
-    ReservoirQuantileSink,
     ScenarioSink,
     SinkSnapshot,
     TopKScenarios,
     TopKScenarioSink,
 )
 from .solvers import (
-    SOLVER_ENV,
-    SOLVER_NAMES,
     LinearSolverError,
-    CholmodBackend,
     Factorization,
     PreconditionedUpdateFactorization,
     SpluBackend,
     UpdateDivergenceError,
     UpdatePolicy,
     WoodburyFactorization,
-    cholmod_available,
     make_update_factorization,
-    resolve_solver_backend,
 )
 from .vectorless import (
     StatisticalVectorlessResult,
@@ -99,7 +93,6 @@ __all__ = [
     "EMChecker",
     "EMReport",
     "EMViolation",
-    "CholmodBackend",
     "ENGINE_METHOD",
     "EXECUTOR_ENV",
     "EXECUTOR_NAMES",
@@ -123,9 +116,6 @@ __all__ = [
     "PreconditionedUpdateFactorization",
     "QuantileEstimate",
     "QuantileSketchSink",
-    "ReservoirQuantileSink",
-    "SOLVER_ENV",
-    "SOLVER_NAMES",
     "ScenarioSink",
     "ScenarioSource",
     "SinkSnapshot",
@@ -142,11 +132,9 @@ __all__ = [
     "VectorlessBudget",
     "VectorlessResult",
     "WoodburyFactorization",
-    "cholmod_available",
     "make_executor",
     "make_update_factorization",
     "resolve_chunk_size",
-    "resolve_solver_backend",
     "branch_current_array",
     "branch_currents",
     "current_conservation_error",

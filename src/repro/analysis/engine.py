@@ -10,12 +10,11 @@ conductances, not on the loads or pad voltages.
 
 :class:`BatchedAnalysisEngine` exploits that: it compiles the network once
 (:class:`~repro.grid.compiled.CompiledGrid`), caches the sparse
-factorization — produced by a pluggable solver backend
-(:mod:`repro.analysis.solvers`): SuperLU by default, CHOLMOD when
-``scikit-sparse`` is installed — keyed on the compiled grid's topology
-fingerprint, and solves arbitrarily many right-hand sides against one
-factorization — either one at a time (:meth:`analyze`) or as a single
-multi-RHS triangular solve (:meth:`analyze_batch`).  Grids derived
+factorization — SuperLU in symmetric mode
+(:class:`~repro.analysis.solvers.SpluBackend`) — keyed on the compiled
+grid's topology fingerprint, and solves arbitrarily many right-hand sides
+against one factorization — either one at a time (:meth:`analyze`) or as
+a single multi-RHS triangular solve (:meth:`analyze_batch`).  Grids derived
 by a conductance-only change
 (:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`, the
 planner's resize step) are served by **low-rank incremental updates** of
@@ -73,10 +72,10 @@ from .sinks import IRDropSink, ScenarioSink
 from .solvers import (
     Factorization,
     LinearSolverError,
+    SpluBackend,
     UpdateDivergenceError,
     UpdatePolicy,
     make_update_factorization,
-    resolve_solver_backend,
     solve_cg,
 )
 
@@ -421,8 +420,6 @@ class EngineCacheInfo:
             applicable but downgraded to a fresh factorization — the
             update rank crossed the policy threshold, the capacitance
             system was unusable, or an update solve diverged.
-        backend: Name of the resolved solver backend (``splu`` /
-            ``cholmod``).
     """
 
     factorizations: int
@@ -430,7 +427,6 @@ class EngineCacheInfo:
     entries: int
     updates: int = 0
     update_fallbacks: int = 0
-    backend: str = "splu"
 
 
 @dataclass
@@ -793,13 +789,6 @@ class BatchedAnalysisEngine:
             in-process pipeline at ``default_workers``.  A name from
             :data:`~repro.analysis.executors.EXECUTOR_NAMES` or an
             executor instance pins the strategy strictly.
-        solver: Solver backend policy — a name from
-            :data:`~repro.analysis.solvers.SOLVER_NAMES` (``"splu"``,
-            ``"cholmod"``, ``"auto"``), a backend instance, or ``None``
-            (the default) to read
-            :data:`~repro.analysis.solvers.SOLVER_ENV` and fall back to
-            ``splu``.  Requesting ``cholmod`` without ``scikit-sparse``
-            installed degrades to ``splu`` with a warning.
         incremental_updates: When True (the default), a compiled grid
             produced by
             :meth:`~repro.grid.compiled.CompiledGrid.with_conductances`
@@ -812,6 +801,13 @@ class BatchedAnalysisEngine:
             automatically (counted in ``EngineCacheInfo``).
         update_policy: Crossover / tolerance knobs of the incremental
             path (:class:`~repro.analysis.solvers.UpdatePolicy`).
+
+    Attributes:
+        solver_backend: The object that produces fresh factorizations, a
+            :class:`~repro.analysis.solvers.SpluBackend`.  It may be
+            replaced by any object with the same ``name`` / ``factor``
+            interface (a timing wrapper, say); :meth:`shard_engine`
+            hands shards that same object.
     """
 
     def __init__(
@@ -820,7 +816,6 @@ class BatchedAnalysisEngine:
         direct_size_limit: int = 60000,
         default_workers: int | None = None,
         default_executor: SweepExecutor | str | None = None,
-        solver: str | None = None,
         incremental_updates: bool = True,
         update_policy: UpdatePolicy | None = None,
     ) -> None:
@@ -850,7 +845,7 @@ class BatchedAnalysisEngine:
         elif isinstance(default_executor, str):
             default_executor = self._executor_from_name(default_executor)
         self._default_executor = default_executor
-        self.solver_backend = resolve_solver_backend(solver)
+        self.solver_backend = SpluBackend()
         self.incremental_updates = bool(incremental_updates)
         self.update_policy = update_policy or UpdatePolicy()
         self._cache_lock = threading.Lock()
@@ -884,7 +879,6 @@ class BatchedAnalysisEngine:
                 entries=len(self._cache),
                 updates=self._updates,
                 update_fallbacks=self._update_fallbacks,
-                backend=self.solver_backend.name,
             )
 
     def clear_cache(self) -> None:
@@ -896,9 +890,10 @@ class BatchedAnalysisEngine:
         """A single-threaded engine that starts with this one's factors of ``compiled``.
 
         The new engine mirrors this one's solver configuration (cache
-        size, direct-vs-CG threshold, backend, incremental-update policy)
-        and its cache holds the very entry this engine cached for
-        ``compiled`` — shared, not copied; empty if there is none.
+        size, direct-vs-CG threshold, incremental-update policy), holds
+        this engine's ``solver_backend`` object itself, and its cache
+        holds the very entry this engine cached for ``compiled`` —
+        shared, not copied; empty if there is none.
         Sharded executors hand it to ``fork``-started workers, which
         inherit it with the parent's memory, so no worker factors again
         and every shard solves with the parent's factors (a low-rank
@@ -909,21 +904,17 @@ class BatchedAnalysisEngine:
             direct_size_limit=self.direct_size_limit,
             default_workers=1,
             default_executor="serial",
-            solver=self.solver_backend,
             incremental_updates=self.incremental_updates,
             update_policy=self.update_policy,
         )
-        key = self._cache_key(compiled.fingerprint)
+        engine.solver_backend = self.solver_backend
+        key = compiled.fingerprint
         with self._cache_lock:
             entry = self._cache.get(key)
         if entry is not None:
             with engine._cache_lock:
                 engine._store_entry(key, entry)
         return engine
-
-    def _cache_key(self, fingerprint: str) -> str:
-        """Per-backend cache key: factors from different backends never mix."""
-        return f"{self.solver_backend.name}:{fingerprint}"
 
     # requires-lock: _cache_lock
     def _store_entry(self, key: str, entry: _FactorCacheEntry) -> None:
@@ -994,7 +985,7 @@ class BatchedAnalysisEngine:
         update of those factors is built instead of a fresh
         factorization.
         """
-        key = self._cache_key(compiled.fingerprint)
+        key = compiled.fingerprint
         with self._cache_lock:
             entry = self._cache.get(key)
             if entry is not None:
@@ -1006,7 +997,7 @@ class BatchedAnalysisEngine:
                 self.incremental_updates
                 and compiled.update_base_fingerprint is not None
             ):
-                prev_key = self._cache_key(compiled.update_base_fingerprint)
+                prev_key = compiled.update_base_fingerprint
                 prev = self._cache.get(prev_key)
                 if prev is not None:
                     # Touch the base entry so a batch of clones evaluated
@@ -1021,7 +1012,7 @@ class BatchedAnalysisEngine:
 
     def _refactor_fresh(self, compiled: CompiledGrid) -> Factorization:
         """Replace a diverged update factorization with fresh factors."""
-        key = self._cache_key(compiled.fingerprint)
+        key = compiled.fingerprint
         with self._cache_lock:
             entry = self._cache.get(key)
             if entry is not None and not entry.factor.is_update:
@@ -1068,14 +1059,14 @@ class BatchedAnalysisEngine:
                 f"direct_size_limit={self.direct_size_limit}"
             )
         self._factor(prev_compiled)
-        key = self._cache_key(new_compiled.fingerprint)
+        key = new_compiled.fingerprint
         with self._cache_lock:
             entry = self._cache.get(key)
             if entry is not None:
                 self._hits += 1
                 self._cache.move_to_end(key)
                 return entry.factor
-            prev_key = self._cache_key(prev_compiled.fingerprint)
+            prev_key = prev_compiled.fingerprint
             prev_entry = self._cache.get(prev_key)
             if prev_entry is not None:
                 self._cache.move_to_end(prev_key)
@@ -1534,6 +1525,7 @@ class BatchedAnalysisEngine:
         if load_matrix.shape[0] == 0:
             raise ValueError("load_matrix must contain at least one scenario")
         _require_finite(load_matrix, "load_matrix row", compiled, "node")
+        scenario_names = self._scenario_names(compiled, load_matrix.shape[0], names)
         voltages, reductions, reused, iterations = self._batch_scenarios(
             compiled, load_matrix, None, chunk_size, sinks, executor_used, lenient,
             "analyze_batch",
@@ -1542,7 +1534,7 @@ class BatchedAnalysisEngine:
         return BatchAnalysisResult(
             compiled=compiled,
             voltages=voltages,
-            scenario_names=self._scenario_names(compiled, load_matrix.shape[0], names),
+            scenario_names=scenario_names,
             analysis_time=elapsed,
             factorization_reused=reused,
             reductions=reductions,
@@ -1597,7 +1589,7 @@ class BatchedAnalysisEngine:
         if pad_voltage_matrix.ndim != 2 or pad_voltage_matrix.shape[1] != len(compiled.pad_node):
             raise ValueError(
                 "pad_voltage_matrix must be 2-D (num_scenarios, "
-                f"{len(compiled.pad_node)})"
+                f"{len(compiled.pad_node)}), got shape {pad_voltage_matrix.shape}"
             )
         if pad_voltage_matrix.shape[0] == 0:
             raise ValueError("pad_voltage_matrix must contain at least one scenario")
@@ -1612,6 +1604,7 @@ class BatchedAnalysisEngine:
                 )
             _require_finite(load_matrix, "load_matrix row", compiled, "node")
         _require_finite(pad_voltage_matrix, "pad_voltage_matrix row", compiled, "pad")
+        scenario_names = self._scenario_names(compiled, pad_voltage_matrix.shape[0], names)
         voltages, reductions, reused, iterations = self._batch_scenarios(
             compiled, load_matrix, pad_voltage_matrix, chunk_size, sinks, executor_used, lenient,
             "analyze_pad_batch",
@@ -1620,7 +1613,7 @@ class BatchedAnalysisEngine:
         return BatchAnalysisResult(
             compiled=compiled,
             voltages=voltages,
-            scenario_names=self._scenario_names(compiled, pad_voltage_matrix.shape[0], names),
+            scenario_names=scenario_names,
             analysis_time=elapsed,
             factorization_reused=reused,
             reductions=reductions,

@@ -81,9 +81,8 @@ low-rank-update clones
 (:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`), whose
 shards under ``fork`` solve with the parent's update factorization.
 ``spawn`` / ``forkserver`` workers factor such a clone fresh and agree
-with the sequential sweep within 1e-12 V.  The reservoir sink merges by
-weighted resampling (statistically equivalent, and it may vary with the
-measured split); P² does not merge at all.
+with the sequential sweep within 1e-12 V.  P² does not merge at all:
+sharded quantiles come from the quantile sketch.
 """
 
 from __future__ import annotations
@@ -523,7 +522,6 @@ def pickle_sweep_payload(plan: SweepPlan, threads: int = 1) -> bytes:
     engine_config = {
         "cache_size": engine.cache_size,
         "direct_size_limit": engine.direct_size_limit,
-        "solver": engine.solver_backend.name,
         "incremental_updates": engine.incremental_updates,
     }
     return pickle.dumps(
@@ -536,8 +534,8 @@ def load_shard_state(payload: bytes) -> dict:
     """Rebuild the worker-side sweep context from a pickled payload.
 
     The worker's engine mirrors the parent's solver configuration (cache
-    size, direct-vs-CG threshold, backend) so shards solve exactly the
-    way the parent would have.
+    size, direct-vs-CG threshold, incremental updates) so shards solve
+    exactly the way the parent would have.
     """
     from .engine import BatchedAnalysisEngine
 

@@ -23,9 +23,9 @@ Exact sinks (:class:`NodeHistogramSink`, :class:`ExceedanceCountSink`,
 bitwise-independent of the chunk size: they produce the identical result
 whether the sweep arrives in one dense block or one scenario at a time.
 Approximate sinks trade exactness for O(1) state (:class:`P2QuantileSink`)
-or a fixed-size sample (:class:`ReservoirQuantileSink`, which is exact
-while the stream still fits in its reservoir and deterministic for a given
-seed regardless of chunking).
+or a log-bucketed count (:class:`QuantileSketchSink`, within a set
+relative error of the true quantile and bitwise-independent of the
+chunking).
 
 Most sinks additionally implement the :class:`MergeableSink` capability —
 :meth:`snapshot` freezes the state accumulated over a contiguous scenario
@@ -33,11 +33,11 @@ shard into a picklable :class:`SinkSnapshot`, and :meth:`merge` folds such
 a snapshot into another instance of the same sink.  That is what lets the
 process-sharded executor (:mod:`repro.analysis.executors`) split a sweep's
 scenario range across worker processes and combine the per-shard sink
-states afterwards: the exact sinks merge exactly (counter addition, top-k
-union), the reservoir merges by weighted resampling, and
-:class:`P2QuantileSink` is deliberately *not* mergeable — its marker state
-is order-dependent — so process-sharded sweeps reject it up front and
-steer users to the reservoir sink instead.
+states afterwards: the exact sinks and the quantile sketch merge exactly
+(counter addition, top-k union), and :class:`P2QuantileSink` is
+deliberately *not* mergeable — its marker state is order-dependent — so
+process-sharded sweeps reject it up front and steer users to the quantile
+sketch instead.
 """
 
 from __future__ import annotations
@@ -114,10 +114,8 @@ class MergeableSink(Protocol):
     is reconstructed by binding one sink to the full sweep and merging the
     shard snapshots **in ascending shard order**: each :meth:`merge` call
     appends ``snapshot.num_scenarios`` scenarios at the sink's current
-    offset, exactly like consuming the shard's chunks directly.  Exact
-    sinks guarantee the merged result is bitwise-identical to the
-    sequential sweep; the reservoir sink merges by weighted resampling
-    (statistically equivalent, not bitwise).
+    offset, exactly like consuming the shard's chunks directly.  The
+    merged result is bitwise-identical to the sequential sweep.
     """
 
     def snapshot(self) -> SinkSnapshot:
@@ -443,12 +441,12 @@ class P2QuantileSink(_ScalarStreamSink):
     scenario order — never on the engine's chunking — and the fold costs
     a few vectorised array ops per block instead of a Python marker update
     per scenario.  The estimate is approximate; use
-    :class:`ReservoirQuantileSink` when a bounded sample (exact for small
-    sweeps) is preferred.
+    :class:`QuantileSketchSink` when a bounded relative error is
+    preferred.
 
     The marker state is order-dependent, so this sink is **not**
     mergeable across process shards — process-sharded sweeps reject it
-    and steer to the reservoir sink.
+    and steer to :class:`QuantileSketchSink`.
 
     Args:
         quantiles: Quantile levels in [0, 1], strictly ascending.
@@ -497,147 +495,6 @@ class P2QuantileSink(_ScalarStreamSink):
         )
 
 
-class ReservoirQuantileSink(_ScalarStreamSink):
-    """Bounded-memory quantiles from a uniform reservoir sample.
-
-    Maintains an Algorithm-R reservoir of per-scenario scalars: exact
-    empirical quantiles while the sweep fits in the reservoir, an unbiased
-    uniform sample beyond that.  Replacement slots are drawn vectorised
-    per chunk from the same uniform stream a per-value loop would consume,
-    so the sample — and therefore the result — depends only on the seed
-    and the scenario order, not on the chunking.
-
-    The sink is mergeable: two reservoirs over disjoint scenario shards
-    combine by weighted resampling (each shard's sample is drawn from in
-    proportion to the number of scenarios it represents).  A merged
-    reservoir is a statistically equivalent uniform sample of the union,
-    exact while the combined stream still fits in the capacity — this is
-    the quantile sink to use with the process-sharded executor, where the
-    order-dependent :class:`P2QuantileSink` is rejected.
-
-    Args:
-        capacity: Reservoir size (scenarios retained).
-        quantiles: Quantile levels in [0, 1], strictly ascending.
-        statistic: Per-scenario scalar to track (``"worst"`` or ``"mean"``).
-        seed: Seed of the replacement RNG.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        quantiles: Sequence[float],
-        statistic: str = "worst",
-        seed: int = 0,
-    ) -> None:
-        super().__init__(statistic)
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
-        self.quantiles = _validated_quantiles(quantiles)
-        self._rng = np.random.default_rng(seed)
-        self._sample = np.empty(capacity, dtype=float)
-        self._filled = 0
-
-    def _consume_scalars(self, scalars: np.ndarray, scenario_offset: int) -> None:
-        scalars = np.asarray(scalars, dtype=float)
-        taken = 0
-        if self._filled < self.capacity:
-            taken = min(self.capacity - self._filled, scalars.size)
-            self._sample[self._filled : self._filled + taken] = scalars[:taken]
-            self._filled += taken
-        rest = scalars[taken:]
-        if rest.size == 0:
-            return
-        # Algorithm R, vectorised: value j of the stream (0-based global
-        # index i_j) replaces a uniform slot in [0, i_j + 1) when that slot
-        # lands inside the reservoir.  Duplicate slots within one chunk
-        # resolve last-wins via fancy assignment — identical to the
-        # sequential loop.
-        stream_length = scenario_offset + taken + np.arange(rest.size) + 1.0
-        slots = np.floor(self._rng.random(rest.size) * stream_length).astype(np.int64)
-        accept = slots < self.capacity
-        self._sample[slots[accept]] = rest[accept]
-
-    def snapshot(self) -> SinkSnapshot:
-        """Freeze the reservoir (and the stream size it represents)."""
-        self._require_bound()
-        return SinkSnapshot(
-            sink_type=type(self).__name__,
-            num_scenarios=self._consumed,
-            state={
-                "capacity": self.capacity,
-                "quantiles": self.quantiles,
-                "statistic": self.statistic,
-                "sample": self._sample[: self._filled].copy(),
-            },
-        )
-
-    def merge(self, snapshot: SinkSnapshot) -> None:
-        """Merge a shard's reservoir by weighted resampling.
-
-        Both samples are drawn from in proportion to the number of
-        scenarios each represents, yielding a uniform sample of the
-        combined stream.  While everything still fits in the capacity the
-        merge is an exact concatenation.
-        """
-        self._begin_merge(snapshot)
-        state = snapshot.state
-        if (
-            state["capacity"] != self.capacity
-            or state["quantiles"] != self.quantiles
-            or state["statistic"] != self.statistic
-        ):
-            raise ValueError(
-                "cannot merge reservoirs with different capacity / quantiles / statistic"
-            )
-        other = np.asarray(state["sample"], dtype=float)
-        own_weight, other_weight = self._consumed, snapshot.num_scenarios
-        if other.size:
-            own_complete = self._filled == own_weight
-            other_complete = other.size == other_weight
-            if self._filled == 0:
-                self._sample[: other.size] = other
-                self._filled = other.size
-            elif own_complete and other_complete and self._filled + other.size <= self.capacity:
-                self._sample[self._filled : self._filled + other.size] = other
-                self._filled += other.size
-            else:
-                own = self._sample[: self._filled]
-                # A uniform m-subset of the combined stream contains a
-                # Hypergeometric(own_weight, other_weight, m) number of the
-                # own side's items; drawing that count and filling each
-                # side's share from its (uniform, shuffled) sample keeps
-                # every stream item equally likely to survive the merge —
-                # exactly, not just in expectation.
-                merged_size = min(self.capacity, own.size + other.size)
-                from_own = int(
-                    self._rng.hypergeometric(own_weight, other_weight, merged_size)
-                )
-                from_own = min(max(from_own, merged_size - other.size), own.size)
-                own = self._rng.permutation(own)[:from_own]
-                other = self._rng.permutation(other)[: merged_size - from_own]
-                self._sample[:merged_size] = np.concatenate((own, other))
-                self._filled = merged_size
-        self._finish_merge(snapshot)
-
-    def result(self) -> QuantileEstimate:
-        """Empirical quantiles of the reservoir sample."""
-        self._require_bound()
-        sample = self._sample[: self._filled]
-        values = (
-            np.quantile(sample, self.quantiles)
-            if sample.size
-            else np.full(len(self.quantiles), np.nan)
-        )
-        return QuantileEstimate(
-            statistic=self.statistic,
-            quantiles=self.quantiles,
-            values=np.asarray(values, dtype=float),
-            num_scenarios=self._consumed,
-            exact=self._consumed <= self.capacity,
-        )
-
-
 class QuantileSketchSink(_ScalarStreamSink):
     """Deterministic log-bucketed quantile sketch of a per-scenario scalar.
 
@@ -653,15 +510,14 @@ class QuantileSketchSink(_ScalarStreamSink):
     landing there carry no relative-error guarantee (on IR-drop sweeps the
     tracked statistics sit far above any sensible ``min_value``).
 
-    Unlike the reservoir sink, the state is a pure integer counter array:
-    it is invariant to the *order* scalars arrive in, and the merge is
-    aligned counter addition.  A sweep split into contiguous shards —
+    The state is a pure integer counter array: it is invariant to the
+    *order* scalars arrive in, and the merge is aligned counter addition.
+    A sweep split into contiguous shards —
     process-sharded, remote-sharded, any chunk size — therefore merges to
     the **bitwise-identical** sketch the sequential sweep builds, at every
     shard count.  That determinism is what makes this the recommended
     quantile sink under the process and remote executors, where
-    :class:`P2QuantileSink` is rejected (order-dependent markers) and
-    :class:`ReservoirQuantileSink` merges only statistically.
+    :class:`P2QuantileSink` is rejected (order-dependent markers).
 
     Memory is one ``int64`` per occupied bucket:
     ``O(log(max / min_value) / relative_error)``.  The bucket span is

@@ -1,17 +1,12 @@
-"""Pluggable sparse solver backends and low-rank incremental updates.
+"""The sparse direct backend and low-rank incremental updates.
 
-The reduced MNA system the engine solves is symmetric positive definite,
-but until this module existed the engine hard-wired one generic treatment:
-``scipy.sparse.linalg.splu`` for every new topology fingerprint.  The
-solver-policy layer splits that decision into three parts:
+The reduced MNA system the engine solves is symmetric positive definite.
+This module holds the three parts of how the engine solves it:
 
-* **Backends** (:class:`SpluBackend`, :class:`CholmodBackend`) own the
-  *fresh* factorization of a reduced matrix.  CHOLMOD — an SPD Cholesky
-  factorization via ``scikit-sparse`` — is feature-detected: when the
-  package is missing the policy resolution degrades to ``splu`` with a
-  warning instead of failing, so the same configuration runs everywhere.
-  Like the executor layer's ``REPRO_TEST_EXECUTOR``, the default backend
-  can be supplied through the :data:`SOLVER_ENV` environment variable.
+* **The backend** (:class:`SpluBackend`) owns the *fresh* factorization
+  of a reduced matrix: SuperLU in symmetric mode, the one factorization
+  the engine uses.  The engine holds it as a settable ``solver_backend``
+  attribute, so a wrapper (a timing probe, say) can stand in for it.
 
 * **Incremental updates** (:func:`make_update_factorization`) serve the
   planner's analyse–resize loop.  A resize that touches the conductances
@@ -46,8 +41,6 @@ one right-hand side at a time, holding only the matrix and a few vectors.
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,38 +48,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+
 class LinearSolverError(RuntimeError):
     """Raised when the nodal system could not be solved to tolerance.
 
-    Shared by the solver backends, the conjugate-gradient fallback and
+    Shared by the solver backend, the conjugate-gradient fallback and
     the engine.
     """
-
-
-SOLVER_ENV = "REPRO_TEST_SOLVER"
-"""Environment variable supplying the engine's default solver backend.
-
-Lets CI (and local runs) push the whole test suite through one backend
-without touching any call site: every
-:class:`~repro.analysis.engine.BatchedAnalysisEngine` constructed without
-an explicit ``solver=`` resolves this variable.  Accepted values are the
-:data:`SOLVER_NAMES`; unset or empty means ``splu``.  Requesting
-``cholmod`` where ``scikit-sparse`` is not installed degrades to ``splu``
-with a warning (so one CI matrix entry can set it unconditionally).
-"""
-
-SOLVER_NAMES = ("splu", "cholmod", "auto")
-"""Names accepted by :func:`resolve_solver_backend` (and :data:`SOLVER_ENV`)."""
-
-try:  # pragma: no cover - exercised only where scikit-sparse is installed
-    from sksparse.cholmod import cholesky as _cholmod_cholesky
-except ImportError:  # pragma: no cover - the common case in CI
-    _cholmod_cholesky = None
-
-
-def cholmod_available() -> bool:
-    """True when the optional ``scikit-sparse`` CHOLMOD binding imports."""
-    return _cholmod_cholesky is not None
 
 
 class UpdateDivergenceError(LinearSolverError):
@@ -164,7 +132,7 @@ class Factorization:
 
 
 class SpluFactorization(Factorization):
-    """SuperLU factorization (the engine's historical direct path)."""
+    """SuperLU factorization (the engine's one direct path)."""
 
     backend = "splu"
 
@@ -176,7 +144,7 @@ class SpluFactorization(Factorization):
 
 
 class SpluBackend:
-    """Sparse LU via ``scipy.sparse.linalg.splu`` (always available).
+    """Sparse LU via ``scipy.sparse.linalg.splu``: the engine's one backend.
 
     The reduced matrix is symmetric positive definite — the engine rejects
     grids with a node that reaches neither a pad nor ground, the one way it
@@ -189,10 +157,6 @@ class SpluBackend:
     """
 
     name = "splu"
-
-    @staticmethod
-    def available() -> bool:
-        return True
 
     def factor(self, matrix: sp.spmatrix) -> SpluFactorization:
         try:
@@ -209,48 +173,6 @@ class SpluBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "SpluBackend()"
-
-
-class CholmodFactorization(Factorization):
-    """Sparse SPD Cholesky factorization from ``sksparse.cholmod``."""
-
-    backend = "cholmod"
-
-    def __init__(self, factor) -> None:
-        self._factor = factor
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._factor(rhs)
-
-
-class CholmodBackend:
-    """SPD Cholesky via ``scikit-sparse`` (CHOLMOD), feature-detected.
-
-    The reduced MNA matrix is symmetric positive definite, so a Cholesky
-    factorization halves the factor memory and skips pivoting.  The
-    backend is optional: construct it only after
-    :func:`resolve_solver_backend` (or :func:`cholmod_available`) has
-    confirmed the binding imports.
-    """
-
-    name = "cholmod"
-
-    @staticmethod
-    def available() -> bool:
-        return cholmod_available()
-
-    def factor(self, matrix: sp.spmatrix) -> CholmodFactorization:
-        if _cholmod_cholesky is None:
-            raise LinearSolverError(
-                "the cholmod backend needs scikit-sparse, which is not installed"
-            )
-        try:
-            return CholmodFactorization(_cholmod_cholesky(matrix.tocsc()))
-        except Exception as exc:  # CholmodError hierarchy is import-guarded
-            raise LinearSolverError(f"CHOLMOD factorization failed: {exc}") from exc
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return "CholmodBackend()"
 
 
 class WoodburyFactorization(Factorization):
@@ -448,57 +370,3 @@ def make_update_factorization(
     if rank <= policy.dense_rank_limit:
         return WoodburyFactorization(base, update_incidence, delta)
     return PreconditionedUpdateFactorization(matrix, base, rank, policy)
-
-
-def resolve_solver_backend(
-    solver: "str | SpluBackend | CholmodBackend | None" = None,
-) -> "SpluBackend | CholmodBackend":
-    """Resolve a solver policy into a concrete backend instance.
-
-    Args:
-        solver: A name from :data:`SOLVER_NAMES`, an already-constructed
-            backend (returned unchanged), or ``None`` to consult
-            :data:`SOLVER_ENV` (falling back to ``splu``).
-
-    Returns:
-        A backend object exposing ``name`` / ``factor(matrix)``.
-
-    Raises:
-        ValueError: On a name outside :data:`SOLVER_NAMES` (prefixed with
-            the environment variable name when it came from there).
-
-    ``auto`` picks CHOLMOD when ``scikit-sparse`` is installed and
-    ``splu`` otherwise, silently.  An explicit (or environment) request
-    for ``cholmod`` where the binding is missing degrades to ``splu`` and
-    emits a :class:`RuntimeWarning` naming both the requested and the
-    substituted backend, so the policy resolution is visible in logs but
-    never fails a run over an optional dependency.
-    """
-    if solver is None or isinstance(solver, str):
-        from_env = solver is None
-        name = (os.environ.get(SOLVER_ENV, "").strip() or "splu") if from_env else solver
-        if name not in SOLVER_NAMES:
-            message = f"unknown solver {name!r}; choose from {SOLVER_NAMES}"
-            if from_env:
-                message = f"{SOLVER_ENV}: {message}"
-            raise ValueError(message)
-        if name == "auto":
-            return CholmodBackend() if cholmod_available() else SpluBackend()
-        if name == "cholmod":
-            if cholmod_available():
-                return CholmodBackend()
-            requested = f"{SOLVER_ENV}={name}" if from_env else f"solver policy {name!r}"
-            warnings.warn(
-                f"{requested} requires scikit-sparse (CHOLMOD), which is not "
-                "installed; degrading to the 'splu' backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return SpluBackend()
-        return SpluBackend()
-    if not hasattr(solver, "factor") or not hasattr(solver, "name"):
-        raise TypeError(
-            "solver must be a backend name, a backend instance exposing "
-            f"name/factor, or None; got {solver!r}"
-        )
-    return solver

@@ -29,7 +29,6 @@ import numpy as np
 
 from .analysis import (
     EXECUTOR_NAMES,
-    SOLVER_NAMES,
     BatchedAnalysisEngine,
     HybridExecutor,
     EMChecker,
@@ -79,15 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan = subparsers.add_parser("plan", help="conventional iterative power planning")
     plan.add_argument("benchmark", choices=SUITE_NAMES, help="benchmark name")
     plan.add_argument("--netlist-out", type=Path, default=None, help="write the sized grid here")
-    plan.add_argument(
-        "--solver", choices=SOLVER_NAMES, default=None,
-        help=(
-            "solver backend policy: splu (SuperLU, the default), cholmod "
-            "(SPD Cholesky via scikit-sparse; degrades to splu with a "
-            "warning when not installed) or auto (cholmod when available). "
-            "Unset reads the REPRO_TEST_SOLVER environment"
-        ),
-    )
     plan.add_argument(
         "--oracle", action="store_true",
         help=(
@@ -220,15 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--top-k", type=int, default=5, help="worst scenarios to shortlist")
     sweep.add_argument("--bins", type=int, default=32, help="per-node histogram bins")
-    sweep.add_argument(
-        "--solver", choices=SOLVER_NAMES, default=None,
-        help=(
-            "solver backend policy: splu (SuperLU, the default), cholmod "
-            "(SPD Cholesky via scikit-sparse; degrades to splu with a "
-            "warning when not installed) or auto (cholmod when available). "
-            "Unset reads the REPRO_TEST_SOLVER environment"
-        ),
-    )
     sweep.add_argument("--seed", type=int, default=2020, help="scenario-generation seed")
     sweep.add_argument(
         "--json-out", type=Path, default=None, help="write the sweep record as JSON here"
@@ -326,7 +307,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             # solves only for the model's top picks.
             warm_planner = ConventionalPowerPlanner(
                 bench.technology,
-                solver=args.solver,
                 incremental_updates=not args.oracle,
                 search=SearchConfig(batch_width=args.batch_width),
             )
@@ -349,7 +329,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 )
     planner = ConventionalPowerPlanner(
         bench.technology,
-        solver=args.solver,
         incremental_updates=not args.oracle,
         search=search_config,
     )
@@ -362,7 +341,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         "worst-case IR drop (mV)": plan.ir_result.worst_ir_drop_mv,
         "EM violations": len(plan.em_report.violations),
         "median width (um)": float(np.median(plan.widths)),
-        "solver backend": cache.backend,
         "factorizations": cache.factorizations,
         "incremental updates": cache.updates,
         "update fallbacks": cache.update_fallbacks,
@@ -391,7 +369,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "em_violations": len(plan.em_report.violations),
             "total_time": plan.total_time,
             "analysis_time": plan.analysis_time,
-            "backend": cache.backend,
             "factorizations": cache.factorizations,
             "updates": cache.updates,
             "update_fallbacks": cache.update_fallbacks,
@@ -551,7 +528,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     bench = SyntheticIBMSuite().load(args.benchmark)
     grid = bench.build_uniform_grid(args.width)
-    engine = BatchedAnalysisEngine(solver=args.solver)
+    engine = BatchedAnalysisEngine()
     nominal = engine.analyze(grid)
     threshold = (
         args.threshold_mv / 1000.0 if args.threshold_mv is not None else nominal.worst_ir_drop
@@ -613,7 +590,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "P(any node exceeds)": joint.any_exceedance_rate,
             "scenarios / second": result.scenarios_per_second,
             "sweep time (s)": result.analysis_time,
-            "solver backend": engine.cache_info().backend,
             "factorizations": engine.cache_info().factorizations,
         }
     )
@@ -667,7 +643,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ],
             "analysis_time_seconds": result.analysis_time,
             "scenarios_per_second": result.scenarios_per_second,
-            "solver_backend": engine.cache_info().backend,
             "factorizations": engine.cache_info().factorizations,
             "incremental_updates": engine.cache_info().updates,
             "update_fallbacks": engine.cache_info().update_fallbacks,

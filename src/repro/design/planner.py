@@ -146,10 +146,6 @@ class ConventionalPowerPlanner:
             :meth:`~repro.grid.builder.GridBuilder.resize_compiled` —
             no object-graph rebuild, no full recompile.  Set to False to
             force the legacy rebuild loop (kept as the equivalence oracle).
-        solver: Solver backend policy for the default engine — a name
-            from :data:`~repro.analysis.solvers.SOLVER_NAMES` or ``None``
-            for the environment default.  Ignored when ``analyzer`` is
-            passed explicitly.
         incremental_updates: When True (the default), each resize
             iteration of the compiled loop is solved as a low-rank
             incremental update of the previous iteration's cached
@@ -176,7 +172,6 @@ class ConventionalPowerPlanner:
         upsize_factor: float = 1.25,
         analyzer: BatchedAnalysisEngine | None = None,
         use_compiled_loop: bool = True,
-        solver: str | None = None,
         incremental_updates: bool = True,
         search: bool | SearchConfig = False,
     ) -> None:
@@ -209,13 +204,12 @@ class ConventionalPowerPlanner:
         elif self.search_config is not None:
             self.analyzer = BatchedAnalysisEngine(
                 cache_size=2,
-                solver=solver,
                 incremental_updates=incremental_updates,
                 update_policy=UpdatePolicy(crossover_fraction=1.0, maxiter=512),
             )
         else:
             self.analyzer = BatchedAnalysisEngine(
-                cache_size=1, solver=solver, incremental_updates=incremental_updates
+                cache_size=1, incremental_updates=incremental_updates
             )
         self.use_compiled_loop = use_compiled_loop
         self.em_checker = EMChecker(technology)

@@ -29,10 +29,6 @@ KNOWN_ENV_VARS: dict[str, str] = {
         "for every analyze_* call that passes neither executor= nor "
         "workers=."
     ),
-    "REPRO_TEST_SOLVER": (
-        "Default factorization backend (splu|cholmod|auto) of "
-        "resolve_solver_backend."
-    ),
     # --- remote fleet -------------------------------------------------
     "REPRO_REMOTE_COORDINATOR": (
         "Base URL of the standing sweep coordinator RemoteExecutor submits "

@@ -244,6 +244,36 @@ class TestUpfrontValidation:
                 ibmpg1_grid, pad_matrix, load_matrix=np.zeros((2, 3)), chunk_size=2
             )
 
+    def test_pad_batch_names_pad_matrix_shape(self, ibmpg1_grid):
+        engine = BatchedAnalysisEngine()
+        with pytest.raises(ValueError, match=r"got shape \(3, 3\)"):
+            engine.analyze_pad_batch(ibmpg1_grid, np.zeros((3, 3)))
+        num_pads = len(ibmpg1_grid.compile().pad_node)
+        with pytest.raises(ValueError, match=rf"got shape \({num_pads},\)"):
+            engine.analyze_pad_batch(ibmpg1_grid, np.zeros(num_pads))
+
+    @pytest.mark.parametrize("chunk_size", [None, 2])
+    @pytest.mark.parametrize("entry_point", ["analyze_batch", "analyze_pad_batch"])
+    def test_wrong_name_count_rejected_before_solving(
+        self, ibmpg1_grid, load_sweep, entry_point, chunk_size
+    ):
+        engine = BatchedAnalysisEngine()
+        if entry_point == "analyze_batch":
+            matrix = load_sweep[:3]
+        else:
+            spec = PerturbationSpec(gamma=0.1, kind=PerturbationKind.NODE_VOLTAGES, seed=3)
+            matrix = perturbed_pad_voltage_matrix(ibmpg1_grid, spec, 3)
+        sink = ExceedanceCountSink(0.01)
+        with pytest.raises(ValueError, match="expected 3 scenario names, got 2"):
+            getattr(engine, entry_point)(
+                ibmpg1_grid, matrix, names=["a", "b"], chunk_size=chunk_size, sinks=(sink,)
+            )
+        # Nothing was factored, and the sink is still fresh for a retry.
+        assert engine.cache_info().factorizations == 0
+        assert sink.num_consumed == 0
+        with pytest.raises(ValueError, match="never bound"):
+            sink.result()
+
     def test_stream_source_width_error_names_scenario_range(self, ibmpg1_grid):
         compiled = ibmpg1_grid.compile()
         sink = TopKScenarioSink(2)

@@ -15,7 +15,7 @@ from repro.analysis import (
     ExceedanceCountSink,
     NodeHistogramSink,
     P2QuantileSink,
-    ReservoirQuantileSink,
+    QuantileSketchSink,
     TopKScenarioSink,
     VectorlessAnalyzer,
     uniform_budget,
@@ -60,7 +60,7 @@ def build_sinks(threshold: float) -> dict:
     """Fresh instances of every sink family, exact and approximate."""
     return {
         "p2": P2QuantileSink((0.5, 0.9)),
-        "reservoir": ReservoirQuantileSink(16, (0.5, 0.9), seed=3),
+        "sketch": QuantileSketchSink((0.5, 0.9)),
         "histogram": NodeHistogramSink.uniform(0.0, 2.0 * threshold + 1e-6, 8),
         "exceedance": ExceedanceCountSink(threshold),
         "topk": TopKScenarioSink(4),
@@ -73,7 +73,7 @@ def assert_sinks_identical(sequential: dict, parallel: dict) -> None:
         sequential["p2"].result().values, parallel["p2"].result().values
     )
     assert np.array_equal(
-        sequential["reservoir"].result().values, parallel["reservoir"].result().values
+        sequential["sketch"].result().values, parallel["sketch"].result().values
     )
     seq_hist, par_hist = sequential["histogram"].result(), parallel["histogram"].result()
     assert np.array_equal(seq_hist.counts, par_hist.counts)

@@ -8,10 +8,9 @@ count; one and two threads per shard.  Under the default ``fork`` start
 method the workers inherit the parent's factorization instead of
 factoring (pinned by a factor patch that fails in any other process),
 which keeps low-rank update clones bitwise too; spawned workers load the
-same pickled payload remote workers do.  The reservoir sink merges by
-weighted resampling and is validated statistically; the order-dependent
-P² sink runs on single-shard rows and is rejected by sharded ones with a
-pointer to the quantile sketch.  Also covered: the executor names of
+same pickled payload remote workers do.  The order-dependent P² sink
+runs on single-shard rows and is rejected by sharded ones with a pointer
+to the quantile sketch.  Also covered: the executor names of
 each shape, resolution precedence (explicit executor > workers= >
 environment default), the lenient fallback of :data:`EXECUTOR_ENV`, the
 tail re-split of the balancer, source-validation errors naming global
@@ -40,7 +39,6 @@ from repro.analysis import (
     NodeHistogramSink,
     P2QuantileSink,
     QuantileSketchSink,
-    ReservoirQuantileSink,
     SpluBackend,
     SweepExecutor,
     SweepPlan,
@@ -104,7 +102,6 @@ def nominal_worst(ibmpg1_grid):
 def mergeable_sinks(threshold: float) -> dict:
     """Fresh instances of every mergeable sink family."""
     return {
-        "reservoir": ReservoirQuantileSink(16, (0.5, 0.9), seed=3),
         "sketch": QuantileSketchSink((0.5, 0.9)),
         "histogram": NodeHistogramSink.uniform(0.0, 2.0 * threshold + 1e-6, 8),
         "exceedance": ExceedanceCountSink(threshold),
@@ -349,30 +346,6 @@ class TestShapeEquivalence:
         assert follow_up.worst_ir_drop > 0
         assert engine.cache_info().factorizations == 1  # served from cache
 
-    def test_reservoir_merge_statistically_valid(self, ibmpg1_grid, nominal_worst):
-        """Merged reservoirs estimate the true quantiles about as well as
-        one sequential reservoir (deterministic seeds — no flakiness)."""
-        spec = PerturbationSpec(
-            gamma=0.25, kind=PerturbationKind.CURRENT_WORKLOADS, seed=13
-        )
-        big_sweep = perturbed_load_matrix(ibmpg1_grid, spec, 400)
-        engine = BatchedAnalysisEngine()
-        reference = engine.analyze_batch(ibmpg1_grid, big_sweep, chunk_size=64)
-        worst = reference.worst_ir_drop
-        true = np.quantile(worst, (0.5, 0.9))
-        spread = worst.max() - worst.min()
-        sink = ReservoirQuantileSink(64, (0.5, 0.9), seed=3)
-        engine.analyze_batch(
-            ibmpg1_grid,
-            big_sweep,
-            chunk_size=64,
-            sinks=[sink],
-            executor=make_executor("processes", 4),
-        )
-        estimate = sink.result()
-        assert estimate.num_scenarios == 400
-        assert np.all(np.abs(estimate.values - true) <= 0.15 * spread)
-
     @pytest.mark.parametrize("threads", [1, 2])
     def test_tail_resplit_matches_serial(
         self, monkeypatch, ibmpg1_grid, load_sweep, nominal_worst, threads
@@ -413,9 +386,9 @@ class TestShardedRejections:
                 executor=make_executor("processes", 2),
             )
 
-    def test_p2_not_mergeable_reservoir_is(self):
+    def test_p2_not_mergeable_sketch_is(self):
         assert not isinstance(P2QuantileSink([0.5]), MergeableSink)
-        assert isinstance(ReservoirQuantileSink(8, [0.5]), MergeableSink)
+        assert isinstance(QuantileSketchSink([0.5]), MergeableSink)
 
     @pytest.mark.parametrize("executor", ["processes", "hybrid"])
     def test_unpicklable_source_rejected(self, ibmpg1_grid, load_sweep, executor):
@@ -842,6 +815,19 @@ class TestHybridResolution:
         assert_reductions_identical(reference, hybrid)
 
 
+class CountingBackend:
+    """Delegates to another backend and counts the factorizations it serves."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.factor_calls = 0
+
+    def factor(self, matrix):
+        self.factor_calls += 1
+        return self.inner.factor(matrix)
+
+
 def two_shard_executor(kind: str, start_method: str | None = None) -> HybridExecutor:
     """The ``processes`` (2 x 1) or ``hybrid`` (2 x 2) row."""
     return HybridExecutor(2, 2 if kind == "hybrid" else 1, start_method=start_method)
@@ -913,6 +899,28 @@ class TestWorkerContext:
             assert_reductions_identical(serial, result)
         assert engine.cache_info().factorizations == 1
 
+    @needs_fork
+    def test_assigned_backend_reaches_shards(self, ibmpg1_grid, ibmpg1_bench):
+        """Assigning ``solver_backend`` substitutes the backend everywhere:
+        shard engines hold that very object, and a sharded sweep calls it
+        exactly once, in the parent."""
+        compiled = ibmpg1_grid.compile()
+        engine = BatchedAnalysisEngine()
+        backend = CountingBackend(engine.solver_backend)
+        engine.solver_backend = backend
+        assert engine.shard_engine(compiled).solver_backend is backend
+        load_matrix, pad_matrix = mega_sweep_matrices(
+            ibmpg1_grid, ibmpg1_bench.floorplan, 0.2, 8, 8, seed=7
+        )
+        sharded = engine.analyze_mega_sweep(
+            compiled, load_matrix, pad_matrix, chunk_size=16, executor=HybridExecutor(2, 1)
+        )
+        assert backend.factor_calls == 1
+        serial = engine.analyze_mega_sweep(
+            compiled, load_matrix, pad_matrix, chunk_size=16, executor="serial"
+        )
+        assert_reductions_identical(serial, sharded)
+
 
 class TestPicklePayload:
     """Spawned shard workers and remote workers load one payload format."""
@@ -935,7 +943,7 @@ class TestPicklePayload:
         assert state["chunk_size"] == plan.chunk_size
         assert state["compiled"].fingerprint == plan.compiled.fingerprint
         assert (state["compiled"].reduced_matrix != plan.compiled.reduced_matrix).nnz == 0
-        assert state["engine"].solver_backend.name == plan.engine.solver_backend.name
+        assert isinstance(state["engine"].solver_backend, SpluBackend)
 
     def test_unpicklable_plan_rejected(self, ibmpg1_grid, load_sweep):
         # The closure is the point: unpicklable sources raise before any

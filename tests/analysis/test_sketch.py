@@ -1,6 +1,6 @@
 """Property-style determinism suite for the quantile sketch sink.
 
-The sketch's contract is stronger than the reservoir's: because its state
+The sketch's contract is stronger than a statistical one: because its state
 is a pure integer bucket-counter array, the merged result must be
 **identical** — not statistically equivalent — to the sequential sweep
 for every shard count (1 / even / 3 / non-divisor), every chunk size

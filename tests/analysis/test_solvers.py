@@ -1,10 +1,9 @@
-"""Tests for the pluggable solver-backend layer and incremental updates.
+"""Tests for the SuperLU backend and incremental updates.
 
 The acceptance bar: voltages served through a low-rank incremental update
 (Woodbury or preconditioned CG) must agree with a fresh factorization to
 1e-9 on every resize shape — single line, stripe, full grid (where the
-crossover policy must fall back to fresh factors instead) — and the
-CHOLMOD backend, where installed, must be solution-equivalent to SuperLU.
+crossover policy must fall back to fresh factors instead).
 """
 
 import numpy as np
@@ -13,17 +12,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.analysis import (
-    SOLVER_ENV,
     BatchedAnalysisEngine,
-    CholmodBackend,
     PreconditionedUpdateFactorization,
     SpluBackend,
     UpdateDivergenceError,
     UpdatePolicy,
     WoodburyFactorization,
-    cholmod_available,
     make_update_factorization,
-    resolve_solver_backend,
 )
 from repro.grid import GridBuilder, SyntheticIBMSuite
 
@@ -213,7 +208,7 @@ class TestIncrementalAgreement:
         base entry's direct factors instead of building anything."""
         engine = BatchedAnalysisEngine()
         engine.analyze(base_compiled)
-        entry = engine._cache[engine._cache_key(base_compiled.fingerprint)]
+        entry = engine._cache[base_compiled.fingerprint]
         clone = base_compiled.with_conductances(base_compiled.conductance.copy())
         rank_zero = engine._update_entry(clone, entry)
         assert rank_zero is not None
@@ -358,70 +353,8 @@ class TestFactorUpdate:
             engine.factor_update(base_compiled, clone)
 
 
-# ----------------------------------------------------------------------
-# Backend policy resolution (names, environment, degrade path)
-# ----------------------------------------------------------------------
-class TestBackendResolution:
-    def test_default_is_splu(self, monkeypatch):
-        monkeypatch.delenv(SOLVER_ENV, raising=False)
-        assert resolve_solver_backend().name == "splu"
-        assert resolve_solver_backend("splu").name == "splu"
-
-    def test_environment_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(SOLVER_ENV, "splu")
-        assert resolve_solver_backend().name == "splu"
-
-    def test_environment_invalid_name_mentions_variable(self, monkeypatch):
-        monkeypatch.setenv(SOLVER_ENV, "pardiso")
-        with pytest.raises(ValueError, match=SOLVER_ENV):
-            resolve_solver_backend()
-
-    def test_invalid_explicit_name(self):
-        with pytest.raises(ValueError, match="pardiso"):
-            resolve_solver_backend("pardiso")
-
-    def test_backend_instance_passes_through(self):
-        backend = SpluBackend()
-        assert resolve_solver_backend(backend) is backend
-
-    def test_non_backend_object_rejected(self):
-        with pytest.raises(TypeError):
-            resolve_solver_backend(3.14)
-
-    @pytest.mark.skipif(cholmod_available(), reason="scikit-sparse is installed")
-    def test_auto_degrades_silently_without_cholmod(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_solver_backend("auto").name == "splu"
-
-    @pytest.mark.skipif(cholmod_available(), reason="scikit-sparse is installed")
-    def test_cholmod_request_warns_and_degrades(self):
-        with pytest.warns(RuntimeWarning, match="degrading to the 'splu' backend"):
-            backend = resolve_solver_backend("cholmod")
-        assert backend.name == "splu"
-
-    @pytest.mark.skipif(cholmod_available(), reason="scikit-sparse is installed")
-    def test_engine_degrades_to_splu_without_cholmod(self, base_compiled):
-        """The whole engine stays usable on a cholmod request: policy
-        resolution warns, the splu backend serves every solve."""
-        with pytest.warns(RuntimeWarning, match="scikit-sparse"):
-            engine = BatchedAnalysisEngine(solver="cholmod")
-        assert engine.cache_info().backend == "splu"
-        voltages = engine.solve_voltages(base_compiled)
-        assert np.all(np.isfinite(voltages))
-
-    @pytest.mark.skipif(cholmod_available(), reason="scikit-sparse is installed")
-    def test_cholmod_backend_factor_raises_without_binding(self, base_compiled):
-        from repro.analysis import LinearSolverError
-
-        with pytest.raises(LinearSolverError, match="scikit-sparse"):
-            CholmodBackend().factor(base_compiled.reduced_matrix)
-
-
 class TestSpluFactorization:
-    """The default backend factors the SPD reduced matrix in symmetric mode."""
+    """The backend factors the SPD reduced matrix in symmetric mode."""
 
     def test_fill_below_the_unsymmetric_default(self, base_compiled):
         matrix = base_compiled.reduced_matrix.tocsc()
@@ -442,34 +375,6 @@ class TestSpluFactorization:
 
 
 # ----------------------------------------------------------------------
-# CHOLMOD equivalence (runs only where scikit-sparse is installed)
-# ----------------------------------------------------------------------
-@pytest.mark.skipif(not cholmod_available(), reason="scikit-sparse not installed")
-class TestCholmodEquivalence:
-    def test_backend_resolves(self):
-        assert resolve_solver_backend("cholmod").name == "cholmod"
-        assert resolve_solver_backend("auto").name == "cholmod"
-
-    def test_voltages_match_splu(self, base_compiled):
-        cholmod = BatchedAnalysisEngine(solver="cholmod")
-        splu = BatchedAnalysisEngine(solver="splu")
-        diff = cholmod.solve_voltages(base_compiled) - splu.solve_voltages(base_compiled)
-        assert np.max(np.abs(diff)) <= VOLTAGE_TOLERANCE
-        assert cholmod.cache_info().backend == "cholmod"
-
-    def test_incremental_updates_on_cholmod_base(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        engine = BatchedAnalysisEngine(solver="cholmod")
-        engine.analyze(base_compiled)
-        clone = resized(builder, ibmpg1_bench, base_compiled, stripe_scale(ibmpg1_bench))
-        incremental = engine.solve_voltages(clone)
-        fresh = BatchedAnalysisEngine(solver="splu").solve_voltages(clone)
-        assert np.max(np.abs(incremental - fresh)) <= VOLTAGE_TOLERANCE
-        assert engine.cache_info().updates == 1
-
-
-# ----------------------------------------------------------------------
 # Counters and cache-key semantics
 # ----------------------------------------------------------------------
 class TestCacheSemantics:
@@ -487,15 +392,8 @@ class TestCacheSemantics:
         assert after.updates == before.updates
         assert after.update_fallbacks == before.update_fallbacks
 
-    def test_cache_keys_are_backend_qualified(self, base_compiled):
+    def test_cache_key_is_the_fingerprint(self, base_compiled):
         engine = BatchedAnalysisEngine()
         engine.analyze(base_compiled)
         (key,) = engine._cache.keys()
-        assert key == f"splu:{base_compiled.fingerprint}"
-
-    def test_cache_info_reports_backend(self):
-        assert BatchedAnalysisEngine().cache_info().backend == "splu"
-        assert BatchedAnalysisEngine(solver="auto").cache_info().backend in (
-            "splu",
-            "cholmod",
-        )
+        assert key == base_compiled.fingerprint

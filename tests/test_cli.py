@@ -230,7 +230,7 @@ class TestSweep:
     def test_sweep_executor_processes(self, tmp_path, capsys):
         """--executor processes shards the sweep and reports exact
         statistics identical to the threaded run (quantiles switch to the
-        mergeable reservoir sample and are excluded)."""
+        mergeable quantile sketch and are excluded)."""
         args = [
             "sweep", "ibmpg1",
             "--num-loads", "6", "--num-pads", "4",
@@ -269,7 +269,7 @@ class TestSweep:
         assert processes["workers"] == 2
         volatile = (
             "executor", "workers", "analysis_time_seconds", "scenarios_per_second",
-            "quantiles",  # P2 (threads) vs mergeable reservoir (processes)
+            "quantiles",  # P2 (threads) vs mergeable quantile sketch (processes)
         )
         for record in (threads, processes):
             for key in volatile:
