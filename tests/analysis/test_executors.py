@@ -945,6 +945,33 @@ class TestPicklePayload:
         assert (state["compiled"].reduced_matrix != plan.compiled.reduced_matrix).nnz == 0
         assert isinstance(state["engine"].solver_backend, SpluBackend)
 
+    def test_worker_engine_mirrors_the_parent_configuration(self, ibmpg1_grid, load_sweep):
+        """The payload carries the engine's solver configuration and no
+        backend: every worker builds the one backend itself."""
+        plan = SweepPlan(
+            engine=BatchedAnalysisEngine(
+                cache_size=3, direct_size_limit=1234, incremental_updates=False
+            ),
+            compiled=ibmpg1_grid.compile(),
+            scenario_source=MatrixScenarioSource(load_matrix=load_sweep),
+            num_scenarios=load_sweep.shape[0],
+            chunk_size=7,
+            sinks=(),
+        )
+        payload = pickle_sweep_payload(plan)
+        engine_config = pickle.loads(payload)[0]
+        assert engine_config == {
+            "cache_size": 3,
+            "direct_size_limit": 1234,
+            "incremental_updates": False,
+        }
+        engine = load_shard_state(payload)["engine"]
+        assert (engine.cache_size, engine.direct_size_limit, engine.incremental_updates) == (
+            3,
+            1234,
+            False,
+        )
+
     def test_unpicklable_plan_rejected(self, ibmpg1_grid, load_sweep):
         # The closure is the point: unpicklable sources raise before any
         # payload is built or sink bound.

@@ -226,6 +226,22 @@ class TestSketchOnRealSweeps:
         )
         assert np.array_equal(sink.result().values, sequential_values)
 
+    def test_mean_statistic_process_sharded_identical(self, grid, load_sweep):
+        """Tracking each scenario's mean drop merges as bitwise as its worst."""
+        engine = BatchedAnalysisEngine()
+        serial = QuantileSketchSink(QUANTILES, statistic="mean")
+        engine.analyze_batch(grid, load_sweep, chunk_size=7, sinks=[serial], executor="serial")
+        sharded = QuantileSketchSink(QUANTILES, statistic="mean")
+        engine.analyze_batch(
+            grid,
+            load_sweep,
+            chunk_size=7,
+            sinks=[sharded],
+            executor=make_executor("processes", 3),
+        )
+        assert sharded.result().statistic == "mean"
+        assert np.array_equal(sharded.result().values, serial.result().values)
+
     def test_tracks_dense_reference(self, grid, load_sweep, sequential_values):
         dense = BatchedAnalysisEngine().analyze_batch(grid, load_sweep)
         worst = dense.ir_drop.max(axis=0)

@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 
 from repro.analysis import (
     BatchedAnalysisEngine,
+    LinearSolverError,
     PreconditionedUpdateFactorization,
     SpluBackend,
     UpdateDivergenceError,
@@ -353,6 +354,56 @@ class TestFactorUpdate:
             engine.factor_update(base_compiled, clone)
 
 
+# ----------------------------------------------------------------------
+# The engine's one backend and the seam that substitutes it
+# ----------------------------------------------------------------------
+class TestOneBackend:
+    def test_engine_takes_no_solver_argument(self):
+        with pytest.raises(TypeError, match="solver"):
+            BatchedAnalysisEngine(solver="splu")
+
+    def test_engine_factors_with_splu(self, base_compiled):
+        engine = BatchedAnalysisEngine()
+        assert isinstance(engine.solver_backend, SpluBackend)
+        assert engine.solver_backend.name == "splu"
+        factor, _ = engine._factor(base_compiled)
+        assert factor.backend == "splu"
+
+    def test_assigned_backend_serves_every_fresh_factorization(
+        self, ibmpg1_bench, builder, base_compiled
+    ):
+        """Assigning ``solver_backend`` is how a wrapper stands in for the
+        backend: every fresh factorization then goes through it, a
+        crossover fallback included, while updates reuse its factors."""
+
+        class CountingBackend(SpluBackend):
+            calls = 0
+
+            def factor(self, matrix):
+                self.calls += 1
+                return super().factor(matrix)
+
+        engine = BatchedAnalysisEngine()
+        backend = CountingBackend()
+        engine.solver_backend = backend
+        engine.analyze(base_compiled)
+        engine.analyze(
+            resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
+        )
+        assert backend.calls == 1
+        engine.analyze(
+            resized(
+                builder,
+                ibmpg1_bench,
+                base_compiled,
+                np.full(ibmpg1_bench.topology.num_lines, 1.6),
+            )
+        )
+        info = engine.cache_info()
+        assert info.updates == 1 and info.update_fallbacks == 1
+        assert backend.calls == info.factorizations == 2
+
+
 class TestSpluFactorization:
     """The backend factors the SPD reduced matrix in symmetric mode."""
 
@@ -361,6 +412,11 @@ class TestSpluFactorization:
         unsymmetric = spla.splu(matrix)
         symmetric = SpluBackend().factor(matrix)._factor
         assert symmetric.L.nnz + symmetric.U.nnz < unsymmetric.L.nnz + unsymmetric.U.nnz
+
+    def test_singular_matrix_raises_linear_solver_error(self):
+        singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(LinearSolverError, match="factorization failed"):
+            SpluBackend().factor(singular)
 
     @pytest.mark.parametrize("grid_name", ["ibmpg1", "ibmpgnew1"])
     def test_block_solve_residual(self, grid_name):

@@ -154,6 +154,11 @@ class TestParameters:
         with pytest.raises(ValueError):
             ConventionalPowerPlanner(small_benchmark.technology, upsize_factor=1.0)
 
+    def test_solver_argument_rejected(self, small_benchmark):
+        """The engine's one backend is not selectable through the planner."""
+        with pytest.raises(TypeError, match="solver"):
+            ConventionalPowerPlanner(small_benchmark.technology, solver="splu")
+
 
 class TestIncrementalSolverParity:
     """The incremental-update planner loop against the fresh-factorization

@@ -18,6 +18,28 @@ def test_linter_runs_clean_on_the_repo():
     assert not findings, "\n".join(finding.render() for finding in findings)
 
 
+def test_every_registered_variable_is_read():
+    """The registry holds no stale entry: each key is read by the package or
+    the benchmarks, as a literal or through a ``*_ENV`` constant — the two
+    forms RPR006 resolves."""
+    import ast
+
+    from repro.devtools.lint.core import iter_python_files
+    from repro.devtools.lint.rules import EnvRegistryRule
+    from repro.envvars import KNOWN_ENV_VARS
+
+    read = set()
+    for path in iter_python_files([REPO_ROOT / "src", REPO_ROOT / "benchmarks"]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, (value, _) in EnvRegistryRule._module_constants(tree).items():
+            if name.endswith("_ENV"):
+                read.add(value)
+        for _, key in EnvRegistryRule._env_reads(tree):
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                read.add(key.value)
+    assert sorted(set(KNOWN_ENV_VARS) - read) == []
+
+
 def test_lint_covers_a_nontrivial_file_count():
     from repro.devtools.lint.core import iter_python_files
 

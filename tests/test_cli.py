@@ -23,6 +23,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    def test_solver_option_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "ibmpg1", "--solver", "splu"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --solver splu" in capsys.readouterr().err
+
 
 class TestGenerateAndAnalyze:
     def test_generate_uniform_then_analyze(self, tmp_path, capsys):
@@ -133,6 +140,7 @@ class TestPlan:
 
         record = json.loads(record_path.read_text())
         assert "search" not in record
+        assert "backend" not in record
         assert record["converged"]
 
 
@@ -194,6 +202,7 @@ class TestSweep:
         assert record["num_scenarios"] == 24
         assert record["chunk_size"] == 7
         assert len(record["top_scenarios"]) == 3
+        assert "solver_backend" not in record
 
     def test_sweep_bad_arguments_error(self, capsys):
         assert main(["sweep", "ibmpg1", "--gamma", "1.5"]) == 2

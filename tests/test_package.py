@@ -7,6 +7,7 @@ runtime needs NumPy and SciPy only, and the remote executor's HTTP
 transport loads on first use.
 """
 
+import importlib
 import json
 import os
 import re
@@ -20,6 +21,18 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 UNUSED_AT_IMPORT = ("networkx", "http.server", "urllib.request", "ssl")
 """Modules no plain import of the package may load."""
+
+PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.core",
+    "repro.design",
+    "repro.devtools.lint",
+    "repro.grid",
+    "repro.io",
+    "repro.nn",
+)
+"""Every package that declares ``__all__``."""
 
 _PROBE = """
 import importlib, json, sys
@@ -68,3 +81,13 @@ def test_imports_load_neither_networkx_nor_the_http_transport():
         "repro.cli": [],
         "remote executor": "RemoteExecutor",
     }
+
+
+def test_every_exported_name_resolves():
+    """Each package's ``__all__`` names every export once, and each name
+    resolves, so ``from package import *`` survives the deletion of a name."""
+    for package in PACKAGES:
+        module = importlib.import_module(package)
+        exported = module.__all__
+        assert len(set(exported)) == len(exported), package
+        assert [name for name in exported if not hasattr(module, name)] == [], package
