@@ -17,7 +17,8 @@ documented relative-error bound at the dense rank quantiles.
 
 After the timed sequential sweep, the same mega-sweep is re-run twice more:
 
-* ``workers >= 2`` solver threads — the parallel chunk pipeline must
+* the **threads** row (``make_executor("threads", n)``, ``n >= 2`` solver
+  threads) — the parallel chunk pipeline must
   produce **bitwise-identical** reductions and sink results (asserted),
   and the sequential-vs-threaded speedup is recorded (``>= 1.5x`` bar,
   multi-core full-scale runners only);
@@ -243,15 +244,16 @@ def test_mega_sweep_sinks(benchmark, results_dir):
     sweep_engine = BatchedAnalysisEngine()
     sinks = build_sinks(nominal.worst_ir_drop)
     result = benchmark.pedantic(
-        # workers=1 pinned: the baseline must stay sequential even when
-        # REPRO_TEST_WORKERS is exported, or the speedup record lies.
+        # The serial executor pinned: the baseline must stay sequential
+        # even when REPRO_TEST_EXECUTOR is exported, or the speedup record
+        # lies.
         lambda: sweep_engine.analyze_mega_sweep(
             grid,
             load_matrix,
             pad_matrix,
             chunk_size=CHUNK_SIZE,
             sinks=tuple(sinks.values()),
-            workers=1,
+            executor="serial",
         ),
         rounds=1,
         iterations=1,
@@ -307,7 +309,7 @@ def test_mega_sweep_sinks(benchmark, results_dir):
         pad_matrix,
         chunk_size=CHUNK_SIZE,
         sinks=tuple(parallel_sinks.values()),
-        workers=PARALLEL_WORKERS,
+        executor=make_executor("threads", PARALLEL_WORKERS),
     )
     parallel_histogram = parallel_sinks["histogram"].result()
     sequential_histogram = sinks["histogram"].result()

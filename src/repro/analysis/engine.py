@@ -13,38 +13,44 @@ conductances, not on the loads or pad voltages.
 factorization — SuperLU in symmetric mode
 (:class:`~repro.analysis.solvers.SpluBackend`) — keyed on the compiled
 grid's topology fingerprint, and solves arbitrarily many right-hand sides
-against one factorization — either one at a time (:meth:`analyze`) or as
-a single multi-RHS triangular solve (:meth:`analyze_batch`).  Grids derived
+against one factorization as multi-RHS triangular solves.  Every entry
+point takes that one solve path: a single scenario (:meth:`analyze`,
+:meth:`solve_voltages`) is a one-column batch, assembled, solved and
+reduced exactly like each column of :meth:`analyze_batch`.  Grids derived
 by a conductance-only change
 (:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`, the
 planner's resize step) are served by **low-rank incremental updates** of
 the parent's cached factors instead of fresh factorizations.
 
 Chunked and streamed sweeps run on a pluggable execution layer
-(:mod:`repro.analysis.executors`).  ``workers=`` keeps its original
-semantics — RHS chunks solve concurrently on a thread pool (SuperLU's
-triangular solve and the large NumPy reductions release the GIL) while the
-calling thread folds finished chunks into the reductions and sinks strictly
-in ascending scenario order, bitwise-identical to the sequential path with
-memory bounded at ``O(num_nodes * chunk_size * workers)``.  ``executor=``
-selects the strategy explicitly: a name (``"serial"``, ``"threads"``,
-``"processes"``, ``"hybrid"``, ``"remote"``) or an instance.  The local
-executor, :class:`~repro.analysis.executors.HybridExecutor`, runs the
-above in-process for one shard, and for several splits the *scenario
-range* across worker processes — each with its own fold, solving with
-the parent's factorization under ``fork`` — and merges the shard results
-through the :class:`~repro.analysis.sinks.MergeableSink` protocol,
-scaling sweeps past the GIL-bound fold.
+(:mod:`repro.analysis.executors`), and ``executor=`` — an instance, or a
+name for :func:`~repro.analysis.executors.make_executor` (``"serial"``,
+``"threads"``, ``"processes"``, ``"hybrid"``, ``"remote"``) — is the one
+way to choose a sweep's parallelism.  The local executor,
+:class:`~repro.analysis.executors.HybridExecutor`, solves RHS chunks
+concurrently on a thread pool (SuperLU's triangular solve and the large
+NumPy reductions release the GIL) while the calling thread folds finished
+chunks into the reductions and sinks strictly in ascending scenario order,
+bitwise-identical to the serial sweep; with several shards it splits the
+*scenario range* across worker processes — each with its own fold,
+solving with the parent's factorization under ``fork`` — and merges the
+shard results through the :class:`~repro.analysis.sinks.MergeableSink`
+protocol, scaling sweeps past the GIL-bound fold.  A sweep without
+``executor=`` runs serially, or on the
+:data:`~repro.analysis.executors.EXECUTOR_ENV` executor when that is set.
 
 Bad inputs fail where they enter, before any factorization or sink sees
 them: a grid with no pads, or with a node that reaches neither a pad nor
 ground, raises ``ValueError`` naming the grid and a floating node; a
 non-finite load or pad voltage raises ``ValueError`` naming its row (or
-global scenario) and its column with the node or pad.
+global scenario) and its column with the node or pad; ``names`` given as
+one string, or a ``num_scenarios`` that is not an integer, raises
+``TypeError`` naming the argument.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 import time
@@ -62,12 +68,11 @@ from ..grid.network import PowerGridNetwork
 from .executors import (
     EXECUTOR_ENV,
     ExecutorIncompatibility,
-    HybridExecutor,
     SweepExecutor,
     SweepPlan,
     make_executor,
 )
-from .irdrop import IRDropResult
+from .irdrop import IRDropResult, result_from_voltages
 from .sinks import IRDropSink, ScenarioSink
 from .solvers import (
     Factorization,
@@ -81,29 +86,6 @@ from .solvers import (
 
 ENGINE_METHOD = "cached_lu"
 """Solver-method tag recorded in results produced by the engine."""
-
-WORKERS_ENV = "REPRO_TEST_WORKERS"
-"""Environment variable supplying the engine's default ``workers`` count.
-
-Lets CI (and local runs) exercise the parallel chunk pipeline across the
-whole test suite without touching any call site: every chunked / streamed
-sweep that does not pass ``workers=`` explicitly uses this value.  Unset or
-empty means ``1`` (sequential), which is also the hard default.
-"""
-
-
-def _default_workers() -> int:
-    """Resolve the engine's default worker count from :data:`WORKERS_ENV`."""
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {workers}")
-    return workers
 
 ScenarioSource = Callable[[int, int], tuple[np.ndarray | None, np.ndarray | None]]
 """Chunk generator for streamed sweeps.
@@ -158,6 +140,22 @@ def resolve_chunk_size(num_unknowns: int) -> int:
         raise ValueError("num_unknowns must be non-negative")
     chunk = CHUNK_CACHE_BYTES // (8 * max(1, num_unknowns))
     return int(min(MAX_CHUNK_SIZE, max(MIN_CHUNK_SIZE, chunk)))
+
+
+def scenario_count(num_scenarios: int) -> int:
+    """``num_scenarios`` as a plain ``int``, checked before a sweep starts.
+
+    Any integer passes (NumPy's included); anything else — ``3.5``, a
+    string — raises ``TypeError`` naming the argument, and a count below 1
+    raises ``ValueError``.
+    """
+    try:
+        count = operator.index(num_scenarios)
+    except TypeError:
+        raise TypeError(f"num_scenarios must be an integer, got {num_scenarios!r}") from None
+    if count < 1:
+        raise ValueError("num_scenarios must be at least 1")
+    return count
 
 
 @dataclass(frozen=True)
@@ -327,13 +325,16 @@ class _PairedLayout:
     def assemble(
         self, chunk: tuple[np.ndarray | None, np.ndarray | None]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(num_unknowns, c)`` RHS block and ``(c, len(pad_sel))`` pad-node voltages."""
+        """The ``(num_unknowns, c)`` RHS block and the pad-node voltages.
+
+        Those are ``(c, len(pad_sel))``, or the nominal ``(len(pad_sel),)``
+        row every scenario shares when the chunk has no pad voltages.
+        """
         load_chunk, pad_chunk = chunk
         compiled = self.compiled
         rhs = compiled.rhs_matrix(load_chunk, pad_chunk)
         if pad_chunk is None:
-            nominal = compiled.pad_voltage[compiled.pad_sel]
-            return rhs, np.broadcast_to(nominal, (rhs.shape[1], nominal.size))
+            return rhs, compiled.pad_voltage[compiled.pad_sel]
         return rhs, compiled.pad_node_voltages(pad_chunk)
 
 
@@ -478,7 +479,8 @@ def _node_rows(
     """One solved block as contiguous ``(c, num_nodes)`` rows in node order.
 
     ``unknown`` is the ``(num_unknowns, c)`` solution and ``pad_voltages``
-    the ``(c, len(pad_sel))`` pad-node voltages.  With ``drops`` the rows
+    the ``(c, len(pad_sel))`` pad-node voltages (one ``(len(pad_sel),)``
+    row broadcasts to every scenario).  With ``drops`` the rows
     hold IR drops ``vdd − v``, else voltages.  Each scenario's unknown and
     pad columns are written straight into its row and put into node order
     by one gather (:meth:`~repro.grid.compiled.CompiledGrid.to_node_order`):
@@ -639,17 +641,10 @@ class BatchAnalysisResult:
 
     def result(self, scenario: int) -> IRDropResult:
         """Materialise one scenario as a full :class:`IRDropResult`."""
-        voltages = self._require_voltages()[:, scenario]
-        drops = self.ir_drop[:, scenario]
-        compiled = self.compiled
-        return IRDropResult(
-            network_name=self.scenario_names[scenario],
-            vdd=compiled.vdd,
-            node_voltages=compiled.voltages_dict(voltages),
-            node_ir_drop=compiled.voltages_dict(drops),
-            worst_ir_drop=float(self.worst_ir_drop[scenario]),
-            worst_node=self.worst_node(scenario),
-            average_ir_drop=float(self.average_ir_drop[scenario]),
+        return result_from_voltages(
+            self.compiled,
+            self._require_voltages()[:, scenario],
+            name=self.scenario_names[scenario],
             analysis_time=self.analysis_time / max(1, self.num_scenarios),
             solver_method=self.solver_method,
             solver_iterations=(
@@ -690,7 +685,8 @@ class StreamedSweepResult:
             ``parallelism`` (``shard_workers × threads_per_shard`` for the
             local executor).  Does not affect any exact result value.
         executor: Name of the executor that drove the sweep (one of
-            :data:`~repro.analysis.executors.EXECUTOR_NAMES`).
+            :data:`~repro.analysis.executors.EXECUTOR_NAMES`; ``"serial"``
+            by default).
         solver_method: The solver that produced every chunk
             (``"cached_lu"`` or ``"cg"``).
         solver_iterations: ``(num_scenarios,)`` per-scenario CG iteration
@@ -705,7 +701,7 @@ class StreamedSweepResult:
     analysis_time: float
     factorization_reused: bool
     workers: int = 1
-    executor: str = "threads"
+    executor: str = "serial"
     solver_method: str = ENGINE_METHOD
     solver_iterations: np.ndarray | None = None
 
@@ -764,10 +760,10 @@ class BatchedAnalysisEngine:
     """IR-drop analysis with a cross-solve sparse-factorization cache.
 
     :meth:`analyze` returns one scenario's full
-    :class:`~repro.analysis.irdrop.IRDropResult`; it is what the planner,
-    the vectorless analyzer and the CLI consume.  On top of that the
-    engine offers batched multi-RHS solving for sweeps where only the
-    loads or pad voltages change.
+    :class:`~repro.analysis.irdrop.IRDropResult`; it is what the vectorless
+    analyzer and the CLI consume, and the planner's loop solves through
+    :meth:`solve_voltages`.  Both are one-column batches of the multi-RHS
+    solve behind :meth:`analyze_batch` and the streamed sweeps.
 
     Args:
         cache_size: Maximum number of factorizations kept alive (LRU).
@@ -776,19 +772,6 @@ class BatchedAnalysisEngine:
             (:func:`~repro.analysis.solvers.solve_cg`) instead of a cached
             factorization, because SuperLU fill-in can exhaust memory on
             the largest grids.
-        default_workers: Worker-thread count used by chunked / streamed
-            sweeps whose callers do not pass ``workers=`` explicitly.
-            ``None`` (the default) reads :data:`WORKERS_ENV` and falls back
-            to 1 (sequential).
-        default_executor: Sweep executor used when a caller passes neither
-            ``executor=`` nor ``workers=``.  ``None`` (the default) reads
-            :data:`~repro.analysis.executors.EXECUTOR_ENV` — in that case
-            sweeps the strategy cannot run (non-mergeable sinks or an
-            unpicklable source under ``processes``) fall back to the
-            in-process pipeline instead of failing — and otherwise uses the
-            in-process pipeline at ``default_workers``.  A name from
-            :data:`~repro.analysis.executors.EXECUTOR_NAMES` or an
-            executor instance pins the strategy strictly.
         incremental_updates: When True (the default), a compiled grid
             produced by
             :meth:`~repro.grid.compiled.CompiledGrid.with_conductances`
@@ -802,6 +785,13 @@ class BatchedAnalysisEngine:
         update_policy: Crossover / tolerance knobs of the incremental
             path (:class:`~repro.analysis.solvers.UpdatePolicy`).
 
+    A sweep that passes no ``executor=`` runs on the executor named by
+    :data:`~repro.analysis.executors.EXECUTOR_ENV`, read once here (a bad
+    name raises ``ValueError`` naming the variable), or serially when it
+    is unset.  That environment default is lenient: a sweep it cannot run
+    (non-mergeable sinks or an unpicklable source on shards) runs serially
+    instead, with a :class:`RuntimeWarning`.
+
     Attributes:
         solver_backend: The object that produces fresh factorizations, a
             :class:`~repro.analysis.solvers.SpluBackend`.  It may be
@@ -814,8 +804,6 @@ class BatchedAnalysisEngine:
         self,
         cache_size: int = 8,
         direct_size_limit: int = 60000,
-        default_workers: int | None = None,
-        default_executor: SweepExecutor | str | None = None,
         incremental_updates: bool = True,
         update_policy: UpdatePolicy | None = None,
     ) -> None:
@@ -823,28 +811,13 @@ class BatchedAnalysisEngine:
             raise ValueError("cache_size must be at least 1")
         if direct_size_limit < 1:
             raise ValueError("direct_size_limit must be at least 1")
-        if default_workers is None:
-            default_workers = _default_workers()
-        if default_workers < 1:
-            raise ValueError("default_workers must be at least 1")
+        env_name = os.environ.get(EXECUTOR_ENV, "").strip()
+        try:
+            self._default_executor = make_executor(env_name or "serial")
+        except ValueError as exc:
+            raise ValueError(f"{EXECUTOR_ENV}: {exc}") from exc
         self.cache_size = cache_size
         self.direct_size_limit = direct_size_limit
-        self.default_workers = default_workers
-        self._default_executor_lenient = False
-        if default_executor is None:
-            env_name = os.environ.get(EXECUTOR_ENV, "").strip()
-            if env_name:
-                try:
-                    default_executor = self._executor_from_name(env_name)
-                except ValueError as exc:
-                    raise ValueError(f"{EXECUTOR_ENV}: {exc}") from exc
-                # Environment-selected strategies downgrade gracefully so a
-                # whole test suite can run under them without every P²/
-                # closure-source sweep failing.
-                self._default_executor_lenient = True
-        elif isinstance(default_executor, str):
-            default_executor = self._executor_from_name(default_executor)
-        self._default_executor = default_executor
         self.solver_backend = SpluBackend()
         self.incremental_updates = bool(incremental_updates)
         self.update_policy = update_policy or UpdatePolicy()
@@ -854,13 +827,6 @@ class BatchedAnalysisEngine:
         self._hits = 0  # guarded-by: _cache_lock
         self._updates = 0  # guarded-by: _cache_lock
         self._update_fallbacks = 0  # guarded-by: _cache_lock
-
-    def _executor_from_name(self, name: str) -> SweepExecutor:
-        """Default-executor construction honouring ``default_workers``."""
-        if name == "serial":
-            return make_executor(name)
-        workers = self.default_workers if self.default_workers > 1 else None
-        return make_executor(name, workers)
 
     # ------------------------------------------------------------------
     # Cache management
@@ -902,8 +868,6 @@ class BatchedAnalysisEngine:
         engine = BatchedAnalysisEngine(
             cache_size=self.cache_size,
             direct_size_limit=self.direct_size_limit,
-            default_workers=1,
-            default_executor="serial",
             incremental_updates=self.incremental_updates,
             update_policy=self.update_policy,
         )
@@ -973,38 +937,41 @@ class BatchedAnalysisEngine:
             factor=factor, direct=prev.direct, base_conductance=prev.base_conductance
         )
 
-    def _factor(self, compiled: CompiledGrid) -> tuple[Factorization, bool]:
+    def _factor(
+        self, compiled: CompiledGrid, base: CompiledGrid | None = None
+    ) -> tuple[Factorization, bool]:
         """Return the (cached) factorization of the reduced matrix.
 
         Serialised by a lock so that parallel chunk workers racing on a
         cold cache perform exactly one factorization (and keep the LRU
         bookkeeping consistent); cache hits only pay an uncontended
-        acquire.  A miss first tries the incremental path: when the grid
-        is a :meth:`~repro.grid.compiled.CompiledGrid.with_conductances`
-        clone whose parent factorization is still cached, a low-rank
-        update of those factors is built instead of a fresh
-        factorization.
+        acquire.  A miss first tries the incremental path: a low-rank
+        update of the cached factors of ``base`` (:meth:`factor_update`)
+        or, when ``base`` is omitted and incremental updates are on, of
+        the parent a
+        :meth:`~repro.grid.compiled.CompiledGrid.with_conductances` clone
+        records — instead of a fresh factorization.
         """
         key = compiled.fingerprint
+        if base is not None:
+            prev_key = base.fingerprint
+        elif self.incremental_updates:
+            prev_key = compiled.update_base_fingerprint
+        else:
+            prev_key = None
         with self._cache_lock:
             entry = self._cache.get(key)
             if entry is not None:
                 self._hits += 1
                 self._cache.move_to_end(key)
                 return entry.factor, True
-            entry = None
-            if (
-                self.incremental_updates
-                and compiled.update_base_fingerprint is not None
-            ):
-                prev_key = compiled.update_base_fingerprint
-                prev = self._cache.get(prev_key)
-                if prev is not None:
-                    # Touch the base entry so a batch of clones evaluated
-                    # against one base (the planner's candidate search)
-                    # keeps evicting each other, never the shared base.
-                    self._cache.move_to_end(prev_key)
-                    entry = self._update_entry(compiled, prev)
+            prev = self._cache.get(prev_key)
+            if prev is not None:
+                # Touch the base entry so a batch of clones evaluated
+                # against one base (the planner's candidate search)
+                # keeps evicting each other, never the shared base.
+                self._cache.move_to_end(prev_key)
+                entry = self._update_entry(compiled, prev)
             if entry is None:
                 entry = self._fresh_entry(compiled)
             self._store_entry(key, entry)
@@ -1059,22 +1026,7 @@ class BatchedAnalysisEngine:
                 f"direct_size_limit={self.direct_size_limit}"
             )
         self._factor(prev_compiled)
-        key = new_compiled.fingerprint
-        with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is not None:
-                self._hits += 1
-                self._cache.move_to_end(key)
-                return entry.factor
-            prev_key = prev_compiled.fingerprint
-            prev_entry = self._cache.get(prev_key)
-            if prev_entry is not None:
-                self._cache.move_to_end(prev_key)
-            entry = self._update_entry(new_compiled, prev_entry) if prev_entry else None
-            if entry is None:
-                entry = self._fresh_entry(new_compiled)
-            self._store_entry(key, entry)
-            return entry.factor
+        return self._factor(new_compiled, base=prev_compiled)[0]
 
     # ------------------------------------------------------------------
     # Solving
@@ -1095,14 +1047,6 @@ class BatchedAnalysisEngine:
         compiled.require_connected()
         return compiled
 
-    @staticmethod
-    def _load_rhs(compiled: CompiledGrid, loads: np.ndarray | None) -> np.ndarray:
-        """One scenario's RHS, rejecting a non-finite load at entry."""
-        rhs = compiled.rhs(loads)
-        if loads is not None:
-            _require_finite(np.asarray(loads, dtype=float), "loads", compiled, "node")
-        return rhs
-
     def _use_cg(self, compiled: CompiledGrid) -> bool:
         return compiled.num_unknowns > self.direct_size_limit
 
@@ -1110,66 +1054,50 @@ class BatchedAnalysisEngine:
         """The method every solve on this grid actually uses."""
         return "cg" if self._use_cg(compiled) else ENGINE_METHOD
 
-    def _resolve_workers(self, workers: int | None) -> int:
-        workers = self.default_workers if workers is None else workers
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        return workers
-
     def _sweep_executor(
-        self, workers: int | None, executor: SweepExecutor | str | None
+        self, executor: SweepExecutor | str | None
     ) -> tuple[SweepExecutor, bool]:
-        """Resolve the ``(executor, lenient)`` pair for one sweep.
+        """The ``(executor, lenient)`` pair one sweep runs with.
 
-        Precedence: an explicit ``executor`` argument (by instance or
-        name) wins; an explicit ``workers`` keeps its original semantics
-        — the in-process pipeline at that thread count (the ``1 × n``
-        row); otherwise the engine default applies (``lenient`` marks the
-        environment-derived default, whose incompatible sweeps downgrade
-        to the in-process pipeline).
+        An ``executor`` argument — an instance, or a name for
+        :func:`~repro.analysis.executors.make_executor` — is strict;
+        without one the engine default applies, and ``lenient`` marks it:
+        a sweep it cannot run downgrades to the serial pipeline
+        (:meth:`_stream_scenarios`).
         """
         if executor is None:
-            if workers is not None:
-                return HybridExecutor(1, self._resolve_workers(workers)), False
-            if self._default_executor is not None:
-                return self._default_executor, self._default_executor_lenient
-            return HybridExecutor(1, self.default_workers), False
+            return self._default_executor, True
         if isinstance(executor, str):
-            return make_executor(executor, workers), False
-        if workers is not None:
-            raise ValueError(
-                "pass parallelism either inside the executor or as workers=, not both"
-            )
+            return make_executor(executor), False
         return executor, False
 
-    def _solve_factored(self, compiled: CompiledGrid, rhs: np.ndarray) -> np.ndarray:
-        """Solve via the cached factorization, refactorizing on divergence.
+    def _analyze_one(
+        self,
+        network: PowerGridNetwork | CompiledGrid,
+        loads: np.ndarray | None,
+        name: str | None,
+    ) -> BatchAnalysisResult:
+        """Solve one scenario as a one-column :meth:`analyze_batch`.
 
-        An incremental-update factorization that cannot reach its
-        tolerance raises
-        :class:`~repro.analysis.solvers.UpdateDivergenceError`; the
-        fingerprint is then downgraded to a fresh factorization (counted
-        in ``update_fallbacks``) and the solve repeats exactly.
+        ``loads`` (per-node, compiled order; the grid's own loads when
+        omitted) is checked here, so a bad entry is named as ``loads``
+        rather than as a batch row.
         """
-        factor, _ = self._factor(compiled)
-        try:
-            return factor.solve(rhs)
-        except UpdateDivergenceError:
-            return self._refactor_fresh(compiled).solve(rhs)
-
-    def _solve_unknowns(self, compiled: CompiledGrid, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-        """Solve one RHS, returning unknown voltages and solver iterations."""
-        if rhs.size == 0:
-            return np.empty(0), 0
-        if self._use_cg(compiled):
-            unknown, iterations = solve_cg(compiled.reduced_matrix, rhs)
-            solver = "CG"
+        start = time.perf_counter()
+        compiled = self._compiled(network)
+        if loads is None:
+            loads = compiled.base_loads
         else:
-            unknown, iterations = self._solve_factored(compiled, rhs), 0
-            solver = "direct"
-        if not np.all(np.isfinite(unknown)):
-            raise LinearSolverError(f"{solver} solve produced non-finite voltages")
-        return unknown, iterations
+            loads = np.asarray(loads, dtype=float)
+            if loads.shape != (compiled.num_nodes,):
+                raise ValueError(
+                    f"expected loads of shape ({compiled.num_nodes},), got {loads.shape}"
+                )
+            _require_finite(loads, "loads", compiled, "node")
+        return self._solve_batch(
+            start, compiled, loads[None], None, (name or compiled.name,), None, (), None,
+            "analyze",
+        )
 
     def solve_voltages(
         self,
@@ -1177,9 +1105,7 @@ class BatchedAnalysisEngine:
         loads: np.ndarray | None = None,
     ) -> np.ndarray:
         """Solve one scenario and return per-node voltages in compiled order."""
-        compiled = self._compiled(network)
-        unknown, _ = self._solve_unknowns(compiled, self._load_rhs(compiled, loads))
-        return compiled.full_voltages(unknown)
+        return self._analyze_one(network, loads, None).voltages[:, 0]
 
     def analyze(
         self,
@@ -1194,34 +1120,22 @@ class BatchedAnalysisEngine:
             loads: Optional per-node load override, in compiled node order.
             name: Optional result name override.
         """
-        start = time.perf_counter()
-        compiled = self._compiled(network)
-        unknown, iterations = self._solve_unknowns(compiled, self._load_rhs(compiled, loads))
-        voltages = compiled.full_voltages(unknown)
-        drops = compiled.vdd - voltages
-        worst = int(drops.argmax()) if drops.size else 0
-        elapsed = time.perf_counter() - start
-        return IRDropResult(
-            network_name=name or compiled.name,
-            vdd=compiled.vdd,
-            node_voltages=compiled.voltages_dict(voltages),
-            node_ir_drop=compiled.voltages_dict(drops),
-            worst_ir_drop=float(drops[worst]) if drops.size else 0.0,
-            worst_node=compiled.node_names[worst] if drops.size else "",
-            average_ir_drop=float(drops.mean()) if drops.size else 0.0,
-            analysis_time=elapsed,
-            solver_method=self._solver_method(compiled),
-            solver_iterations=iterations,
-        )
+        return self._analyze_one(network, loads, name).result(0)
 
     def _solve_rhs_block(
         self, compiled: CompiledGrid, rhs: np.ndarray
     ) -> tuple[np.ndarray, bool, np.ndarray]:
         """Solve one ``(num_unknowns, c)`` RHS block.
 
-        Returns the unknown voltages, whether a cached factorization was
-        reused, and the ``(c,)`` per-column solver iteration counts (all
-        zero on the direct path, the actual CG iterations on the fallback).
+        Every solve of the engine runs here, a single scenario as one
+        column.  An incremental-update factorization that cannot reach its
+        tolerance raises
+        :class:`~repro.analysis.solvers.UpdateDivergenceError`; the
+        fingerprint is then downgraded to a fresh factorization (counted
+        in ``update_fallbacks``) and the block is solved again.  Returns
+        the unknown voltages, whether a cached factorization was reused,
+        and the ``(c,)`` per-column solver iteration counts (all zero on
+        the direct path, the actual CG iterations on the fallback).
         """
         iterations = np.zeros(rhs.shape[1], dtype=np.int64)
         if rhs.shape[0] == 0:
@@ -1232,15 +1146,16 @@ class BatchedAnalysisEngine:
                 voltages, iterations[k] = solve_cg(compiled.reduced_matrix, rhs[:, k])
                 columns.append(voltages)
             unknown = np.column_stack(columns)
-            reused = False
+            solver, reused = "CG", False
         else:
             factor, reused = self._factor(compiled)
             try:
                 unknown = factor.solve(rhs)
             except UpdateDivergenceError:
                 unknown = self._refactor_fresh(compiled).solve(rhs)
+            solver = "direct"
         if not np.all(np.isfinite(unknown)):
-            raise LinearSolverError("batched solve produced non-finite voltages")
+            raise LinearSolverError(f"{solver} solve produced non-finite voltages")
         return unknown, reused, iterations
 
     def _stream_scenarios(
@@ -1251,20 +1166,20 @@ class BatchedAnalysisEngine:
         chunk_size: int,
         sinks: Sequence[ScenarioSink],
         executor: SweepExecutor,
-        lenient: bool = False,
-        entry_point: str = "sweep",
+        lenient: bool,
+        entry_point: str,
     ) -> tuple[BatchReductions, bool, np.ndarray, SweepExecutor]:
         """Run one chunked sweep on an executor, with lenient fallback.
 
-        ``lenient`` marks an environment-default executor: if it declares
+        ``lenient`` marks the engine's default executor: if it declares
         the sweep incompatible (:class:`ExecutorIncompatibility`, raised
-        before any sink binds), the sweep downgrades to the in-process
-        pipeline at the engine's default worker count instead of failing —
-        with a :class:`RuntimeWarning` naming the entry point and the
-        offending sink class / source, so environment-sharded suites show
-        which sweeps silently ran in-process.  Returns the reductions,
-        reuse flag, iteration counts and the executor that actually ran
-        the sweep.
+        before any sink binds), the sweep downgrades to the serial
+        in-process pipeline instead of failing — with a
+        :class:`RuntimeWarning` naming the entry point and the offending
+        sink class / source, so environment-sharded suites show which
+        sweeps silently ran in-process.  Returns the reductions, reuse
+        flag, iteration counts and the executor that actually ran the
+        sweep.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
@@ -1285,9 +1200,9 @@ class BatchedAnalysisEngine:
                 f"{entry_point}: the environment-default {executor.name!r} executor "
                 f"cannot run this sweep ({exc}); falling back to the in-process pipeline",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-            executor = HybridExecutor(1, self.default_workers)
+            executor = make_executor("serial")
             reductions, reused, iterations = executor.execute(plan)
         return reductions, reused, iterations, executor
 
@@ -1313,7 +1228,7 @@ class BatchedAnalysisEngine:
         num_scenarios: int,
         chunk_size: int,
         sinks: Sequence[ScenarioSink],
-        workers: int = 1,
+        threads: int = 1,
         first: int = 0,
     ) -> tuple[BatchReductions, bool, np.ndarray]:
         """Solve a sweep chunk by chunk, feeding reductions and sinks.
@@ -1334,19 +1249,17 @@ class BatchedAnalysisEngine:
         offsets, which :meth:`~repro.analysis.sinks.MergeableSink.merge`
         re-bases.
 
-        With ``workers > 1`` the chunk solves run on a thread pool while
+        With ``threads > 1`` the chunk solves run on a thread pool while
         this thread keeps three sequential roles: it *produces* chunks (the
         scenario source is always called from the calling thread, in
         ascending order, so sources need not be thread-safe), it *bounds*
-        the in-flight window at ``workers`` chunks (memory stays
-        ``O(num_nodes * chunk_size * workers)``), and it *folds* finished
+        the in-flight window at ``threads`` chunks (memory stays
+        ``O(num_nodes * chunk_size * threads)``), and it *folds* finished
         chunks strictly in ascending scenario order (futures are awaited
         FIFO).  Each chunk's solve is deterministic and chunk-local, so the
         reductions, every sink state, and all solver metadata are
         bitwise-identical to the sequential path.
         """
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         layout = self._chunk_layout(compiled, scenario_source)
         with_voltages = any(not isinstance(sink, IRDropSink) for sink in sinks)
         for sink in sinks:
@@ -1394,7 +1307,7 @@ class BatchedAnalysisEngine:
             (begin, min(begin + chunk_size, num_scenarios))
             for begin in range(0, num_scenarios, chunk_size)
         ]
-        if workers <= 1 or len(ranges) <= 1:
+        if threads <= 1 or len(ranges) <= 1:
             for begin, end in ranges:
                 fold(begin, end, solve_chunk(produce(begin, end)))
         else:
@@ -1405,10 +1318,10 @@ class BatchedAnalysisEngine:
             compiled.pad_incidence
             in_flight: deque = deque()
             with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-chunk"
+                max_workers=threads, thread_name_prefix="repro-chunk"
             ) as pool:
                 for begin, end in ranges:
-                    while len(in_flight) >= workers:
+                    while len(in_flight) >= threads:
                         oldest_begin, oldest_end, future = in_flight.popleft()
                         fold(oldest_begin, oldest_end, future.result())
                     chunk = produce(begin, end)
@@ -1421,18 +1334,19 @@ class BatchedAnalysisEngine:
         )
         return reductions, reused, iterations
 
-    def _batch_scenarios(
+    def _solve_batch(
         self,
+        start: float,
         compiled: CompiledGrid,
         load_matrix: np.ndarray | None,
         pad_voltage_matrix: np.ndarray | None,
+        names: Sequence[str] | None,
         chunk_size: int | None,
         sinks: Sequence[ScenarioSink],
-        executor: SweepExecutor,
-        lenient: bool,
+        executor: SweepExecutor | str | None,
         entry_point: str,
-    ) -> tuple[np.ndarray | None, BatchReductions | None, bool, np.ndarray]:
-        """Shared core of the batched solvers.
+    ) -> BatchAnalysisResult:
+        """Shared body of every batch, one-column single solves included, after input checks.
 
         Without ``chunk_size`` the full ``(num_nodes, k)`` voltage matrix is
         returned (and offered to the sinks as one chunk); with it, scenarios
@@ -1442,8 +1356,11 @@ class BatchedAnalysisEngine:
         RHS matrix) never exist for huge sweeps.  The executor only applies
         to the chunked path (an unsharded batch is a single RHS block).
         """
-        source = MatrixScenarioSource(load_matrix, pad_voltage_matrix)
+        executor_used, lenient = self._sweep_executor(executor)
         k = (load_matrix if pad_voltage_matrix is None else pad_voltage_matrix).shape[0]
+        scenario_names = self._scenario_names(compiled, k, names)
+        source = MatrixScenarioSource(load_matrix, pad_voltage_matrix)
+        voltages = reductions = None
         if chunk_size is None:
             for sink in sinks:
                 sink.bind(compiled, k)
@@ -1455,19 +1372,30 @@ class BatchedAnalysisEngine:
             if sinks:
                 drop_rows = _node_rows(compiled, unknown, pad_voltages, drops=True)
                 _feed_sinks(sinks, voltages, drop_rows, 0)
-            return voltages, None, reused, iterations
-
-        reductions, reused, iterations, _ = self._stream_scenarios(
-            compiled, source, k, chunk_size, sinks, executor, lenient, entry_point
+        else:
+            reductions, reused, iterations, _ = self._stream_scenarios(
+                compiled, source, k, chunk_size, sinks, executor_used, lenient, entry_point
+            )
+        return BatchAnalysisResult(
+            compiled=compiled,
+            voltages=voltages,
+            scenario_names=scenario_names,
+            analysis_time=time.perf_counter() - start,
+            factorization_reused=reused,
+            reductions=reductions,
+            sinks=tuple(sinks),
+            solver_method=self._solver_method(compiled),
+            solver_iterations=iterations,
         )
-        return None, reductions, reused, iterations
 
     @staticmethod
     def _scenario_names(
-        compiled: CompiledGrid, k: int, names: list[str] | tuple[str, ...] | None
+        compiled: CompiledGrid, k: int, names: Sequence[str] | None
     ) -> tuple[str, ...]:
         if names is None:
             return tuple(f"{compiled.name}[{i}]" for i in range(k))
+        if isinstance(names, str):
+            raise TypeError(f"names must be a sequence of {k} scenario names, not one string")
         if len(names) != k:
             raise ValueError(f"expected {k} scenario names, got {len(names)}")
         return tuple(names)
@@ -1476,10 +1404,9 @@ class BatchedAnalysisEngine:
         self,
         network: PowerGridNetwork | CompiledGrid,
         load_matrix: np.ndarray,
-        names: list[str] | tuple[str, ...] | None = None,
+        names: Sequence[str] | None = None,
         chunk_size: int | None = None,
         sinks: Sequence[ScenarioSink] = (),
-        workers: int | None = None,
         executor: SweepExecutor | str | None = None,
     ) -> BatchAnalysisResult:
         """Solve many load scenarios against one factorization.
@@ -1488,7 +1415,7 @@ class BatchedAnalysisEngine:
             network: The grid (or its compiled form) all scenarios share.
             load_matrix: ``(num_scenarios, num_nodes)`` per-node currents in
                 compiled node order.
-            names: Optional per-scenario names.
+            names: Optional per-scenario names (a sequence, not one string).
             chunk_size: Optional RHS shard size.  When given, scenarios are
                 solved in blocks of at most this many right-hand sides and
                 the worst / mean / worst-node reductions are streamed, so
@@ -1499,15 +1426,13 @@ class BatchedAnalysisEngine:
                 into (see :mod:`repro.analysis.sinks`); composes with
                 ``chunk_size``.  Each sink observes every scenario exactly
                 once, in order.
-            workers: Solver threads for the chunked path (the in-process
-                ``1 × workers`` executor row); results are bitwise-identical
-                to the sequential solve.  ``None`` uses the engine default.
             executor: Sweep-execution strategy for the chunked path — an
                 executor instance or a name from
                 :data:`~repro.analysis.executors.EXECUTOR_NAMES`
-                (``"processes"`` requires every sink to be mergeable).
-                Without ``chunk_size`` the batch is a single RHS block, so
-                neither ``workers`` nor ``executor`` has any effect.
+                (``"processes"`` requires every sink to be mergeable);
+                results are bitwise-identical to the serial sweep.
+                ``None`` uses the engine default.  Without ``chunk_size``
+                the batch is a single RHS block, so it has no effect.
 
         Returns:
             A :class:`BatchAnalysisResult` — with the full voltage matrix,
@@ -1515,7 +1440,6 @@ class BatchedAnalysisEngine:
         """
         start = time.perf_counter()
         compiled = self._compiled(network)
-        executor_used, lenient = self._sweep_executor(workers, executor)
         load_matrix = np.asarray(load_matrix, dtype=float)
         if load_matrix.ndim != 2 or load_matrix.shape[1] != compiled.num_nodes:
             raise ValueError(
@@ -1525,22 +1449,9 @@ class BatchedAnalysisEngine:
         if load_matrix.shape[0] == 0:
             raise ValueError("load_matrix must contain at least one scenario")
         _require_finite(load_matrix, "load_matrix row", compiled, "node")
-        scenario_names = self._scenario_names(compiled, load_matrix.shape[0], names)
-        voltages, reductions, reused, iterations = self._batch_scenarios(
-            compiled, load_matrix, None, chunk_size, sinks, executor_used, lenient,
+        return self._solve_batch(
+            start, compiled, load_matrix, None, names, chunk_size, sinks, executor,
             "analyze_batch",
-        )
-        elapsed = time.perf_counter() - start
-        return BatchAnalysisResult(
-            compiled=compiled,
-            voltages=voltages,
-            scenario_names=scenario_names,
-            analysis_time=elapsed,
-            factorization_reused=reused,
-            reductions=reductions,
-            sinks=tuple(sinks),
-            solver_method=self._solver_method(compiled),
-            solver_iterations=iterations,
         )
 
     def analyze_pad_batch(
@@ -1548,10 +1459,9 @@ class BatchedAnalysisEngine:
         network: PowerGridNetwork | CompiledGrid,
         pad_voltage_matrix: np.ndarray,
         load_matrix: np.ndarray | None = None,
-        names: list[str] | tuple[str, ...] | None = None,
+        names: Sequence[str] | None = None,
         chunk_size: int | None = None,
         sinks: Sequence[ScenarioSink] = (),
-        workers: int | None = None,
         executor: SweepExecutor | str | None = None,
     ) -> BatchAnalysisResult:
         """Solve many pad-voltage scenarios against one factorization.
@@ -1569,12 +1479,10 @@ class BatchedAnalysisEngine:
             load_matrix: Optional ``(num_scenarios, num_nodes)`` per-node
                 currents (the grid's own loads are used when omitted),
                 letting one batch sweep currents and pad voltages together.
-            names: Optional per-scenario names.
+            names: Optional per-scenario names (see :meth:`analyze_batch`).
             chunk_size: Optional RHS shard size (see :meth:`analyze_batch`).
             sinks: Scenario sinks to stream every solved voltage chunk
                 into (see :meth:`analyze_batch`).
-            workers: Solver threads for the chunked path (see
-                :meth:`analyze_batch`).
             executor: Sweep-execution strategy for the chunked path (see
                 :meth:`analyze_batch`).
 
@@ -1584,7 +1492,6 @@ class BatchedAnalysisEngine:
         """
         start = time.perf_counter()
         compiled = self._compiled(network)
-        executor_used, lenient = self._sweep_executor(workers, executor)
         pad_voltage_matrix = np.asarray(pad_voltage_matrix, dtype=float)
         if pad_voltage_matrix.ndim != 2 or pad_voltage_matrix.shape[1] != len(compiled.pad_node):
             raise ValueError(
@@ -1604,22 +1511,49 @@ class BatchedAnalysisEngine:
                 )
             _require_finite(load_matrix, "load_matrix row", compiled, "node")
         _require_finite(pad_voltage_matrix, "pad_voltage_matrix row", compiled, "pad")
-        scenario_names = self._scenario_names(compiled, pad_voltage_matrix.shape[0], names)
-        voltages, reductions, reused, iterations = self._batch_scenarios(
-            compiled, load_matrix, pad_voltage_matrix, chunk_size, sinks, executor_used, lenient,
-            "analyze_pad_batch",
+        return self._solve_batch(
+            start, compiled, load_matrix, pad_voltage_matrix, names, chunk_size, sinks,
+            executor, "analyze_pad_batch",
         )
-        elapsed = time.perf_counter() - start
-        return BatchAnalysisResult(
+
+    def _sweep(
+        self,
+        start: float,
+        compiled: CompiledGrid,
+        scenario_source: ScenarioSource,
+        num_scenarios: int,
+        chunk_size: int | None,
+        sinks: Sequence[ScenarioSink],
+        executor: SweepExecutor | str | None,
+        entry_point: str,
+        result_type: type[StreamedSweepResult] = StreamedSweepResult,
+        **fields: int,
+    ) -> StreamedSweepResult:
+        """Shared body of the streamed entry points, after their input checks.
+
+        Resolves the adaptive chunk width, runs the sweep and builds its
+        ``result_type`` (``fields`` are the subclass's own).
+        """
+        executor_used, lenient = self._sweep_executor(executor)
+        if chunk_size is None:
+            chunk_size = resolve_chunk_size(compiled.num_unknowns)
+        reductions, reused, iterations, executor_used = self._stream_scenarios(
+            compiled, scenario_source, num_scenarios, chunk_size, sinks, executor_used,
+            lenient, entry_point,
+        )
+        return result_type(
             compiled=compiled,
-            voltages=voltages,
-            scenario_names=scenario_names,
-            analysis_time=elapsed,
-            factorization_reused=reused,
+            num_scenarios=num_scenarios,
+            chunk_size=chunk_size,
             reductions=reductions,
             sinks=tuple(sinks),
+            analysis_time=time.perf_counter() - start,
+            factorization_reused=reused,
+            workers=executor_used.parallelism,
+            executor=executor_used.name,
             solver_method=self._solver_method(compiled),
             solver_iterations=iterations,
+            **fields,
         )
 
     def analyze_scenario_stream(
@@ -1630,7 +1564,6 @@ class BatchedAnalysisEngine:
         *,
         chunk_size: int | None = None,
         sinks: Sequence[ScenarioSink] = (),
-        workers: int | None = None,
         executor: SweepExecutor | str | None = None,
     ) -> StreamedSweepResult:
         """Stream arbitrarily many generated scenarios through the sinks.
@@ -1649,16 +1582,15 @@ class BatchedAnalysisEngine:
                 A single-shard executor calls it from the calling thread
                 in ascending order; sharded executors call pickled copies
                 from their workers, each over a contiguous sub-range.
-            num_scenarios: Total number of scenarios to stream.
+            num_scenarios: Total number of scenarios to stream, an integer
+                (NumPy integers included) of at least 1.
             chunk_size: RHS chunk width (and source request size).
                 ``None`` picks an adaptive width via
                 :func:`resolve_chunk_size` from the grid size.
             sinks: Scenario sinks to stream every solved chunk into.
-            workers: Solver threads for the chunk solves; sinks still fold
-                in ascending scenario order, so every result is
-                bitwise-identical to the sequential sweep.  ``None`` uses
-                the engine default.
-            executor: Sweep-execution strategy (see :meth:`analyze_batch`).
+            executor: Sweep-execution strategy (see :meth:`analyze_batch`);
+                sinks still fold in ascending scenario order, so every
+                result is bitwise-identical to the serial sweep.
 
         Returns:
             A :class:`StreamedSweepResult` with the per-scenario
@@ -1666,27 +1598,10 @@ class BatchedAnalysisEngine:
         """
         start = time.perf_counter()
         compiled = self._compiled(network)
-        executor_used, lenient = self._sweep_executor(workers, executor)
-        if num_scenarios < 1:
-            raise ValueError("num_scenarios must be at least 1")
-        if chunk_size is None:
-            chunk_size = resolve_chunk_size(compiled.num_unknowns)
-        reductions, reused, iterations, executor_used = self._stream_scenarios(
-            compiled, scenario_source, num_scenarios, chunk_size, sinks, executor_used, lenient,
+        num_scenarios = scenario_count(num_scenarios)
+        return self._sweep(
+            start, compiled, scenario_source, num_scenarios, chunk_size, sinks, executor,
             "analyze_scenario_stream",
-        )
-        return StreamedSweepResult(
-            compiled=compiled,
-            num_scenarios=num_scenarios,
-            chunk_size=chunk_size,
-            reductions=reductions,
-            sinks=tuple(sinks),
-            analysis_time=time.perf_counter() - start,
-            factorization_reused=reused,
-            workers=executor_used.parallelism,
-            executor=executor_used.name,
-            solver_method=self._solver_method(compiled),
-            solver_iterations=iterations,
         )
 
     def analyze_mega_sweep(
@@ -1697,7 +1612,6 @@ class BatchedAnalysisEngine:
         *,
         chunk_size: int | None = None,
         sinks: Sequence[ScenarioSink] = (),
-        workers: int | None = None,
         executor: SweepExecutor | str | None = None,
     ) -> MegaSweepResult:
         """Sweep the full load × pad-voltage cross product, streamed.
@@ -1730,9 +1644,6 @@ class BatchedAnalysisEngine:
             chunk_size: RHS chunk width bounding the working memory
                 (``None`` = adaptive, see :func:`resolve_chunk_size`).
             sinks: Scenario sinks to stream every solved chunk into.
-            workers: Solver threads for the chunk solves (see
-                :meth:`analyze_scenario_stream`); bitwise-identical
-                results, ~``workers``× throughput on a multi-core host.
             executor: Sweep-execution strategy (see :meth:`analyze_batch`);
                 ``"processes"`` shards the cross product across worker
                 processes and merges the mergeable sinks.
@@ -1742,33 +1653,15 @@ class BatchedAnalysisEngine:
         """
         start = time.perf_counter()
         compiled = self._compiled(network)
-        executor_used, lenient = self._sweep_executor(workers, executor)
-        load_matrix = np.asarray(load_matrix, dtype=float)
-        pad_voltage_matrix = np.asarray(pad_voltage_matrix, dtype=float)
-        cross_source = CrossProductScenarioSource(load_matrix, pad_voltage_matrix)
+        cross_source = CrossProductScenarioSource(
+            np.asarray(load_matrix, dtype=float), np.asarray(pad_voltage_matrix, dtype=float)
+        )
         # Checks both matrices and builds the per-row parts once, here in
         # the parent: before any sink binds, and before any shard forks.
-        cross_source._layout(compiled)
-        num_loads, num_pad_rows = load_matrix.shape[0], pad_voltage_matrix.shape[0]
-        num_scenarios = num_loads * num_pad_rows
-        if chunk_size is None:
-            chunk_size = resolve_chunk_size(compiled.num_unknowns)
-        reductions, reused, iterations, executor_used = self._stream_scenarios(
-            compiled, cross_source, num_scenarios, chunk_size, sinks, executor_used, lenient,
-            "analyze_mega_sweep",
-        )
-        return MegaSweepResult(
-            compiled=compiled,
-            num_scenarios=num_scenarios,
-            chunk_size=chunk_size,
-            reductions=reductions,
-            sinks=tuple(sinks),
-            analysis_time=time.perf_counter() - start,
-            factorization_reused=reused,
-            workers=executor_used.parallelism,
-            executor=executor_used.name,
-            solver_method=self._solver_method(compiled),
-            solver_iterations=iterations,
-            num_load_scenarios=num_loads,
-            num_pad_scenarios=num_pad_rows,
+        layout = cross_source._layout(compiled)
+        return self._sweep(
+            start, compiled, cross_source, layout.num_scenarios, chunk_size, sinks, executor,
+            "analyze_mega_sweep", MegaSweepResult,
+            num_load_scenarios=layout.num_scenarios // layout.num_pad_rows,
+            num_pad_scenarios=layout.num_pad_rows,
         )

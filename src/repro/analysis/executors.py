@@ -17,6 +17,12 @@ name           shape    what runs
 ``hybrid``     s × t    ``s`` process shards, ``t`` solver threads in each
 =============  =======  ====================================================
 
+A sweep chooses its executor, and with it all of its parallelism, through
+the engine's one ``executor=`` argument: an instance, or one of the names
+(``remote`` included) for :func:`make_executor`.  Without it the sweep
+runs on the :data:`EXECUTOR_ENV` executor, or serially when that is
+unset.
+
 A single shard *is* the engine's in-process chunk pipeline: the source is
 called from the calling thread in ascending order, chunk solves run on
 ``t`` threads (SuperLU releases the GIL) and finished chunks fold FIFO,
@@ -110,12 +116,13 @@ EXECUTOR_ENV = "REPRO_TEST_EXECUTOR"
 
 Lets CI (and local runs) push the whole test suite through one execution
 strategy without touching any call site: every chunked / streamed sweep
-that passes neither ``executor=`` nor ``workers=`` uses this strategy.
-Accepted values are the :data:`EXECUTOR_NAMES`; unset or empty means the
-in-process pipeline at the engine's default worker count.  Sweeps a
+that passes no ``executor=`` uses this strategy, built by
+:func:`make_executor` from its name alone.  Accepted values are the
+:data:`EXECUTOR_NAMES`; unset or empty means ``serial``.  Sweeps a
 strategy cannot run (non-mergeable sinks or an unpicklable source under
-``processes``) silently fall back to the in-process pipeline — an
-explicit ``executor=`` argument raises instead.
+``processes``) fall back to the serial pipeline with a
+:class:`RuntimeWarning` — an explicit ``executor=`` argument raises
+instead.
 """
 
 EXECUTOR_NAMES = ("serial", "threads", "processes", "hybrid", "remote")
@@ -301,7 +308,7 @@ class HybridExecutor(SweepExecutor):
                 plan.num_scenarios,
                 plan.chunk_size,
                 sinks,
-                workers=self.threads_per_shard,
+                threads=self.threads_per_shard,
             )
         reused = False
         if not engine._use_cg(compiled):
@@ -376,14 +383,20 @@ class HybridExecutor(SweepExecutor):
 def make_executor(name: str, workers: int | None = None) -> SweepExecutor:
     """Build an executor from its CLI / environment name.
 
+    This is how a sweep's parallelism is chosen by name: the engine's
+    ``executor=`` arguments and :data:`EXECUTOR_ENV` call it with the
+    name alone, and ``repro sweep`` passes ``--workers``.
+
     Args:
         name: One of :data:`EXECUTOR_NAMES`.
-        workers: Parallelism — threads for ``threads`` (``None``: the
-            CPU count), shards for ``processes`` (``None``:
+        workers: Parallelism, at least 1 — threads for ``threads``
+            (``None``: the CPU count), shards for ``processes`` (``None``:
             ``max(2, cpu_count)``), shard workers for ``hybrid`` (whose
             per-shard threads auto-resolve), the worker hint for
             ``remote``.  ``serial`` accepts only ``None`` / 1.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cpu = os.cpu_count() or 1
     if name == "serial":
         if workers not in (None, 1):
@@ -541,9 +554,7 @@ def load_shard_state(payload: bytes) -> dict:
 
     engine_config, compiled, source, chunk_size, sink_prototypes, threads = pickle.loads(payload)
     return dict(
-        engine=BatchedAnalysisEngine(
-            default_workers=1, default_executor="serial", **engine_config
-        ),
+        engine=BatchedAnalysisEngine(**engine_config),
         compiled=compiled,
         source=source,
         chunk_size=chunk_size,
@@ -571,7 +582,7 @@ def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
         end - begin,
         state["chunk_size"],
         sinks,
-        workers=state["threads"],
+        threads=state["threads"],
         first=begin,
     )
     return (

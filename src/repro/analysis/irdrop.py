@@ -5,7 +5,8 @@ full sparse solve of the grid's nodal equations
 (:class:`~repro.analysis.engine.BatchedAnalysisEngine`), followed by IR-drop
 extraction per node, worst-case reporting, and rasterisation of the IR-drop
 values onto a 2-D map (the paper's Fig. 8 plots these maps on a 100 x 100
-raster).  This module holds the result type and the rasteriser.
+raster).  This module holds the result type, its one builder from solved
+voltages (:func:`result_from_voltages`) and the rasteriser.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..grid.compiled import CompiledGrid
 from ..grid.network import PowerGridNetwork
 
 
@@ -50,13 +52,38 @@ class IRDropResult:
         """Worst-case IR drop in millivolts (Table III units)."""
         return self.worst_ir_drop * 1000.0
 
-    def ir_drop_of(self, node: str) -> float:
-        """Return the IR drop of a node in volts.
 
-        Raises:
-            KeyError: If the node does not exist in the result.
-        """
-        return self.node_ir_drop[node]
+def result_from_voltages(
+    compiled: CompiledGrid,
+    voltages: np.ndarray,
+    *,
+    name: str,
+    analysis_time: float,
+    solver_method: str,
+    solver_iterations: int = 0,
+) -> IRDropResult:
+    """Build the full result of one solved scenario.
+
+    ``voltages`` are the scenario's per-node voltages in compiled node
+    order.  The IR drops, the worst node (the first maximum) and the mean
+    drop are reduced from them here, so every caller — a materialised
+    batch column, a single analysis, the planner's converged design —
+    reports its scenario the same way.
+    """
+    drops = compiled.vdd - voltages
+    worst = int(drops.argmax())
+    return IRDropResult(
+        network_name=name,
+        vdd=compiled.vdd,
+        node_voltages=compiled.voltages_dict(voltages),
+        node_ir_drop=compiled.voltages_dict(drops),
+        worst_ir_drop=float(drops[worst]),
+        worst_node=compiled.node_names[worst],
+        average_ir_drop=float(drops.mean()),
+        analysis_time=analysis_time,
+        solver_method=solver_method,
+        solver_iterations=solver_iterations,
+    )
 
 
 def rasterise_max(

@@ -652,7 +652,7 @@ class RemoteExecutor(SweepExecutor):
                 num_scenarios,
                 plan.chunk_size,
                 sinks,
-                workers=self.threads_per_shard,
+                threads=self.threads_per_shard,
             )
         payload = pickle_sweep_payload(plan, self.threads_per_shard)
         for sink in sinks:

@@ -697,12 +697,6 @@ class NodeHistogram:
         """``(num_nodes,)`` per-node total count including under/overflow."""
         return self.counts.sum(axis=1) + self.underflow + self.overflow
 
-    def node_distribution(self, node: int) -> np.ndarray:
-        """Normalised in-range IR-drop distribution of one node."""
-        counts = self.counts[node].astype(float)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
 
 class NodeHistogramSink(IRDropSink):
     """Exact per-node IR-drop histograms with fixed bin edges.

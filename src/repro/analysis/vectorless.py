@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from ..grid.compiled import CompiledGrid
 from ..grid.network import PowerGridNetwork
-from .engine import BatchedAnalysisEngine, StreamedSweepResult
+from .engine import BatchedAnalysisEngine, StreamedSweepResult, scenario_count
 from .executors import SweepExecutor
 from .irdrop import IRDropResult
 from .sinks import ScenarioSink
@@ -235,7 +235,6 @@ class VectorlessAnalyzer:
         chunk_size: int | None = 1024,
         sinks: Sequence[ScenarioSink] = (),
         seed: int = 0,
-        workers: int | None = None,
         executor: SweepExecutor | str | None = None,
     ) -> StatisticalVectorlessResult:
         """Sample the budget polytope and stream the scenarios into sinks.
@@ -256,24 +255,24 @@ class VectorlessAnalyzer:
             sinks: Scenario sinks observing the sweep (quantiles,
                 histograms, exceedance counts, top-k, ...).
             seed: Base seed of the per-scenario load sampling.
-            workers: Solver threads for the chunk solves (the sampled
-                scenarios are still generated and folded in ascending
-                order, so the sweep stays bitwise-reproducible).  ``None``
-                uses the engine default.
             executor: Sweep-execution strategy (see
-                :meth:`BatchedAnalysisEngine.analyze_batch`); the budget
-                sampler is picklable, so ``"processes"`` shards the sweep
-                across worker processes with mergeable sinks.
+                :meth:`BatchedAnalysisEngine.analyze_batch`); the sampled
+                scenarios are still generated and folded in ascending
+                order, so the sweep stays bitwise-reproducible on every
+                executor.  The budget sampler is picklable, so
+                ``"processes"`` shards the sweep across worker processes
+                with mergeable sinks.
 
         Returns:
             A :class:`StatisticalVectorlessResult` combining the
             deterministic nominal / bound analysis with the streamed sweep.
 
         Raises:
-            ValueError: If the budget names a load the grid does not have.
+            ValueError: If the budget names a load the grid does not have,
+                or ``num_scenarios`` is below 1.
+            TypeError: If ``num_scenarios`` is not an integer.
         """
-        if num_scenarios < 1:
-            raise ValueError("num_scenarios must be at least 1")
+        num_scenarios = scenario_count(num_scenarios)
         vectorless = self.analyze(network, budget)
         compiled = network.compile()
         maxima = self._budgeted_maxima(compiled, budget)
@@ -290,7 +289,6 @@ class VectorlessAnalyzer:
             num_scenarios,
             chunk_size=chunk_size,
             sinks=sinks,
-            workers=workers,
             executor=executor,
         )
         return StatisticalVectorlessResult(vectorless=vectorless, sweep=sweep)

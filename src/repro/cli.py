@@ -38,6 +38,7 @@ from .analysis import (
     P2QuantileSink,
     QuantileSketchSink,
     TopKScenarioSink,
+    make_executor,
 )
 from .core import PowerPlanningDL, format_key_values, format_table
 from .design import CandidateRanker, ConventionalPowerPlanner, DesignRules, SearchConfig
@@ -192,12 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--workers", type=int, default=None,
         help=(
-            "parallelism: solver threads (threads executor) or shard "
-            "processes (processes executor). Without --executor the "
-            "default is 1 (or the REPRO_TEST_WORKERS / REPRO_TEST_EXECUTOR "
-            "environment); with an explicit --executor threads/processes "
-            "it defaults to the host CPU count. Exact results are "
-            "identical for any value"
+            "parallelism: solver threads (threads executor, also the "
+            "choice when --executor is omitted), shard processes "
+            "(processes executor) or fleet workers (remote executor). "
+            "Without --workers and --executor the sweep runs serially (or "
+            "on the REPRO_TEST_EXECUTOR executor); with an explicit "
+            "--executor threads/processes it defaults to the host CPU "
+            "count. Exact results are identical for any value"
         ),
     )
     sweep.add_argument(
@@ -260,10 +262,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not args.netlist.exists():
         print(f"error: netlist {args.netlist} does not exist", file=sys.stderr)
         return 2
-    network = read_netlist(args.netlist)
     try:
+        network = read_netlist(args.netlist)
         result = BatchedAnalysisEngine().analyze(network)
-    except ValueError as exc:  # no pads, or a floating node: a singular system
+    except ValueError as exc:
+        # A malformed netlist, or a grid whose nodal system is singular
+        # (no pads, or a floating node).
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(
@@ -525,6 +529,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         executor = HybridExecutor(
             shard_workers=args.shard_workers, threads_per_shard=args.threads_per_shard
         )
+    elif args.workers is not None:
+        executor = make_executor(args.executor or "threads", args.workers)
 
     bench = SyntheticIBMSuite().load(args.benchmark)
     grid = bench.build_uniform_grid(args.width)
@@ -555,13 +561,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         pad_matrix,
         chunk_size=args.chunk_size,
         sinks=(quantile_sink, histogram_sink, exceedance_sink, joint_sink, topk_sink),
-        workers=args.workers if isinstance(executor, (str, type(None))) else None,
         executor=executor,
     )
-    # A hybrid executor instance exposes the counters of the sweep it just
-    # ran (shards, threads_per_shard, payload_bytes_shared, rebalances,
-    # tasks); name-resolved and remote executors expose none.
-    executor_stats = dict(getattr(executor, "last_stats", None) or {})
+    # The hybrid executor built above reports the counters of the sweep it
+    # just ran (shards, threads_per_shard, payload_bytes_shared,
+    # rebalances, tasks); the other shapes report none.
+    executor_stats = dict(executor.last_stats) if args.executor == "hybrid" else {}
 
     estimate = quantile_sink.result()
     exceedance = exceedance_sink.result()

@@ -21,7 +21,7 @@ import numpy as np
 from ..analysis.currents import line_currents, line_currents_from_voltages
 from ..analysis.em import EMChecker, EMReport
 from ..analysis.engine import BatchedAnalysisEngine
-from ..analysis.irdrop import IRDropResult
+from ..analysis.irdrop import IRDropResult, result_from_voltages
 from ..analysis.solvers import UpdatePolicy
 from ..grid.builder import GridBuilder, GridTopology
 from ..grid.compiled import CompiledGrid
@@ -402,18 +402,9 @@ class ConventionalPowerPlanner:
         # the final network for downstream consumers and the full IR-drop
         # result, built straight from the already-solved voltages.
         network = builder.build(floorplan, topology, widths, name=floorplan.name)
-        drops = compiled.vdd - analysis.voltages
-        ir_result = IRDropResult(
-            network_name=compiled.name,
-            vdd=compiled.vdd,
-            node_voltages=compiled.voltages_dict(analysis.voltages),
-            node_ir_drop=compiled.voltages_dict(drops),
-            worst_ir_drop=analysis.worst_ir_drop,
-            worst_node=compiled.node_names[analysis.worst_index] if drops.size else "",
-            average_ir_drop=analysis.average_ir_drop,
-            analysis_time=analysis.analysis_time,
-            solver_method=engine._solver_method(compiled),
-            solver_iterations=0,
+        ir_result = result_from_voltages(
+            compiled, analysis.voltages, name=compiled.name,
+            analysis_time=analysis.analysis_time, solver_method=engine._solver_method(compiled),
         )
         total_time = time.perf_counter() - start
         return PowerPlanResult(
@@ -615,18 +606,9 @@ class ConventionalPowerPlanner:
             )
 
         network = builder.build(floorplan, topology, widths, name=floorplan.name)
-        drops = compiled.vdd - analysis.voltages
-        ir_result = IRDropResult(
-            network_name=compiled.name,
-            vdd=compiled.vdd,
-            node_voltages=compiled.voltages_dict(analysis.voltages),
-            node_ir_drop=compiled.voltages_dict(drops),
-            worst_ir_drop=analysis.worst_ir_drop,
-            worst_node=compiled.node_names[analysis.worst_index] if drops.size else "",
-            average_ir_drop=analysis.average_ir_drop,
-            analysis_time=analysis.analysis_time,
-            solver_method=engine._solver_method(compiled),
-            solver_iterations=0,
+        ir_result = result_from_voltages(
+            compiled, analysis.voltages, name=compiled.name,
+            analysis_time=analysis.analysis_time, solver_method=engine._solver_method(compiled),
         )
         total_time = time.perf_counter() - start
         return PowerPlanResult(

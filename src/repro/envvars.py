@@ -19,15 +19,11 @@ Conventions the linter enforces alongside the registry:
 from __future__ import annotations
 
 KNOWN_ENV_VARS: dict[str, str] = {
-    # --- engine / executor defaults (test-suite steering) -------------
-    "REPRO_TEST_WORKERS": (
-        "Default solver-thread count of BatchedAnalysisEngine; CI runs "
-        "tier-1 once with 2 to exercise the parallel chunk pipeline."
-    ),
+    # --- engine executor default (test-suite steering) ---------------
     "REPRO_TEST_EXECUTOR": (
         "Default sweep executor (serial|threads|processes|hybrid|remote) "
-        "for every analyze_* call that passes neither executor= nor "
-        "workers=."
+        "for every analyze_* call that passes no executor=; unset means "
+        "serial."
     ),
     # --- remote fleet -------------------------------------------------
     "REPRO_REMOTE_COORDINATOR": (

@@ -235,11 +235,6 @@ class SyntheticBenchmark:
         builder = GridBuilder(self.technology)
         return builder.build(self.floorplan, self.topology, widths, name=self.name)
 
-    def build_compiled_grid(self, widths: np.ndarray | list[float] | float = 5.0):
-        """Build the compiled (array-form) grid directly, skipping the network."""
-        builder = GridBuilder(self.technology)
-        return builder.build_compiled(self.floorplan, self.topology, widths, name=self.name)
-
 
 class SyntheticIBMSuite:
     """Factory for the whole synthetic benchmark suite.

@@ -38,12 +38,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import GROUND_NODE, CurrentSource, Resistor
+from .elements import GROUND_NODE, Resistor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import PowerGridNetwork
@@ -960,17 +960,6 @@ class CompiledGrid:
         np.add.at(outflow, self._res_a_safe[a_live], branch_currents[a_live])
         np.add.at(outflow, self._res_b_safe[b_live], -branch_currents[b_live])
         return outflow
-
-    def loads_from_sources(self, sources: Iterable[CurrentSource]) -> np.ndarray:
-        """Aggregate arbitrary current sources into a per-node load vector.
-
-        Raises:
-            KeyError: If a source references a node unknown to this grid.
-        """
-        loads = np.zeros(self.num_nodes, dtype=float)
-        for source in sources:
-            loads[self.node_index[source.node]] += source.current
-        return loads
 
     def block_factor_load_matrix(
         self, block_names: Sequence[str], factors: np.ndarray

@@ -182,7 +182,10 @@ class NetlistReader:
             if len(tokens) < 4:
                 raise NetlistFormatError(f"line {line_no}: expected 4 tokens, got {len(tokens)}")
             element, node_a, node_b = tokens[0], tokens[1], tokens[2]
-            value = parse_spice_value(tokens[3])
+            try:
+                value = parse_spice_value(tokens[3])
+            except NetlistFormatError as exc:
+                raise NetlistFormatError(f"line {line_no}: {exc}") from exc
             kind = element[0].upper()
             if kind == "R":
                 raw_resistors.append((element, node_a, node_b, value))

@@ -4,7 +4,8 @@ A node that reaches neither a pad nor ground makes the nodal system
 singular, and a non-finite load or pad voltage would only surface after
 the solve as non-finite voltages.  Both are rejected at the boundary, with
 errors that name the grid and node, or the scenario row, column and node
-or pad.
+or pad.  Arguments of the wrong type (``names`` as one string, a
+fractional scenario count, a worker count below 1) are rejected by name.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,10 @@ from repro.analysis import (
     BatchedAnalysisEngine,
     ExceedanceCountSink,
     HybridExecutor,
+    MatrixScenarioSource,
+    VectorlessAnalyzer,
+    make_executor,
+    uniform_budget,
 )
 from repro.grid import GROUND_NODE, Resistor, SyntheticIBMSuite, mega_sweep_matrices
 
@@ -186,3 +191,60 @@ class TestNonFiniteInputs:
         # Chunks before the poisoned one may have been folded; never the
         # chunk that holds scenario 30.
         assert sink.num_consumed <= 28
+
+
+class TestArgumentChecks:
+    """Arguments of the wrong type are rejected by name, before any sink
+    binds or any factorization runs."""
+
+    @pytest.mark.parametrize("entry", ["analyze_batch", "analyze_pad_batch"])
+    def test_names_given_as_one_string(self, ibmpg1_grid, sweep_matrices, entry):
+        load_matrix, pad_matrix = sweep_matrices
+        engine = BatchedAnalysisEngine()
+        matrix = load_matrix[:2] if entry == "analyze_batch" else pad_matrix[:2]
+        sink = ExceedanceCountSink(0.0)
+        with pytest.raises(TypeError, match="names must be a sequence of 2 scenario names"):
+            getattr(engine, entry)(ibmpg1_grid, matrix, names="ab", sinks=[sink])
+        assert sink.num_consumed == 0
+        assert engine.cache_info().factorizations == 0
+        batch = getattr(engine, entry)(ibmpg1_grid, matrix, names=["a", "b"])
+        assert batch.scenario_names == ("a", "b")
+
+    @pytest.mark.parametrize("count", [3.5, 4.0, "4"], ids=["fraction", "whole-float", "str"])
+    def test_stream_count_must_be_an_integer(self, ibmpg1_grid, sweep_matrices, count):
+        load_matrix, _ = sweep_matrices
+        engine = BatchedAnalysisEngine()
+        sink = ExceedanceCountSink(0.0)
+        with pytest.raises(TypeError, match=rf"num_scenarios must be an integer, got {count!r}"):
+            engine.analyze_scenario_stream(
+                ibmpg1_grid, MatrixScenarioSource(load_matrix), count, sinks=[sink]
+            )
+        with pytest.raises(ValueError, match="bound"):
+            sink.result()
+        assert engine.cache_info().factorizations == 0
+
+    def test_stream_count_accepts_numpy_integers(self, ibmpg1_grid, sweep_matrices):
+        load_matrix, _ = sweep_matrices
+        engine = BatchedAnalysisEngine()
+        source = MatrixScenarioSource(load_matrix)
+        reference = engine.analyze_scenario_stream(ibmpg1_grid, source, 4, chunk_size=3)
+        result = engine.analyze_scenario_stream(ibmpg1_grid, source, np.int64(4), chunk_size=3)
+        assert type(result.num_scenarios) is int and result.num_scenarios == 4
+        assert np.array_equal(result.worst_ir_drop, reference.worst_ir_drop)
+        with pytest.raises(ValueError, match="num_scenarios must be at least 1"):
+            engine.analyze_scenario_stream(ibmpg1_grid, source, np.int32(0))
+
+    def test_statistical_count_checked_before_factorization(self, ibmpg1_bench):
+        network = ibmpg1_bench.build_uniform_grid(5.0)
+        engine = BatchedAnalysisEngine()
+        with pytest.raises(TypeError, match="num_scenarios must be an integer"):
+            VectorlessAnalyzer(engine).analyze_statistical(
+                network, uniform_budget(network), 3.5
+            )
+        assert engine.cache_info().factorizations == 0
+
+    @pytest.mark.parametrize("name", ["threads", "processes", "hybrid", "remote", "serial"])
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_make_executor_names_workers(self, name, workers):
+        with pytest.raises(ValueError, match=rf"^workers must be at least 1, got {workers}$"):
+            make_executor(name, workers)

@@ -13,13 +13,17 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     LinearSolverError,
+    PreconditionedUpdateFactorization,
     VectorlessAnalyzer,
+    WoodburyFactorization,
     solvers,
     uniform_budget,
 )
+from repro.analysis import engine as engine_module
 from repro.core import batched_solve_study
 from repro.grid import (
     CurrentSource,
+    GridBuilder,
     GridNode,
     NetworkPerturbator,
     PerturbationKind,
@@ -354,3 +358,132 @@ class TestAnalyticSolutions:
         drop_base = 1.0 - base.node_voltages["sink"]
         drop_double = 1.0 - double.node_voltages["sink"]
         assert drop_double == pytest.approx(2.0 * drop_base)
+
+
+# ----------------------------------------------------------------------
+# One solve path: a single scenario is a one-column batch
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def ibmpg1_bench():
+    return SyntheticIBMSuite().load("ibmpg1")
+
+
+def resized_clone(bench, base, lines):
+    """A conductance clone of ``base`` with ``lines`` widened by 1.25."""
+    widths = np.full(bench.topology.num_lines, 5.0)
+    widths[list(lines)] *= 1.25
+    return GridBuilder(bench.technology).resize_compiled(base, bench.topology, widths)
+
+
+@pytest.fixture(scope="module")
+def base_compiled(ibmpg1_bench):
+    builder = GridBuilder(ibmpg1_bench.technology)
+    return builder.build_compiled(ibmpg1_bench.floorplan, ibmpg1_bench.topology, 5.0)
+
+
+ONE_LINE = (0,)
+"""Rank 27 on ibmpg1: served by a Woodbury update."""
+
+FOUR_LINES = (3, 10, 20, 30)
+"""Rank 108 on ibmpg1: past the dense-rank limit, a preconditioned-CG update."""
+
+
+def assert_single_is_column_zero(engine, grid, loads):
+    """``analyze`` / ``solve_voltages`` equal column 0 of a one-row batch, bit for bit."""
+    row = (grid.base_loads if loads is None else loads)[None]
+    single = engine.analyze(grid, loads)
+    voltages = engine.solve_voltages(grid, loads)
+    batch = engine.analyze_batch(grid, row)
+    column = batch.voltages[:, 0]
+    assert np.array_equal(voltages, column)
+    assert np.array_equal(np.fromiter(single.node_voltages.values(), dtype=float), column)
+    assert np.array_equal(
+        np.fromiter(single.node_ir_drop.values(), dtype=float), batch.ir_drop[:, 0]
+    )
+    assert single.worst_ir_drop == batch.worst_ir_drop[0]
+    assert single.average_ir_drop == batch.average_ir_drop[0]
+    assert single.worst_node == batch.worst_node(0)
+    assert single.solver_iterations == batch.solver_iterations[0]
+    assert single.solver_method == batch.solver_method
+    return single
+
+
+class TestOneSolvePath:
+    """``analyze`` and ``solve_voltages`` solve through the batch path, so
+    they equal column 0 of ``analyze_batch(loads[None])`` bit for bit on
+    every route a solve can take."""
+
+    @pytest.fixture(scope="class")
+    def loads(self, base_compiled):
+        spec = PerturbationSpec(gamma=0.2, kind=PerturbationKind.CURRENT_WORKLOADS, seed=4)
+        return perturbed_load_matrix(base_compiled, spec, 1)[0]
+
+    @pytest.mark.parametrize("explicit_loads", [False, True], ids=["own-loads", "loads"])
+    def test_fresh_superlu(self, base_compiled, loads, explicit_loads):
+        engine = BatchedAnalysisEngine()
+        single = assert_single_is_column_zero(
+            engine, base_compiled, loads if explicit_loads else None
+        )
+        assert single.solver_method == "cached_lu"
+        assert engine.cache_info().factorizations == 1
+
+    @pytest.mark.parametrize(
+        "lines, kind, rank",
+        [
+            (ONE_LINE, WoodburyFactorization, 27),
+            (FOUR_LINES, PreconditionedUpdateFactorization, 108),
+        ],
+        ids=["woodbury", "preconditioned-cg"],
+    )
+    def test_low_rank_updates(self, ibmpg1_bench, base_compiled, loads, lines, kind, rank):
+        engine = BatchedAnalysisEngine()
+        engine.analyze(base_compiled)
+        clone = resized_clone(ibmpg1_bench, base_compiled, lines)
+        assert_single_is_column_zero(engine, clone, None)
+        assert_single_is_column_zero(engine, clone, loads)
+        # The clone's cached factor is the update every solve above used.
+        factor = engine.factor_update(base_compiled, clone)
+        assert type(factor) is kind and factor.update_rank == rank
+        info = engine.cache_info()
+        assert (info.factorizations, info.updates, info.update_fallbacks) == (1, 1, 0)
+
+    def test_cg_fallback(self, base_compiled, loads):
+        engine = BatchedAnalysisEngine(direct_size_limit=10)
+        single = assert_single_is_column_zero(engine, base_compiled, loads)
+        assert single.solver_method == "cg"
+        assert single.solver_iterations > 0
+        assert engine.cache_info().factorizations == 0
+
+    @pytest.mark.parametrize("lines", [ONE_LINE, FOUR_LINES], ids=["woodbury", "preconditioned-cg"])
+    def test_factor_update_solves_like_the_implicit_clone_path(
+        self, ibmpg1_bench, base_compiled, lines
+    ):
+        clone = resized_clone(ibmpg1_bench, base_compiled, lines)
+        implicit = BatchedAnalysisEngine()
+        implicit.analyze(base_compiled)
+        expected = implicit.solve_voltages(clone)
+        explicit = BatchedAnalysisEngine()
+        explicit.analyze(base_compiled)
+        factor = explicit.factor_update(base_compiled, clone)
+        assert np.array_equal(explicit.solve_voltages(clone), expected)
+        assert type(factor) is type(implicit.factor_update(base_compiled, clone))
+        for engine in (implicit, explicit):
+            info = engine.cache_info()
+            assert (info.factorizations, info.updates, info.update_fallbacks) == (1, 1, 0)
+
+    @pytest.mark.parametrize("limit, solver", [(60000, "direct"), (10, "CG")])
+    def test_non_finite_solution_names_the_solver(
+        self, base_compiled, monkeypatch, limit, solver
+    ):
+        engine = BatchedAnalysisEngine(direct_size_limit=limit)
+        monkeypatch.setattr(
+            engine_module, "solve_cg", lambda matrix, rhs: (np.full_like(rhs, np.nan), 1)
+        )
+        monkeypatch.setattr(
+            solvers.SpluFactorization, "solve", lambda self, rhs: np.full_like(rhs, np.nan)
+        )
+        for solve in (engine.analyze, engine.solve_voltages):
+            with pytest.raises(
+                LinearSolverError, match=rf"^{solver} solve produced non-finite voltages$"
+            ):
+                solve(base_compiled)

@@ -16,6 +16,7 @@ from repro.analysis import (
     ExceedanceCountSink,
     NodeHistogramSink,
     TopKScenarioSink,
+    make_executor,
     resolve_chunk_size,
 )
 from repro.grid import (
@@ -300,7 +301,7 @@ class TestUpfrontValidation:
         sink = TopKScenarioSink(2)
         with pytest.raises(ValueError, match=r"scenarios \[2, 4\)"):
             BatchedAnalysisEngine().analyze_scenario_stream(
-                ibmpg1_grid, bad_pad_source, 4, chunk_size=2, sinks=(sink,), workers=1
+                ibmpg1_grid, bad_pad_source, 4, chunk_size=2, sinks=(sink,), executor="serial"
             )
         # Only the valid first chunk reached the sink.
         assert sink.num_consumed == 2
@@ -314,7 +315,7 @@ class TestUpfrontValidation:
                 4,
                 chunk_size=2,
                 sinks=(parallel_sink,),
-                workers=3,
+                executor=make_executor("threads", 3),
             )
         assert parallel_sink.num_consumed <= 2
 
@@ -356,7 +357,7 @@ class TestCGFallbackBatches:
             ibmpg1_grid, load_sweep, chunk_size=8
         )
         sharded = cg_engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=8, workers=workers
+            ibmpg1_grid, load_sweep, chunk_size=8, executor=make_executor("threads", workers)
         )
         assert sharded.solver_method == "cg"
         assert sharded.solver_iterations.min() > 0
@@ -369,10 +370,10 @@ class TestCGFallbackBatches:
         self, ibmpg1_grid, load_sweep, cg_engine
     ):
         sequential = cg_engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=5, workers=1
+            ibmpg1_grid, load_sweep, chunk_size=5, executor="serial"
         )
         parallel = cg_engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=5, workers=3
+            ibmpg1_grid, load_sweep, chunk_size=5, executor=make_executor("threads", 3)
         )
         assert np.array_equal(sequential.worst_ir_drop, parallel.worst_ir_drop)
         assert np.array_equal(sequential.average_ir_drop, parallel.average_ir_drop)

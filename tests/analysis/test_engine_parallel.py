@@ -1,11 +1,15 @@
 """Equivalence and metadata tests for the parallel chunk pipeline.
 
-``workers >= 2`` solves RHS chunks on a thread pool but the consumer folds
-finished chunks into the reductions and sinks strictly in ascending
-scenario order — so every reduction, every exact sink, every approximate
-sink state and all solver metadata must be **bitwise-identical** to the
-sequential path, for every combination of ``workers`` and ``chunk_size``.
+The ``threads`` executor (``make_executor("threads", workers)``, ``workers >= 2``)
+solves RHS chunks on a thread pool but the consumer folds finished chunks
+into the reductions and sinks strictly in ascending scenario order — so
+every reduction, every exact sink, every approximate sink state and all
+solver metadata must be **bitwise-identical** to the sequential path, for
+every combination of ``workers`` and ``chunk_size``.  ``executor=`` is the
+only way to choose that parallelism.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -13,14 +17,17 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     ExceedanceCountSink,
+    MatrixScenarioSource,
     NodeHistogramSink,
     P2QuantileSink,
     QuantileSketchSink,
     TopKScenarioSink,
     VectorlessAnalyzer,
+    make_executor,
     uniform_budget,
 )
-from repro.analysis.engine import WORKERS_ENV
+from repro.analysis.executors import EXECUTOR_ENV
+from repro.envvars import KNOWN_ENV_VARS
 from repro.grid import (
     PerturbationKind,
     PerturbationSpec,
@@ -107,7 +114,7 @@ class TestParallelEquivalence:
             load_sweep,
             chunk_size=chunk_size,
             sinks=tuple(seq_sinks.values()),
-            workers=1,
+            executor="serial",
         )
         par_sinks = build_sinks(nominal_worst)
         parallel = engine.analyze_batch(
@@ -115,7 +122,7 @@ class TestParallelEquivalence:
             load_sweep,
             chunk_size=chunk_size,
             sinks=tuple(par_sinks.values()),
-            workers=workers,
+            executor=make_executor("threads", workers),
         )
         assert_reductions_identical(sequential, parallel)
         assert_sinks_identical(seq_sinks, par_sinks)
@@ -139,7 +146,7 @@ class TestParallelEquivalence:
             pad_matrix,
             chunk_size=chunk_size,
             sinks=tuple(seq_sinks.values()),
-            workers=1,
+            executor="serial",
         )
         par_sinks = build_sinks(nominal_worst)
         parallel = engine.analyze_mega_sweep(
@@ -148,7 +155,7 @@ class TestParallelEquivalence:
             pad_matrix,
             chunk_size=chunk_size,
             sinks=tuple(par_sinks.values()),
-            workers=workers,
+            executor=make_executor("threads", workers),
         )
         assert_reductions_identical(sequential, parallel)
         assert_sinks_identical(seq_sinks, par_sinks)
@@ -160,10 +167,10 @@ class TestParallelEquivalence:
         pad_matrix = perturbed_pad_voltage_matrix(ibmpg1_grid, spec, 9)
         engine = BatchedAnalysisEngine()
         sequential = engine.analyze_pad_batch(
-            ibmpg1_grid, pad_matrix, chunk_size=2, workers=1
+            ibmpg1_grid, pad_matrix, chunk_size=2, executor="serial"
         )
         parallel = engine.analyze_pad_batch(
-            ibmpg1_grid, pad_matrix, chunk_size=2, workers=3
+            ibmpg1_grid, pad_matrix, chunk_size=2, executor=make_executor("threads", 3)
         )
         assert_reductions_identical(sequential, parallel)
 
@@ -171,10 +178,11 @@ class TestParallelEquivalence:
         engine = BatchedAnalysisEngine()
         source = lambda begin, end: (load_sweep[begin:end], None)  # noqa: E731
         sequential = engine.analyze_scenario_stream(
-            ibmpg1_grid, source, load_sweep.shape[0], chunk_size=5, workers=1
+            ibmpg1_grid, source, load_sweep.shape[0], chunk_size=5, executor="serial"
         )
         parallel = engine.analyze_scenario_stream(
-            ibmpg1_grid, source, load_sweep.shape[0], chunk_size=5, workers=4
+            ibmpg1_grid, source, load_sweep.shape[0], chunk_size=5,
+            executor=make_executor("threads", 4),
         )
         assert_reductions_identical(sequential, parallel)
         assert parallel.workers == 4
@@ -182,10 +190,11 @@ class TestParallelEquivalence:
     def test_statistical_vectorless_bitwise_matches_sequential(self, ibmpg1_grid):
         budget = uniform_budget(ibmpg1_grid, headroom=1.3, utilisation=0.9)
         sequential = VectorlessAnalyzer(BatchedAnalysisEngine()).analyze_statistical(
-            ibmpg1_grid, budget, 30, chunk_size=7, seed=5, workers=1
+            ibmpg1_grid, budget, 30, chunk_size=7, seed=5, executor="serial"
         )
         parallel = VectorlessAnalyzer(BatchedAnalysisEngine()).analyze_statistical(
-            ibmpg1_grid, budget, 30, chunk_size=7, seed=5, workers=2
+            ibmpg1_grid, budget, 30, chunk_size=7, seed=5,
+            executor=make_executor("threads", 2),
         )
         assert_reductions_identical(sequential.sweep, parallel.sweep)
         assert sequential.worst_observed == parallel.worst_observed
@@ -194,55 +203,81 @@ class TestParallelEquivalence:
         engine = BatchedAnalysisEngine()
         sequential = engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=100)
         parallel = engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=100, workers=8
+            ibmpg1_grid, load_sweep, chunk_size=100, executor=make_executor("threads", 8)
         )
         assert_reductions_identical(sequential, parallel)
 
 
-class TestWorkerConfiguration:
-    def test_default_is_sequential(self, ibmpg1_grid, load_sweep):
-        engine = BatchedAnalysisEngine()
-        assert engine.default_workers >= 1
-        result = engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=8)
-        assert result.reductions is not None
-
-    def test_invalid_workers_rejected(self, ibmpg1_grid, load_sweep):
-        engine = BatchedAnalysisEngine()
-        with pytest.raises(ValueError, match="workers"):
-            engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=8, workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            engine.analyze_mega_sweep(
-                ibmpg1_grid, load_sweep, np.zeros((1, 0)), workers=-1
-            )
-
-    def test_constructor_validates_default_workers(self):
-        with pytest.raises(ValueError, match="default_workers"):
-            BatchedAnalysisEngine(default_workers=0)
-        assert BatchedAnalysisEngine(default_workers=3).default_workers == 3
-
-    def test_env_variable_sets_default(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert BatchedAnalysisEngine().default_workers == 3
-        monkeypatch.setenv(WORKERS_ENV, "")
-        assert BatchedAnalysisEngine().default_workers == 1
-        monkeypatch.delenv(WORKERS_ENV)
-        assert BatchedAnalysisEngine().default_workers == 1
-
-    def test_env_variable_validated(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "zero")
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            BatchedAnalysisEngine()
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            BatchedAnalysisEngine()
-
-    def test_explicit_workers_override_env_default(
+class TestParallelismOption:
+    def test_explicit_executor_overrides_env_default(
         self, monkeypatch, ibmpg1_grid, load_sweep
     ):
-        monkeypatch.setenv(WORKERS_ENV, "2")
+        monkeypatch.setenv(EXECUTOR_ENV, "threads")
         engine = BatchedAnalysisEngine()
         sequential = engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=8, workers=1
+            ibmpg1_grid, load_sweep, chunk_size=8, executor="serial"
         )
         env_default = engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=8)
         assert_reductions_identical(sequential, env_default)
+
+    def test_default_is_serial(self, monkeypatch, ibmpg1_grid, load_sweep):
+        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+        result = BatchedAnalysisEngine().analyze_scenario_stream(
+            ibmpg1_grid, MatrixScenarioSource(load_sweep), load_sweep.shape[0], chunk_size=8
+        )
+        assert (result.executor, result.workers) == ("serial", 1)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "analyze_batch",
+            "analyze_pad_batch",
+            "analyze_scenario_stream",
+            "analyze_mega_sweep",
+            "analyze_statistical",
+        ],
+    )
+    def test_no_entry_point_takes_workers(self, ibmpg1_grid, load_sweep, entry):
+        engine = BatchedAnalysisEngine()
+        compiled = ibmpg1_grid.compile()
+        pads = np.tile(compiled.pad_voltage[compiled.pad_node], (2, 1))
+        calls = {
+            "analyze_batch": lambda **kw: engine.analyze_batch(ibmpg1_grid, load_sweep, **kw),
+            "analyze_pad_batch": lambda **kw: engine.analyze_pad_batch(ibmpg1_grid, pads, **kw),
+            "analyze_scenario_stream": lambda **kw: engine.analyze_scenario_stream(
+                ibmpg1_grid, MatrixScenarioSource(load_sweep), 2, **kw
+            ),
+            "analyze_mega_sweep": lambda **kw: engine.analyze_mega_sweep(
+                ibmpg1_grid, load_sweep, pads, **kw
+            ),
+            "analyze_statistical": lambda **kw: VectorlessAnalyzer(engine).analyze_statistical(
+                ibmpg1_grid, uniform_budget(ibmpg1_grid), 2, **kw
+            ),
+        }
+        with pytest.raises(TypeError, match="workers"):
+            calls[entry](chunk_size=8, workers=2)
+        assert engine.cache_info().factorizations == 0
+        # The same sweep runs with its parallelism given as an executor.
+        calls[entry](chunk_size=8, executor=make_executor("threads", 2))
+
+    def test_engine_takes_four_options(self):
+        assert list(inspect.signature(BatchedAnalysisEngine).parameters) == [
+            "cache_size",
+            "direct_size_limit",
+            "incremental_updates",
+            "update_policy",
+        ]
+        for knob in ("default_workers", "default_executor"):
+            with pytest.raises(TypeError, match=knob):
+                BatchedAnalysisEngine(**{knob: 1})
+
+    def test_workers_environment_is_gone(self, monkeypatch, ibmpg1_grid, load_sweep):
+        assert "REPRO_TEST_WORKERS" not in KNOWN_ENV_VARS
+        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+        monkeypatch.setenv("REPRO_TEST_WORKERS", "2")
+        result = BatchedAnalysisEngine().analyze_batch(ibmpg1_grid, load_sweep, chunk_size=8)
+        assert result.reductions is not None
+        stream = BatchedAnalysisEngine().analyze_scenario_stream(
+            ibmpg1_grid, MatrixScenarioSource(load_sweep), load_sweep.shape[0], chunk_size=8
+        )
+        assert (stream.executor, stream.workers) == ("serial", 1)

@@ -11,8 +11,8 @@ which keeps low-rank update clones bitwise too; spawned workers load the
 same pickled payload remote workers do.  The order-dependent P² sink
 runs on single-shard rows and is rejected by sharded ones with a pointer
 to the quantile sketch.  Also covered: the executor names of
-each shape, resolution precedence (explicit executor > workers= >
-environment default), the lenient fallback of :data:`EXECUTOR_ENV`, the
+each shape, resolution precedence (explicit executor > environment
+default), the lenient fallback of :data:`EXECUTOR_ENV`, the
 tail re-split of the balancer, source-validation errors naming global
 scenarios, the adaptive chunk-width heuristic, and top-k
 rematerialisation.
@@ -246,7 +246,7 @@ class TestShapeEquivalence:
             pad_matrix,
             chunk_size=13,
             sinks=tuple(seq_sinks.values()),
-            workers=1,
+            executor="serial",
         )
         shard_sinks = mergeable_sinks(nominal_worst)
         sharded = engine.analyze_mega_sweep(
@@ -276,7 +276,7 @@ class TestShapeEquivalence:
             pad_matrix,
             chunk_size=13,
             sinks=tuple(seq_sinks.values()),
-            workers=1,
+            executor="serial",
         )
         hybrid_sinks = mergeable_sinks(nominal_worst)
         hybrid = engine.analyze_mega_sweep(
@@ -297,7 +297,9 @@ class TestShapeEquivalence:
         spec = PerturbationSpec(gamma=0.15, kind=PerturbationKind.NODE_VOLTAGES, seed=17)
         pad_matrix = perturbed_pad_voltage_matrix(ibmpg1_grid, spec, 9)
         engine = BatchedAnalysisEngine()
-        sequential = engine.analyze_pad_batch(ibmpg1_grid, pad_matrix, chunk_size=2, workers=1)
+        sequential = engine.analyze_pad_batch(
+            ibmpg1_grid, pad_matrix, chunk_size=2, executor="serial"
+        )
         sharded = engine.analyze_pad_batch(
             ibmpg1_grid, pad_matrix, chunk_size=2, executor="processes"
         )
@@ -307,7 +309,7 @@ class TestShapeEquivalence:
         engine = BatchedAnalysisEngine()
         source = MatrixScenarioSource(load_matrix=load_sweep)
         sequential = engine.analyze_scenario_stream(
-            ibmpg1_grid, source, load_sweep.shape[0], chunk_size=5, workers=1
+            ibmpg1_grid, source, load_sweep.shape[0], chunk_size=5, executor="serial"
         )
         sharded = engine.analyze_scenario_stream(
             ibmpg1_grid,
@@ -322,7 +324,7 @@ class TestShapeEquivalence:
     def test_statistical_vectorless_bitwise_matches_sequential(self, ibmpg1_grid):
         budget = uniform_budget(ibmpg1_grid, headroom=1.3, utilisation=0.9)
         sequential = VectorlessAnalyzer(BatchedAnalysisEngine()).analyze_statistical(
-            ibmpg1_grid, budget, 30, chunk_size=7, seed=5, workers=1
+            ibmpg1_grid, budget, 30, chunk_size=7, seed=5, executor="serial"
         )
         sharded = VectorlessAnalyzer(BatchedAnalysisEngine()).analyze_statistical(
             ibmpg1_grid,
@@ -439,7 +441,8 @@ class TestShardedRejections:
             )
         # The same sinks still run fine on the threaded path.
         engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7, sinks=[exceedance, p2], workers=2
+            ibmpg1_grid, load_sweep, chunk_size=7, sinks=[exceedance, p2],
+            executor=make_executor("threads", 2),
         )
         assert exceedance.num_consumed == load_sweep.shape[0]
 
@@ -534,25 +537,10 @@ class TestExecutorResolution:
         source = MatrixScenarioSource(load_matrix=load_sweep)
         for workers, name in ((1, "serial"), (2, "threads")):
             result = engine.analyze_scenario_stream(
-                ibmpg1_grid, source, load_sweep.shape[0], chunk_size=5, workers=workers
+                ibmpg1_grid, source, load_sweep.shape[0], chunk_size=5,
+                executor=make_executor("threads", workers),
             )
             assert (result.executor, result.workers) == (name, workers)
-
-    def test_executor_and_workers_conflict(self, ibmpg1_grid, load_sweep):
-        engine = BatchedAnalysisEngine()
-        with pytest.raises(ValueError, match="not both"):
-            engine.analyze_batch(
-                ibmpg1_grid,
-                load_sweep,
-                chunk_size=7,
-                workers=2,
-                executor=HybridExecutor(1, 1),
-            )
-        # A *named* executor combines with workers= as its parallelism.
-        result = engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7, workers=2, executor="threads"
-        )
-        assert result.reductions is not None
 
     def test_serial_executor_matches_threads(self, ibmpg1_grid, load_sweep):
         engine = BatchedAnalysisEngine()
@@ -580,8 +568,8 @@ class TestExecutorResolution:
     def test_env_default_executor(self, monkeypatch, ibmpg1_grid, load_sweep):
         monkeypatch.setenv(EXECUTOR_ENV, "processes")
         engine = BatchedAnalysisEngine()
-        reference = BatchedAnalysisEngine(default_executor="serial").analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7
+        reference = BatchedAnalysisEngine().analyze_batch(
+            ibmpg1_grid, load_sweep, chunk_size=7, executor="serial"
         )
         sharded = engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7)
         assert_reductions_identical(reference, sharded)
@@ -596,7 +584,7 @@ class TestExecutorResolution:
         with pytest.warns(RuntimeWarning, match=r"^analyze_batch: .*P2QuantileSink"):
             engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[sink])
         assert sink.result().num_scenarios == load_sweep.shape[0]
-        # Closure source: not picklable -> the 1 x default_workers row.
+        # Closure source: not picklable -> the serial row.
         with pytest.warns(
             RuntimeWarning,
             match=r"^analyze_scenario_stream: .*need a picklable scenario source",
@@ -607,7 +595,7 @@ class TestExecutorResolution:
                 load_sweep.shape[0],
                 chunk_size=5,
             )
-        fallback = HybridExecutor(1, engine.default_workers)
+        fallback = make_executor("serial")
         assert (stream.executor, stream.workers) == (fallback.name, fallback.parallelism)
 
     def test_env_value_validated(self, monkeypatch):
@@ -670,7 +658,7 @@ class TestResolveChunkSize:
         engine = BatchedAnalysisEngine()
         source = MatrixScenarioSource(load_matrix=load_sweep)
         result = engine.analyze_scenario_stream(
-            ibmpg1_grid, source, load_sweep.shape[0], workers=1
+            ibmpg1_grid, source, load_sweep.shape[0], executor="serial"
         )
         assert ibmpg1_grid.compile().num_unknowns == 1552
         assert result.chunk_size == 84
@@ -769,11 +757,11 @@ class TestHybridResolution:
     def test_validation(self):
         with pytest.raises(ValueError, match="shard_workers"):
             HybridExecutor(shard_workers=0)
-        with pytest.raises(ValueError, match="shard_workers"):
+        with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
             make_executor("processes", 0)
         with pytest.raises(ValueError, match="threads_per_shard"):
             HybridExecutor(shard_workers=2, threads_per_shard=0)
-        with pytest.raises(ValueError, match="threads_per_shard"):
+        with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
             make_executor("threads", 0)
         with pytest.raises(ValueError, match="start_method"):
             HybridExecutor(shard_workers=2, start_method="telepathy")
@@ -790,7 +778,9 @@ class TestHybridResolution:
                 executor=HybridExecutor(shard_workers=2, threads_per_shard=2),
             )
         # The rejection left the sink unbound and reusable.
-        engine.analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7, sinks=[p2], workers=1)
+        engine.analyze_batch(
+            ibmpg1_grid, load_sweep, chunk_size=7, sinks=[p2], executor="serial"
+        )
         assert p2.result().num_scenarios == load_sweep.shape[0]
 
     def test_env_default_falls_back_for_incompatible_sweeps(
@@ -808,8 +798,8 @@ class TestHybridResolution:
 
     def test_env_default_matches_serial(self, monkeypatch, ibmpg1_grid, load_sweep):
         monkeypatch.setenv(EXECUTOR_ENV, "hybrid")
-        reference = BatchedAnalysisEngine(default_executor="serial").analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=7
+        reference = BatchedAnalysisEngine().analyze_batch(
+            ibmpg1_grid, load_sweep, chunk_size=7, executor="serial"
         )
         hybrid = BatchedAnalysisEngine().analyze_batch(ibmpg1_grid, load_sweep, chunk_size=7)
         assert_reductions_identical(reference, hybrid)
@@ -993,7 +983,7 @@ class TestPicklePayload:
             load_sweep,
             chunk_size=7,
             sinks=tuple(seq_sinks.values()),
-            workers=1,
+            executor="serial",
         )
         shard_sinks = mergeable_sinks(nominal_worst)
         executor = two_shard_executor(kind, start_method="forkserver")

@@ -407,7 +407,6 @@ class TestResolution:
         monkeypatch.setenv(COORDINATOR_ENV, DEAD_COORDINATOR)
         engine = BatchedAnalysisEngine()
         assert isinstance(engine._default_executor, RemoteExecutor)
-        assert engine._default_executor_lenient
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -67,6 +67,24 @@ class TestGenerateAndAnalyze:
             "error: network has no voltage sources; the nodal system is singular"
         ]
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("R1 n1 n2 abc", "line 2: invalid SPICE number 'abc'"),
+            ("R1 n1 n2 1x", "line 2: unknown SI suffix in '1x'"),
+            ("C1 n1 n2 1.0", "line 2: unsupported element 'C1'"),
+            ("R1 n1 n2 0", "resistor 'R1' must have positive resistance"),
+        ],
+        ids=["not-a-number", "unknown-suffix", "unsupported-element", "zero-ohm"],
+    )
+    def test_analyze_rejects_a_malformed_netlist(self, tmp_path, capsys, line, message):
+        netlist = tmp_path / "malformed.spice"
+        netlist.write_text(f"V1 n1 0 1.0\n{line}\nI1 n2 0 0.01\n.end\n")
+        assert main(["analyze", str(netlist)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
 
 class TestPlan:
     def test_plan_converges_and_writes_netlist(self, tmp_path, capsys):
