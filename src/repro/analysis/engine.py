@@ -761,9 +761,11 @@ class BatchedAnalysisEngine:
 
     :meth:`analyze` returns one scenario's full
     :class:`~repro.analysis.irdrop.IRDropResult`; it is what the vectorless
-    analyzer and the CLI consume, and the planner's loop solves through
-    :meth:`solve_voltages`.  Both are one-column batches of the multi-RHS
-    solve behind :meth:`analyze_batch` and the streamed sweeps.
+    analyzer and the CLI consume; :meth:`solve_voltages` returns the
+    voltages alone.  Both are one-column batches of the multi-RHS solve
+    behind :meth:`analyze_batch` and the streamed sweeps, and the
+    planner's loop solves each candidate as such a batch itself, keeping
+    the column's solver iteration count.
 
     Args:
         cache_size: Maximum number of factorizations kept alive (LRU).

@@ -14,7 +14,7 @@ train the PowerPlanningDL width predictor.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from ..grid.technology import Technology
 from .constraints import ConstraintEvaluation, ReliabilityConstraints
 from .rules import DesignRules
 from .search import (
+    CandidateMove,
     CommittedMove,
     SearchConfig,
     SearchStats,
@@ -43,10 +44,11 @@ from .sizing import AnalyticalSizer, SizingParameters
 
 @dataclass(frozen=True)
 class _LoopAnalysis:
-    """Array-level analysis state of one compiled-loop iteration.
+    """Array-level analysis state of one compiled-loop solve.
 
-    Carries exactly what the resize decision and the constraint evaluation
-    consume — no name-keyed dictionaries are materialised inside the loop.
+    Carries exactly what the resize decision, the constraint evaluation
+    and the final result consume — no name-keyed dictionaries are
+    materialised inside the loop.
     """
 
     voltages: np.ndarray
@@ -54,6 +56,7 @@ class _LoopAnalysis:
     worst_ir_drop: float
     average_ir_drop: float
     analysis_time: float
+    solver_iterations: int
 
 
 @dataclass
@@ -66,9 +69,11 @@ class PlanningIteration:
         em_violations: Number of EM-violating segments.
         lines_resized: Number of lines whose width was increased afterwards.
         analysis_time: Wall-clock time of the IR-drop analysis (matrix
-            assembly + solve) in this iteration.
-        build_time: Wall-clock time spent building the power-grid network
-            (netlist construction) for this iteration.
+            assembly + solve) of this iteration's design; in the compiled
+            loop, the summed solve time of the candidate batch it won.
+        build_time: Wall-clock time spent building this iteration's
+            design: the network build in the legacy loop, the winning
+            candidate's conductance rewrite in the compiled loop.
     """
 
     index: int
@@ -102,7 +107,7 @@ class PowerPlanResult:
             the quantity Table IV reports for the conventional approach.
         search: Candidate-search statistics (counters, committed moves,
             ranker training data) when the planner ran in batched-search
-            mode; ``None`` for the one-move loops.
+            mode; ``None`` in one-move mode.
     """
 
     benchmark: str
@@ -251,12 +256,10 @@ class ConventionalPowerPlanner:
                     f"initial_widths must have length {topology.num_lines}"
                 )
 
-        if self.search_config is not None:
-            if not self.use_compiled_loop:
-                raise ValueError("search mode requires the compiled loop")
-            return self._plan_search(floorplan, topology, constraints, widths, start)
         if self.use_compiled_loop:
             return self._plan_compiled(floorplan, topology, constraints, widths, start)
+        if self.search_config is not None:
+            raise ValueError("search mode requires the compiled loop")
         return self._plan_legacy(floorplan, topology, constraints, widths, start)
 
     # ------------------------------------------------------------------
@@ -329,12 +332,11 @@ class ConventionalPowerPlanner:
         self,
         engine: BatchedAnalysisEngine,
         compiled: CompiledGrid,
-        loads: np.ndarray | None = None,
+        loads: np.ndarray,
     ) -> _LoopAnalysis:
-        """One engine solve plus the array-level reductions the loop needs."""
-        analysis_start = time.perf_counter()
-        voltages = engine.solve_voltages(compiled, loads)
-        elapsed = time.perf_counter() - analysis_start
+        """One one-column engine batch plus the array-level reductions the loop needs."""
+        batch = engine.analyze_batch(compiled, loads[None])
+        voltages = batch.voltages[:, 0]
         drops = compiled.vdd - voltages
         worst_index = int(drops.argmax()) if drops.size else 0
         return _LoopAnalysis(
@@ -342,7 +344,8 @@ class ConventionalPowerPlanner:
             worst_index=worst_index,
             worst_ir_drop=float(drops[worst_index]) if drops.size else 0.0,
             average_ir_drop=float(drops.mean()) if drops.size else 0.0,
-            analysis_time=elapsed,
+            analysis_time=batch.analysis_time,
+            solver_iterations=int(batch.solver_iterations[0]),
         )
 
     def _plan_compiled(
@@ -353,98 +356,27 @@ class ConventionalPowerPlanner:
         widths: np.ndarray,
         start: float,
     ) -> PowerPlanResult:
-        """Rebuild-free loop: the grid is compiled once, then every resize
-        iteration only rewrites the stripe conductances (shared topology,
-        index maps and sparsity pattern) and re-solves through the engine.
-        The converged design is materialised as an object-level network and
-        a full :class:`IRDropResult` only once, at the end.
-        """
-        builder = GridBuilder(self.technology)
-        engine = self.analyzer
-        analysis_time = 0.0
-        iterations: list[PlanningIteration] = []
+        """Rebuild-free loop: the grid is compiled once, then each iteration
+        solves a batch of candidate moves and commits the one with the
+        lowest worst drop.  A candidate only rewrites the stripe
+        conductances (shared topology, index maps and sparsity pattern),
+        so with incremental updates the engine serves it by a low-rank
+        update of the cached base factorization (a decap candidate
+        changes the loads alone).
 
-        build_start = time.perf_counter()
-        compiled = builder.build_compiled(floorplan, topology, widths)
-        build_time = time.perf_counter() - build_start
-        analysis = self._analyze_compiled(engine, compiled)
-        em_report = self.em_checker.check_voltages(compiled, analysis.voltages)
-        analysis_time += analysis.analysis_time
-        evaluation = self._evaluate(constraints, analysis, em_report, widths, topology)
-
-        for iteration in range(self.max_iterations):
-            resized = 0
-            if not evaluation.all_satisfied:
-                widths, resized = self._resize_compiled(
-                    widths, topology, compiled, analysis, em_report, constraints
-                )
-            iterations.append(
-                PlanningIteration(
-                    index=iteration,
-                    worst_ir_drop=analysis.worst_ir_drop,
-                    em_violations=len(em_report.violations),
-                    lines_resized=resized,
-                    analysis_time=analysis.analysis_time,
-                    build_time=build_time,
-                )
-            )
-            if evaluation.all_satisfied or resized == 0:
-                break
-            build_start = time.perf_counter()
-            compiled = builder.resize_compiled(compiled, topology, widths)
-            build_time = time.perf_counter() - build_start
-            analysis = self._analyze_compiled(engine, compiled)
-            em_report = self.em_checker.check_voltages(compiled, analysis.voltages)
-            analysis_time += analysis.analysis_time
-            evaluation = self._evaluate(constraints, analysis, em_report, widths, topology)
-
-        # Materialise the object-level deliverables once, outside the loop:
-        # the final network for downstream consumers and the full IR-drop
-        # result, built straight from the already-solved voltages.
-        network = builder.build(floorplan, topology, widths, name=floorplan.name)
-        ir_result = result_from_voltages(
-            compiled, analysis.voltages, name=compiled.name,
-            analysis_time=analysis.analysis_time, solver_method=engine._solver_method(compiled),
-        )
-        total_time = time.perf_counter() - start
-        return PowerPlanResult(
-            benchmark=floorplan.name,
-            widths=widths,
-            network=network,
-            ir_result=ir_result,
-            em_report=em_report,
-            evaluation=evaluation,
-            iterations=iterations,
-            converged=evaluation.all_satisfied,
-            total_time=total_time,
-            analysis_time=analysis_time,
-        )
-
-    # ------------------------------------------------------------------
-    # Batched candidate search (model-guided fast path)
-    # ------------------------------------------------------------------
-    def _plan_search(
-        self,
-        floorplan: Floorplan,
-        topology: GridTopology,
-        constraints: ReliabilityConstraints,
-        widths: np.ndarray,
-        start: float,
-    ) -> PowerPlanResult:
-        """Batched search loop: each iteration generates a candidate batch,
-        evaluates every kept candidate against the *single* cached base
-        factorization via the engine's incremental-update path (each
-        candidate is a rank-k conductance delta or an RHS-only load
-        relief), and commits the best move.  A fitted ranker in the
-        search config prunes the batch before any solve; without one the
-        whole batch is solved (exact mode, the ranker's oracle).
+        Without a search config the batch is the one-move heuristic
+        resize alone, and it is empty — ending the loop — once that move
+        changes no line.  With one, the batch comes from
+        :func:`~repro.design.search.generate_candidates`, pruned before
+        any solve by the config's ranker when it has one (exact mode, the
+        ranker's oracle, solves it all).  The converged design is
+        materialised as an object-level network and a full
+        :class:`IRDropResult` only once, at the end.
         """
         builder = GridBuilder(self.technology)
         engine = self.analyzer
         config = self.search_config
-        assert config is not None
-        stats = SearchStats(ranker_used=config.ranker is not None)
-        analysis_time = 0.0
+        stats = None if config is None else SearchStats(ranker_used=config.ranker is not None)
         iterations: list[PlanningIteration] = []
 
         build_start = time.perf_counter()
@@ -452,23 +384,19 @@ class ConventionalPowerPlanner:
         build_time = time.perf_counter() - build_start
         loads = compiled.base_loads.copy()
 
-        relief = None
-        if config.use_decap:
+        decap_scale = None
+        if config is not None and config.use_decap:
             relief = decap_load_scale(floorplan, self.technology, compiled)
             if relief is not None:
-                stats.decap_plan = relief[1]
-        decap_available = relief is not None
+                decap_scale, stats.decap_plan = relief
 
         analysis = self._analyze_compiled(engine, compiled, loads)
         em_report = self.em_checker.check_voltages(compiled, analysis.voltages)
-        analysis_time += analysis.analysis_time
+        analysis_time = analysis.analysis_time
         evaluation = self._evaluate(constraints, analysis, em_report, widths, topology)
 
         for iteration in range(self.max_iterations):
-            committed: CommittedMove | None = None
-            best_clone: CompiledGrid | None = None
-            best_build_time = 0.0
-            batch_time = 0.0
+            best = None
             if not evaluation.all_satisfied:
                 violating = em_report.violating_lines
                 per_line = (
@@ -478,7 +406,7 @@ class ConventionalPowerPlanner:
                 )
                 worst_x = float(compiled.node_x[analysis.worst_index])
                 worst_y = float(compiled.node_y[analysis.worst_index])
-                baseline_widths, _ = self._resize_core(
+                baseline_widths, resized = self._resize_core(
                     widths,
                     topology,
                     constraints,
@@ -488,127 +416,125 @@ class ConventionalPowerPlanner:
                     worst_x=worst_x,
                     worst_y=worst_y,
                 )
-                candidates = generate_candidates(
-                    widths=widths,
-                    baseline_widths=baseline_widths,
-                    topology=topology,
-                    compiled=compiled,
-                    drops=compiled.vdd - analysis.voltages,
-                    rules=self.rules,
-                    upsize_factor=self.upsize_factor,
-                    config=config,
-                    load_scale=relief[0] if decap_available else None,
-                )
-                stats.candidates_generated += len(candidates)
-                features = candidate_features(
-                    candidates,
-                    widths=widths,
-                    topology=topology,
-                    compiled=compiled,
-                    worst_x=worst_x,
-                    worst_y=worst_y,
-                    worst_ir_drop=analysis.worst_ir_drop,
-                    loads=loads,
-                )
-                if config.ranker is not None:
-                    kept = config.ranker.select(
-                        candidates, features, config.resolved_prune_to
-                    )
+                if config is None:
+                    candidates = [
+                        CandidateMove(
+                            kind="heuristic",
+                            label="one-move baseline resize",
+                            widths=baseline_widths,
+                            lines_changed=resized,
+                            protected=True,
+                        )
+                    ] if resized else []
+                    kept = range(len(candidates))
                 else:
-                    kept = list(range(len(candidates)))
-                stats.candidates_pruned += len(candidates) - len(kept)
+                    candidates = generate_candidates(
+                        widths=widths,
+                        baseline_widths=baseline_widths,
+                        topology=topology,
+                        compiled=compiled,
+                        drops=compiled.vdd - analysis.voltages,
+                        rules=self.rules,
+                        upsize_factor=self.upsize_factor,
+                        config=config,
+                        load_scale=decap_scale,
+                    )
+                    features = candidate_features(
+                        candidates,
+                        widths=widths,
+                        topology=topology,
+                        compiled=compiled,
+                        worst_x=worst_x,
+                        worst_y=worst_y,
+                        worst_ir_drop=analysis.worst_ir_drop,
+                        loads=loads,
+                    )
+                    if config.ranker is not None:
+                        kept = config.ranker.select(
+                            candidates, features, config.resolved_prune_to
+                        )
+                    else:
+                        kept = range(len(candidates))
+                    stats.candidates_generated += len(candidates)
+                    stats.candidates_pruned += len(candidates) - len(kept)
 
-                best = None
-                batch_start = time.perf_counter()
-                for index in kept:
-                    cand = candidates[index]
+                batch_time = 0.0
+                for position, index in enumerate(kept):
+                    move = candidates[index]
                     clone_start = time.perf_counter()
-                    if np.array_equal(cand.widths, widths):
+                    if np.array_equal(move.widths, widths):
                         clone = compiled
                     else:
-                        clone = builder.resize_compiled(compiled, topology, cand.widths)
+                        clone = builder.resize_compiled(compiled, topology, move.widths)
                     clone_time = time.perf_counter() - clone_start
-                    cand_loads = (
-                        loads * cand.load_scale
-                        if cand.load_scale is not None
-                        else loads
-                    )
-                    voltages = engine.solve_voltages(clone, cand_loads)
-                    cand_drops = clone.vdd - voltages
-                    cand_worst = float(cand_drops.max()) if cand_drops.size else 0.0
-                    stats.candidates_solved += 1
-                    stats.training_features.append(features[index])
-                    stats.training_improvements.append(
-                        analysis.worst_ir_drop - cand_worst
-                    )
-                    if best is None or cand_worst < best[0]:
-                        best = (cand_worst, index, clone, cand_loads, voltages, clone_time)
-                batch_time = time.perf_counter() - batch_start
-
-                if best is not None:
-                    cand = candidates[best[1]]
-                    committed = CommittedMove(
-                        iteration=iteration,
-                        kind=cand.kind,
-                        label=cand.label,
-                        widths=cand.widths.copy(),
-                        loads=best[3].copy(),
-                        voltages=best[4],
-                        worst_ir_drop=best[0],
-                        lines_changed=cand.lines_changed,
-                    )
-                    stats.committed.append(committed)
-                    stats.moves_committed += 1
-                    best_clone = best[2]
-                    best_build_time = best[5]
+                    move_loads = loads if move.load_scale is None else loads * move.load_scale
+                    solved = self._analyze_compiled(engine, clone, move_loads)
+                    batch_time += solved.analysis_time
+                    if stats is not None:
+                        stats.candidates_solved += 1
+                        stats.training_features.append(features[index])
+                        stats.training_improvements.append(
+                            analysis.worst_ir_drop - solved.worst_ir_drop
+                        )
+                    if best is None or solved.worst_ir_drop < best[0].worst_ir_drop:
+                        best = (solved, move, clone, move_loads, clone_time, position)
 
             iterations.append(
                 PlanningIteration(
                     index=iteration,
                     worst_ir_drop=analysis.worst_ir_drop,
                     em_violations=len(em_report.violations),
-                    lines_resized=committed.lines_changed if committed else 0,
+                    lines_resized=best[1].lines_changed if best else 0,
                     analysis_time=analysis.analysis_time,
                     build_time=build_time,
                 )
             )
-            if evaluation.all_satisfied or committed is None:
+            if evaluation.all_satisfied or best is None:
                 break
 
-            # Adopt the committed design.  Re-anchoring the committed
-            # clone's factorization through the explicit update path
-            # keeps the next batch updating an in-cache entry (the batch
-            # itself may have evicted the winner's entry).
+            # Adopt the winner.  A candidate solved after it may have
+            # evicted its factorization: re-anchoring it through the
+            # explicit update path keeps the next batch updating an
+            # in-cache entry.  A winner solved last is the newest entry.
+            solved, move, clone, loads, build_time, position = best
             if (
-                best_clone is not compiled
+                position < len(kept) - 1
+                and clone is not compiled
                 and engine.incremental_updates
                 and not engine._use_cg(compiled)
             ):
-                engine.factor_update(compiled, best_clone)
-            if committed.kind == "decap":
-                decap_available = False
-            widths = committed.widths
-            loads = committed.loads
-            compiled = best_clone
-            build_time = best_build_time
-            drops = compiled.vdd - committed.voltages
-            analysis = _LoopAnalysis(
-                voltages=committed.voltages,
-                worst_index=int(drops.argmax()) if drops.size else 0,
-                worst_ir_drop=committed.worst_ir_drop,
-                average_ir_drop=float(drops.mean()) if drops.size else 0.0,
-                analysis_time=batch_time,
-            )
+                engine.factor_update(compiled, clone)
+            if stats is not None:
+                stats.committed.append(
+                    CommittedMove(
+                        iteration=iteration,
+                        kind=move.kind,
+                        label=move.label,
+                        widths=move.widths.copy(),
+                        loads=loads.copy(),
+                        voltages=solved.voltages,
+                        worst_ir_drop=solved.worst_ir_drop,
+                        lines_changed=move.lines_changed,
+                    )
+                )
+                stats.moves_committed += 1
+            if move.kind == "decap":
+                decap_scale = None
+            widths = move.widths
+            compiled = clone
+            analysis = replace(solved, analysis_time=batch_time)
             analysis_time += batch_time
             em_report = self.em_checker.check_voltages(compiled, analysis.voltages)
-            evaluation = self._evaluate(
-                constraints, analysis, em_report, widths, topology
-            )
+            evaluation = self._evaluate(constraints, analysis, em_report, widths, topology)
 
+        # Materialise the object-level deliverables once, outside the loop:
+        # the final network for downstream consumers and the full IR-drop
+        # result, built straight from the already-solved voltages.
         network = builder.build(floorplan, topology, widths, name=floorplan.name)
         ir_result = result_from_voltages(
             compiled, analysis.voltages, name=compiled.name,
             analysis_time=analysis.analysis_time, solver_method=engine._solver_method(compiled),
+            solver_iterations=analysis.solver_iterations,
         )
         total_time = time.perf_counter() - start
         return PowerPlanResult(
@@ -662,31 +588,6 @@ class ConventionalPowerPlanner:
             worst_ir_drop=ir_result.worst_ir_drop,
             worst_x=worst.x,
             worst_y=worst.y,
-        )
-
-    def _resize_compiled(
-        self,
-        widths: np.ndarray,
-        topology: GridTopology,
-        compiled: CompiledGrid,
-        analysis: _LoopAnalysis,
-        em_report: EMReport,
-        constraints: ReliabilityConstraints,
-    ) -> tuple[np.ndarray, int]:
-        """Compiled-loop resize: everything comes from the arrays."""
-        violating = em_report.violating_lines
-        per_line = (
-            line_currents_from_voltages(compiled, analysis.voltages) if violating else {}
-        )
-        return self._resize_core(
-            widths,
-            topology,
-            constraints,
-            violating_lines=violating,
-            per_line_current=per_line,
-            worst_ir_drop=analysis.worst_ir_drop,
-            worst_x=float(compiled.node_x[analysis.worst_index]),
-            worst_y=float(compiled.node_y[analysis.worst_index]),
         )
 
     def _resize_core(

@@ -1,12 +1,13 @@
 """Batched, model-guided candidate search for the planner loop.
 
-One iteration of the conventional flow used to pay one full analysis per
-heuristic move.  The search layer turns that iteration into a *candidate
-batch*: a set of alternative moves — width bumps on the worst stripes,
-pitch-style reinforcement of a stripe direction, decap insertion — each
-expressed on the frozen :class:`~repro.grid.compiled.CompiledGrid`
-topology, so the whole batch is evaluated against the *single* cached
-base factorization through the engine's low-rank incremental-update path
+The planner's compiled loop solves a batch of candidate moves per
+iteration and commits the best; in one-move mode that batch is the
+heuristic resize alone.  The search layer fills the batch with
+alternative moves — width bumps on the worst stripes, pitch-style
+reinforcement of a stripe direction, decap insertion — each expressed on
+the frozen :class:`~repro.grid.compiled.CompiledGrid` topology, so the
+whole batch is evaluated against the *single* cached base factorization
+through the engine's low-rank incremental-update path
 (Sherman–Morrison–Woodbury / base-preconditioned CG).  Many candidates
 per factorization instead of one solve per move.
 

@@ -238,7 +238,6 @@ _ANALYZE_ENTRY_POINTS = {
     "analyze_statistical",
 }
 _SHARDED_EXECUTOR_NAMES = {"processes", "hybrid", "remote"}
-_SHARDED_EXECUTOR_CLASSES = {"HybridExecutor", "RemoteExecutor"}
 #: Positional slot of the scenario source per entry point (after self).
 _SOURCE_POSITIONS = {"analyze_scenario_stream": 1}
 
@@ -260,7 +259,8 @@ class PicklabilityRule(Rule):
     * the call names a sharded executor (``executor="processes"`` /
       ``"hybrid"`` / ``"remote"``, a ``HybridExecutor`` /
       ``RemoteExecutor`` instance, or ``make_executor`` with one of those
-      names), or
+      names) — a ``HybridExecutor`` whose shard count is a literal 1
+      runs in-process and never pickles, so it does not count — or
     * the file is library code (non-test) — production sources must be
       module-level picklable classes such as ``MatrixScenarioSource``,
       whatever executor today's caller picks.
@@ -322,7 +322,12 @@ class PicklabilityRule(Rule):
             return value.value in _SHARDED_EXECUTOR_NAMES
         if isinstance(value, ast.Call):
             name = _call_name(value)
-            if name in _SHARDED_EXECUTOR_CLASSES:
+            if name == "HybridExecutor":
+                shards = value.args[0] if value.args else next(
+                    (k.value for k in value.keywords if k.arg == "shard_workers"), None
+                )
+                return not (isinstance(shards, ast.Constant) and shards.value == 1)
+            if name == "RemoteExecutor":
                 return True
             if name == "make_executor" and value.args:
                 first = value.args[0]

@@ -564,19 +564,6 @@ class CompiledGrid:
         np.add.at(rhs, self._pf_free, pf_g * self.pad_voltage[self._pf_pad])
         return rhs
 
-    def rhs(self, loads: np.ndarray | None = None) -> np.ndarray:
-        """Right-hand side of the reduced system for one load scenario.
-
-        Args:
-            loads: Per-node load currents over all nodes (defaults to the
-                compiled network's own loads).  Loads attached to pad nodes
-                are ignored: a pad fixes its node's voltage.
-        """
-        loads = self.base_loads if loads is None else np.asarray(loads, dtype=float)
-        if loads.shape != (self.num_nodes,):
-            raise ValueError(f"expected loads of shape ({self.num_nodes},), got {loads.shape}")
-        return self.pad_rhs - loads[self.unknown_sel]
-
     def rhs_matrix(
         self,
         load_matrix: np.ndarray | None,
@@ -588,6 +575,8 @@ class CompiledGrid:
             load_matrix: ``(num_scenarios, num_nodes)`` per-node currents,
                 or ``None`` to use the grid's own loads in every scenario
                 (allowed only together with ``pad_voltage_matrix``).
+                Loads on pad nodes are ignored: a pad fixes its node's
+                voltage.
             pad_voltage_matrix: Optional ``(num_scenarios, num_pads)``
                 per-pad voltages aligned with :attr:`pad_names`; when given,
                 scenario ``i`` replaces the fixed pad voltages with row
@@ -638,28 +627,6 @@ class CompiledGrid:
         )
         matrix.sum_duplicates()
         return matrix
-
-    def pad_voltage_vectors(self, pad_voltage_matrix: np.ndarray) -> np.ndarray:
-        """Scatter per-pad voltage scenarios onto per-node vectors.
-
-        Args:
-            pad_voltage_matrix: ``(num_scenarios, num_pads)`` voltages
-                aligned with :attr:`pad_names`.
-
-        Returns:
-            ``(num_scenarios, num_nodes)`` per-node pad voltages (0 on
-            non-pad nodes; when several pads share a node, the last added
-            pad wins).
-        """
-        pad_voltage_matrix = np.asarray(pad_voltage_matrix, dtype=float)
-        if pad_voltage_matrix.ndim != 2 or pad_voltage_matrix.shape[1] != len(self.pad_node):
-            raise ValueError(
-                f"expected pad voltage matrix of shape (k, {len(self.pad_node)}), "
-                f"got {pad_voltage_matrix.shape}"
-            )
-        vectors = np.zeros((pad_voltage_matrix.shape[0], self.num_nodes), dtype=float)
-        vectors[:, self.pad_node] = pad_voltage_matrix
-        return vectors
 
     def pad_rhs_matrix(self, pad_voltage_matrix: np.ndarray) -> np.ndarray:
         """Pad contribution to the RHS for many pad-voltage scenarios.
@@ -829,45 +796,6 @@ class CompiledGrid:
     # ------------------------------------------------------------------
     # Solution helpers
     # ------------------------------------------------------------------
-    def full_voltages(
-        self,
-        unknown_voltages: np.ndarray,
-        pad_voltage_vectors: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Scatter solved unknowns and pad voltages into a per-node vector.
-
-        Args:
-            unknown_voltages: ``(num_unknowns,)`` solution vector, or a
-                ``(num_unknowns, k)`` matrix for batched solutions.
-            pad_voltage_vectors: Optional ``(k, num_nodes)`` per-node pad
-                voltages (from :meth:`pad_voltage_vectors`) for batches
-                whose pad voltages vary per scenario; the grid's own fixed
-                pad voltages are used when omitted.
-
-        Returns:
-            ``(num_nodes,)`` (or ``(num_nodes, k)``) voltages over all nodes.
-        """
-        unknown_voltages = np.asarray(unknown_voltages, dtype=float)
-        if unknown_voltages.shape[0] != self.num_unknowns:
-            raise ValueError(
-                f"expected {self.num_unknowns} unknown voltages, got {unknown_voltages.shape[0]}"
-            )
-        shape = (self.num_nodes,) + unknown_voltages.shape[1:]
-        voltages = np.empty(shape, dtype=float)
-        voltages[self.unknown_sel] = unknown_voltages
-        pad_sel = self.pad_sel
-        if pad_voltage_vectors is not None:
-            if unknown_voltages.ndim != 2:
-                raise ValueError("per-scenario pad voltages require a batched solution")
-            voltages[pad_sel] = pad_voltage_vectors[:, pad_sel].T
-        else:
-            voltages[pad_sel] = (
-                self.pad_voltage[pad_sel][:, None]
-                if unknown_voltages.ndim == 2
-                else self.pad_voltage[pad_sel]
-            )
-        return voltages
-
     def pad_node_voltages(self, pad_voltage_matrix: np.ndarray) -> np.ndarray:
         """Per-pad voltage scenarios at the pad nodes.
 
@@ -877,9 +805,8 @@ class CompiledGrid:
 
         Returns:
             ``(num_scenarios, len(pad_sel))`` voltages of the pad nodes in
-            :attr:`pad_sel` order — the pad columns of
-            :meth:`pad_voltage_vectors`, duplicates resolved last-wins
-            alike, without scattering the full per-node vectors.
+            :attr:`pad_sel` order.  When several pads share a node, the
+            last added pad sets its voltage, as in :attr:`pad_voltage`.
         """
         pad_voltage_matrix = np.asarray(pad_voltage_matrix, dtype=float)
         if pad_voltage_matrix.ndim != 2 or pad_voltage_matrix.shape[1] != len(self.pad_node):

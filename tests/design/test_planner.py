@@ -145,6 +145,27 @@ class TestSolverTag:
         )
         plan = planner.plan(tiny_floorplan, tiny_topology)
         assert plan.ir_result.solver_method == expected
+        # CG counts the committed solve's iterations; the direct path has none.
+        assert (plan.ir_result.solver_iterations > 0) == (expected == "cg")
+
+    def test_cg_iterations_match_the_legacy_loop(self, small_benchmark):
+        """From a min-width start the compiled loop's final CG solve is the
+        legacy loop's, iteration count included."""
+        rules = DesignRules.from_technology(small_benchmark.technology)
+        tiny_widths = np.full(small_benchmark.topology.num_lines, rules.min_width)
+        plans = [
+            ConventionalPowerPlanner(
+                small_benchmark.technology,
+                max_iterations=4,
+                analyzer=BatchedAnalysisEngine(direct_size_limit=10),
+                use_compiled_loop=compiled_loop,
+            ).plan(small_benchmark.floorplan, small_benchmark.topology, initial_widths=tiny_widths)
+            for compiled_loop in (True, False)
+        ]
+        assert [plan.num_iterations for plan in plans] == [4, 4]
+        compiled, legacy = (plan.ir_result for plan in plans)
+        assert compiled.solver_method == legacy.solver_method == "cg"
+        assert compiled.solver_iterations == legacy.solver_iterations > 0
 
 
 class TestParameters:

@@ -126,6 +126,55 @@ class TestExactSearch:
             planner.plan(small_benchmark.floorplan, small_benchmark.topology)
 
 
+class TestReanchorRule:
+    """``factor_update`` re-anchors a committed candidate only when a later
+    candidate of its batch was solved after it, and so may have evicted its
+    factorization; the winner of a one-candidate batch is the newest entry."""
+
+    @staticmethod
+    def _plan(small_benchmark, tiny_start, **kwargs):
+        planner = ConventionalPowerPlanner(
+            small_benchmark.technology, max_iterations=BUDGET, **kwargs
+        )
+        engine = planner.analyzer
+        calls = []
+        factor_update = engine.factor_update
+
+        def counting(*args):
+            calls.append(args)
+            return factor_update(*args)
+
+        engine.factor_update = counting
+        plan = planner.plan(
+            small_benchmark.floorplan,
+            small_benchmark.topology,
+            initial_widths=tiny_start.copy(),
+        )
+        return engine, plan, len(calls)
+
+    def test_one_candidate_batches_make_no_calls(self, small_benchmark, tiny_start):
+        engine, plan, calls = self._plan(
+            small_benchmark, tiny_start, search=SearchConfig(batch_width=1, use_decap=False)
+        )
+        assert plan.search.moves_committed > 1
+        assert calls == 0
+        # A batch of one is the one-move loop: on an engine configured like
+        # the search's it commits the same widths with the same cache work.
+        twin = BatchedAnalysisEngine(
+            cache_size=engine.cache_size, update_policy=engine.update_policy
+        )
+        _, one_move, _ = self._plan(small_benchmark, tiny_start, analyzer=twin)
+        assert np.array_equal(plan.widths, one_move.widths)
+        search_info, one_move_info = engine.cache_info(), twin.cache_info()
+        for counter in ("factorizations", "updates", "update_fallbacks"):
+            assert getattr(search_info, counter) == getattr(one_move_info, counter)
+
+    def test_one_move_mode_makes_no_calls(self, small_benchmark, tiny_start):
+        _, plan, calls = self._plan(small_benchmark, tiny_start)
+        assert plan.num_iterations > 1
+        assert calls == 0
+
+
 class TestRankerSearch:
     @pytest.fixture(scope="class")
     def ranker_plan(self, exact_search_plan, small_benchmark, tiny_start):

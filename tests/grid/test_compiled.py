@@ -71,7 +71,7 @@ class TestStamping:
         compiled = compile_grid(voltage_divider())
         index = {name: i for i, name in enumerate(compiled.unknown_nodes)}
         # middle node: pad contribution = G1 * vdd = 1.0; sink: -load
-        rhs = compiled.rhs()
+        rhs = compiled.rhs_matrix(compiled.base_loads[None])[:, 0]
         assert rhs[index["middle"]] == pytest.approx(1.0)
         assert rhs[index["sink"]] == pytest.approx(-0.1)
 
@@ -102,7 +102,9 @@ class TestCompilation:
         matrix, rhs, unknown = reference_assemble(tiny_grid)
         assert list(compiled.unknown_nodes) == unknown
         np.testing.assert_allclose(compiled.reduced_matrix.toarray(), matrix, atol=1e-15)
-        np.testing.assert_allclose(compiled.rhs(), rhs, atol=1e-15)
+        np.testing.assert_allclose(
+            compiled.rhs_matrix(compiled.base_loads[None])[:, 0], rhs, atol=1e-15
+        )
 
     def test_corner_cases_match_reference_assembler(self):
         network = awkward_network()
@@ -111,7 +113,9 @@ class TestCompilation:
         assert list(compiled.unknown_nodes) == unknown
         assert compiled.ground_connected
         np.testing.assert_allclose(compiled.reduced_matrix.toarray(), matrix, atol=1e-15)
-        np.testing.assert_allclose(compiled.rhs(), rhs, atol=1e-15)
+        np.testing.assert_allclose(
+            compiled.rhs_matrix(compiled.base_loads[None])[:, 0], rhs, atol=1e-15
+        )
 
     def test_base_loads_aggregate_per_node(self):
         network = awkward_network()
@@ -170,40 +174,25 @@ class TestFingerprint:
 
 
 class TestSolutionHelpers:
-    def test_full_voltages_scatters_pads_and_unknowns(self):
-        compiled = compile_grid(awkward_network())
-        unknown = np.linspace(0.5, 0.7, compiled.num_unknowns)
-        full = compiled.full_voltages(unknown)
-        assert full.shape == (compiled.num_nodes,)
-        assert full[compiled.node_index["p1"]] == pytest.approx(1.2)
-        assert full[compiled.node_index["p2"]] == pytest.approx(1.1)
-        np.testing.assert_allclose(full[compiled.unknown_sel], unknown)
-
-    def test_full_voltages_batched(self):
-        compiled = compile_grid(awkward_network())
-        unknown = np.random.default_rng(0).random((compiled.num_unknowns, 4))
-        full = compiled.full_voltages(unknown)
-        assert full.shape == (compiled.num_nodes, 4)
-        for k in range(4):
-            np.testing.assert_allclose(full[:, k], compiled.full_voltages(unknown[:, k]))
-
     def test_solve_layout_rows_match_full_voltages(self):
         """Rows assembled as [unknowns | pad nodes] and gathered into node
-        order equal the scattered voltages bitwise; a second pad on one
-        node wins over the first, as in pad_voltage_vectors."""
+        order equal the per-node voltages scattered one by one, bitwise; a
+        second pad on one node wins over the first."""
         network = awkward_network()
         network.add_voltage_source(VoltageSource(name="V3", node="p1", voltage=1.3))
         compiled = compile_grid(network)
         rng = np.random.default_rng(7)
         unknown = rng.random((compiled.num_unknowns, 4))
         pads = rng.random((4, len(compiled.pad_node)))
-        vectors = compiled.pad_voltage_vectors(pads)
+        expected = np.zeros((4, compiled.num_nodes))
+        expected[:, compiled.unknown_sel] = unknown.T
+        for column, node in enumerate(compiled.pad_node):
+            expected[:, node] = pads[:, column]  # a later pad on a node wins
         pad_voltages = compiled.pad_node_voltages(pads)
-        assert np.array_equal(pad_voltages, vectors[:, compiled.pad_sel])
+        assert np.array_equal(pad_voltages, expected[:, compiled.pad_sel])
         assert np.array_equal(pad_voltages[:, 0], pads[:, 2])
         rows = compiled.to_node_order(np.hstack((unknown.T, pad_voltages)))
-        expected = compiled.full_voltages(unknown, pad_voltage_vectors=vectors)
-        assert np.array_equal(rows, expected.T)
+        assert np.array_equal(rows, expected)
 
     def test_rhs_matrix_matches_single_rhs(self):
         compiled = compile_grid(awkward_network())
@@ -211,7 +200,7 @@ class TestSolutionHelpers:
         loads = rng.random((5, compiled.num_nodes))
         stacked = compiled.rhs_matrix(loads)
         for k in range(5):
-            np.testing.assert_allclose(stacked[:, k], compiled.rhs(loads[k]))
+            np.testing.assert_allclose(stacked[:, k], compiled.rhs_matrix(loads[k, None])[:, 0])
 
     def test_branch_current_array_obeys_ohms_law(self, tiny_grid):
         compiled = tiny_grid.compile()
@@ -226,8 +215,6 @@ class TestSolutionHelpers:
 
     def test_rhs_rejects_bad_shapes(self):
         compiled = compile_grid(awkward_network())
-        with pytest.raises(ValueError):
-            compiled.rhs(np.zeros(compiled.num_nodes + 1))
         with pytest.raises(ValueError):
             compiled.rhs_matrix(np.zeros((2, compiled.num_nodes + 1)))
 
