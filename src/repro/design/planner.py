@@ -149,7 +149,7 @@ class ConventionalPowerPlanner:
             :meth:`~repro.grid.builder.GridBuilder.build_compiled` and each
             iteration only rewrites the stripe conductances via
             :meth:`~repro.grid.builder.GridBuilder.resize_compiled` —
-            no object-graph rebuild, no full recompile.  Set to False to
+            no fresh build, no new sparsity pattern.  Set to False to
             force the legacy rebuild loop (kept as the equivalence oracle).
         incremental_updates: When True (the default), each resize
             iteration of the compiled loop is solved as a low-rank
@@ -273,7 +273,7 @@ class ConventionalPowerPlanner:
         widths: np.ndarray,
         start: float,
     ) -> PowerPlanResult:
-        """Rebuild-per-iteration loop: network rebuild + full recompile."""
+        """Rebuild-per-iteration loop: a fresh grid and matrix every iteration."""
         builder = GridBuilder(self.technology)
         analysis_time = 0.0
         iterations: list[PlanningIteration] = []

@@ -11,8 +11,12 @@ width assignment for every power-grid line (stripe) into a flat resistive
 * every power pad of the floorplan is snapped to the nearest grid node and
   attached through an ideal voltage source.
 
-The builder is used both by the conventional iterative planner (which calls
-it once per sizing iteration) and by the synthetic benchmark generator.
+There is one mesh construction, :meth:`GridBuilder.build_compiled`, which
+assembles the :class:`~repro.grid.compiled.CompiledGrid` arrays with
+vectorised NumPy operations.  :meth:`GridBuilder.build` wraps that grid in
+a network view whose element objects are created only on demand, and
+:meth:`GridBuilder.resize_compiled` re-sizes a built grid's stripes in
+place of a rebuild (the planner's per-iteration path).
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiled import CompiledGrid
-from .elements import CurrentSource, GridNode, Resistor, VoltageSource
 from .floorplan import Floorplan
-from .netlist import node_name
 from .network import PowerGridNetwork
 from .technology import Technology
 
@@ -121,6 +123,12 @@ class GridBuilder:
     ) -> PowerGridNetwork:
         """Build the power-grid network.
 
+        The network is a view over :meth:`build_compiled`'s arrays
+        (:meth:`PowerGridNetwork.from_compiled`): its
+        :meth:`~repro.grid.network.PowerGridNetwork.compile` returns that
+        compiled grid at once, and its node, resistor, pad and load objects
+        are created from the arrays only when something asks for them.
+
         Args:
             floorplan: Floorplan providing core size, blocks and pads.
             topology: Stripe topology (counts and positions).
@@ -134,90 +142,11 @@ class GridBuilder:
             A fully connected :class:`PowerGridNetwork` with loads and pads.
 
         Raises:
-            ValueError: If the width vector has the wrong length or contains
-                non-positive values.
+            ValueError: As :meth:`build_compiled`.
         """
-        width_vector = self._normalise_widths(topology, widths)
-        network = PowerGridNetwork(name=name or floorplan.name, vdd=self.technology.vdd)
-
-        v_layer = self.technology.vertical_layer
-        h_layer = self.technology.horizontal_layer
-        xs = topology.vertical_positions
-        ys = topology.horizontal_positions
-
-        # Crossing nodes: one node per (vertical line, horizontal line) pair
-        # on each of the two layers, connected by a via.
-        lower_names: dict[tuple[int, int], str] = {}
-        upper_names: dict[tuple[int, int], str] = {}
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                lower = node_name(1, x, y)
-                upper = node_name(2, x, y)
-                network.add_node(GridNode(name=lower, x=x, y=y, layer=v_layer.name))
-                network.add_node(GridNode(name=upper, x=x, y=y, layer=h_layer.name))
-                lower_names[(i, j)] = lower
-                upper_names[(i, j)] = upper
-
-        resistor_count = 0
-
-        def next_resistor_name() -> str:
-            nonlocal resistor_count
-            resistor_count += 1
-            return f"R{resistor_count}"
-
-        # Vertical stripe segments (lower layer).
-        for i, x in enumerate(xs):
-            width = width_vector[i]
-            for j in range(len(ys) - 1):
-                length = ys[j + 1] - ys[j]
-                resistance = v_layer.wire_resistance(length, width)
-                network.add_resistor(
-                    Resistor(
-                        name=next_resistor_name(),
-                        node_a=lower_names[(i, j)],
-                        node_b=lower_names[(i, j + 1)],
-                        resistance=resistance,
-                        layer=v_layer.name,
-                        width=width,
-                        length=length,
-                        line_id=i,
-                    )
-                )
-
-        # Horizontal stripe segments (upper layer).
-        for j, y in enumerate(ys):
-            width = width_vector[topology.num_vertical + j]
-            for i in range(len(xs) - 1):
-                length = xs[i + 1] - xs[i]
-                resistance = h_layer.wire_resistance(length, width)
-                network.add_resistor(
-                    Resistor(
-                        name=next_resistor_name(),
-                        node_a=upper_names[(i, j)],
-                        node_b=upper_names[(i + 1, j)],
-                        resistance=resistance,
-                        layer=h_layer.name,
-                        width=width,
-                        length=length,
-                        line_id=topology.num_vertical + j,
-                    )
-                )
-
-        # Vias at every crossing.
-        for (i, j), lower in lower_names.items():
-            network.add_resistor(
-                Resistor(
-                    name=next_resistor_name(),
-                    node_a=lower,
-                    node_b=upper_names[(i, j)],
-                    resistance=self.technology.via_resistance,
-                    layer="VIA",
-                )
-            )
-
-        self._attach_loads(network, floorplan, topology, lower_names)
-        self._attach_pads(network, floorplan, topology, upper_names)
-        return network
+        return PowerGridNetwork.from_compiled(
+            self.build_compiled(floorplan, topology, widths, name=name)
+        )
 
     def build_compiled(
         self,
@@ -228,14 +157,19 @@ class GridBuilder:
     ) -> CompiledGrid:
         """Build the grid straight into its compiled array form.
 
-        Produces exactly the grid :meth:`build` followed by
-        :meth:`~repro.grid.network.PowerGridNetwork.compile` would — same
-        node/resistor/load/pad ordering, bitwise-identical conductances and
-        therefore the same topology fingerprint — but assembles the arrays
-        with vectorised NumPy operations instead of an object graph of
-        :class:`GridNode` / :class:`Resistor` dataclasses behind name-keyed
-        dicts.  This is the planner's construction fast path; name-keyed
-        views of the result are synthesised lazily on demand.
+        This is the one mesh construction: every array is assembled with
+        vectorised NumPy operations, never through an object graph of
+        :class:`GridNode` / :class:`Resistor` dataclasses.  The layout is
+        the IBM netlist order — for each (vertical line i, horizontal line
+        j) crossing with i outer, a lower-layer node then an upper-layer
+        node; vertical segments, then horizontal segments, then one via
+        per crossing (resistors ``R1``, ``R2``, ...); each block's loads
+        over the lower-layer nodes it covers (``I1``, ...); each pad on
+        the nearest upper-layer node, the first pad on a node winning
+        (``V1``, ...).  Name-keyed views of the result are synthesised
+        lazily on demand, and the resistances of the materialised
+        :class:`Resistor` objects are the ``sheet_resistance * length /
+        width`` values computed here.
 
         Args:
             floorplan: Floorplan providing core size, blocks and pads.
@@ -244,9 +178,11 @@ class GridBuilder:
             name: Optional name for the grid; defaults to the floorplan name.
 
         Raises:
-            ValueError: If the width vector is malformed, a stripe pitch is
-                negative, the via resistance is not positive, or the
-                floorplan has no power pads.
+            ValueError: If the width vector is malformed, two neighbouring
+                stripes of one direction are not strictly increasing in
+                position (naming the direction and both line indices), the
+                via resistance is not positive, or the floorplan has no
+                power pads.
         """
         width_vector = self._normalise_widths(topology, widths)
         v_layer = self.technology.vertical_layer
@@ -258,12 +194,21 @@ class GridBuilder:
         nx, ny = len(xs), len(ys)
         v_pitch = np.diff(ys)
         h_pitch = np.diff(xs)
-        if np.any(v_pitch < 0) or np.any(h_pitch < 0):
-            raise ValueError("stripe positions must be non-decreasing")
+        # A zero pitch would make a zero-length segment (infinite
+        # conductance, a singular matrix) and a negative one a negative
+        # resistance: reject both before any array is built.
+        for direction, positions, pitch in (("vertical", xs, h_pitch), ("horizontal", ys, v_pitch)):
+            bad = np.flatnonzero(pitch <= 0)
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(
+                    f"{direction} lines {k} and {k + 1} are at {positions[k]:g} and "
+                    f"{positions[k + 1]:g} um; stripe positions must be strictly increasing"
+                )
 
-        # Node layout mirrors build(): for each (vertical i, horizontal j)
-        # crossing, the lower-layer node then the upper-layer node, with i
-        # as the outer loop.  index(lower(i, j)) = 2 * (i * ny + j).
+        # Node layout: for each (vertical i, horizontal j) crossing, the
+        # lower-layer node then the upper-layer node, with i as the outer
+        # loop.  index(lower(i, j)) = 2 * (i * ny + j).
         num_nodes = 2 * nx * ny
         pair_x = np.repeat(xs, ny)
         pair_y = np.tile(ys, nx)
@@ -296,12 +241,8 @@ class GridBuilder:
 
         res_a = np.concatenate((va, ha, via_a))
         res_b = np.concatenate((vb, hb, via_b))
-        conductance = np.concatenate(
-            (
-                1.0 / v_resistance,
-                1.0 / h_resistance,
-                np.full(num_vias, 1.0 / self.technology.via_resistance),
-            )
+        resistance = np.concatenate(
+            (v_resistance, h_resistance, np.full(num_vias, self.technology.via_resistance))
         )
         res_width = np.concatenate((v_width, h_width, np.zeros(num_vias)))
         res_length = np.concatenate((v_length, h_length, np.zeros(num_vias)))
@@ -326,9 +267,11 @@ class GridBuilder:
             node_x=node_x,
             node_y=node_y,
             node_layer_index=node_layer_index,
+            node_layer_names=(v_layer.name, h_layer.name),
             res_a=res_a,
             res_b=res_b,
-            conductance=conductance,
+            conductance=1.0 / resistance,
+            res_resistance=resistance,
             res_width=res_width,
             res_length=res_length,
             res_line_id=res_line_id,
@@ -386,7 +329,12 @@ class GridBuilder:
         ys: np.ndarray,
         ny: int,
     ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-        """Vectorised twin of :meth:`_attach_loads` (same source ordering)."""
+        """Spread each block's current evenly over the lower-layer nodes it covers.
+
+        A block narrower than the stripe pitch covers no crossing and loads
+        the node nearest its centre instead.  Sources are ordered by block,
+        then by vertical line, then by horizontal line.
+        """
         nodes: list[np.ndarray] = []
         currents: list[np.ndarray] = []
         blocks: list[str] = []
@@ -420,7 +368,7 @@ class GridBuilder:
     def _compiled_pads(
         self, floorplan: Floorplan, xs: np.ndarray, ys: np.ndarray, ny: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised twin of :meth:`_attach_pads` (keep-first node dedupe)."""
+        """Snap every pad to its nearest upper-layer node; the first pad on a node wins."""
         pads = list(floorplan.iter_pads())
         if not pads:
             raise ValueError("floorplan has no power pads; the grid would be floating")
@@ -448,65 +396,3 @@ class GridBuilder:
         if np.any(vector <= 0):
             raise ValueError("all line widths must be positive")
         return vector
-
-    def _nearest_index(self, positions: tuple[float, ...], value: float) -> int:
-        array = np.asarray(positions)
-        return int(np.argmin(np.abs(array - value)))
-
-    def _attach_loads(
-        self,
-        network: PowerGridNetwork,
-        floorplan: Floorplan,
-        topology: GridTopology,
-        lower_names: dict[tuple[int, int], str],
-    ) -> None:
-        """Distribute each block's switching current over covering grid nodes."""
-        xs = np.asarray(topology.vertical_positions)
-        ys = np.asarray(topology.horizontal_positions)
-        load_count = 0
-        for block in floorplan.iter_blocks():
-            if block.switching_current <= 0:
-                continue
-            ix = np.where((xs >= block.x) & (xs <= block.x + block.width))[0]
-            iy = np.where((ys >= block.y) & (ys <= block.y + block.height))[0]
-            if ix.size == 0 or iy.size == 0:
-                # Block smaller than the stripe pitch: snap to the nearest node.
-                cx, cy = block.center
-                ix = np.asarray([self._nearest_index(topology.vertical_positions, cx)])
-                iy = np.asarray([self._nearest_index(topology.horizontal_positions, cy)])
-            share = block.switching_current / (ix.size * iy.size)
-            for i in ix:
-                for j in iy:
-                    load_count += 1
-                    network.add_current_source(
-                        CurrentSource(
-                            name=f"I{load_count}",
-                            node=lower_names[(int(i), int(j))],
-                            current=share,
-                            block=block.name,
-                        )
-                    )
-
-    def _attach_pads(
-        self,
-        network: PowerGridNetwork,
-        floorplan: Floorplan,
-        topology: GridTopology,
-        upper_names: dict[tuple[int, int], str],
-    ) -> None:
-        """Attach every power pad to its nearest upper-layer grid node."""
-        pad_count = 0
-        used_nodes: set[str] = set()
-        for pad in floorplan.iter_pads():
-            i = self._nearest_index(topology.vertical_positions, pad.x)
-            j = self._nearest_index(topology.horizontal_positions, pad.y)
-            node = upper_names[(i, j)]
-            if node in used_nodes:
-                continue
-            used_nodes.add(node)
-            pad_count += 1
-            network.add_voltage_source(
-                VoltageSource(name=f"V{pad_count}", node=node, voltage=pad.voltage)
-            )
-        if pad_count == 0:
-            raise ValueError("floorplan has no power pads; the grid would be floating")

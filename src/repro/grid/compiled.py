@@ -1,21 +1,22 @@
 """Array-backed, analysis-ready representation of a power grid.
 
-:class:`PowerGridNetwork` is optimised for incremental construction: every
-element lives in a string-keyed dict and refers to its terminals by node
-name.  That representation is convenient to build but slow to analyse — the
-MNA assembly used to walk those dicts element by element for every solve.
+:class:`PowerGridNetwork` is the object-level model: every element lives in
+a string-keyed dict and refers to its terminals by node name.  That is
+convenient to edit and to export but slow to analyse.
 
 :class:`CompiledGrid` is the analysis-side counterpart: integer-indexed
 arrays (resistor endpoints, branch conductances, pad mask, load incidence)
 from which the reduced nodal system is assembled with vectorised COO→CSR
 operations.  A compiled grid is created in one of three ways:
 
-* :func:`compile_grid` / :meth:`PowerGridNetwork.compile` — a single pass
-  over an object-level network;
-* :meth:`CompiledGrid.from_arrays` — direct array construction without any
-  intermediate object graph (used by
-  :meth:`~repro.grid.builder.GridBuilder.build_compiled`, which assembles
-  mesh grids straight from the floorplan with vectorised NumPy ops);
+* :meth:`CompiledGrid.from_arrays` — the mesh builder's form:
+  :meth:`~repro.grid.builder.GridBuilder.build_compiled` assembles every
+  mesh grid straight from the floorplan with vectorised NumPy operations,
+  and :meth:`~repro.grid.builder.GridBuilder.build` returns a network view
+  over that grid, whose :meth:`~PowerGridNetwork.compile` hands it back;
+* :func:`compile_grid` / ``CompiledGrid(network)`` — a single pass over an
+  object-level network: a parsed netlist, a hand-built network, or a view
+  whose elements were edited;
 * :meth:`CompiledGrid.with_conductances` — a value-only update that reuses
   the frozen topology, index maps and COO→CSR sparsity pattern of an
   existing compiled grid, which is what lets a planner resize iteration
@@ -28,9 +29,10 @@ side), which is what lets
 :class:`~repro.analysis.engine.BatchedAnalysisEngine` reuse one sparse
 factorization across thousands of load scenarios.
 
-Name-keyed views (node names, :class:`Resistor` objects, source names) are
-materialised lazily: array-built grids only pay for them when a consumer —
-netlist export, EM violation reporting, result dictionaries — actually asks.
+Name-keyed views (node names and layers, :class:`Resistor` objects, source
+names) are materialised lazily: array-built grids only pay for them when a
+consumer — netlist export, EM violation reporting, result dictionaries, a
+network view's element objects — actually asks.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ _VALUE_DEPENDENT_STATE = frozenset(
     {
         "conductance",
         "res_width",
+        "_res_resistance",
         "_resistors_eager",
         # cached_property results that depend on the conductance values:
         "reduced_matrix",
@@ -165,9 +168,11 @@ class CompiledGrid:
         nodes = network.nodes
         self.node_x = np.fromiter((nodes[name].x for name in names), dtype=float, count=n)
         self.node_y = np.fromiter((nodes[name].y for name in names), dtype=float, count=n)
+        self.__dict__["node_layers"] = tuple(nodes[name].layer for name in names)
 
         resistors = tuple(network.iter_resistors())
         self._resistors_eager: tuple[Resistor, ...] | None = resistors
+        self._res_resistance: np.ndarray | None = None
         self._res_layer_codes: np.ndarray | None = None
         self._res_layer_names: tuple[str, ...] = ()
         m = len(resistors)
@@ -222,9 +227,11 @@ class CompiledGrid:
         node_x: np.ndarray,
         node_y: np.ndarray,
         node_layer_index: np.ndarray | None,
+        node_layer_names: tuple[str, ...] = (),
         res_a: np.ndarray,
         res_b: np.ndarray,
         conductance: np.ndarray,
+        res_resistance: np.ndarray | None = None,
         res_width: np.ndarray,
         res_length: np.ndarray,
         res_line_id: np.ndarray,
@@ -238,16 +245,22 @@ class CompiledGrid:
     ) -> "CompiledGrid":
         """Build a compiled grid directly from arrays (no object graph).
 
-        All name-keyed views (node names, resistor objects, source names)
-        are synthesised lazily on first access; ``node_layer_index`` (1 for
-        the lower layer, 2 for the upper) drives the IBM-style node-name
-        synthesis and may be omitted when names are never needed.
+        All name-keyed views (node names and layers, resistor objects,
+        source names) are synthesised lazily on first access;
+        ``node_layer_index`` (1 for the lower layer, 2 for the upper)
+        drives the IBM-style node-name synthesis, ``node_layer_names[k - 1]``
+        names layer ``k``, and both may be omitted when names are never
+        needed.  ``res_resistance``, when given, is what :attr:`resistors`
+        reports instead of ``1 / conductance``, so the resistances the
+        builder computed survive exactly; :meth:`with_conductances`
+        clones do not inherit it.
         """
         self = object.__new__(cls)
         self.name = name
         self.vdd = float(vdd)
         self._node_names_eager = None
         self._node_layer_index = node_layer_index
+        self._node_layer_names = node_layer_names
         self.node_x = np.asarray(node_x, dtype=float)
         self.node_y = np.asarray(node_y, dtype=float)
         self._resistors_eager = None
@@ -256,6 +269,7 @@ class CompiledGrid:
         self.res_a = np.asarray(res_a, dtype=np.int64)
         self.res_b = np.asarray(res_b, dtype=np.int64)
         self.conductance = np.asarray(conductance, dtype=float)
+        self._res_resistance = res_resistance
         self.res_width = np.asarray(res_width, dtype=float)
         self.res_length = np.asarray(res_length, dtype=float)
         self.res_line_id = np.asarray(res_line_id, dtype=np.int64)
@@ -325,6 +339,7 @@ class CompiledGrid:
         clone.conductance = conductance
         clone.res_width = self.res_width if res_width is None else res_width
         clone._resistors_eager = None
+        clone._res_resistance = None
         clone._use_pattern_assembly = True
         clone.update_base_fingerprint = self.fingerprint
         clone.update_indices = np.flatnonzero(conductance != self.conductance)
@@ -408,6 +423,14 @@ class CompiledGrid:
         )
 
     @cached_property
+    def node_layers(self) -> tuple[str, ...]:
+        """Per-node layer names ("" when an array-built grid has none)."""
+        if self._node_layer_index is None:
+            return ("",) * self.num_nodes
+        names = self._node_layer_names
+        return tuple(names[index - 1] for index in self._node_layer_index.tolist())
+
+    @cached_property
     def node_index(self) -> dict[str, int]:
         """Node-name → array-index mapping."""
         return {name: i for i, name in enumerate(self.node_names)}
@@ -440,25 +463,29 @@ class CompiledGrid:
         """The resistive branches as :class:`Resistor` objects.
 
         Array-built grids materialise the objects on first access; the hot
-        analysis paths never touch them.
+        analysis paths never touch them.  Their resistances are the
+        builder's own when it supplied them, else ``1 / conductance``.
         """
         if self._resistors_eager is not None:
             return self._resistors_eager
-        names = self.res_names
-        layers = self.res_layers
-        node_names = self.node_names
+        resistance = self._res_resistance
+        if resistance is None:
+            resistance = 1.0 / self.conductance
+        # _GROUND_INDEX is -1, so the appended name serves ground endpoints.
+        node_names = self.node_names + (GROUND_NODE,)
         return tuple(
-            Resistor(
-                name=names[i],
-                node_a=GROUND_NODE if self.res_a[i] == _GROUND_INDEX else node_names[self.res_a[i]],
-                node_b=GROUND_NODE if self.res_b[i] == _GROUND_INDEX else node_names[self.res_b[i]],
-                resistance=1.0 / float(self.conductance[i]),
-                layer=layers[i],
-                width=float(self.res_width[i]),
-                length=float(self.res_length[i]),
-                line_id=int(self.res_line_id[i]),
+            Resistor(name, node_names[a], node_names[b], r, layer, width, length, line_id)
+            for name, a, b, r, layer, width, length, line_id in zip(
+                self.res_names,
+                self.res_a.tolist(),
+                self.res_b.tolist(),
+                resistance.tolist(),
+                self.res_layers,
+                self.res_width.tolist(),
+                self.res_length.tolist(),
+                self.res_line_id.tolist(),
+                strict=True,
             )
-            for i in range(self.num_resistors)
         )
 
     @cached_property

@@ -1,10 +1,18 @@
 """In-memory model of a power-grid network.
 
-:class:`PowerGridNetwork` is the central data structure of the substrate: it
-owns the grid nodes, the resistive branches, the supply pads (voltage
-sources) and the workload current loads.  Every other part of the library —
-the conventional MNA-based analysis engine, the conventional iterative
-planner and the PowerPlanningDL feature extractor — operates on this class.
+:class:`PowerGridNetwork` is the object-level model of a grid: it owns the
+grid nodes, the resistive branches, the supply pads (voltage sources) and
+the workload current loads, keyed by name.  Netlist export, the dense test
+oracle and any code that edits a grid work on these objects; analysis works
+on the array form, :class:`~repro.grid.compiled.CompiledGrid`.
+
+A network is either built element by element (``add_*`` calls, as the
+netlist parser does) or is a *view* over an array-built compiled grid
+(:meth:`PowerGridNetwork.from_compiled`, which is what
+:meth:`~repro.grid.builder.GridBuilder.build` returns).  A view's
+:meth:`~PowerGridNetwork.compile` hands its compiled grid back at once; its
+element objects are created from the arrays the first time anything asks
+for them, and from then on it behaves like any other network.
 
 The statistics exposed by :meth:`PowerGridNetwork.statistics` intentionally
 mirror Table II of the paper (``#n``, ``#r``, ``#v``, ``#i``).
@@ -69,6 +77,53 @@ class PowerGridNetwork:
         self._current_sources: dict[str, CurrentSource] = {}
         self._node_index: dict[str, int] | None = None
         self._compiled: "CompiledGrid | None" = None
+        # True while the elements exist only as the arrays of _compiled.
+        self._lazy = False
+
+    @classmethod
+    def from_compiled(cls, compiled: CompiledGrid) -> "PowerGridNetwork":
+        """Return a view over ``compiled`` that creates no element objects yet.
+
+        :meth:`compile` returns ``compiled`` itself.  The node, resistor,
+        pad and load objects are created from its arrays the first time
+        anything asks for them — an element mapping, an ``iter_*``
+        iterator, an ``add_*`` call, :meth:`copy` or :meth:`statistics` —
+        and from then on the view behaves like a network built element by
+        element: an ``add_*`` call drops the compiled form.
+        """
+        network = cls(name=compiled.name, vdd=compiled.vdd)
+        network._compiled = compiled
+        network._lazy = True
+        return network
+
+    def _materialise(self) -> None:
+        """Create a view's element objects from its compiled arrays, once."""
+        if not self._lazy:
+            return
+        grid = self._compiled
+        names = grid.node_names
+        self._nodes = {
+            name: GridNode(name=name, x=x, y=y, layer=layer)
+            for name, x, y, layer in zip(
+                names, grid.node_x.tolist(), grid.node_y.tolist(), grid.node_layers, strict=True
+            )
+        }
+        self._resistors = {resistor.name: resistor for resistor in grid.resistors}
+        self._voltage_sources = {
+            name: VoltageSource(name=name, node=names[node], voltage=voltage)
+            for name, node, voltage in zip(
+                grid.pad_names, grid.pad_node.tolist(), grid.pad_voltage_values.tolist(),
+                strict=True,
+            )
+        }
+        self._current_sources = {
+            name: CurrentSource(name=name, node=names[node], current=current, block=block)
+            for name, node, current, block in zip(
+                grid.load_names, grid.load_node.tolist(), grid.load_current.tolist(),
+                grid.load_block, strict=True,
+            )
+        }
+        self._lazy = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -84,7 +139,7 @@ class PowerGridNetwork:
             ValueError: If a different node is already registered under the
                 same name.
         """
-        existing = self._nodes.get(node.name)
+        existing = self.nodes.get(node.name)
         if existing is not None:
             if existing != node:
                 raise ValueError(f"node {node.name!r} already exists with different attributes")
@@ -102,7 +157,7 @@ class PowerGridNetwork:
         Raises:
             ValueError: If the name is already used or a terminal is unknown.
         """
-        if resistor.name in self._resistors:
+        if resistor.name in self.resistors:
             raise ValueError(f"resistor {resistor.name!r} already exists")
         self._require_node(resistor.node_a)
         self._require_node(resistor.node_b)
@@ -116,7 +171,7 @@ class PowerGridNetwork:
         Raises:
             ValueError: If the name is already used or the node is unknown.
         """
-        if source.name in self._voltage_sources:
+        if source.name in self.voltage_sources:
             raise ValueError(f"voltage source {source.name!r} already exists")
         self._require_node(source.node)
         self._voltage_sources[source.name] = source
@@ -129,7 +184,7 @@ class PowerGridNetwork:
         Raises:
             ValueError: If the name is already used or the node is unknown.
         """
-        if source.name in self._current_sources:
+        if source.name in self.current_sources:
             raise ValueError(f"current source {source.name!r} already exists")
         self._require_node(source.node)
         self._current_sources[source.name] = source
@@ -137,30 +192,36 @@ class PowerGridNetwork:
         return source
 
     def _require_node(self, name: str) -> None:
-        if name != GROUND_NODE and name not in self._nodes:
+        if name != GROUND_NODE and name not in self.nodes:
             raise ValueError(f"unknown node {name!r}")
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
+    # Every read of the element dicts goes through these four properties,
+    # so a view creates its element objects on first use.
     @property
     def nodes(self) -> dict[str, GridNode]:
         """Mapping of node name to node (excluding the implicit ground)."""
+        self._materialise()
         return self._nodes
 
     @property
     def resistors(self) -> dict[str, Resistor]:
         """Mapping of resistor name to resistor."""
+        self._materialise()
         return self._resistors
 
     @property
     def voltage_sources(self) -> dict[str, VoltageSource]:
         """Mapping of voltage-source name to voltage source."""
+        self._materialise()
         return self._voltage_sources
 
     @property
     def current_sources(self) -> dict[str, CurrentSource]:
         """Mapping of current-source name to current source."""
+        self._materialise()
         return self._current_sources
 
     def node(self, name: str) -> GridNode:
@@ -169,25 +230,25 @@ class PowerGridNetwork:
         Raises:
             KeyError: If the node does not exist.
         """
-        return self._nodes[name]
+        return self.nodes[name]
 
     def __contains__(self, node_name: str) -> bool:
-        return node_name in self._nodes
+        return node_name in self.nodes
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     def iter_resistors(self) -> Iterator[Resistor]:
         """Iterate over the resistive branches in insertion order."""
-        return iter(self._resistors.values())
+        return iter(self.resistors.values())
 
     def iter_loads(self) -> Iterator[CurrentSource]:
         """Iterate over the workload current sources in insertion order."""
-        return iter(self._current_sources.values())
+        return iter(self.current_sources.values())
 
     def iter_pads(self) -> Iterator[VoltageSource]:
         """Iterate over the supply pads in insertion order."""
-        return iter(self._voltage_sources.values())
+        return iter(self.voltage_sources.values())
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -199,7 +260,7 @@ class PowerGridNetwork:
         ground node is not part of the mapping.
         """
         if self._node_index is None:
-            self._node_index = {name: i for i, name in enumerate(self._nodes)}
+            self._node_index = {name: i for i, name in enumerate(self.nodes)}
         return self._node_index
 
     def compile(self) -> CompiledGrid:
@@ -207,6 +268,7 @@ class PowerGridNetwork:
 
         The compiled form is cached and invalidated whenever an element is
         added, so repeated analyses of an unchanged network compile once.
+        A view returns the compiled grid it was made over.
         """
         if self._compiled is None:
             self._compiled = CompiledGrid(self)
@@ -215,24 +277,24 @@ class PowerGridNetwork:
     def statistics(self) -> GridStatistics:
         """Return the Table II-style size statistics of the grid."""
         return GridStatistics(
-            num_nodes=len(self._nodes),
-            num_resistors=len(self._resistors),
-            num_sources=len(self._voltage_sources),
-            num_loads=len(self._current_sources),
+            num_nodes=len(self.nodes),
+            num_resistors=len(self.resistors),
+            num_sources=len(self.voltage_sources),
+            num_loads=len(self.current_sources),
         )
 
     def total_load_current(self) -> float:
         """Return the total workload current drawn from the grid, in amperes."""
-        return sum(source.current for source in self._current_sources.values())
+        return sum(source.current for source in self.iter_loads())
 
     def pad_nodes(self) -> set[str]:
         """Return the set of node names that carry a supply pad."""
-        return {source.node for source in self._voltage_sources.values()}
+        return {source.node for source in self.iter_pads()}
 
     def load_by_node(self) -> dict[str, float]:
         """Return the total load current attached to each node."""
         loads: dict[str, float] = {}
-        for source in self._current_sources.values():
+        for source in self.iter_loads():
             loads[source.node] = loads.get(source.node, 0.0) + source.current
         return loads
 
@@ -243,7 +305,7 @@ class PowerGridNetwork:
         included.
         """
         groups: dict[int, list[Resistor]] = {}
-        for resistor in self._resistors.values():
+        for resistor in self.iter_resistors():
             if resistor.line_id < 0:
                 continue
             groups.setdefault(resistor.line_id, []).append(resistor)
@@ -272,7 +334,7 @@ class PowerGridNetwork:
         ends = np.array(
             [
                 vertex.setdefault(name, len(vertex))
-                for resistor in self._resistors.values()
+                for resistor in self.iter_resistors()
                 for name in (resistor.node_a, resistor.node_b)
             ],
             dtype=np.int64,
@@ -283,7 +345,7 @@ class PowerGridNetwork:
         )
         _, labels = connected_components(graph, directed=False)
         fed = [labels[vertex[pad]] for pad in pads if pad in vertex]
-        return bool(np.isin(labels[: len(self._nodes)], fed).all())
+        return bool(np.isin(labels[: len(self.nodes)], fed).all())
 
     # ------------------------------------------------------------------
     # Copying / modification helpers
@@ -291,10 +353,10 @@ class PowerGridNetwork:
     def copy(self, name: str | None = None) -> "PowerGridNetwork":
         """Return a shallow copy of the grid (elements are immutable)."""
         clone = PowerGridNetwork(name=name or self.name, vdd=self.vdd)
-        clone._nodes = dict(self._nodes)
-        clone._resistors = dict(self._resistors)
-        clone._voltage_sources = dict(self._voltage_sources)
-        clone._current_sources = dict(self._current_sources)
+        clone._nodes = dict(self.nodes)
+        clone._resistors = dict(self.resistors)
+        clone._voltage_sources = dict(self.voltage_sources)
+        clone._current_sources = dict(self.current_sources)
         # Callers (with_scaled_loads, replace_loads, NetworkPerturbator)
         # overwrite the element dicts wholesale after copying, bypassing the
         # add_* invalidation hooks — reset the derived caches explicitly so
@@ -308,7 +370,7 @@ class PowerGridNetwork:
         clone = self.copy(name=name)
         clone._current_sources = {
             src_name: source.scaled(factor)
-            for src_name, source in self._current_sources.items()
+            for src_name, source in self.current_sources.items()
         }
         return clone
 

@@ -6,6 +6,8 @@ import pytest
 from repro.analysis import BatchedAnalysisEngine
 from repro.design import ConventionalPowerPlanner, DesignRules, ReliabilityConstraints
 
+from ..grid.test_builder import coincident_lines
+
 
 class TestPlanning:
     def test_plan_converges_on_small_benchmark(self, golden_plan):
@@ -74,6 +76,18 @@ class TestResizing:
         )
         assert plan.converged
         assert plan.num_iterations == 1
+
+
+@pytest.mark.parametrize("compiled_loop", [True, False])
+@pytest.mark.parametrize("direction", ["vertical", "horizontal"])
+def test_coincident_lines_rejected(small_benchmark, direction, compiled_loop):
+    """Both loops reject a zero stripe pitch before the first solve."""
+    planner = ConventionalPowerPlanner(
+        small_benchmark.technology, use_compiled_loop=compiled_loop
+    )
+    topology = coincident_lines(small_benchmark.topology, direction)
+    with pytest.raises(ValueError, match=f"{direction} lines 2 and 3 are at"):
+        planner.plan(small_benchmark.floorplan, topology)
 
 
 class TestCompiledLoopEquivalence:

@@ -1,9 +1,19 @@
 """Tests for mesh power-grid construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.grid import GridBuilder, GridTopology, uniform_topology
+
+
+def coincident_lines(topology: GridTopology, direction: str) -> GridTopology:
+    """``topology`` with the direction's lines 2 and 3 at one position."""
+    field = f"{direction}_positions"
+    positions = list(getattr(topology, field))
+    positions[3] = positions[2]
+    return dataclasses.replace(topology, **{field: tuple(positions)})
 
 
 class TestTopology:
@@ -121,3 +131,22 @@ class TestGridBuilder:
         upper = technology.horizontal_layer.name
         for pad in tiny_grid.iter_pads():
             assert tiny_grid.node(pad.node).layer == upper
+
+
+@pytest.mark.parametrize("direction", ["vertical", "horizontal"])
+@pytest.mark.parametrize("method", ["build", "build_compiled"])
+def test_coincident_lines_rejected(small_benchmark, direction, method):
+    """A zero pitch names the lines instead of building an infinite conductance."""
+    topology = coincident_lines(small_benchmark.topology, direction)
+    build = getattr(GridBuilder(small_benchmark.technology), method)
+    with pytest.raises(ValueError, match=f"{direction} lines 2 and 3 are at"):
+        build(small_benchmark.floorplan, topology, 5.0)
+
+
+def test_decreasing_lines_rejected(small_benchmark):
+    positions = small_benchmark.topology.horizontal_positions[::-1]
+    topology = dataclasses.replace(small_benchmark.topology, horizontal_positions=positions)
+    with pytest.raises(ValueError, match="horizontal lines 0 and 1 .* strictly increasing"):
+        GridBuilder(small_benchmark.technology).build_compiled(
+            small_benchmark.floorplan, topology, 5.0
+        )
