@@ -69,12 +69,7 @@ from .sinks import (
 from .solvers import (
     LinearSolverError,
     Factorization,
-    PreconditionedUpdateFactorization,
     SpluBackend,
-    UpdateDivergenceError,
-    UpdatePolicy,
-    WoodburyFactorization,
-    make_update_factorization,
 )
 from .vectorless import (
     StatisticalVectorlessResult,
@@ -113,7 +108,6 @@ __all__ = [
     "NodeHistogram",
     "NodeHistogramSink",
     "P2QuantileSink",
-    "PreconditionedUpdateFactorization",
     "QuantileEstimate",
     "QuantileSketchSink",
     "ScenarioSink",
@@ -126,14 +120,10 @@ __all__ = [
     "SweepPlan",
     "TopKScenarios",
     "TopKScenarioSink",
-    "UpdateDivergenceError",
-    "UpdatePolicy",
     "VectorlessAnalyzer",
     "VectorlessBudget",
     "VectorlessResult",
-    "WoodburyFactorization",
     "make_executor",
-    "make_update_factorization",
     "resolve_chunk_size",
     "branch_current_array",
     "branch_currents",

@@ -16,11 +16,11 @@ grid's topology fingerprint, and solves arbitrarily many right-hand sides
 against one factorization as multi-RHS triangular solves.  Every entry
 point takes that one solve path: a single scenario (:meth:`analyze`,
 :meth:`solve_voltages`) is a one-column batch, assembled, solved and
-reduced exactly like each column of :meth:`analyze_batch`.  Grids derived
-by a conductance-only change
+reduced exactly like each column of :meth:`analyze_batch`.  A grid
+derived by a conductance-only change
 (:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`, the
-planner's resize step) are served by **low-rank incremental updates** of
-the parent's cached factors instead of fresh factorizations.
+planner's resize step) has its own fingerprint and is factored fresh
+like any other grid; only its assembly is cheaper.
 
 Chunked and streamed sweeps run on a pluggable execution layer
 (:mod:`repro.analysis.executors`), and ``executor=`` — an instance, or a
@@ -78,9 +78,6 @@ from .solvers import (
     Factorization,
     LinearSolverError,
     SpluBackend,
-    UpdateDivergenceError,
-    UpdatePolicy,
-    make_update_factorization,
     solve_cg,
 )
 
@@ -412,43 +409,14 @@ class EngineCacheInfo:
     totals.
 
     Attributes:
-        factorizations: Number of fresh sparse factorizations performed.
+        factorizations: Number of sparse factorizations performed.
         hits: Number of solves served by an already cached factorization.
         entries: Number of factorizations currently cached.
-        updates: Number of factorizations served as low-rank incremental
-            updates of a previous factorization instead of fresh ones.
-        update_fallbacks: Number of times the incremental path was
-            applicable but downgraded to a fresh factorization — the
-            update rank crossed the policy threshold, the capacitance
-            system was unusable, or an update solve diverged.
     """
 
     factorizations: int
     hits: int
     entries: int
-    updates: int = 0
-    update_fallbacks: int = 0
-
-
-@dataclass
-class _FactorCacheEntry:
-    """One cached factorization plus the state incremental updates need.
-
-    Attributes:
-        factor: The factorization solves are served from (may be a
-            low-rank update object).
-        direct: The underlying fresh factorization — updates chain
-            against this, never against each other, so a resize sequence
-            of any length pays one preconditioner application per CG
-            iteration instead of recursing.
-        base_conductance: Branch conductances ``direct`` was factored
-            from; the union delta of a chained resize is computed against
-            these.
-    """
-
-    factor: Factorization
-    direct: Factorization
-    base_conductance: np.ndarray
 
 
 def _row_reductions(rows: np.ndarray) -> "BatchReductions":
@@ -774,18 +742,6 @@ class BatchedAnalysisEngine:
             (:func:`~repro.analysis.solvers.solve_cg`) instead of a cached
             factorization, because SuperLU fill-in can exhaust memory on
             the largest grids.
-        incremental_updates: When True (the default), a compiled grid
-            produced by
-            :meth:`~repro.grid.compiled.CompiledGrid.with_conductances`
-            whose parent factorization is still cached is served by a
-            low-rank incremental update (Sherman–Morrison–Woodbury at
-            small rank, base-preconditioned CG above it) instead of a
-            fresh factorization — the planner's analyse–resize fast
-            path.  Updates that cross the policy's rank threshold or
-            fail to converge fall back to fresh factorizations
-            automatically (counted in ``EngineCacheInfo``).
-        update_policy: Crossover / tolerance knobs of the incremental
-            path (:class:`~repro.analysis.solvers.UpdatePolicy`).
 
     A sweep that passes no ``executor=`` runs on the executor named by
     :data:`~repro.analysis.executors.EXECUTOR_ENV`, read once here (a bad
@@ -806,8 +762,6 @@ class BatchedAnalysisEngine:
         self,
         cache_size: int = 8,
         direct_size_limit: int = 60000,
-        incremental_updates: bool = True,
-        update_policy: UpdatePolicy | None = None,
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be at least 1")
@@ -821,20 +775,16 @@ class BatchedAnalysisEngine:
         self.cache_size = cache_size
         self.direct_size_limit = direct_size_limit
         self.solver_backend = SpluBackend()
-        self.incremental_updates = bool(incremental_updates)
-        self.update_policy = update_policy or UpdatePolicy()
         self._cache_lock = threading.Lock()
-        self._cache: OrderedDict[str, _FactorCacheEntry] = OrderedDict()  # guarded-by: _cache_lock
+        self._cache: OrderedDict[str, Factorization] = OrderedDict()  # guarded-by: _cache_lock
         self._factorizations = 0  # guarded-by: _cache_lock
         self._hits = 0  # guarded-by: _cache_lock
-        self._updates = 0  # guarded-by: _cache_lock
-        self._update_fallbacks = 0  # guarded-by: _cache_lock
 
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
     def cache_info(self) -> EngineCacheInfo:
-        """Return factorization / cache-hit / incremental-update counters.
+        """Return the factorization and cache-hit counters.
 
         Taken under the cache lock so a snapshot read concurrently with
         parallel chunk workers is coherent (counters and entry count from
@@ -845,8 +795,6 @@ class BatchedAnalysisEngine:
                 factorizations=self._factorizations,
                 hits=self._hits,
                 entries=len(self._cache),
-                updates=self._updates,
-                update_fallbacks=self._update_fallbacks,
             )
 
     def clear_cache(self) -> None:
@@ -858,177 +806,52 @@ class BatchedAnalysisEngine:
         """A single-threaded engine that starts with this one's factors of ``compiled``.
 
         The new engine mirrors this one's solver configuration (cache
-        size, direct-vs-CG threshold, incremental-update policy), holds
-        this engine's ``solver_backend`` object itself, and its cache
-        holds the very entry this engine cached for ``compiled`` —
-        shared, not copied; empty if there is none.
+        size, direct-vs-CG threshold), holds this engine's
+        ``solver_backend`` object itself, and its cache holds the very
+        factorization this engine cached for ``compiled`` — shared, not
+        copied; empty if there is none.
         Sharded executors hand it to ``fork``-started workers, which
         inherit it with the parent's memory, so no worker factors again
-        and every shard solves with the parent's factors (a low-rank
-        update of a cached base included).
+        and every shard solves with the parent's factors.
         """
         engine = BatchedAnalysisEngine(
             cache_size=self.cache_size,
             direct_size_limit=self.direct_size_limit,
-            incremental_updates=self.incremental_updates,
-            update_policy=self.update_policy,
         )
         engine.solver_backend = self.solver_backend
         key = compiled.fingerprint
         with self._cache_lock:
-            entry = self._cache.get(key)
-        if entry is not None:
+            factor = self._cache.get(key)
+        if factor is not None:
             with engine._cache_lock:
-                engine._store_entry(key, entry)
+                engine._store_factor(key, factor)
         return engine
 
     # requires-lock: _cache_lock
-    def _store_entry(self, key: str, entry: _FactorCacheEntry) -> None:
-        self._cache[key] = entry
+    def _store_factor(self, key: str, factor: Factorization) -> None:
+        self._cache[key] = factor
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
 
-    # requires-lock: _cache_lock
-    def _fresh_entry(self, compiled: CompiledGrid) -> _FactorCacheEntry:
-        factor = self.solver_backend.factor(compiled.reduced_matrix)
-        self._factorizations += 1
-        return _FactorCacheEntry(
-            factor=factor, direct=factor, base_conductance=compiled.conductance
-        )
-
-    def _update_entry(  # requires-lock: _cache_lock
-        self, compiled: CompiledGrid, prev: _FactorCacheEntry
-    ) -> _FactorCacheEntry | None:
-        """Build an incremental-update entry against ``prev``, or ``None``.
-
-        The delta is taken against the conductances of ``prev``'s *direct*
-        factorization, so chained resizes accumulate one union update on
-        the original factors instead of stacking update objects.  ``None``
-        means the caller should factor fresh (rank past the crossover, or
-        the update construction failed); the downgrade is counted.
-        """
-        changed = np.flatnonzero(compiled.conductance != prev.base_conductance)
-        incidence, active = compiled.update_columns(changed)
-        rank = int(active.size)
-        if rank == 0:
-            # Only RHS-side branches changed: the matrix is identical to
-            # the base, so the direct factors serve the clone as-is.
-            self._updates += 1
-            return _FactorCacheEntry(
-                factor=prev.direct,
-                direct=prev.direct,
-                base_conductance=prev.base_conductance,
-            )
-        if rank > self.update_policy.crossover_fraction * compiled.num_unknowns:
-            self._update_fallbacks += 1
-            return None
-        delta = compiled.conductance[active] - prev.base_conductance[active]
-        try:
-            factor = make_update_factorization(
-                matrix=compiled.reduced_matrix,
-                base=prev.direct,
-                update_incidence=incidence,
-                delta=delta,
-                policy=self.update_policy,
-            )
-        except LinearSolverError:
-            self._update_fallbacks += 1
-            return None
-        self._updates += 1
-        return _FactorCacheEntry(
-            factor=factor, direct=prev.direct, base_conductance=prev.base_conductance
-        )
-
-    def _factor(
-        self, compiled: CompiledGrid, base: CompiledGrid | None = None
-    ) -> tuple[Factorization, bool]:
+    def _factor(self, compiled: CompiledGrid) -> tuple[Factorization, bool]:
         """Return the (cached) factorization of the reduced matrix.
 
         Serialised by a lock so that parallel chunk workers racing on a
         cold cache perform exactly one factorization (and keep the LRU
         bookkeeping consistent); cache hits only pay an uncontended
-        acquire.  A miss first tries the incremental path: a low-rank
-        update of the cached factors of ``base`` (:meth:`factor_update`)
-        or, when ``base`` is omitted and incremental updates are on, of
-        the parent a
-        :meth:`~repro.grid.compiled.CompiledGrid.with_conductances` clone
-        records — instead of a fresh factorization.
+        acquire.  A miss factors the grid fresh.
         """
         key = compiled.fingerprint
-        if base is not None:
-            prev_key = base.fingerprint
-        elif self.incremental_updates:
-            prev_key = compiled.update_base_fingerprint
-        else:
-            prev_key = None
         with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is not None:
+            factor = self._cache.get(key)
+            if factor is not None:
                 self._hits += 1
                 self._cache.move_to_end(key)
-                return entry.factor, True
-            prev = self._cache.get(prev_key)
-            if prev is not None:
-                # Touch the base entry so a batch of clones evaluated
-                # against one base (the planner's candidate search)
-                # keeps evicting each other, never the shared base.
-                self._cache.move_to_end(prev_key)
-                entry = self._update_entry(compiled, prev)
-            if entry is None:
-                entry = self._fresh_entry(compiled)
-            self._store_entry(key, entry)
-            return entry.factor, False
-
-    def _refactor_fresh(self, compiled: CompiledGrid) -> Factorization:
-        """Replace a diverged update factorization with fresh factors."""
-        key = compiled.fingerprint
-        with self._cache_lock:
-            entry = self._cache.get(key)
-            if entry is not None and not entry.factor.is_update:
-                # Another thread already downgraded this fingerprint.
-                return entry.factor
-            self._update_fallbacks += 1
-            entry = self._fresh_entry(compiled)
-            self._store_entry(key, entry)
-            return entry.factor
-
-    def factor_update(
-        self,
-        prev: PowerGridNetwork | CompiledGrid,
-        new: PowerGridNetwork | CompiledGrid,
-    ) -> Factorization:
-        """Factor ``new`` as a low-rank update of ``prev``'s factorization.
-
-        Both grids must share one topology (same endpoints and pad mask) —
-        typically ``new`` is a
-        :meth:`~repro.grid.compiled.CompiledGrid.with_conductances` clone
-        of ``prev``.  ``prev`` is factored (or served from the cache)
-        first; ``new`` is then served by an incremental update of those
-        factors, falling back to a fresh factorization past the policy's
-        crossover threshold.  The resulting factorization is cached under
-        ``new``'s fingerprint like any other, so subsequent solves on
-        ``new`` hit it.  Works regardless of the engine's
-        ``incremental_updates`` default (this is the explicit form).
-
-        Returns:
-            The :class:`~repro.analysis.solvers.Factorization` serving
-            ``new``.
-        """
-        prev_compiled = self._compiled(prev)
-        new_compiled = self._compiled(new)
-        if (
-            prev_compiled.num_unknowns != new_compiled.num_unknowns
-            or not np.array_equal(prev_compiled.res_a, new_compiled.res_a)
-            or not np.array_equal(prev_compiled.res_b, new_compiled.res_b)
-        ):
-            raise ValueError("factor_update requires two grids sharing one topology")
-        if self._use_cg(prev_compiled):
-            raise ValueError(
-                "factor_update needs the direct path; the system exceeds "
-                f"direct_size_limit={self.direct_size_limit}"
-            )
-        self._factor(prev_compiled)
-        return self._factor(new_compiled, base=prev_compiled)[0]
+                return factor, True
+            factor = self.solver_backend.factor(compiled.reduced_matrix)
+            self._factorizations += 1
+            self._store_factor(key, factor)
+            return factor, False
 
     # ------------------------------------------------------------------
     # Solving
@@ -1130,14 +953,10 @@ class BatchedAnalysisEngine:
         """Solve one ``(num_unknowns, c)`` RHS block.
 
         Every solve of the engine runs here, a single scenario as one
-        column.  An incremental-update factorization that cannot reach its
-        tolerance raises
-        :class:`~repro.analysis.solvers.UpdateDivergenceError`; the
-        fingerprint is then downgraded to a fresh factorization (counted
-        in ``update_fallbacks``) and the block is solved again.  Returns
-        the unknown voltages, whether a cached factorization was reused,
-        and the ``(c,)`` per-column solver iteration counts (all zero on
-        the direct path, the actual CG iterations on the fallback).
+        column.  Returns the unknown voltages, whether a cached
+        factorization was reused, and the ``(c,)`` per-column solver
+        iteration counts (all zero on the direct path, the actual CG
+        iterations on the fallback).
         """
         iterations = np.zeros(rhs.shape[1], dtype=np.int64)
         if rhs.shape[0] == 0:
@@ -1151,10 +970,7 @@ class BatchedAnalysisEngine:
             solver, reused = "CG", False
         else:
             factor, reused = self._factor(compiled)
-            try:
-                unknown = factor.solve(rhs)
-            except UpdateDivergenceError:
-                unknown = self._refactor_fresh(compiled).solve(rhs)
+            unknown = factor.solve(rhs)
             solver = "direct"
         if not np.all(np.isfinite(unknown)):
             raise LinearSolverError(f"{solver} solve produced non-finite voltages")

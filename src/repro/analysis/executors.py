@@ -82,13 +82,13 @@ process-sharded wherever that is well-defined.
 Exactness: shard boundaries are just another chunking, so the streamed
 worst / mean / worst-node reductions and every *exact* sink (histogram,
 exceedance, joint exceedance, top-k, quantile sketch) are
-bitwise-identical to the sequential sweep for every shape — also on
-low-rank-update clones
-(:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`), whose
-shards under ``fork`` solve with the parent's update factorization.
-``spawn`` / ``forkserver`` workers factor such a clone fresh and agree
-with the sequential sweep within 1e-12 V.  P² does not merge at all:
-sharded quantiles come from the quantile sketch.
+bitwise-identical to the sequential sweep for every shape and start
+method, on resized clones
+(:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`) too:
+``fork`` shards solve with the parent's factorization, and ``spawn`` /
+``forkserver`` workers factor the same matrix with the same backend.
+P² does not merge at all: sharded quantiles come from the quantile
+sketch.
 """
 
 from __future__ import annotations
@@ -225,10 +225,9 @@ class HybridExecutor(SweepExecutor):
     bitwise-identical to serial within each shard, and shard snapshots
     merge in ascending range order — so every result, including every
     exact sink, is bitwise-identical to the serial sweep for every
-    ``(shards, threads, chunk_size)`` combination.  That includes
-    low-rank-update clones under ``fork``; ``spawn`` / ``forkserver``
-    workers factor fresh and agree with serial within 1e-12 V on update
-    clones.
+    ``(shards, threads, chunk_size)`` combination and every start
+    method: a worker that factors the grid itself factors the same
+    matrix with the same backend as the parent.
 
     Cost-based auto-balancing: only about half the range is committed
     up-front (one task per shard worker).  The first task to complete
@@ -535,7 +534,6 @@ def pickle_sweep_payload(plan: SweepPlan, threads: int = 1) -> bytes:
     engine_config = {
         "cache_size": engine.cache_size,
         "direct_size_limit": engine.direct_size_limit,
-        "incremental_updates": engine.incremental_updates,
     }
     return pickle.dumps(
         (engine_config, plan.compiled, plan.scenario_source, plan.chunk_size, plan.sinks, threads),
@@ -547,8 +545,8 @@ def load_shard_state(payload: bytes) -> dict:
     """Rebuild the worker-side sweep context from a pickled payload.
 
     The worker's engine mirrors the parent's solver configuration (cache
-    size, direct-vs-CG threshold, incremental updates) so shards solve
-    exactly the way the parent would have.
+    size, direct-vs-CG threshold) so shards solve exactly the way the
+    parent would have.
     """
     from .engine import BatchedAnalysisEngine
 

@@ -80,18 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("benchmark", choices=SUITE_NAMES, help="benchmark name")
     plan.add_argument("--netlist-out", type=Path, default=None, help="write the sized grid here")
     plan.add_argument(
-        "--oracle", action="store_true",
-        help=(
-            "disable low-rank incremental updates and refactorize every "
-            "resize iteration fresh (the equivalence-oracle loop)"
-        ),
-    )
-    plan.add_argument(
         "--search", action="store_true",
         help=(
             "batched candidate search: each iteration evaluates a batch of "
             "moves (stripe upsizes, pitch-style reinforcement, decap relief) "
-            "against the single cached factorization and commits the best"
+            "and commits the best"
         ),
     )
     plan.add_argument(
@@ -310,9 +303,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             # row per solved candidate); the pruned re-plan then pays
             # solves only for the model's top picks.
             warm_planner = ConventionalPowerPlanner(
-                bench.technology,
-                incremental_updates=not args.oracle,
-                search=SearchConfig(batch_width=args.batch_width),
+                bench.technology, search=SearchConfig(batch_width=args.batch_width)
             )
             warm = warm_planner.plan(
                 bench.floorplan,
@@ -331,11 +322,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 search_config = SearchConfig(
                     batch_width=args.batch_width, ranker=ranker
                 )
-    planner = ConventionalPowerPlanner(
-        bench.technology,
-        incremental_updates=not args.oracle,
-        search=search_config,
-    )
+    planner = ConventionalPowerPlanner(bench.technology, search=search_config)
     plan = planner.plan(bench.floorplan, bench.topology, initial_widths=initial_widths)
     cache = planner.analyzer.cache_info()
     values = {
@@ -346,8 +333,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         "EM violations": len(plan.em_report.violations),
         "median width (um)": float(np.median(plan.widths)),
         "factorizations": cache.factorizations,
-        "incremental updates": cache.updates,
-        "update fallbacks": cache.update_fallbacks,
         "total time (s)": plan.total_time,
     }
     if plan.search is not None:
@@ -374,8 +359,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "total_time": plan.total_time,
             "analysis_time": plan.analysis_time,
             "factorizations": cache.factorizations,
-            "updates": cache.updates,
-            "update_fallbacks": cache.update_fallbacks,
         }
         if plan.search is not None:
             record["search"] = plan.search.as_record()
@@ -649,8 +632,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "analysis_time_seconds": result.analysis_time,
             "scenarios_per_second": result.scenarios_per_second,
             "factorizations": engine.cache_info().factorizations,
-            "incremental_updates": engine.cache_info().updates,
-            "update_fallbacks": engine.cache_info().update_fallbacks,
         }
         args.json_out.parent.mkdir(parents=True, exist_ok=True)
         with open(args.json_out, "w") as handle:

@@ -22,7 +22,6 @@ from ..analysis.currents import line_currents, line_currents_from_voltages
 from ..analysis.em import EMChecker, EMReport
 from ..analysis.engine import BatchedAnalysisEngine
 from ..analysis.irdrop import IRDropResult, result_from_voltages
-from ..analysis.solvers import UpdatePolicy
 from ..grid.builder import GridBuilder, GridTopology
 from ..grid.compiled import CompiledGrid
 from ..grid.floorplan import Floorplan
@@ -151,17 +150,9 @@ class ConventionalPowerPlanner:
             :meth:`~repro.grid.builder.GridBuilder.resize_compiled` —
             no fresh build, no new sparsity pattern.  Set to False to
             force the legacy rebuild loop (kept as the equivalence oracle).
-        incremental_updates: When True (the default), each resize
-            iteration of the compiled loop is solved as a low-rank
-            incremental update of the previous iteration's cached
-            factorization instead of a fresh factorization (the
-            analyse–resize fast path).  Set to False for the
-            fresh-factorization oracle loop.  Ignored when ``analyzer``
-            is passed explicitly.
         search: Enable the batched candidate search: each iteration
-            generates a batch of alternative moves, evaluates them all
-            against the single cached base factorization through the
-            incremental-update path, and commits the best.  Pass True
+            generates a batch of alternative moves, solves each one on
+            its own freshly factored grid, and commits the best.  Pass True
             for the defaults or a :class:`~repro.design.search.SearchConfig`
             (e.g. with a fitted
             :class:`~repro.design.search.CandidateRanker` for
@@ -177,7 +168,6 @@ class ConventionalPowerPlanner:
         upsize_factor: float = 1.25,
         analyzer: BatchedAnalysisEngine | None = None,
         use_compiled_loop: bool = True,
-        incremental_updates: bool = True,
         search: bool | SearchConfig = False,
     ) -> None:
         if max_iterations < 1:
@@ -195,27 +185,14 @@ class ConventionalPowerPlanner:
             self.search_config = SearchConfig() if search else None
         # Each resize iteration changes conductances (a new fingerprint), so
         # a deep factorization cache would only pin dead memory: keep one.
-        # One entry suffices for the incremental path too — every update
-        # entry carries its own reference to the original direct factors.
-        # The candidate search holds two: the shared base of the current
-        # batch plus the candidate in flight.  Its accumulated deltas
-        # (many commits, all updating the original factors) routinely
-        # pass the default rank crossover while the base-preconditioned
-        # CG still converges well — widths only grow, so the delta is
-        # SPD — hence the full-range crossover; divergence still falls
-        # back to a fresh factorization.
+        # The candidate search holds two: the current design, whose
+        # factors serve a candidate that leaves the widths unchanged,
+        # plus the candidate in flight.
         if analyzer is not None:
             self.analyzer = analyzer
-        elif self.search_config is not None:
-            self.analyzer = BatchedAnalysisEngine(
-                cache_size=2,
-                incremental_updates=incremental_updates,
-                update_policy=UpdatePolicy(crossover_fraction=1.0, maxiter=512),
-            )
         else:
-            self.analyzer = BatchedAnalysisEngine(
-                cache_size=1, incremental_updates=incremental_updates
-            )
+            cache_size = 1 if self.search_config is None else 2
+            self.analyzer = BatchedAnalysisEngine(cache_size=cache_size)
         self.use_compiled_loop = use_compiled_loop
         self.em_checker = EMChecker(technology)
 
@@ -360,9 +337,10 @@ class ConventionalPowerPlanner:
         solves a batch of candidate moves and commits the one with the
         lowest worst drop.  A candidate only rewrites the stripe
         conductances (shared topology, index maps and sparsity pattern),
-        so with incremental updates the engine serves it by a low-rank
-        update of the cached base factorization (a decap candidate
-        changes the loads alone).
+        so it skips the rebuild; the engine then factors each candidate
+        grid fresh unless its fingerprint is still cached (a decap
+        candidate changes the loads alone, so it shares the factors of
+        the grid its widths give).
 
         Without a search config the batch is the one-move heuristic
         resize alone, and it is empty — ending the loop — once that move
@@ -459,7 +437,7 @@ class ConventionalPowerPlanner:
                     stats.candidates_pruned += len(candidates) - len(kept)
 
                 batch_time = 0.0
-                for position, index in enumerate(kept):
+                for index in kept:
                     move = candidates[index]
                     clone_start = time.perf_counter()
                     if np.array_equal(move.widths, widths):
@@ -477,7 +455,7 @@ class ConventionalPowerPlanner:
                             analysis.worst_ir_drop - solved.worst_ir_drop
                         )
                     if best is None or solved.worst_ir_drop < best[0].worst_ir_drop:
-                        best = (solved, move, clone, move_loads, clone_time, position)
+                        best = (solved, move, clone, move_loads, clone_time)
 
             iterations.append(
                 PlanningIteration(
@@ -492,18 +470,7 @@ class ConventionalPowerPlanner:
             if evaluation.all_satisfied or best is None:
                 break
 
-            # Adopt the winner.  A candidate solved after it may have
-            # evicted its factorization: re-anchoring it through the
-            # explicit update path keeps the next batch updating an
-            # in-cache entry.  A winner solved last is the newest entry.
-            solved, move, clone, loads, build_time, position = best
-            if (
-                position < len(kept) - 1
-                and clone is not compiled
-                and engine.incremental_updates
-                and not engine._use_cg(compiled)
-            ):
-                engine.factor_update(compiled, clone)
+            solved, move, clone, loads, build_time = best
             if stats is not None:
                 stats.committed.append(
                     CommittedMove(

@@ -5,11 +5,11 @@ iteration and commits the best; in one-move mode that batch is the
 heuristic resize alone.  The search layer fills the batch with
 alternative moves — width bumps on the worst stripes, pitch-style
 reinforcement of a stripe direction, decap insertion — each expressed on
-the frozen :class:`~repro.grid.compiled.CompiledGrid` topology, so the
-whole batch is evaluated against the *single* cached base factorization
-through the engine's low-rank incremental-update path
-(Sherman–Morrison–Woodbury / base-preconditioned CG).  Many candidates
-per factorization instead of one solve per move.
+the frozen :class:`~repro.grid.compiled.CompiledGrid` topology, so a
+candidate is a conductance rewrite of the current grid rather than a
+rebuild.  The engine factors each candidate grid fresh, so a solved
+candidate costs one factorization (none if its grid is still cached)
+and one triangular solve.
 
 A :class:`CandidateRanker` — wrapping the repo's own
 :class:`~repro.nn.regression.MultiTargetRegressor`, the paper's actual
@@ -19,7 +19,7 @@ batch to the top-``m`` before any solve is paid.  Exact mode
 (``ranker=None``) solves every candidate and doubles as the oracle that
 generates the ranker's training data.
 
-Move vocabulary (all rank-``k`` conductance deltas or RHS-only changes):
+Move vocabulary (stripe-width changes on the frozen topology, or RHS-only changes):
 
 * **upsize** — widen the vertical / horizontal stripes nearest a
   hot-spot (singly or as a cross), the local fix a designer would apply;
@@ -28,8 +28,8 @@ Move vocabulary (all rank-``k`` conductance deltas or RHS-only changes):
   same added metal per unit length, without re-gridding);
 * **decap** — place decoupling capacitance via
   :class:`~repro.design.decap.DecapPlanner` and model its static effect
-  as per-node load relief (an RHS-only move: the matrix, and therefore
-  the factorization, is untouched);
+  as per-node load relief (an RHS-only move on the heuristic move's
+  widths);
 * **heuristic** — the one-move baseline resize itself, always included
   and never pruned, so the search degrades to the baseline in the worst
   case instead of below it.
@@ -99,9 +99,8 @@ class CandidateMove:
 class CommittedMove:
     """Record of one committed search move (enough to replay it exactly).
 
-    ``widths`` and ``loads`` are absolute, so a fresh-factorization
-    oracle can rebuild and re-solve the committed design independently
-    of the incremental chain that produced ``voltages``.
+    ``widths`` and ``loads`` are absolute, so an independent rebuild of
+    the committed design re-solves it to the same ``voltages``.
     """
 
     iteration: int

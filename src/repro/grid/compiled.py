@@ -65,9 +65,6 @@ _VALUE_DEPENDENT_STATE = frozenset(
         "pad_incidence",
         "fingerprint",
         "resistors",
-        # update provenance is per-clone, never inherited:
-        "update_base_fingerprint",
-        "update_indices",
     }
 )
 """Attributes :meth:`CompiledGrid.with_conductances` must not share."""
@@ -295,14 +292,8 @@ class CompiledGrid:
         pieces (matrix data, pad RHS, fingerprint digest) are recomputed.
         This is the planner's resize fast path: a width change becomes a
         pure array update instead of a network rebuild plus full recompile.
-
-        The clone also records its **update provenance** — the parent's
-        fingerprint in :attr:`update_base_fingerprint` and the changed
-        branch indices in :attr:`update_indices` — which is what lets the
-        analysis engine serve the clone with a low-rank incremental update
-        of the parent's cached factorization instead of a fresh one (only
-        the strings and index arrays are kept, never the parent object, so
-        clone chains do not pin their ancestors in memory).
+        The clone keeps no reference to its parent, so clone chains do not
+        pin their ancestors in memory.
 
         Args:
             conductance: New per-resistor conductances in siemens.
@@ -341,8 +332,6 @@ class CompiledGrid:
         clone._resistors_eager = None
         clone._res_resistance = None
         clone._use_pattern_assembly = True
-        clone.update_base_fingerprint = self.fingerprint
-        clone.update_indices = np.flatnonzero(conductance != self.conductance)
         return clone
 
     # ------------------------------------------------------------------
@@ -383,9 +372,6 @@ class CompiledGrid:
         self._classify_branches()
         self._pattern_box: list[_SparsityPattern | None] = [None]
         self._floating_box: list[np.ndarray | None] = [None]
-        # Update provenance (set by with_conductances on its clones).
-        self.update_base_fingerprint: str | None = None
-        self.update_indices: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Sizes
@@ -410,16 +396,28 @@ class CompiledGrid:
     # ------------------------------------------------------------------
     @cached_property
     def node_names(self) -> tuple[str, ...]:
-        """All node names in insertion order (synthesised when array-built)."""
+        """All node names in insertion order (synthesised when array-built).
+
+        An array-built grid's names are :func:`~repro.grid.netlist.node_name`
+        strings.  A mesh has only ``num_vertical + num_horizontal``
+        distinct coordinates, so each distinct x and y is formatted once
+        and the names are joined from those strings.
+        """
         if self._node_names_eager is not None:
             return self._node_names_eager
         if self._node_layer_index is None:
             return tuple(f"n{i}" for i in range(self.num_nodes))
-        from .netlist import node_name  # deferred: netlist imports network
+        from .netlist import format_coordinate  # deferred: netlist imports network
 
+        xs, x_of_node = np.unique(self.node_x, return_inverse=True)
+        ys, y_of_node = np.unique(self.node_y, return_inverse=True)
+        x_text = [format_coordinate(x) for x in xs.tolist()]
+        y_text = [format_coordinate(y) for y in ys.tolist()]
         return tuple(
-            node_name(int(layer), float(x), float(y))
-            for layer, x, y in zip(self._node_layer_index, self.node_x, self.node_y)
+            f"n{layer}_{x_text[i]}_{y_text[j]}"
+            for layer, i, j in zip(
+                self._node_layer_index.tolist(), x_of_node.tolist(), y_of_node.tolist()
+            )
         )
 
     @cached_property
@@ -679,69 +677,6 @@ class CompiledGrid:
             (np.ones(m), (np.arange(m), self.load_node)),
             shape=(m, self.num_nodes),
         )
-
-    # ------------------------------------------------------------------
-    # Low-rank update support
-    # ------------------------------------------------------------------
-    @cached_property
-    def _update_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-branch reduced-space stamp shape, shared across clones.
-
-        For each resistive branch: ``kind`` is 0 when the branch does not
-        appear in the reduced matrix at all (both endpoints pad or
-        ground), 1 when it stamps a single diagonal (ground–free and
-        pad–free branches) and 2 when it stamps the full free–free
-        pattern; ``node1`` / ``node2`` hold the reduced row indices.
-        Topology-only, so :meth:`with_conductances` clones share it.
-        """
-        m = self.num_resistors
-        kind = np.zeros(m, dtype=np.int8)
-        node1 = np.full(m, _GROUND_INDEX, dtype=np.int64)
-        node2 = np.full(m, _GROUND_INDEX, dtype=np.int64)
-        kind[self._gf_sel] = 1
-        node1[self._gf_sel] = self._gf_node
-        kind[self._pf_sel] = 1
-        node1[self._pf_sel] = self._pf_free
-        kind[self._ff_sel] = 2
-        node1[self._ff_sel] = self._ff_i
-        node2[self._ff_sel] = self._ff_j
-        return kind, node1, node2
-
-    def update_columns(self, indices: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
-        """Reduced-space incidence of a set of touched branches.
-
-        A conductance change of ``Δg`` on the branches ``indices`` moves
-        the reduced matrix by the symmetric low-rank term
-        ``ΔG = B·diag(Δg_active)·Bᵀ`` where ``B`` is the returned
-        incidence: one column per *matrix-affecting* touched branch —
-        ``e_k`` for a branch stamping only the diagonal of reduced node
-        ``k`` (ground–free and pad–free branches) and ``e_i − e_j`` for a
-        free–free branch.  Branches with no matrix effect (both endpoints
-        pad or ground — they only shift the RHS) are dropped.
-
-        Args:
-            indices: Branch indices whose conductance changed (e.g.
-                :attr:`update_indices` of a :meth:`with_conductances`
-                clone).
-
-        Returns:
-            ``(B, active)`` where ``B`` is the
-            ``(num_unknowns, len(active))`` CSC incidence and ``active``
-            is the subset of ``indices`` the columns correspond to, in
-            order.
-        """
-        kind, node1, node2 = self._update_map
-        indices = np.asarray(indices, dtype=np.int64)
-        active = indices[kind[indices] != 0]
-        is_pair = kind[active] == 2
-        columns = np.arange(active.size, dtype=np.int64)
-        rows = np.concatenate((node1[active], node2[active[is_pair]]))
-        cols = np.concatenate((columns, columns[is_pair]))
-        data = np.concatenate((np.ones(active.size), -np.ones(int(is_pair.sum()))))
-        incidence = sp.csc_matrix(
-            (data, (rows, cols)), shape=(self.num_unknowns, active.size)
-        )
-        return incidence, active
 
     # ------------------------------------------------------------------
     # Connectivity

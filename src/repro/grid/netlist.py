@@ -75,19 +75,20 @@ def format_spice_value(value: float) -> str:
     return f"{value:.9g}"
 
 
+def format_coordinate(value: float) -> str:
+    """Render one node-name coordinate: an integer when whole, else ``%g``."""
+    if float(value).is_integer():
+        return str(int(value))
+    return f"{value:g}"
+
+
 def node_name(layer_index: int, x: float, y: float) -> str:
     """Build an IBM-style node name ``n<layer>_<x>_<y>``.
 
     Coordinates are rendered as integers when they are whole numbers to keep
     the netlists compact and round-trippable.
     """
-
-    def fmt(value: float) -> str:
-        if float(value).is_integer():
-            return str(int(value))
-        return f"{value:g}"
-
-    return f"n{layer_index}_{fmt(x)}_{fmt(y)}"
+    return f"n{layer_index}_{format_coordinate(x)}_{format_coordinate(y)}"
 
 
 def parse_node_name(name: str) -> tuple[int, float, float] | None:

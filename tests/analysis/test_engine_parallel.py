@@ -260,14 +260,17 @@ class TestParallelismOption:
         # The same sweep runs with its parallelism given as an executor.
         calls[entry](chunk_size=8, executor=make_executor("threads", 2))
 
-    def test_engine_takes_four_options(self):
+    def test_engine_takes_two_options(self):
         assert list(inspect.signature(BatchedAnalysisEngine).parameters) == [
             "cache_size",
             "direct_size_limit",
+        ]
+        for knob in (
+            "default_workers",
+            "default_executor",
             "incremental_updates",
             "update_policy",
-        ]
-        for knob in ("default_workers", "default_executor"):
+        ):
             with pytest.raises(TypeError, match=knob):
                 BatchedAnalysisEngine(**{knob: 1})
 

@@ -1,10 +1,11 @@
-"""Tests for the SuperLU backend and incremental updates.
+"""Tests for the SuperLU backend and the engine's factorization cache.
 
-The acceptance bar: voltages served through a low-rank incremental update
-(Woodbury or preconditioned CG) must agree with a fresh factorization to
-1e-9 on every resize shape — single line, stripe, full grid (where the
-crossover policy must fall back to fresh factors instead).
+Every grid the engine solves directly is factored fresh, a resized clone
+included, so a clone's voltages equal a rebuilt grid's bit for bit on
+every resize shape — single line, stripe, downsize, full grid, chained.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,17 +14,11 @@ import scipy.sparse.linalg as spla
 
 from repro.analysis import (
     BatchedAnalysisEngine,
+    EngineCacheInfo,
     LinearSolverError,
-    PreconditionedUpdateFactorization,
     SpluBackend,
-    UpdateDivergenceError,
-    UpdatePolicy,
-    WoodburyFactorization,
-    make_update_factorization,
 )
 from repro.grid import GridBuilder, SyntheticIBMSuite
-
-VOLTAGE_TOLERANCE = 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -61,303 +56,94 @@ def stripe_scale(bench):
     return scale
 
 
-def base_rhs(compiled):
-    """The reduced-system right-hand side of the grid's own loads."""
-    return compiled.rhs_matrix(compiled.base_loads[None])[:, 0]
-
-
 # ----------------------------------------------------------------------
-# Update provenance and incidence extraction on the compiled grid
+# Resized clones are factored fresh, exactly like a rebuild
 # ----------------------------------------------------------------------
-class TestUpdateColumns:
-    def test_base_grid_has_no_update_provenance(self, base_compiled):
-        assert base_compiled.update_base_fingerprint is None
-        assert base_compiled.update_indices is None
-
-    def test_clone_records_changed_indices(self, ibmpg1_bench, builder, base_compiled):
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        assert clone.update_base_fingerprint == base_compiled.fingerprint
-        changed = clone.update_indices
-        assert changed is not None and changed.size > 0
-        untouched = np.setdiff1d(np.arange(base_compiled.num_resistors), changed)
-        assert np.array_equal(
-            clone.conductance[untouched], base_compiled.conductance[untouched]
-        )
-        assert np.all(clone.conductance[changed] != base_compiled.conductance[changed])
-
-    def test_provenance_is_per_clone_not_inherited(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        chained = resized(builder, ibmpg1_bench, clone, stripe_scale(ibmpg1_bench))
-        assert chained.update_base_fingerprint == clone.fingerprint
-        assert chained.update_base_fingerprint != base_compiled.fingerprint
-
-    def test_low_rank_term_reproduces_matrix_difference(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        """ΔG = B·diag(Δg)·Bᵀ must equal the reduced-matrix difference."""
-        clone = resized(builder, ibmpg1_bench, base_compiled, stripe_scale(ibmpg1_bench))
-        incidence, active = clone.update_columns(clone.update_indices)
-        assert incidence.shape == (clone.num_unknowns, active.size)
-        delta = clone.conductance[active] - base_compiled.conductance[active]
-        assert np.all(delta != 0.0)
-        low_rank = (incidence @ sp.diags(delta) @ incidence.T).toarray()
-        difference = (clone.reduced_matrix - base_compiled.reduced_matrix).toarray()
-        np.testing.assert_allclose(low_rank, difference, atol=1e-12)
-
-    def test_branches_without_matrix_effect_are_filtered(self, base_compiled):
-        """Pad-pad / ground-side branches contribute nothing to the reduced
-        matrix, so feeding *every* branch index must yield a reduced-rank
-        column set (never more columns than branches)."""
-        all_indices = np.arange(base_compiled.num_resistors)
-        incidence, active = base_compiled.update_columns(all_indices)
-        assert active.size <= all_indices.size
-        assert incidence.shape == (base_compiled.num_unknowns, active.size)
+def downsize_scale(bench):
+    scale = np.ones(bench.topology.num_lines)
+    scale[1] = 0.6
+    return scale
 
 
-# ----------------------------------------------------------------------
-# Incremental solves agree with fresh factorizations
-# ----------------------------------------------------------------------
-class TestIncrementalAgreement:
-    def check_resize(self, bench, builder, base, scale):
-        engine = BatchedAnalysisEngine()
-        oracle = BatchedAnalysisEngine(incremental_updates=False)
-        engine.analyze(base)
-        oracle.analyze(base)
-        clone = resized(builder, bench, base, scale)
-        incremental = engine.solve_voltages(clone)
-        fresh = oracle.solve_voltages(clone)
-        assert np.max(np.abs(incremental - fresh)) <= VOLTAGE_TOLERANCE
-        return engine, oracle
+def full_grid_scale(bench):
+    return np.full(bench.topology.num_lines, 1.6)
 
-    def test_single_line_resize(self, ibmpg1_bench, builder, base_compiled):
-        engine, oracle = self.check_resize(
-            ibmpg1_bench, builder, base_compiled, single_line_scale(ibmpg1_bench)
-        )
-        assert engine.cache_info().updates == 1
-        assert engine.cache_info().update_fallbacks == 0
-        assert engine.cache_info().factorizations == 1
-        assert oracle.cache_info().updates == 0
-        assert oracle.cache_info().factorizations == 2
 
-    def test_stripe_resize(self, ibmpg1_bench, builder, base_compiled):
-        engine, _ = self.check_resize(
-            ibmpg1_bench, builder, base_compiled, stripe_scale(ibmpg1_bench)
-        )
-        assert engine.cache_info().updates == 1
+RESIZE_SHAPES = {
+    "single-line": single_line_scale,
+    "stripe": stripe_scale,
+    "downsize": downsize_scale,
+    "full-grid": full_grid_scale,
+}
 
-    def test_downsize_also_served_incrementally(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        scale = np.ones(ibmpg1_bench.topology.num_lines)
-        scale[1] = 0.6
-        engine, _ = self.check_resize(ibmpg1_bench, builder, base_compiled, scale)
-        assert engine.cache_info().updates == 1
 
-    def test_chained_resizes_update_the_original_factors(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        """Resize-of-a-resize still references the first direct factors;
-        updates never stack on updates."""
-        engine = BatchedAnalysisEngine()
-        oracle = BatchedAnalysisEngine(incremental_updates=False)
-        engine.analyze(base_compiled)
-        first = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        engine.analyze(first)
-        second = resized(builder, ibmpg1_bench, first, stripe_scale(ibmpg1_bench))
-        incremental = engine.solve_voltages(second)
-        fresh = oracle.solve_voltages(second)
-        assert np.max(np.abs(incremental - fresh)) <= VOLTAGE_TOLERANCE
-        info = engine.cache_info()
-        assert info.updates == 2
-        assert info.factorizations == 1
-        factor, _ = engine._factor(second)
-        assert factor.is_update
-        assert factor.direct is engine._factor(base_compiled)[0]
+class TestFreshClones:
+    """A :meth:`with_conductances` clone is one more grid to the engine: it
+    is factored fresh from its own matrix, so its voltages equal those of
+    a grid rebuilt from scratch at the same widths, bit for bit."""
 
-    def test_full_grid_resize_crosses_over_to_fresh_factors(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
+    @pytest.mark.parametrize("shape", sorted(RESIZE_SHAPES))
+    def test_clone_solves_like_a_rebuild(self, ibmpg1_bench, builder, base_compiled, shape):
+        scale = RESIZE_SHAPES[shape](ibmpg1_bench)
         engine = BatchedAnalysisEngine()
         engine.analyze(base_compiled)
-        clone = resized(
-            builder,
-            ibmpg1_bench,
-            base_compiled,
-            np.full(ibmpg1_bench.topology.num_lines, 1.6),
+        clone = resized(builder, ibmpg1_bench, base_compiled, scale)
+        rebuilt = builder.build_compiled(
+            ibmpg1_bench.floorplan, ibmpg1_bench.topology, 5.0 * scale
         )
         voltages = engine.solve_voltages(clone)
+        np.testing.assert_array_equal(
+            voltages, BatchedAnalysisEngine().solve_voltages(rebuilt)
+        )
         info = engine.cache_info()
-        assert info.update_fallbacks == 1
-        assert info.updates == 0
-        assert info.factorizations == 2
-        fresh = BatchedAnalysisEngine().solve_voltages(clone)
-        np.testing.assert_array_equal(voltages, fresh)
+        assert (info.factorizations, info.hits, info.entries) == (2, 0, 2)
+
+    def test_chained_clone_solves_like_a_rebuild(self, ibmpg1_bench, builder, base_compiled):
+        """A resize of a resize is factored from its own matrix too."""
+        engine = BatchedAnalysisEngine()
+        first = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
+        engine.analyze(first)
+        scale = single_line_scale(ibmpg1_bench) * stripe_scale(ibmpg1_bench)
+        second = builder.resize_compiled(first, ibmpg1_bench.topology, 5.0 * scale)
+        rebuilt = builder.build_compiled(
+            ibmpg1_bench.floorplan, ibmpg1_bench.topology, 5.0 * scale
+        )
+        np.testing.assert_array_equal(
+            engine.solve_voltages(second), BatchedAnalysisEngine().solve_voltages(rebuilt)
+        )
+        assert engine.cache_info().factorizations == 2
+        assert engine._factor(second)[0] is not engine._factor(first)[0]
 
     def test_identical_conductances_hit_the_cache(self, base_compiled):
         """A clone whose conductances did not change keeps the fingerprint,
-        so it is served as a plain cache hit — no update is even built."""
+        so it is served as a plain cache hit."""
         clone = base_compiled.with_conductances(base_compiled.conductance.copy())
-        assert clone.update_indices.size == 0
         assert clone.fingerprint == base_compiled.fingerprint
         engine = BatchedAnalysisEngine()
         engine.analyze(base_compiled)
         engine.analyze(clone)
         info = engine.cache_info()
-        assert info.factorizations == 1
-        assert info.hits == 1
-        assert info.updates == 0
+        assert (info.factorizations, info.hits, info.entries) == (1, 1, 1)
 
-    def test_rank_zero_update_reuses_direct_factors(self, base_compiled):
-        """A delta with no matrix effect (rank 0) serves the clone with the
-        base entry's direct factors instead of building anything."""
-        engine = BatchedAnalysisEngine()
-        engine.analyze(base_compiled)
-        entry = engine._cache[base_compiled.fingerprint]
-        clone = base_compiled.with_conductances(base_compiled.conductance.copy())
-        rank_zero = engine._update_entry(clone, entry)
-        assert rank_zero is not None
-        assert rank_zero.factor is entry.direct
-        assert engine.cache_info().updates == 1
-        assert engine.cache_info().factorizations == 1
-
-    def test_update_not_attempted_when_base_evicted(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        engine = BatchedAnalysisEngine()
-        engine.analyze(base_compiled)
-        engine.clear_cache()
+    def test_evicted_clone_is_factored_again(self, ibmpg1_bench, builder, base_compiled):
+        """With one cache entry, alternating two grids refactors each time."""
+        engine = BatchedAnalysisEngine(cache_size=1)
         clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        engine.analyze(clone)
+        first = engine.solve_voltages(clone)
+        engine.analyze(base_compiled)
+        np.testing.assert_array_equal(engine.solve_voltages(clone), first)
         info = engine.cache_info()
-        assert info.updates == 0
-        assert info.factorizations == 2
+        assert (info.factorizations, info.hits, info.entries) == (3, 0, 1)
 
-    def test_incremental_updates_disabled(self, ibmpg1_bench, builder, base_compiled):
-        engine = BatchedAnalysisEngine(incremental_updates=False)
-        engine.analyze(base_compiled)
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        engine.analyze(clone)
-        assert engine.cache_info().updates == 0
-        assert engine.cache_info().factorizations == 2
-
-
-# ----------------------------------------------------------------------
-# The two update implementations and the policy crossover between them
-# ----------------------------------------------------------------------
-class TestUpdateFactorizations:
-    @pytest.fixture(scope="class")
-    def update_pieces(self, ibmpg1_bench, builder, base_compiled):
+    def test_clone_keeps_no_update_provenance(self, ibmpg1_bench, builder, base_compiled):
+        """Nothing records the parent a clone came from: neither the
+        grid nor the engine has a low-rank update path to feed."""
         clone = resized(builder, ibmpg1_bench, base_compiled, stripe_scale(ibmpg1_bench))
-        incidence, active = clone.update_columns(clone.update_indices)
-        delta = clone.conductance[active] - base_compiled.conductance[active]
-        base_factor = SpluBackend().factor(base_compiled.reduced_matrix)
-        return clone, base_factor, incidence, delta
-
-    def test_dense_woodbury_matches_direct_solve(self, update_pieces):
-        clone, base_factor, incidence, delta = update_pieces
-        policy = UpdatePolicy(dense_rank_limit=int(delta.size))
-        factor = make_update_factorization(
-            clone.reduced_matrix, base_factor, incidence, delta, policy
-        )
-        assert isinstance(factor, WoodburyFactorization)
-        assert factor.is_update and factor.update_rank == delta.size
-        assert factor.direct is base_factor
-        rhs = base_rhs(clone)
-        direct = SpluBackend().factor(clone.reduced_matrix).solve(rhs)
-        assert np.max(np.abs(factor.solve(rhs) - direct)) <= VOLTAGE_TOLERANCE
-
-    def test_preconditioned_cg_matches_direct_solve(self, update_pieces):
-        clone, base_factor, incidence, delta = update_pieces
-        policy = UpdatePolicy(dense_rank_limit=0)
-        factor = make_update_factorization(
-            clone.reduced_matrix, base_factor, incidence, delta, policy
-        )
-        assert isinstance(factor, PreconditionedUpdateFactorization)
-        rhs = base_rhs(clone)
-        direct = SpluBackend().factor(clone.reduced_matrix).solve(rhs)
-        assert np.max(np.abs(factor.solve(rhs) - direct)) <= VOLTAGE_TOLERANCE
-        assert 0 < factor.iterations <= policy.maxiter
-
-    def test_block_rhs_solves_column_wise(self, update_pieces):
-        clone, base_factor, incidence, delta = update_pieces
-        policy = UpdatePolicy(dense_rank_limit=0)
-        factor = make_update_factorization(
-            clone.reduced_matrix, base_factor, incidence, delta, policy
-        )
-        rhs = base_rhs(clone)
-        block = np.column_stack([rhs, 2.0 * rhs])
-        direct = SpluBackend().factor(clone.reduced_matrix).solve(block)
-        assert np.max(np.abs(factor.solve(block) - direct)) <= VOLTAGE_TOLERANCE
-
-    def test_iteration_cap_raises_divergence(self, update_pieces):
-        clone, base_factor, incidence, delta = update_pieces
-        policy = UpdatePolicy(dense_rank_limit=0, rtol=1e-15, maxiter=1)
-        factor = make_update_factorization(
-            clone.reduced_matrix, base_factor, incidence, delta, policy
-        )
-        with pytest.raises(UpdateDivergenceError):
-            factor.solve(base_rhs(clone))
-
-    def test_engine_downgrades_on_divergence(
-        self, ibmpg1_bench, builder, base_compiled
-    ):
-        """A diverging update must be replaced by fresh factors mid-solve,
-        still returning accurate voltages."""
-        engine = BatchedAnalysisEngine(
-            update_policy=UpdatePolicy(dense_rank_limit=0, rtol=1e-15, maxiter=1)
-        )
-        engine.analyze(base_compiled)
-        clone = resized(builder, ibmpg1_bench, base_compiled, stripe_scale(ibmpg1_bench))
-        voltages = engine.solve_voltages(clone)
-        info = engine.cache_info()
-        assert info.updates == 1  # the update was built...
-        assert info.update_fallbacks == 1  # ...then downgraded at solve time
-        assert info.factorizations == 2
-        fresh = BatchedAnalysisEngine().solve_voltages(clone)
-        assert np.max(np.abs(voltages - fresh)) <= VOLTAGE_TOLERANCE
-        assert not engine._factor(clone)[0].is_update
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            UpdatePolicy(dense_rank_limit=-1)
-        with pytest.raises(ValueError):
-            UpdatePolicy(crossover_fraction=0.0)
-        with pytest.raises(ValueError):
-            UpdatePolicy(crossover_fraction=1.5)
-        with pytest.raises(ValueError):
-            UpdatePolicy(rtol=0.0)
-        with pytest.raises(ValueError):
-            UpdatePolicy(maxiter=0)
-
-
-# ----------------------------------------------------------------------
-# The explicit factor_update API
-# ----------------------------------------------------------------------
-class TestFactorUpdate:
-    def test_explicit_update_and_cache_hit(self, ibmpg1_bench, builder, base_compiled):
-        engine = BatchedAnalysisEngine(incremental_updates=False)
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        factor = engine.factor_update(base_compiled, clone)
-        assert factor.is_update and factor.update_rank > 0
-        assert engine.cache_info().updates == 1
-        again = engine.factor_update(base_compiled, clone)
-        assert again is factor
-        # The repeat call hits twice: once re-serving the base factors,
-        # once finding the update entry under the clone's fingerprint.
-        assert engine.cache_info().hits == 2
-
-    def test_topology_mismatch_rejected(self, base_compiled, tiny_grid):
+        for name in ("update_base_fingerprint", "update_indices", "update_columns"):
+            assert not hasattr(clone, name)
         engine = BatchedAnalysisEngine()
-        with pytest.raises(ValueError, match="sharing one topology"):
-            engine.factor_update(base_compiled, tiny_grid.compile())
-
-    def test_cg_sized_systems_rejected(self, ibmpg1_bench, builder, base_compiled):
-        engine = BatchedAnalysisEngine(direct_size_limit=4)
-        clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
-        with pytest.raises(ValueError, match="direct"):
-            engine.factor_update(base_compiled, clone)
+        for name in ("factor_update", "incremental_updates", "update_policy"):
+            assert not hasattr(engine, name)
 
 
 # ----------------------------------------------------------------------
@@ -379,8 +165,8 @@ class TestOneBackend:
         self, ibmpg1_bench, builder, base_compiled
     ):
         """Assigning ``solver_backend`` is how a wrapper stands in for the
-        backend: every fresh factorization then goes through it, a
-        crossover fallback included, while updates reuse its factors."""
+        backend: every factorization then goes through it, each resized
+        clone's included."""
 
         class CountingBackend(SpluBackend):
             calls = 0
@@ -396,18 +182,14 @@ class TestOneBackend:
         engine.analyze(
             resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
         )
-        assert backend.calls == 1
+        assert backend.calls == 2
         engine.analyze(
-            resized(
-                builder,
-                ibmpg1_bench,
-                base_compiled,
-                np.full(ibmpg1_bench.topology.num_lines, 1.6),
-            )
+            resized(builder, ibmpg1_bench, base_compiled, full_grid_scale(ibmpg1_bench))
         )
+        engine.analyze(base_compiled)
         info = engine.cache_info()
-        assert info.updates == 1 and info.update_fallbacks == 1
-        assert backend.calls == info.factorizations == 2
+        assert (info.factorizations, info.hits) == (3, 1)
+        assert backend.calls == info.factorizations
 
 
 class TestSpluFactorization:
@@ -445,14 +227,18 @@ class TestCacheSemantics:
         engine.analyze(base_compiled)
         clone = resized(builder, ibmpg1_bench, base_compiled, single_line_scale(ibmpg1_bench))
         engine.analyze(clone)
+        engine.analyze(clone)
         before = engine.cache_info()
-        assert before.updates == 1 and before.entries == 2
+        assert (before.factorizations, before.hits, before.entries) == (2, 1, 2)
         engine.clear_cache()
         after = engine.cache_info()
         assert after.entries == 0
-        assert after.factorizations == before.factorizations
-        assert after.updates == before.updates
-        assert after.update_fallbacks == before.update_fallbacks
+        assert (after.factorizations, after.hits) == (before.factorizations, before.hits)
+
+    def test_cache_info_holds_three_counters(self):
+        names = tuple(field.name for field in dataclasses.fields(EngineCacheInfo))
+        assert names == ("factorizations", "hits", "entries")
+        assert BatchedAnalysisEngine().cache_info() == EngineCacheInfo(0, 0, 0)
 
     def test_cache_key_is_the_fingerprint(self, base_compiled):
         engine = BatchedAnalysisEngine()

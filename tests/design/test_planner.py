@@ -1,10 +1,13 @@
 """Tests for the conventional iterative power planner (paper Fig. 1)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.analysis import BatchedAnalysisEngine
 from repro.design import ConventionalPowerPlanner, DesignRules, ReliabilityConstraints
+from repro.grid import GridBuilder
 
 from ..grid.test_builder import coincident_lines
 
@@ -189,54 +192,67 @@ class TestParameters:
         with pytest.raises(ValueError):
             ConventionalPowerPlanner(small_benchmark.technology, upsize_factor=1.0)
 
-    def test_solver_argument_rejected(self, small_benchmark):
-        """The engine's one backend is not selectable through the planner."""
-        with pytest.raises(TypeError, match="solver"):
-            ConventionalPowerPlanner(small_benchmark.technology, solver="splu")
+    @pytest.mark.parametrize(
+        "argument, value", [("solver", "splu"), ("incremental_updates", False)]
+    )
+    def test_solver_argument_rejected(self, small_benchmark, argument, value):
+        """The engine's one backend and its one kind of factorization are
+        not selectable through the planner."""
+        with pytest.raises(TypeError, match=argument):
+            ConventionalPowerPlanner(small_benchmark.technology, **{argument: value})
+
+    def test_planner_takes_eight_options(self):
+        assert list(inspect.signature(ConventionalPowerPlanner).parameters) == [
+            "technology",
+            "rules",
+            "sizing_parameters",
+            "max_iterations",
+            "upsize_factor",
+            "analyzer",
+            "use_compiled_loop",
+            "search",
+        ]
 
 
-class TestIncrementalSolverParity:
-    """The incremental-update planner loop against the fresh-factorization
-    oracle: identical convergence trajectory, voltages within 1e-9."""
+class TestFreshFactorLoop:
+    """Every design the one-move loop analyses is factored fresh, once."""
 
     @pytest.fixture(scope="class")
-    def parity_plans(self, small_benchmark):
+    def min_width_plan(self, small_benchmark):
         rules = DesignRules.from_technology(small_benchmark.technology)
         tiny_widths = np.full(small_benchmark.topology.num_lines, rules.min_width)
-        incremental = ConventionalPowerPlanner(small_benchmark.technology, max_iterations=8)
-        oracle = ConventionalPowerPlanner(
-            small_benchmark.technology, max_iterations=8, incremental_updates=False
-        )
-        plan_inc = incremental.plan(
+        planner = ConventionalPowerPlanner(small_benchmark.technology, max_iterations=8)
+        plan = planner.plan(
             small_benchmark.floorplan, small_benchmark.topology, initial_widths=tiny_widths
         )
-        plan_ora = oracle.plan(
-            small_benchmark.floorplan, small_benchmark.topology, initial_widths=tiny_widths
+        return planner, plan, tiny_widths
+
+    def test_one_factorization_per_analysed_design(self, min_width_plan):
+        planner, plan, _ = min_width_plan
+        moves = sum(1 for iteration in plan.iterations if iteration.lines_resized)
+        assert moves > 1
+        info = planner.analyzer.cache_info()
+        # The initial design plus one resized design per committed move.
+        assert (info.factorizations, info.hits, info.entries) == (1 + moves, 0, 1)
+
+    def test_cache_size_does_not_change_the_plan(self, small_benchmark, min_width_plan):
+        _, plan, tiny_widths = min_width_plan
+        roomy = ConventionalPowerPlanner(
+            small_benchmark.technology,
+            max_iterations=8,
+            analyzer=BatchedAnalysisEngine(cache_size=8),
+        ).plan(small_benchmark.floorplan, small_benchmark.topology, initial_widths=tiny_widths)
+        assert np.array_equal(roomy.widths, plan.widths)
+        assert [
+            (it.worst_ir_drop, it.em_violations, it.lines_resized) for it in roomy.iterations
+        ] == [(it.worst_ir_drop, it.em_violations, it.lines_resized) for it in plan.iterations]
+        assert roomy.ir_result.node_voltages == plan.ir_result.node_voltages
+
+    def test_final_voltages_equal_a_fresh_rebuild(self, small_benchmark, min_width_plan):
+        _, plan, _ = min_width_plan
+        rebuilt = GridBuilder(small_benchmark.technology).build_compiled(
+            small_benchmark.floorplan, small_benchmark.topology, plan.widths
         )
-        return incremental, plan_inc, oracle, plan_ora
-
-    def test_updates_actually_served_the_loop(self, parity_plans):
-        incremental, plan_inc, oracle, _ = parity_plans
-        assert plan_inc.num_iterations > 1  # the undersized start forces resizes
-        info = incremental.analyzer.cache_info()
-        assert info.updates >= plan_inc.num_iterations - 1
-        assert oracle.analyzer.cache_info().updates == 0
-        assert oracle.analyzer.cache_info().factorizations >= plan_inc.num_iterations
-
-    def test_same_convergence_trajectory(self, parity_plans):
-        _, plan_inc, _, plan_ora = parity_plans
-        assert plan_inc.converged == plan_ora.converged
-        assert plan_inc.num_iterations == plan_ora.num_iterations
-        for step_inc, step_ora in zip(plan_inc.iterations, plan_ora.iterations):
-            assert step_inc.lines_resized == step_ora.lines_resized
-            assert step_inc.worst_ir_drop == pytest.approx(
-                step_ora.worst_ir_drop, abs=1e-9
-            )
-
-    def test_same_final_design(self, parity_plans):
-        _, plan_inc, _, plan_ora = parity_plans
-        np.testing.assert_allclose(plan_inc.widths, plan_ora.widths, rtol=0, atol=1e-9)
-        assert plan_inc.ir_result.worst_ir_drop == pytest.approx(
-            plan_ora.ir_result.worst_ir_drop, abs=1e-9
-        )
-        assert plan_inc.ir_result.worst_node == plan_ora.ir_result.worst_node
+        fresh = BatchedAnalysisEngine().analyze(rebuilt)
+        assert fresh.node_voltages == plan.ir_result.node_voltages
+        assert fresh.worst_node == plan.ir_result.worst_node

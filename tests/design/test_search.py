@@ -46,9 +46,7 @@ def exact_search_plan(small_benchmark, tiny_start):
 
 @pytest.fixture(scope="module")
 def baseline_plan(small_benchmark, tiny_start):
-    planner = ConventionalPowerPlanner(
-        small_benchmark.technology, max_iterations=BUDGET, incremental_updates=False
-    )
+    planner = ConventionalPowerPlanner(small_benchmark.technology, max_iterations=BUDGET)
     return planner.plan(
         small_benchmark.floorplan,
         small_benchmark.topology,
@@ -75,25 +73,26 @@ class TestExactSearch:
             baseline_plan.ir_result.worst_ir_drop + 1e-12
         )
 
-    def test_single_factorization_for_whole_search(self, exact_search_plan):
+    def test_every_solve_is_a_factorization_or_a_hit(self, exact_search_plan):
         planner, plan = exact_search_plan
         cache = planner.analyzer.cache_info()
         assert plan.search.moves_committed >= 1
-        # The whole search — every candidate of every batch — is served
-        # by incremental updates of one cached base factorization.
-        assert cache.factorizations == 1
-        assert cache.updates >= plan.search.candidates_solved - 1
+        # The initial analysis plus every solved candidate: each is a fresh
+        # factorization of its own grid, or a hit when its fingerprint is
+        # still cached.
+        assert cache.factorizations + cache.hits == plan.search.candidates_solved + 1
+        assert cache.factorizations > plan.search.moves_committed
 
     def test_committed_moves_match_fresh_oracle(self, exact_search_plan, small_benchmark):
         _, plan = exact_search_plan
         builder = GridBuilder(small_benchmark.technology)
-        oracle = BatchedAnalysisEngine(incremental_updates=False)
+        oracle = BatchedAnalysisEngine()
         for move in plan.search.committed:
             fresh = builder.build_compiled(
                 small_benchmark.floorplan, small_benchmark.topology, move.widths
             )
             voltages = oracle.solve_voltages(fresh, move.loads)
-            assert float(np.max(np.abs(voltages - move.voltages))) <= 1e-9
+            assert np.array_equal(voltages, move.voltages)
 
     def test_training_data_rows_match_solved(self, exact_search_plan):
         _, plan = exact_search_plan
@@ -126,53 +125,29 @@ class TestExactSearch:
             planner.plan(small_benchmark.floorplan, small_benchmark.topology)
 
 
-class TestReanchorRule:
-    """``factor_update`` re-anchors a committed candidate only when a later
-    candidate of its batch was solved after it, and so may have evicted its
-    factorization; the winner of a one-candidate batch is the newest entry."""
-
-    @staticmethod
-    def _plan(small_benchmark, tiny_start, **kwargs):
-        planner = ConventionalPowerPlanner(
-            small_benchmark.technology, max_iterations=BUDGET, **kwargs
-        )
-        engine = planner.analyzer
-        calls = []
-        factor_update = engine.factor_update
-
-        def counting(*args):
-            calls.append(args)
-            return factor_update(*args)
-
-        engine.factor_update = counting
-        plan = planner.plan(
-            small_benchmark.floorplan,
-            small_benchmark.topology,
-            initial_widths=tiny_start.copy(),
-        )
-        return engine, plan, len(calls)
-
-    def test_one_candidate_batches_make_no_calls(self, small_benchmark, tiny_start):
-        engine, plan, calls = self._plan(
-            small_benchmark, tiny_start, search=SearchConfig(batch_width=1, use_decap=False)
-        )
-        assert plan.search.moves_committed > 1
-        assert calls == 0
-        # A batch of one is the one-move loop: on an engine configured like
-        # the search's it commits the same widths with the same cache work.
-        twin = BatchedAnalysisEngine(
-            cache_size=engine.cache_size, update_policy=engine.update_policy
-        )
-        _, one_move, _ = self._plan(small_benchmark, tiny_start, analyzer=twin)
-        assert np.array_equal(plan.widths, one_move.widths)
-        search_info, one_move_info = engine.cache_info(), twin.cache_info()
-        for counter in ("factorizations", "updates", "update_fallbacks"):
-            assert getattr(search_info, counter) == getattr(one_move_info, counter)
-
-    def test_one_move_mode_makes_no_calls(self, small_benchmark, tiny_start):
-        _, plan, calls = self._plan(small_benchmark, tiny_start)
-        assert plan.num_iterations > 1
-        assert calls == 0
+class TestOneCandidateBatch:
+    def test_batch_of_one_is_the_one_move_loop(self, small_benchmark, tiny_start):
+        """A batch of one is the heuristic move alone: on an engine sized
+        like the search's it commits the same widths with the same cache
+        work as the one-move loop."""
+        plans = []
+        for search in (SearchConfig(batch_width=1, use_decap=False), False):
+            engine = BatchedAnalysisEngine(cache_size=2)
+            plan = ConventionalPowerPlanner(
+                small_benchmark.technology,
+                max_iterations=BUDGET,
+                analyzer=engine,
+                search=search,
+            ).plan(
+                small_benchmark.floorplan,
+                small_benchmark.topology,
+                initial_widths=tiny_start.copy(),
+            )
+            plans.append((plan, engine.cache_info()))
+        (search_plan, search_info), (one_move, one_move_info) = plans
+        assert search_plan.search.moves_committed > 1
+        assert np.array_equal(search_plan.widths, one_move.widths)
+        assert search_info == one_move_info
 
 
 class TestRankerSearch:

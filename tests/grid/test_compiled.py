@@ -13,8 +13,10 @@ from repro.grid import (
     PerturbationSpec,
     PowerGridNetwork,
     Resistor,
+    SyntheticIBMSuite,
     VoltageSource,
     compile_grid,
+    node_name,
 )
 
 from ..dense_oracle import reference_assemble
@@ -220,3 +222,22 @@ class TestSolutionHelpers:
 
     def test_isinstance_of_compiled_grid(self, tiny_grid):
         assert isinstance(tiny_grid.compile(), CompiledGrid)
+
+
+@pytest.fixture(scope="module", params=SyntheticIBMSuite().names())
+def suite_grid(request):
+    """Every suite grid at uniform 5 um, compiled by the array builder."""
+    return SyntheticIBMSuite().load(request.param).build_uniform_grid(5.0).compile()
+
+
+def test_array_built_names_match_per_node_formatting(suite_grid):
+    """An array-built grid formats each distinct coordinate once; its names
+    equal ``node_name`` applied node by node, and clones share them."""
+    expected = tuple(
+        node_name(int(layer), float(x), float(y))
+        for layer, x, y in zip(suite_grid._node_layer_index, suite_grid.node_x, suite_grid.node_y)
+    )
+    assert suite_grid.node_names == expected
+    assert len(set(expected)) == suite_grid.num_nodes
+    clone = suite_grid.with_conductances(suite_grid.conductance * 1.5)
+    assert clone.node_names is suite_grid.node_names

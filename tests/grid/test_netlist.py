@@ -16,6 +16,7 @@ from repro.grid import (
     read_netlist,
     write_netlist,
 )
+from repro.grid.netlist import format_coordinate
 
 
 class TestSpiceValues:
@@ -59,6 +60,23 @@ class TestNodeNames:
 
     def test_parse_node_name_freeform_returns_none(self):
         assert parse_node_name("vdd_pin") is None
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (3.0, "3"),
+            (-2.0, "-2"),
+            (-0.0, "0"),
+            (0.5, "0.5"),
+            (123.456789, "123.457"),
+            (1e-7, "1e-07"),
+        ],
+    )
+    def test_format_coordinate(self, value, text):
+        """The one coordinate formatter behind ``node_name`` and the
+        array-built grids' names: whole numbers as integers, else ``%g``."""
+        assert format_coordinate(value) == text
+        assert node_name(1, value, value) == f"n1_{text}_{text}"
 
 
 class TestRoundTrip:

@@ -30,6 +30,14 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --solver splu" in capsys.readouterr().err
 
+    def test_plan_oracle_option_rejected(self, capsys):
+        """Every plan refactorizes each resize fresh, so there is no
+        separate oracle loop to select."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["plan", "ibmpg1", "--oracle"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --oracle" in capsys.readouterr().err
+
 
 class TestGenerateAndAnalyze:
     def test_generate_uniform_then_analyze(self, tmp_path, capsys):
@@ -111,11 +119,17 @@ class TestPlan:
         assert "batched planner search" in output
         assert "candidates generated" in output
         assert "moves committed" in output
+        assert "factorizations" in output
+        assert "incremental updates" not in output
+        assert "update fallbacks" not in output
         assert record_path.exists()
 
         import json
 
         record = json.loads(record_path.read_text())
+        assert record["factorizations"] > record["search"]["moves_committed"]
+        for key in ("updates", "update_fallbacks"):
+            assert key not in record
         search = record["search"]
         assert search["candidates_generated"] > 0
         assert search["moves_committed"] > 0
@@ -157,9 +171,10 @@ class TestPlan:
         import json
 
         record = json.loads(record_path.read_text())
-        assert "search" not in record
-        assert "backend" not in record
+        for key in ("search", "backend", "updates", "update_fallbacks"):
+            assert key not in record
         assert record["converged"]
+        assert record["factorizations"] >= 1
 
 
 class TestTrainPredict:
@@ -220,7 +235,9 @@ class TestSweep:
         assert record["num_scenarios"] == 24
         assert record["chunk_size"] == 7
         assert len(record["top_scenarios"]) == 3
-        assert "solver_backend" not in record
+        assert record["factorizations"] == 1
+        for key in ("solver_backend", "incremental_updates", "update_fallbacks"):
+            assert key not in record
 
     def test_sweep_bad_arguments_error(self, capsys):
         assert main(["sweep", "ibmpg1", "--gamma", "1.5"]) == 2
