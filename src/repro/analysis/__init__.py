@@ -2,8 +2,7 @@
 
 Provides the one static IR-drop analysis path
 (:class:`BatchedAnalysisEngine`: cached sparse factorizations, multi-RHS
-and streamed sweeps, a conjugate-gradient fallback for grids too large to
-factor), IR-drop map rasterisation, branch-current extraction,
+and streamed sweeps), IR-drop map rasterisation, branch-current extraction,
 electromigration checking against ``Jmax`` and an early vectorless bound
 analysis — i.e. the time-consuming steps of the conventional power-planning
 flow that PowerPlanningDL is designed to avoid.
@@ -27,7 +26,6 @@ from .currents import (
 )
 from .em import EMChecker, EMReport, EMViolation, em_lifetime_ratio, required_width_for_current
 from .engine import (
-    ENGINE_METHOD,
     BatchAnalysisResult,
     BatchedAnalysisEngine,
     BatchReductions,
@@ -88,7 +86,6 @@ __all__ = [
     "EMChecker",
     "EMReport",
     "EMViolation",
-    "ENGINE_METHOD",
     "EXECUTOR_ENV",
     "EXECUTOR_NAMES",
     "EngineCacheInfo",

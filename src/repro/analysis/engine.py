@@ -13,10 +13,13 @@ conductances, not on the loads or pad voltages.
 factorization — SuperLU in symmetric mode
 (:class:`~repro.analysis.solvers.SpluBackend`) — keyed on the compiled
 grid's topology fingerprint, and solves arbitrarily many right-hand sides
-against one factorization as multi-RHS triangular solves.  Every entry
-point takes that one solve path: a single scenario (:meth:`analyze`,
-:meth:`solve_voltages`) is a one-column batch, assembled, solved and
-reduced exactly like each column of :meth:`analyze_batch`.  A grid
+against one factorization as multi-RHS triangular solves.  Every grid is
+factored, whatever its size; one too large to factor in memory raises
+:class:`~repro.analysis.solvers.LinearSolverError` naming its unknown
+count.  Every entry point takes that one solve path: a single scenario
+(:meth:`analyze`, :meth:`solve_voltages`) is a one-column batch,
+assembled, solved and reduced exactly like each column of
+:meth:`analyze_batch`.  A grid
 derived by a conductance-only change
 (:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`, the
 planner's resize step) has its own fingerprint and is factored fresh
@@ -74,15 +77,7 @@ from .executors import (
 )
 from .irdrop import IRDropResult, result_from_voltages
 from .sinks import IRDropSink, ScenarioSink
-from .solvers import (
-    Factorization,
-    LinearSolverError,
-    SpluBackend,
-    solve_cg,
-)
-
-ENGINE_METHOD = "cached_lu"
-"""Solver-method tag recorded in results produced by the engine."""
+from .solvers import Factorization, LinearSolverError, SpluBackend
 
 ScenarioSource = Callable[[int, int], tuple[np.ndarray | None, np.ndarray | None]]
 """Chunk generator for streamed sweeps.
@@ -532,13 +527,6 @@ class BatchAnalysisResult:
         reductions: Streamed per-scenario reductions (sharded solves only).
         sinks: The scenario sinks that observed this solve, in the order
             they were passed (empty when none were attached).
-        solver_method: The solver that actually produced the voltages —
-            ``"cached_lu"`` for the factorization path, ``"cg"`` when the
-            system exceeded the engine's ``direct_size_limit`` and every
-            column fell back to preconditioned CG.
-        solver_iterations: ``(num_scenarios,)`` per-scenario iteration
-            counts (all zero on the direct path), or ``None`` for results
-            predating the solve (never for engine-produced batches).
     """
 
     compiled: CompiledGrid
@@ -548,8 +536,6 @@ class BatchAnalysisResult:
     factorization_reused: bool
     reductions: BatchReductions | None = None
     sinks: tuple[ScenarioSink, ...] = ()
-    solver_method: str = ENGINE_METHOD
-    solver_iterations: np.ndarray | None = None
 
     def sink_results(self) -> tuple:
         """Finished results of every attached sink, in sink order."""
@@ -614,12 +600,6 @@ class BatchAnalysisResult:
             self._require_voltages()[:, scenario],
             name=self.scenario_names[scenario],
             analysis_time=self.analysis_time / max(1, self.num_scenarios),
-            solver_method=self.solver_method,
-            solver_iterations=(
-                int(self.solver_iterations[scenario])
-                if self.solver_iterations is not None
-                else 0
-            ),
         )
 
     def results(self) -> list[IRDropResult]:
@@ -655,10 +635,6 @@ class StreamedSweepResult:
         executor: Name of the executor that drove the sweep (one of
             :data:`~repro.analysis.executors.EXECUTOR_NAMES`; ``"serial"``
             by default).
-        solver_method: The solver that produced every chunk
-            (``"cached_lu"`` or ``"cg"``).
-        solver_iterations: ``(num_scenarios,)`` per-scenario CG iteration
-            counts (all zero on the direct path).
     """
 
     compiled: CompiledGrid
@@ -670,8 +646,6 @@ class StreamedSweepResult:
     factorization_reused: bool
     workers: int = 1
     executor: str = "serial"
-    solver_method: str = ENGINE_METHOD
-    solver_iterations: np.ndarray | None = None
 
     @property
     def worst_ir_drop(self) -> np.ndarray:
@@ -732,16 +706,10 @@ class BatchedAnalysisEngine:
     analyzer and the CLI consume; :meth:`solve_voltages` returns the
     voltages alone.  Both are one-column batches of the multi-RHS solve
     behind :meth:`analyze_batch` and the streamed sweeps, and the
-    planner's loop solves each candidate as such a batch itself, keeping
-    the column's solver iteration count.
+    planner's loop solves each candidate as such a batch itself.
 
     Args:
         cache_size: Maximum number of factorizations kept alive (LRU).
-        direct_size_limit: Systems with more unknowns than this fall back to
-            the memory-lean Jacobi-preconditioned CG solver
-            (:func:`~repro.analysis.solvers.solve_cg`) instead of a cached
-            factorization, because SuperLU fill-in can exhaust memory on
-            the largest grids.
 
     A sweep that passes no ``executor=`` runs on the executor named by
     :data:`~repro.analysis.executors.EXECUTOR_ENV`, read once here (a bad
@@ -758,22 +726,15 @@ class BatchedAnalysisEngine:
             hands shards that same object.
     """
 
-    def __init__(
-        self,
-        cache_size: int = 8,
-        direct_size_limit: int = 60000,
-    ) -> None:
+    def __init__(self, cache_size: int = 8) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be at least 1")
-        if direct_size_limit < 1:
-            raise ValueError("direct_size_limit must be at least 1")
         env_name = os.environ.get(EXECUTOR_ENV, "").strip()
         try:
             self._default_executor = make_executor(env_name or "serial")
         except ValueError as exc:
             raise ValueError(f"{EXECUTOR_ENV}: {exc}") from exc
         self.cache_size = cache_size
-        self.direct_size_limit = direct_size_limit
         self.solver_backend = SpluBackend()
         self._cache_lock = threading.Lock()
         self._cache: OrderedDict[str, Factorization] = OrderedDict()  # guarded-by: _cache_lock
@@ -805,8 +766,7 @@ class BatchedAnalysisEngine:
     def shard_engine(self, compiled: CompiledGrid) -> "BatchedAnalysisEngine":
         """A single-threaded engine that starts with this one's factors of ``compiled``.
 
-        The new engine mirrors this one's solver configuration (cache
-        size, direct-vs-CG threshold), holds this engine's
+        The new engine mirrors this one's cache size, holds this engine's
         ``solver_backend`` object itself, and its cache holds the very
         factorization this engine cached for ``compiled`` — shared, not
         copied; empty if there is none.
@@ -814,10 +774,7 @@ class BatchedAnalysisEngine:
         inherit it with the parent's memory, so no worker factors again
         and every shard solves with the parent's factors.
         """
-        engine = BatchedAnalysisEngine(
-            cache_size=self.cache_size,
-            direct_size_limit=self.direct_size_limit,
-        )
+        engine = BatchedAnalysisEngine(cache_size=self.cache_size)
         engine.solver_backend = self.solver_backend
         key = compiled.fingerprint
         with self._cache_lock:
@@ -871,13 +828,6 @@ class BatchedAnalysisEngine:
             raise ValueError("network has no voltage sources; the nodal system is singular")
         compiled.require_connected()
         return compiled
-
-    def _use_cg(self, compiled: CompiledGrid) -> bool:
-        return compiled.num_unknowns > self.direct_size_limit
-
-    def _solver_method(self, compiled: CompiledGrid) -> str:
-        """The method every solve on this grid actually uses."""
-        return "cg" if self._use_cg(compiled) else ENGINE_METHOD
 
     def _sweep_executor(
         self, executor: SweepExecutor | str | None
@@ -949,32 +899,20 @@ class BatchedAnalysisEngine:
 
     def _solve_rhs_block(
         self, compiled: CompiledGrid, rhs: np.ndarray
-    ) -> tuple[np.ndarray, bool, np.ndarray]:
+    ) -> tuple[np.ndarray, bool]:
         """Solve one ``(num_unknowns, c)`` RHS block.
 
         Every solve of the engine runs here, a single scenario as one
-        column.  Returns the unknown voltages, whether a cached
-        factorization was reused, and the ``(c,)`` per-column solver
-        iteration counts (all zero on the direct path, the actual CG
-        iterations on the fallback).
+        column.  Returns the unknown voltages and whether a cached
+        factorization was reused.
         """
-        iterations = np.zeros(rhs.shape[1], dtype=np.int64)
         if rhs.shape[0] == 0:
-            return np.empty((0, rhs.shape[1])), False, iterations
-        if self._use_cg(compiled):
-            columns = []
-            for k in range(rhs.shape[1]):
-                voltages, iterations[k] = solve_cg(compiled.reduced_matrix, rhs[:, k])
-                columns.append(voltages)
-            unknown = np.column_stack(columns)
-            solver, reused = "CG", False
-        else:
-            factor, reused = self._factor(compiled)
-            unknown = factor.solve(rhs)
-            solver = "direct"
+            return np.empty((0, rhs.shape[1])), False
+        factor, reused = self._factor(compiled)
+        unknown = factor.solve(rhs)
         if not np.all(np.isfinite(unknown)):
-            raise LinearSolverError(f"{solver} solve produced non-finite voltages")
-        return unknown, reused, iterations
+            raise LinearSolverError("direct solve produced non-finite voltages")
+        return unknown, reused
 
     def _stream_scenarios(
         self,
@@ -986,7 +924,7 @@ class BatchedAnalysisEngine:
         executor: SweepExecutor,
         lenient: bool,
         entry_point: str,
-    ) -> tuple[BatchReductions, bool, np.ndarray, SweepExecutor]:
+    ) -> tuple[BatchReductions, bool, SweepExecutor]:
         """Run one chunked sweep on an executor, with lenient fallback.
 
         ``lenient`` marks the engine's default executor: if it declares
@@ -996,8 +934,7 @@ class BatchedAnalysisEngine:
         :class:`RuntimeWarning` naming the entry point and the offending
         sink class / source, so environment-sharded suites show which
         sweeps silently ran in-process.  Returns the reductions, reuse
-        flag, iteration counts and the executor that actually ran the
-        sweep.
+        flag and the executor that actually ran the sweep.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
@@ -1010,7 +947,7 @@ class BatchedAnalysisEngine:
             sinks=tuple(sinks),
         )
         try:
-            reductions, reused, iterations = executor.execute(plan)
+            reductions, reused = executor.execute(plan)
         except ExecutorIncompatibility as exc:
             if not lenient:
                 raise
@@ -1021,8 +958,8 @@ class BatchedAnalysisEngine:
                 stacklevel=4,
             )
             executor = make_executor("serial")
-            reductions, reused, iterations = executor.execute(plan)
-        return reductions, reused, iterations, executor
+            reductions, reused = executor.execute(plan)
+        return reductions, reused, executor
 
     @staticmethod
     def _chunk_layout(
@@ -1048,7 +985,7 @@ class BatchedAnalysisEngine:
         sinks: Sequence[ScenarioSink],
         threads: int = 1,
         first: int = 0,
-    ) -> tuple[BatchReductions, bool, np.ndarray]:
+    ) -> tuple[BatchReductions, bool]:
         """Solve a sweep chunk by chunk, feeding reductions and sinks.
 
         This is the engine-side pipeline every executor drives: in-process
@@ -1075,8 +1012,8 @@ class BatchedAnalysisEngine:
         ``O(num_nodes * chunk_size * threads)``), and it *folds* finished
         chunks strictly in ascending scenario order (futures are awaited
         FIFO).  Each chunk's solve is deterministic and chunk-local, so the
-        reductions, every sink state, and all solver metadata are
-        bitwise-identical to the sequential path.
+        reductions and every sink state are bitwise-identical to the
+        sequential path.
         """
         layout = self._chunk_layout(compiled, scenario_source)
         with_voltages = any(not isinstance(sink, IRDropSink) for sink in sinks)
@@ -1085,7 +1022,6 @@ class BatchedAnalysisEngine:
         worst = np.empty(num_scenarios, dtype=float)
         average = np.empty(num_scenarios, dtype=float)
         worst_index = np.empty(num_scenarios, dtype=np.int64)
-        iterations = np.zeros(num_scenarios, dtype=np.int64)
         reused = False
 
         def produce(begin: int, end: int) -> object:
@@ -1093,9 +1029,9 @@ class BatchedAnalysisEngine:
 
         def solve_chunk(
             chunk: object,
-        ) -> tuple[np.ndarray | None, np.ndarray, BatchReductions, np.ndarray, bool]:
+        ) -> tuple[np.ndarray | None, np.ndarray, BatchReductions, bool]:
             rhs, pad_voltages = layout.assemble(chunk)
-            unknown, chunk_reused, chunk_iterations = self._solve_rhs_block(compiled, rhs)
+            unknown, chunk_reused = self._solve_rhs_block(compiled, rhs)
             drop_rows = _node_rows(compiled, unknown, pad_voltages, drops=True)
             voltages = (
                 _node_rows(compiled, unknown, pad_voltages, drops=False).T
@@ -1105,20 +1041,19 @@ class BatchedAnalysisEngine:
             # The chunk-local reductions are deterministic, so computing
             # them here keeps them on the worker pool instead of adding to
             # the fold thread's serial work.
-            return voltages, drop_rows, _row_reductions(drop_rows), chunk_iterations, chunk_reused
+            return voltages, drop_rows, _row_reductions(drop_rows), chunk_reused
 
         def fold(
             begin: int,
             end: int,
-            solved: tuple[np.ndarray | None, np.ndarray, BatchReductions, np.ndarray, bool],
+            solved: tuple[np.ndarray | None, np.ndarray, BatchReductions, bool],
         ) -> None:
             nonlocal reused
-            voltages, drop_rows, chunk_reductions, chunk_iterations, chunk_reused = solved
+            voltages, drop_rows, chunk_reductions, chunk_reused = solved
             reused = reused or chunk_reused
             worst[begin:end] = chunk_reductions.worst_ir_drop
             average[begin:end] = chunk_reductions.average_ir_drop
             worst_index[begin:end] = chunk_reductions.worst_node_index
-            iterations[begin:end] = chunk_iterations
             _feed_sinks(sinks, voltages, drop_rows, begin)
 
         ranges = [
@@ -1150,7 +1085,7 @@ class BatchedAnalysisEngine:
         reductions = BatchReductions(
             worst_ir_drop=worst, average_ir_drop=average, worst_node_index=worst_index
         )
-        return reductions, reused, iterations
+        return reductions, reused
 
     def _solve_batch(
         self,
@@ -1185,13 +1120,13 @@ class BatchedAnalysisEngine:
             rhs, pad_voltages = _PairedLayout(compiled, source).assemble(
                 (load_matrix, pad_voltage_matrix)
             )
-            unknown, reused, iterations = self._solve_rhs_block(compiled, rhs)
+            unknown, reused = self._solve_rhs_block(compiled, rhs)
             voltages = _node_rows(compiled, unknown, pad_voltages, drops=False).T
             if sinks:
                 drop_rows = _node_rows(compiled, unknown, pad_voltages, drops=True)
                 _feed_sinks(sinks, voltages, drop_rows, 0)
         else:
-            reductions, reused, iterations, _ = self._stream_scenarios(
+            reductions, reused, _ = self._stream_scenarios(
                 compiled, source, k, chunk_size, sinks, executor_used, lenient, entry_point
             )
         return BatchAnalysisResult(
@@ -1202,8 +1137,6 @@ class BatchedAnalysisEngine:
             factorization_reused=reused,
             reductions=reductions,
             sinks=tuple(sinks),
-            solver_method=self._solver_method(compiled),
-            solver_iterations=iterations,
         )
 
     @staticmethod
@@ -1355,7 +1288,7 @@ class BatchedAnalysisEngine:
         executor_used, lenient = self._sweep_executor(executor)
         if chunk_size is None:
             chunk_size = resolve_chunk_size(compiled.num_unknowns)
-        reductions, reused, iterations, executor_used = self._stream_scenarios(
+        reductions, reused, executor_used = self._stream_scenarios(
             compiled, scenario_source, num_scenarios, chunk_size, sinks, executor_used,
             lenient, entry_point,
         )
@@ -1369,8 +1302,6 @@ class BatchedAnalysisEngine:
             factorization_reused=reused,
             workers=executor_used.parallelism,
             executor=executor_used.name,
-            solver_method=self._solver_method(compiled),
-            solver_iterations=iterations,
             **fields,
         )
 

@@ -172,9 +172,8 @@ class SweepExecutor(ABC):
     Contract: :meth:`execute` must (1) bind every sink in ``plan.sinks``
     to the full sweep exactly once, (2) ensure each scenario is folded
     into the reductions and every sink exactly once in ascending scenario
-    order, and (3) return the per-scenario reductions, the
-    factorization-reuse flag and the per-scenario solver iteration
-    counts.  Any incompatibility with the plan must raise
+    order, and (3) return the per-scenario reductions and the
+    factorization-reuse flag.  Any incompatibility with the plan must raise
     :class:`ExecutorIncompatibility` before the first sink is bound.
     """
 
@@ -189,8 +188,8 @@ class SweepExecutor(ABC):
         """Worker count the sweep runs with (1 = sequential)."""
 
     @abstractmethod
-    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
-        """Run the sweep; return ``(reductions, reused, iterations)``."""
+    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool]":
+        """Run the sweep; return ``(reductions, reused)``."""
 
 
 class HybridExecutor(SweepExecutor):
@@ -211,7 +210,7 @@ class HybridExecutor(SweepExecutor):
     no pickling, and any sink (P² included) or source (closures
     included) runs.  With more shards the sweep must pass
     :func:`require_shardable` — whatever its scenario count — and the
-    parent factors the grid first (direct path only), so follow-up
+    parent factors the grid first, so follow-up
     single solves — e.g.
     :meth:`~repro.analysis.sinks.TopKScenarioSink.rematerialize` — reuse
     it and the usual one-factorization-per-sweep accounting holds.  Each
@@ -294,7 +293,7 @@ class HybridExecutor(SweepExecutor):
         """
         return self.shard_workers * self.threads_per_shard
 
-    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
+    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool]":
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
         if self.shard_workers > 1:
             require_shardable(plan, self.name)
@@ -309,9 +308,7 @@ class HybridExecutor(SweepExecutor):
                 sinks,
                 threads=self.threads_per_shard,
             )
-        reused = False
-        if not engine._use_cg(compiled):
-            _, reused = engine._factor(compiled)
+        _, reused = engine._factor(compiled)
         pool_arguments, payload_bytes = shard_worker_context(
             plan, self.start_method, self.threads_per_shard
         )
@@ -531,10 +528,7 @@ def pickle_sweep_payload(plan: SweepPlan, threads: int = 1) -> bytes:
     """
     engine = plan.engine
     plan.compiled.fingerprint  # hash once here; workers inherit the digest
-    engine_config = {
-        "cache_size": engine.cache_size,
-        "direct_size_limit": engine.direct_size_limit,
-    }
+    engine_config = {"cache_size": engine.cache_size}
     return pickle.dumps(
         (engine_config, plan.compiled, plan.scenario_source, plan.chunk_size, plan.sinks, threads),
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -544,8 +538,8 @@ def pickle_sweep_payload(plan: SweepPlan, threads: int = 1) -> bytes:
 def load_shard_state(payload: bytes) -> dict:
     """Rebuild the worker-side sweep context from a pickled payload.
 
-    The worker's engine mirrors the parent's solver configuration (cache
-    size, direct-vs-CG threshold) so shards solve exactly the way the
+    The worker's engine mirrors the parent's cache size and factors the
+    grid with the same backend, so shards solve exactly the way the
     parent would have.
     """
     from .engine import BatchedAnalysisEngine
@@ -574,7 +568,7 @@ def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
     it.
     """
     sinks: Sequence[ScenarioSink] = copy.deepcopy(state["sink_prototypes"])
-    reductions, reused, iterations = state["engine"]._run_chunk_pipeline(
+    reductions, reused = state["engine"]._run_chunk_pipeline(
         state["compiled"],
         state["source"],
         end - begin,
@@ -589,7 +583,6 @@ def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
         reductions.worst_ir_drop,
         reductions.average_ir_drop,
         reductions.worst_node_index,
-        iterations,
         reused,
         tuple(sink.snapshot() for sink in sinks),
     )
@@ -603,7 +596,7 @@ def shard_ranges(num_scenarios: int, shards: int) -> list[tuple[int, int]]:
 
 def fold_shard_outcomes(
     plan: SweepPlan, outcomes: Sequence[tuple], reused: bool
-) -> "tuple[BatchReductions, bool, np.ndarray]":
+) -> "tuple[BatchReductions, bool]":
     """Scatter shard reductions and merge shard snapshots, ascending.
 
     ``outcomes`` holds one :func:`solve_shard_range` tuple per shard, in
@@ -616,21 +609,17 @@ def fold_shard_outcomes(
     worst = np.empty(num_scenarios, dtype=float)
     average = np.empty(num_scenarios, dtype=float)
     worst_index = np.empty(num_scenarios, dtype=np.int64)
-    iterations = np.zeros(num_scenarios, dtype=np.int64)
-    for begin, end, shard_worst, shard_avg, shard_index, shard_iter, shard_reused, snaps in (
-        outcomes
-    ):
+    for begin, end, shard_worst, shard_avg, shard_index, shard_reused, snaps in outcomes:
         worst[begin:end] = shard_worst
         average[begin:end] = shard_avg
         worst_index[begin:end] = shard_index
-        iterations[begin:end] = shard_iter
         reused = reused or shard_reused
         for sink, snapshot in zip(plan.sinks, snaps):
             sink.merge(snapshot)
     reductions = BatchReductions(
         worst_ir_drop=worst, average_ir_drop=average, worst_node_index=worst_index
     )
-    return reductions, reused, iterations
+    return reductions, reused
 
 
 _WORKER_STATE: dict = {}

@@ -32,8 +32,6 @@ class IRDropResult:
         worst_node: Name of the node with the worst IR drop.
         average_ir_drop: Mean IR drop over all nodes in volts.
         analysis_time: Wall-clock time of assembly + solve in seconds.
-        solver_method: Linear solver that was used.
-        solver_iterations: Iterations of the linear solver (0 for direct).
     """
 
     network_name: str
@@ -44,8 +42,6 @@ class IRDropResult:
     worst_node: str
     average_ir_drop: float
     analysis_time: float
-    solver_method: str
-    solver_iterations: int
 
     @property
     def worst_ir_drop_mv(self) -> float:
@@ -59,8 +55,6 @@ def result_from_voltages(
     *,
     name: str,
     analysis_time: float,
-    solver_method: str,
-    solver_iterations: int = 0,
 ) -> IRDropResult:
     """Build the full result of one solved scenario.
 
@@ -81,8 +75,6 @@ def result_from_voltages(
         worst_node=compiled.node_names[worst],
         average_ir_drop=float(drops.mean()),
         analysis_time=analysis_time,
-        solver_method=solver_method,
-        solver_iterations=solver_iterations,
     )
 
 

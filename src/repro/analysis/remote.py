@@ -33,8 +33,9 @@ The scenario range is split **finer than equal**: ``workers ×
 oversubscribe`` shards (default 4× oversubscription) instead of one per
 worker.  Workers *pull* shards one at a time, so a worker that finishes
 early immediately takes work a slower peer would otherwise have been
-stuck with — on CG-fallback grids, per-scenario iteration counts vary and
-equal shards straggle.  No pushing, no rebalancing protocol: pull-based
+stuck with — hosts differ in speed and load, and a worker's first shard
+also pays for loading the payload and factoring the grid, so equal
+shards straggle.  No pushing, no rebalancing protocol: pull-based
 leasing over fine shards *is* the work-stealing policy.
 
 Failure and retry
@@ -111,8 +112,6 @@ from .executors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    import numpy as np
-
     from .engine import BatchReductions
 
 COORDINATOR_ENV = "REPRO_REMOTE_COORDINATOR"
@@ -640,7 +639,7 @@ class RemoteExecutor(SweepExecutor):
     def parallelism(self) -> int:
         return self.workers * self.threads_per_shard
 
-    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool, np.ndarray]":
+    def execute(self, plan: SweepPlan) -> "tuple[BatchReductions, bool]":
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
         require_shardable(plan, self.name)
         num_scenarios = plan.num_scenarios
@@ -657,9 +656,7 @@ class RemoteExecutor(SweepExecutor):
         payload = pickle_sweep_payload(plan, self.threads_per_shard)
         for sink in sinks:
             sink.bind(compiled, num_scenarios)
-        reused = False
-        if not engine._use_cg(compiled):
-            _, reused = engine._factor(compiled)
+        _, reused = engine._factor(compiled)
         ranges = shard_ranges(num_scenarios, tasks)
         results = self._run_sweep(payload, ranges)
         outcomes = [results[task] for task in range(len(ranges))]

@@ -1,4 +1,4 @@
-"""The sparse direct backend and the conjugate-gradient fallback.
+"""The sparse direct backend: one SuperLU factorization per grid.
 
 The reduced MNA system the engine solves is symmetric positive definite.
 :class:`SpluBackend` owns its factorization: SuperLU in symmetric mode,
@@ -6,11 +6,8 @@ the one factorization the engine uses, returned as a
 :class:`Factorization` that solves one or many right-hand sides.  The
 engine holds the backend as a settable ``solver_backend`` attribute, so a
 wrapper (a timing probe, say) can stand in for it.  Every grid the engine
-solves directly is factored fresh, a planner's resized clone included.
-
-Systems above the engine's ``direct_size_limit`` are never factored:
-:func:`solve_cg` solves them by Jacobi-preconditioned conjugate gradients,
-one right-hand side at a time, holding only the matrix and a few vectors.
+solves is factored fresh, a planner's resized clone included; a grid too
+large to factor in memory raises :class:`LinearSolverError`.
 """
 
 from __future__ import annotations
@@ -21,10 +18,9 @@ import scipy.sparse.linalg as spla
 
 
 class LinearSolverError(RuntimeError):
-    """Raised when the nodal system could not be solved to tolerance.
+    """Raised when the nodal system could not be factored or solved.
 
-    Shared by the solver backend, the conjugate-gradient fallback and
-    the engine.
+    Shared by the solver backend and the engine.
     """
 
 
@@ -84,54 +80,10 @@ class SpluBackend:
             )
         except RuntimeError as exc:
             raise LinearSolverError(f"factorization failed: {exc}") from exc
+        except MemoryError as exc:
+            raise LinearSolverError(
+                f"factorization of {matrix.shape[0]} unknowns ran out of memory"
+            ) from exc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "SpluBackend()"
-
-
-CG_RTOL = 1e-10
-"""Relative residual tolerance of :func:`solve_cg`."""
-
-CG_MAX_ITERATIONS = 20_000
-"""Iteration cap of :func:`solve_cg`; reaching it raises :class:`LinearSolverError`."""
-
-
-def solve_cg(matrix: sp.spmatrix, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve ``matrix @ x = rhs`` by Jacobi-preconditioned conjugate gradients.
-
-    The engine's path for systems too large to factor: CG to a relative
-    residual of :data:`CG_RTOL`, preconditioned by the inverse diagonal.
-
-    Returns:
-        The solution and the number of CG iterations it took.
-
-    Raises:
-        LinearSolverError: If the matrix has a non-positive diagonal entry
-            (it cannot be SPD), or CG does not converge within
-            :data:`CG_MAX_ITERATIONS` iterations.
-    """
-    diagonal = matrix.diagonal()
-    if np.any(diagonal <= 0):
-        raise LinearSolverError("conductance matrix has a non-positive diagonal entry")
-    preconditioner = spla.LinearOperator(matrix.shape, matvec=lambda x: x / diagonal)
-    iterations = 0
-
-    def count(_xk: np.ndarray) -> None:
-        nonlocal iterations
-        iterations += 1
-
-    solution, info = spla.cg(
-        matrix,
-        rhs,
-        rtol=CG_RTOL,
-        maxiter=CG_MAX_ITERATIONS,
-        M=preconditioner,
-        callback=count,
-    )
-    if info > 0:
-        raise LinearSolverError(
-            f"CG did not converge within {CG_MAX_ITERATIONS} iterations (info={info})"
-        )
-    if info < 0:
-        raise LinearSolverError(f"CG failed with illegal input (info={info})")
-    return solution, iterations

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from .analysis import (
     EMChecker,
     ExceedanceCountSink,
     JointExceedanceSink,
+    LinearSolverError,
     NodeHistogramSink,
     P2QuantileSink,
     QuantileSketchSink,
@@ -258,9 +260,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         network = read_netlist(args.netlist)
         result = BatchedAnalysisEngine().analyze(network)
-    except ValueError as exc:
-        # A malformed netlist, or a grid whose nodal system is singular
-        # (no pads, or a floating node).
+    except (ValueError, LinearSolverError) as exc:
+        # A malformed netlist, a grid whose nodal system is singular (no
+        # pads, or a floating node), or one too large to factor.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(
@@ -271,7 +273,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 "worst-case IR drop (mV)": result.worst_ir_drop_mv,
                 "average IR drop (mV)": result.average_ir_drop * 1000.0,
                 "worst node": result.worst_node,
-                "solver": result.solver_method,
                 "analysis time (s)": result.analysis_time,
             },
             title="static IR-drop analysis",
@@ -296,12 +297,14 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         rules = DesignRules.from_technology(bench.technology)
         initial_widths = np.full(bench.topology.num_lines, rules.min_width)
     search_config: SearchConfig | bool = False
+    warmup_time = None
     if use_search:
         search_config = SearchConfig(batch_width=args.batch_width)
         if args.ranker:
             # Exact warmup plan generates the ranker's training data (one
             # row per solved candidate); the pruned re-plan then pays
             # solves only for the model's top picks.
+            warmup_start = time.perf_counter()
             warm_planner = ConventionalPowerPlanner(
                 bench.technology, search=SearchConfig(batch_width=args.batch_width)
             )
@@ -322,6 +325,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 search_config = SearchConfig(
                     batch_width=args.batch_width, ranker=ranker
                 )
+            warmup_time = time.perf_counter() - warmup_start
     planner = ConventionalPowerPlanner(bench.technology, search=search_config)
     plan = planner.plan(bench.floorplan, bench.topology, initial_widths=initial_widths)
     cache = planner.analyzer.cache_info()
@@ -335,6 +339,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         "factorizations": cache.factorizations,
         "total time (s)": plan.total_time,
     }
+    if warmup_time is not None:
+        values["warm-up time (s)"] = warmup_time
     if plan.search is not None:
         values.update(
             {
@@ -360,6 +366,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "analysis_time": plan.analysis_time,
             "factorizations": cache.factorizations,
         }
+        if warmup_time is not None:
+            record["warmup_time"] = warmup_time
         if plan.search is not None:
             record["search"] = plan.search.as_record()
         args.json_out.parent.mkdir(parents=True, exist_ok=True)

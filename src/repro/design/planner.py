@@ -55,7 +55,6 @@ class _LoopAnalysis:
     worst_ir_drop: float
     average_ir_drop: float
     analysis_time: float
-    solver_iterations: int
 
 
 @dataclass
@@ -185,14 +184,7 @@ class ConventionalPowerPlanner:
             self.search_config = SearchConfig() if search else None
         # Each resize iteration changes conductances (a new fingerprint), so
         # a deep factorization cache would only pin dead memory: keep one.
-        # The candidate search holds two: the current design, whose
-        # factors serve a candidate that leaves the widths unchanged,
-        # plus the candidate in flight.
-        if analyzer is not None:
-            self.analyzer = analyzer
-        else:
-            cache_size = 1 if self.search_config is None else 2
-            self.analyzer = BatchedAnalysisEngine(cache_size=cache_size)
+        self.analyzer = analyzer or BatchedAnalysisEngine(cache_size=1)
         self.use_compiled_loop = use_compiled_loop
         self.em_checker = EMChecker(technology)
 
@@ -322,7 +314,6 @@ class ConventionalPowerPlanner:
             worst_ir_drop=float(drops[worst_index]) if drops.size else 0.0,
             average_ir_drop=float(drops.mean()) if drops.size else 0.0,
             analysis_time=batch.analysis_time,
-            solver_iterations=int(batch.solver_iterations[0]),
         )
 
     def _plan_compiled(
@@ -500,8 +491,7 @@ class ConventionalPowerPlanner:
         network = builder.build(floorplan, topology, widths, name=floorplan.name)
         ir_result = result_from_voltages(
             compiled, analysis.voltages, name=compiled.name,
-            analysis_time=analysis.analysis_time, solver_method=engine._solver_method(compiled),
-            solver_iterations=analysis.solver_iterations,
+            analysis_time=analysis.analysis_time,
         )
         total_time = time.perf_counter() - start
         return PowerPlanResult(

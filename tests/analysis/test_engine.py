@@ -17,7 +17,6 @@ from repro.analysis import (
     solvers,
     uniform_budget,
 )
-from repro.analysis import engine as engine_module
 from repro.core import batched_solve_study
 from repro.grid import (
     CurrentSource,
@@ -74,12 +73,6 @@ def ibmpg2_grid():
 def ibmpg2_full_grid():
     """Full-scale ibmpg2 (4 544 unknowns): the oracle solves it sparsely."""
     return SyntheticIBMSuite().load("ibmpg2").build_uniform_grid(5.0)
-
-
-@pytest.fixture(scope="module")
-def ibmpg1_reference(ibmpg1_grid):
-    """Oracle voltages of the nominal ibmpg1 grid, in node order."""
-    return reference_voltages(ibmpg1_grid)
 
 
 class TestSingleSolveEquivalence:
@@ -199,39 +192,42 @@ class TestBatchedSolve:
         assert second.factorization_reused
 
 
-class TestCGFallback:
-    """Above direct_size_limit the engine solves by Jacobi-preconditioned CG
-    instead of a cached factorization."""
+class TestEveryGridIsFactored:
+    """SuperLU factors every grid the engine solves, whatever its size."""
 
-    def test_large_system_falls_back_to_cg(self, ibmpg1_grid, ibmpg1_reference):
-        engine = BatchedAnalysisEngine(direct_size_limit=10)
-        result = engine.analyze(ibmpg1_grid)
-        assert result.solver_method == "cg"
-        assert result.solver_iterations > 0
-        assert engine.cache_info().factorizations == 0
-        assert max_voltage_difference(result, ibmpg1_reference) <= 1e-6
+    def test_out_of_memory_factorization_names_the_unknowns(
+        self, ibmpg1_grid, ibmpg2_grid, monkeypatch
+    ):
+        engine = BatchedAnalysisEngine()
+        engine.analyze(ibmpg1_grid)
+        before = engine.cache_info()
 
-    def test_cg_fallback_batch(self, ibmpg1_grid, ibmpg1_reference):
-        engine = BatchedAnalysisEngine(direct_size_limit=10)
-        loads = np.tile(ibmpg1_grid.compile().base_loads, (3, 1))
-        batch = engine.analyze_batch(ibmpg1_grid, loads)
-        assert batch.num_scenarios == 3
-        assert not batch.factorization_reused
-        assert engine.cache_info().factorizations == 0
-        for scenario in range(3):
-            assert np.abs(
-                batch.scenario_voltages(scenario) - ibmpg1_reference
-            ).max() <= 1e-6
+        def exhausted(*args, **kwargs):
+            raise MemoryError
 
-    def test_cg_non_convergence_raises(self, ibmpg1_grid, monkeypatch):
-        monkeypatch.setattr(solvers, "CG_MAX_ITERATIONS", 1)
-        engine = BatchedAnalysisEngine(direct_size_limit=10)
-        with pytest.raises(LinearSolverError, match="CG did not converge within 1 iterations"):
-            engine.analyze(ibmpg1_grid)
+        monkeypatch.setattr(solvers.spla, "splu", exhausted)
+        unknowns = ibmpg2_grid.compile().num_unknowns
+        with pytest.raises(
+            LinearSolverError,
+            match=rf"^factorization of {unknowns} unknowns ran out of memory$",
+        ):
+            engine.analyze(ibmpg2_grid)
+        assert engine.cache_info() == before
 
-    def test_invalid_direct_size_limit_rejected(self):
-        with pytest.raises(ValueError):
-            BatchedAnalysisEngine(direct_size_limit=0)
+    def test_factors_a_grid_past_the_old_iterative_limit(self):
+        """61 696 unknowns: one factorization, solved to a relative
+        residual of 1e-12."""
+        bench = SyntheticIBMSuite(scale=2.1).load("ibmpgnew1")
+        grid = GridBuilder(bench.technology).build_compiled(
+            bench.floorplan, bench.topology, 5.0
+        )
+        assert grid.num_unknowns == 61_696
+        engine = BatchedAnalysisEngine()
+        voltages = engine.solve_voltages(grid)
+        assert engine.cache_info().factorizations == 1
+        rhs = grid.rhs_matrix(grid.base_loads[None])[:, 0]
+        residual = grid.reduced_matrix @ voltages[grid.unknown_sel] - rhs
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
 
 class TestCacheManagement:
@@ -401,9 +397,6 @@ def assert_single_is_column_zero(engine, grid, loads):
     assert single.worst_ir_drop == batch.worst_ir_drop[0]
     assert single.average_ir_drop == batch.average_ir_drop[0]
     assert single.worst_node == batch.worst_node(0)
-    assert single.solver_iterations == batch.solver_iterations[0]
-    assert single.solver_method == batch.solver_method
-    return single
 
 
 class TestOneSolvePath:
@@ -419,44 +412,29 @@ class TestOneSolvePath:
     @pytest.mark.parametrize("explicit_loads", [False, True], ids=["own-loads", "loads"])
     def test_fresh_superlu(self, base_compiled, loads, explicit_loads):
         engine = BatchedAnalysisEngine()
-        single = assert_single_is_column_zero(
-            engine, base_compiled, loads if explicit_loads else None
-        )
-        assert single.solver_method == "cached_lu"
-        assert engine.cache_info().factorizations == 1
+        assert_single_is_column_zero(engine, base_compiled, loads if explicit_loads else None)
+        # One fresh factorization serves all three solves.
+        info = engine.cache_info()
+        assert (info.factorizations, info.hits, info.entries) == (1, 2, 1)
 
     @pytest.mark.parametrize("lines", [ONE_LINE, FOUR_LINES], ids=["one-line", "four-lines"])
     def test_resized_clones(self, ibmpg1_bench, base_compiled, loads, lines):
         engine = BatchedAnalysisEngine()
         engine.analyze(base_compiled)
         clone = resized_clone(ibmpg1_bench, base_compiled, lines)
-        single = assert_single_is_column_zero(engine, clone, None)
+        assert_single_is_column_zero(engine, clone, None)
         assert_single_is_column_zero(engine, clone, loads)
-        assert single.solver_method == "cached_lu"
         # The clone is factored once, fresh; every later solve hits it.
         info = engine.cache_info()
         assert (info.factorizations, info.hits, info.entries) == (2, 5, 2)
 
-    def test_cg_fallback(self, base_compiled, loads):
-        engine = BatchedAnalysisEngine(direct_size_limit=10)
-        single = assert_single_is_column_zero(engine, base_compiled, loads)
-        assert single.solver_method == "cg"
-        assert single.solver_iterations > 0
-        assert engine.cache_info().factorizations == 0
-
-    @pytest.mark.parametrize("limit, solver", [(60000, "direct"), (10, "CG")])
-    def test_non_finite_solution_names_the_solver(
-        self, base_compiled, monkeypatch, limit, solver
-    ):
-        engine = BatchedAnalysisEngine(direct_size_limit=limit)
-        monkeypatch.setattr(
-            engine_module, "solve_cg", lambda matrix, rhs: (np.full_like(rhs, np.nan), 1)
-        )
+    def test_non_finite_solution_names_the_solver(self, base_compiled, monkeypatch):
+        engine = BatchedAnalysisEngine()
         monkeypatch.setattr(
             solvers.SpluFactorization, "solve", lambda self, rhs: np.full_like(rhs, np.nan)
         )
         for solve in (engine.analyze, engine.solve_voltages):
             with pytest.raises(
-                LinearSolverError, match=rf"^{solver} solve produced non-finite voltages$"
+                LinearSolverError, match=r"^direct solve produced non-finite voltages$"
             ):
                 solve(base_compiled)

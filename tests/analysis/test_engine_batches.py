@@ -6,6 +6,8 @@ equal voltages give bitwise-equal reductions; SuperLU's multi-RHS solve
 may move a voltage in the last bit with the block width, so across block
 widths the mean drop is pinned to 1e-12 V.  Pad-voltage batches must match
 the per-scenario ``NetworkPerturbator`` + ``analyze`` path to 1e-9 per node.
+Every batch entry point raises a failed factorization or a non-finite
+solve as :class:`~repro.analysis.solvers.LinearSolverError`.
 """
 
 import numpy as np
@@ -14,10 +16,13 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     ExceedanceCountSink,
+    LinearSolverError,
+    MatrixScenarioSource,
     NodeHistogramSink,
     TopKScenarioSink,
     make_executor,
     resolve_chunk_size,
+    solvers,
 )
 from repro.grid import (
     NetworkPerturbator,
@@ -320,95 +325,97 @@ class TestUpfrontValidation:
         assert parallel_sink.num_consumed <= 2
 
 
-class TestCGFallbackBatches:
-    """Batch paths on grids exceeding ``direct_size_limit`` (CG fallback).
+def batch_entry_points(engine, grid, load_sweep):
+    """Each batch entry point of ``engine`` on ``grid``, as a call taking
+    the sweep keywords (``chunk_size``, ``sinks``, ``executor``)."""
+    compiled = grid.compile()
+    pads = np.tile(compiled.pad_voltage[compiled.pad_node], (2, 1))
+    return {
+        "analyze_batch": lambda **kw: engine.analyze_batch(grid, load_sweep, **kw),
+        "analyze_pad_batch": lambda **kw: engine.analyze_pad_batch(grid, pads, **kw),
+        "analyze_scenario_stream": lambda **kw: engine.analyze_scenario_stream(
+            grid, MatrixScenarioSource(load_sweep), load_sweep.shape[0], **kw
+        ),
+        "analyze_mega_sweep": lambda **kw: engine.analyze_mega_sweep(
+            grid, load_sweep, pads, **kw
+        ),
+    }
 
-    Voltages must match the LU path, solver metadata must report ``"cg"``
-    with real iteration counts (not the mislabeled ``"cached_lu"`` /
-    ``0``), and sinks must accumulate the same statistics either way.
-    """
 
-    @pytest.fixture(scope="class")
-    def cg_engine(self):
-        return BatchedAnalysisEngine(direct_size_limit=1)
+BATCH_ENTRY_POINTS = (
+    "analyze_batch",
+    "analyze_pad_batch",
+    "analyze_scenario_stream",
+    "analyze_mega_sweep",
+)
 
-    def test_unsharded_batch_metadata_and_voltages(
-        self, ibmpg1_grid, load_sweep, cg_engine
+
+class TestSolverErrorsReachTheCaller:
+    """Every batch entry point raises the solver's errors instead of
+    reducing past them: a factorization that runs out of memory, and a
+    solve that produces non-finite voltages.  No sink observes a
+    scenario of a failed solve, and a failed factorization leaves the
+    cache as it was."""
+
+    @pytest.fixture
+    def out_of_memory(self, monkeypatch, ibmpg1_grid):
+        """Make ``splu`` raise ``MemoryError``.
+
+        Returns the expected error message and the list of factorization
+        attempts made in this process (a process shard's are not seen).
+        """
+        attempts = []
+
+        def exhausted(matrix, *args, **kwargs):
+            attempts.append(matrix.shape[0])
+            raise MemoryError
+
+        monkeypatch.setattr(solvers.spla, "splu", exhausted)
+        unknowns = ibmpg1_grid.compile().num_unknowns
+        return rf"^factorization of {unknowns} unknowns ran out of memory$", attempts
+
+    @pytest.mark.parametrize("entry_point", BATCH_ENTRY_POINTS)
+    def test_out_of_memory_factorization_is_raised(
+        self, ibmpg1_grid, load_sweep, out_of_memory, entry_point
     ):
-        reference = BatchedAnalysisEngine().analyze_batch(ibmpg1_grid, load_sweep)
-        batch = cg_engine.analyze_batch(ibmpg1_grid, load_sweep)
-        assert batch.solver_method == "cg"
-        assert batch.solver_iterations.shape == (load_sweep.shape[0],)
-        assert batch.solver_iterations.min() > 0
-        assert cg_engine.cache_info().factorizations == 0
-        assert np.allclose(batch.voltages, reference.voltages, atol=1e-7)
-        materialised = batch.result(0)
-        assert materialised.solver_method == "cg"
-        assert materialised.solver_iterations == batch.solver_iterations[0]
-        lu_result = reference.result(0)
-        assert lu_result.solver_method == "cached_lu"
-        assert lu_result.solver_iterations == 0
+        message, _ = out_of_memory
+        engine = BatchedAnalysisEngine()
+        before = engine.cache_info()
+        call = batch_entry_points(engine, ibmpg1_grid, load_sweep)[entry_point]
+        with pytest.raises(LinearSolverError, match=message):
+            call()
+        assert engine.cache_info() == before
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sharded_batch_matches_lu_reductions(
-        self, ibmpg1_grid, load_sweep, cg_engine, workers
+    @pytest.mark.parametrize("executor_name", ["threads", "processes", "hybrid"])
+    def test_sharded_sweep_fails_in_the_parent(
+        self, ibmpg1_grid, load_sweep, out_of_memory, executor_name
     ):
-        reference = BatchedAnalysisEngine().analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=8
-        )
-        sharded = cg_engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=8, executor=make_executor("threads", workers)
-        )
-        assert sharded.solver_method == "cg"
-        assert sharded.solver_iterations.min() > 0
-        assert np.allclose(sharded.worst_ir_drop, reference.worst_ir_drop, atol=1e-7)
-        assert np.allclose(
-            sharded.average_ir_drop, reference.average_ir_drop, atol=1e-7
-        )
+        """The parent factors the grid before it shards, so its failure
+        is raised before any process shard starts."""
+        message, attempts = out_of_memory
+        engine = BatchedAnalysisEngine()
+        before = engine.cache_info()
+        sink = TopKScenarioSink(2)
+        call = batch_entry_points(engine, ibmpg1_grid, load_sweep)["analyze_mega_sweep"]
+        with pytest.raises(LinearSolverError, match=message):
+            call(chunk_size=8, sinks=(sink,), executor=make_executor(executor_name, 2))
+        assert attempts
+        assert engine.cache_info() == before
+        assert sink.num_consumed == 0
 
-    def test_parallel_cg_bitwise_matches_sequential_cg(
-        self, ibmpg1_grid, load_sweep, cg_engine
+    @pytest.mark.parametrize(("executor_name", "workers"), [("serial", 1), ("threads", 2)])
+    @pytest.mark.parametrize("entry_point", BATCH_ENTRY_POINTS)
+    def test_non_finite_voltages_are_raised(
+        self, ibmpg1_grid, load_sweep, monkeypatch, entry_point, executor_name, workers
     ):
-        sequential = cg_engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=5, executor="serial"
+        monkeypatch.setattr(
+            solvers.SpluFactorization, "solve", lambda self, rhs: np.full_like(rhs, np.nan)
         )
-        parallel = cg_engine.analyze_batch(
-            ibmpg1_grid, load_sweep, chunk_size=5, executor=make_executor("threads", 3)
-        )
-        assert np.array_equal(sequential.worst_ir_drop, parallel.worst_ir_drop)
-        assert np.array_equal(sequential.average_ir_drop, parallel.average_ir_drop)
-        assert np.array_equal(
-            sequential.solver_iterations, parallel.solver_iterations
-        )
-
-    def test_pad_batch_cg_metadata(self, ibmpg1_grid, cg_engine):
-        spec = PerturbationSpec(gamma=0.15, kind=PerturbationKind.NODE_VOLTAGES, seed=17)
-        pad_matrix = perturbed_pad_voltage_matrix(ibmpg1_grid, spec, 4)
-        reference = BatchedAnalysisEngine().analyze_pad_batch(ibmpg1_grid, pad_matrix)
-        batch = cg_engine.analyze_pad_batch(ibmpg1_grid, pad_matrix)
-        assert batch.solver_method == "cg"
-        assert batch.solver_iterations.min() > 0
-        assert np.allclose(batch.voltages, reference.voltages, atol=1e-7)
-
-    def test_mega_sweep_cg_sinks_match_lu(self, ibmpg1_grid, ibmpg1_bench, cg_engine):
-        load_matrix, pad_matrix = mega_sweep_matrices(
-            ibmpg1_grid, ibmpg1_bench.floorplan, 0.2, 6, 4, seed=9
-        )
-        nominal_worst = BatchedAnalysisEngine().analyze(ibmpg1_grid).worst_ir_drop
-        lu_sinks = (ExceedanceCountSink(nominal_worst), TopKScenarioSink(3))
-        lu = BatchedAnalysisEngine().analyze_mega_sweep(
-            ibmpg1_grid, load_matrix, pad_matrix, chunk_size=7, sinks=lu_sinks
-        )
-        cg_sinks = (ExceedanceCountSink(nominal_worst), TopKScenarioSink(3))
-        cg = cg_engine.analyze_mega_sweep(
-            ibmpg1_grid, load_matrix, pad_matrix, chunk_size=7, sinks=cg_sinks
-        )
-        assert cg.solver_method == "cg"
-        assert cg.solver_iterations.shape == (lu.num_scenarios,)
-        assert cg.solver_iterations.min() > 0
-        assert np.allclose(cg.worst_ir_drop, lu.worst_ir_drop, atol=1e-7)
-        assert np.array_equal(cg_sinks[0].result().counts, lu_sinks[0].result().counts)
-        assert np.array_equal(
-            cg_sinks[1].result().scenario_index, lu_sinks[1].result().scenario_index
-        )
-        assert cg_engine.cache_info().factorizations == 0
+        engine = BatchedAnalysisEngine()
+        sink = TopKScenarioSink(2)
+        call = batch_entry_points(engine, ibmpg1_grid, load_sweep)[entry_point]
+        with pytest.raises(
+            LinearSolverError, match=r"^direct solve produced non-finite voltages$"
+        ):
+            call(chunk_size=8, sinks=(sink,), executor=make_executor(executor_name, workers))
+        assert sink.num_consumed == 0

@@ -126,8 +126,8 @@ class TestParallelEquivalence:
         )
         assert_reductions_identical(sequential, parallel)
         assert_sinks_identical(seq_sinks, par_sinks)
-        assert parallel.solver_method == sequential.solver_method
-        assert np.array_equal(parallel.solver_iterations, sequential.solver_iterations)
+        # The parallel sweep solves with the sequential sweep's factors.
+        assert parallel.factorization_reused
         assert engine.cache_info().factorizations == 1
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -260,16 +260,14 @@ class TestParallelismOption:
         # The same sweep runs with its parallelism given as an executor.
         calls[entry](chunk_size=8, executor=make_executor("threads", 2))
 
-    def test_engine_takes_two_options(self):
-        assert list(inspect.signature(BatchedAnalysisEngine).parameters) == [
-            "cache_size",
-            "direct_size_limit",
-        ]
+    def test_engine_takes_one_option(self):
+        assert list(inspect.signature(BatchedAnalysisEngine).parameters) == ["cache_size"]
         for knob in (
             "default_workers",
             "default_executor",
             "incremental_updates",
             "update_policy",
+            "direct_size_limit",
         ):
             with pytest.raises(TypeError, match=knob):
                 BatchedAnalysisEngine(**{knob: 1})

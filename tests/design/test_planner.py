@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import BatchedAnalysisEngine
-from repro.design import ConventionalPowerPlanner, DesignRules, ReliabilityConstraints
+from repro.design import (
+    ConventionalPowerPlanner,
+    DesignRules,
+    ReliabilityConstraints,
+    SearchConfig,
+)
 from repro.grid import GridBuilder
 
 from ..grid.test_builder import coincident_lines
@@ -144,45 +149,23 @@ class TestCompiledLoopEquivalence:
             assert iteration.build_time > 0
 
 
-class TestSolverTag:
-    """The final result names the solver the engine used on the final grid."""
+class TestPlannerEngine:
+    """Each resize changes the conductances, so a factorization is never
+    solved again after the next move: every engine the planner builds
+    keeps one entry, in one-move and search mode alike."""
 
-    @pytest.mark.parametrize("search", [False, True], ids=["compiled", "search"])
     @pytest.mark.parametrize(
-        ("direct_size_limit", "expected"), [(60000, "cached_lu"), (10, "cg")]
+        "search", [False, True, SearchConfig(batch_width=2)], ids=["one-move", "search", "config"]
     )
-    def test_final_result_reports_the_engine_solver(
-        self, technology, tiny_floorplan, tiny_topology, direct_size_limit, expected, search
-    ):
-        planner = ConventionalPowerPlanner(
-            technology,
-            max_iterations=2,
-            analyzer=BatchedAnalysisEngine(direct_size_limit=direct_size_limit),
-            search=search,
-        )
-        plan = planner.plan(tiny_floorplan, tiny_topology)
-        assert plan.ir_result.solver_method == expected
-        # CG counts the committed solve's iterations; the direct path has none.
-        assert (plan.ir_result.solver_iterations > 0) == (expected == "cg")
+    def test_planner_built_engine_keeps_one_entry(self, technology, search):
+        planner = ConventionalPowerPlanner(technology, search=search)
+        assert planner.analyzer.cache_size == 1
 
-    def test_cg_iterations_match_the_legacy_loop(self, small_benchmark):
-        """From a min-width start the compiled loop's final CG solve is the
-        legacy loop's, iteration count included."""
-        rules = DesignRules.from_technology(small_benchmark.technology)
-        tiny_widths = np.full(small_benchmark.topology.num_lines, rules.min_width)
-        plans = [
-            ConventionalPowerPlanner(
-                small_benchmark.technology,
-                max_iterations=4,
-                analyzer=BatchedAnalysisEngine(direct_size_limit=10),
-                use_compiled_loop=compiled_loop,
-            ).plan(small_benchmark.floorplan, small_benchmark.topology, initial_widths=tiny_widths)
-            for compiled_loop in (True, False)
-        ]
-        assert [plan.num_iterations for plan in plans] == [4, 4]
-        compiled, legacy = (plan.ir_result for plan in plans)
-        assert compiled.solver_method == legacy.solver_method == "cg"
-        assert compiled.solver_iterations == legacy.solver_iterations > 0
+    def test_given_engine_is_used_as_is(self, technology):
+        engine = BatchedAnalysisEngine(cache_size=4)
+        planner = ConventionalPowerPlanner(technology, analyzer=engine, search=True)
+        assert planner.analyzer is engine
+        assert engine.cache_size == 4
 
 
 class TestParameters:

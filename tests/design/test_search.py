@@ -82,6 +82,10 @@ class TestExactSearch:
         # still cached.
         assert cache.factorizations + cache.hits == plan.search.candidates_solved + 1
         assert cache.factorizations > plan.search.moves_committed
+        # The planner's engine keeps one entry, and no candidate of this
+        # search repeats the grid solved just before it.
+        assert cache.entries == 1
+        assert cache.hits == 0
 
     def test_committed_moves_match_fresh_oracle(self, exact_search_plan, small_benchmark):
         _, plan = exact_search_plan
@@ -127,12 +131,12 @@ class TestExactSearch:
 
 class TestOneCandidateBatch:
     def test_batch_of_one_is_the_one_move_loop(self, small_benchmark, tiny_start):
-        """A batch of one is the heuristic move alone: on an engine sized
-        like the search's it commits the same widths with the same cache
+        """A batch of one is the heuristic move alone: on the planner's
+        one-entry engine it commits the same widths with the same cache
         work as the one-move loop."""
         plans = []
         for search in (SearchConfig(batch_width=1, use_decap=False), False):
-            engine = BatchedAnalysisEngine(cache_size=2)
+            engine = BatchedAnalysisEngine(cache_size=1)
             plan = ConventionalPowerPlanner(
                 small_benchmark.technology,
                 max_iterations=BUDGET,

@@ -14,14 +14,32 @@ from repro.design import DesignRules
 from repro.grid import GridBuilder
 
 
+TIMING_RUNS = 5
+"""Runs per side of a wall-clock comparison; the fastest of each is compared."""
+
+
 class TestPaperClaims:
     def test_dl_flow_is_faster_than_conventional_step(self, trained_framework, small_benchmark):
-        """Table IV claim: PowerPlanningDL converges faster than the baseline."""
-        golden = trained_framework.trained.benchmark_dataset.golden_plan
-        predicted = trained_framework.predict_design(
-            small_benchmark.floorplan, small_benchmark.topology
+        """Table IV claim: PowerPlanningDL converges faster than the baseline.
+
+        Both sides take a few milliseconds on this benchmark, so each is
+        the fastest of several runs of the same design: one reading slowed
+        by a busy host cannot decide the comparison.
+        """
+        floorplan, topology = small_benchmark.floorplan, small_benchmark.topology
+        planner = trained_framework.dataset_builder.planner_for(small_benchmark)
+        plans = []
+        for _ in range(TIMING_RUNS):
+            # Every conventional plan factors its grid, as the golden plan did.
+            planner.analyzer.clear_cache()
+            plans.append(planner.plan(floorplan, topology))
+        predictions = [
+            trained_framework.predict_design(floorplan, topology) for _ in range(TIMING_RUNS)
+        ]
+        comparison = compare_convergence(
+            min(plans, key=lambda plan: plan.total_time),
+            min(predictions, key=lambda predicted: predicted.convergence_time),
         )
-        comparison = compare_convergence(golden, predicted)
         assert comparison.speedup > 1.0
 
     def test_predicted_and_conventional_worst_drop_comparable(

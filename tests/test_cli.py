@@ -1,7 +1,10 @@
 """Tests for the powerplanningdl command-line interface."""
 
+import re
+
 import pytest
 
+from repro.analysis import solvers
 from repro.cli import build_parser, main
 from repro.grid import write_netlist
 
@@ -93,6 +96,24 @@ class TestGenerateAndAnalyze:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
 
+    def test_analyze_reports_an_out_of_memory_factorization(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        netlist = tmp_path / "ibmpg1.spice"
+        assert main(["generate", "ibmpg1", str(netlist), "--width", "6.0"]) == 0
+        capsys.readouterr()
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(solvers.spla, "splu", exhausted)
+        assert main(["analyze", str(netlist)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"error: factorization of \d+ unknowns ran out of memory", lines[0])
+
 
 class TestPlan:
     def test_plan_converges_and_writes_netlist(self, tmp_path, capsys):
@@ -128,8 +149,9 @@ class TestPlan:
 
         record = json.loads(record_path.read_text())
         assert record["factorizations"] > record["search"]["moves_committed"]
-        for key in ("updates", "update_fallbacks"):
+        for key in ("updates", "update_fallbacks", "warmup_time"):
             assert key not in record
+        assert "warm-up time" not in output
         search = record["search"]
         assert search["candidates_generated"] > 0
         assert search["moves_committed"] > 0
@@ -153,10 +175,15 @@ class TestPlan:
         )
         output = capsys.readouterr().out
         assert "batched planner search" in output
+        assert "warm-up time (s)" in output
 
         import json
 
         record = json.loads(record_path.read_text())
+        # The exact warm-up plan and the ranker fit are timed apart from
+        # the pruned re-plan.
+        assert record["warmup_time"] > 0
+        assert record["total_time"] > 0
         search = record["search"]
         assert search["ranker_used"]
         assert search["candidates_pruned"] > 0
@@ -171,7 +198,7 @@ class TestPlan:
         import json
 
         record = json.loads(record_path.read_text())
-        for key in ("search", "backend", "updates", "update_fallbacks"):
+        for key in ("search", "backend", "updates", "update_fallbacks", "warmup_time"):
             assert key not in record
         assert record["converged"]
         assert record["factorizations"] >= 1
