@@ -1,17 +1,18 @@
 """Planner-iteration micro-benchmark: fresh build vs ``resize_compiled``.
 
-The legacy analyse-and-resize loop builds a fresh grid every iteration
-(``GridBuilder.build``, a view over the vectorised ``build_compiled``
-arrays) and assembles its matrix from scratch.  The rebuild-free loop
-builds the compiled arrays once and then only rewrites the stripe
-conductances per resize iteration (``GridBuilder.resize_compiled``),
+The planner builds the compiled arrays once and then only rewrites the
+stripe conductances per resize iteration (``GridBuilder.resize_compiled``),
 reusing the frozen topology, index maps and COO→CSR sparsity pattern.
+The test suite's reference planner (``tests/design/reference_planner.py``)
+instead rebuilds the grid every iteration (``GridBuilder.build``, a view
+over the vectorised ``build_compiled`` arrays) and assembles its matrix
+from scratch.
 
-This bench runs both planner loops on the largest shipped benchmark grid,
-verifies bit-identical convergence (iterations, final widths, worst IR
-drop), times one iteration's construction both ways — a fresh
-``build_compiled`` plus matrix assembly against ``resize_compiled`` plus
-the pattern refresh — and emits a JSON speedup record mirroring
+This bench plans the largest shipped benchmark grid both ways, verifies
+bit-identical convergence (iterations, per-iteration history, final
+widths, worst IR drop), times one iteration's construction both ways — a
+fresh ``build_compiled`` plus matrix assembly against ``resize_compiled``
+plus the pattern refresh — and emits a JSON speedup record mirroring
 ``bench_engine_batched_solve.py``.  The acceptance bar is a ≥ 3x
 per-iteration construction speedup at full grid scale.  Reduced-scale
 records carry ``"smoke": true`` so ``check_results.py`` skips the
@@ -24,6 +25,10 @@ worst drop for the baseline, the exact search and the NN-ranker-pruned
 search, with every committed candidate checked bit for bit against an
 independent rebuild and solve.  Its record lands in
 ``bench_planner_search.json``.
+
+Run it from the repository root (``python -m pytest
+benchmarks/bench_planner_iteration.py -q -o testpaths=``), so the
+reference planner imports as ``tests.design.reference_planner``.
 
 Environment variables:
     REPRO_BENCH_PLANNER_GRID: Benchmark to plan (default: the largest grid).
@@ -43,6 +48,7 @@ from repro.analysis import BatchedAnalysisEngine
 from repro.core import format_key_values
 from repro.design import CandidateRanker, ConventionalPowerPlanner, SearchConfig
 from repro.grid import GridBuilder, SyntheticIBMSuite
+from tests.design.reference_planner import reference_plan
 
 MIN_SPEEDUP = 3.0
 REPEATS = 3
@@ -80,31 +86,30 @@ def test_planner_iteration_speedup(benchmark, results_dir):
     technology = bench.technology
     floorplan, topology = bench.floorplan, bench.topology
 
-    legacy_planner = ConventionalPowerPlanner(technology, use_compiled_loop=False)
-    fast_planner = ConventionalPowerPlanner(technology, use_compiled_loop=True)
-    legacy_plan = legacy_planner.plan(floorplan, topology)
+    reference_planner = ConventionalPowerPlanner(technology)
+    fast_planner = ConventionalPowerPlanner(technology)
+    reference = reference_plan(reference_planner, floorplan, topology)
     fast_plan = benchmark.pedantic(
         lambda: fast_planner.plan(floorplan, topology), rounds=1, iterations=1
     )
 
-    # Convergence must be identical between the two loops.
-    assert fast_plan.num_iterations == legacy_plan.num_iterations
-    assert fast_plan.converged == legacy_plan.converged
-    assert np.array_equal(fast_plan.widths, legacy_plan.widths)
-    assert abs(
-        fast_plan.ir_result.worst_ir_drop - legacy_plan.ir_result.worst_ir_drop
-    ) <= 1e-9
-    for legacy_it, fast_it in zip(legacy_plan.iterations, fast_plan.iterations):
-        assert fast_it.lines_resized == legacy_it.lines_resized
-        assert abs(fast_it.worst_ir_drop - legacy_it.worst_ir_drop) <= 1e-9
+    # Convergence must be bit-identical to the reference planner's.
+    assert fast_plan.num_iterations == reference.num_iterations
+    assert fast_plan.converged == reference.converged
+    assert np.array_equal(fast_plan.widths, reference.widths)
+    assert fast_plan.ir_result.worst_ir_drop == reference.ir_result.worst_ir_drop
+    for reference_it, fast_it in zip(reference.iterations, fast_plan.iterations):
+        assert fast_it.lines_resized == reference_it.lines_resized
+        assert fast_it.em_violations == reference_it.em_violations
+        assert fast_it.worst_ir_drop == reference_it.worst_ir_drop
 
     # Per-iteration construction cost: what one resize round pays before the
     # solve.  Fresh: array build + first matrix assembly (the sparsity
     # pattern included).  Resize: conductance rewrite + pattern-based
     # matrix refresh.
     builder = GridBuilder(technology)
-    initial_widths = legacy_planner.sizer.size(floorplan, topology)
-    resized_widths = legacy_planner.rules.legalize_widths(initial_widths * 1.25)
+    initial_widths = fast_planner.sizer.size(floorplan, topology)
+    resized_widths = fast_planner.rules.legalize_widths(initial_widths * 1.25)
 
     build_times = []
     for _ in range(REPEATS):
@@ -134,18 +139,18 @@ def test_planner_iteration_speedup(benchmark, results_dir):
         "grid_statistics": dict(
             zip(
                 ("num_nodes", "num_resistors", "num_sources", "num_loads"),
-                legacy_plan.network.statistics().as_row(),
+                reference.network.statistics().as_row(),
             )
         ),
-        "num_iterations": legacy_plan.num_iterations,
-        "converged": legacy_plan.converged,
+        "num_iterations": reference.num_iterations,
+        "converged": reference.converged,
         "fresh_iteration_build_seconds": fresh_build_seconds,
         "compiled_iteration_build_seconds": compiled_seconds,
         "compiled_first_build_seconds": first_build_time,
         "iteration_build_speedup": speedup,
-        "legacy_history": _iteration_history(legacy_plan),
+        "reference_history": _iteration_history(reference),
         "compiled_history": _iteration_history(fast_plan),
-        "legacy_plan_total_seconds": legacy_plan.total_time,
+        "reference_plan_total_seconds": reference.total_time,
         "compiled_plan_total_seconds": fast_plan.total_time,
     }
     print()
@@ -153,12 +158,12 @@ def test_planner_iteration_speedup(benchmark, results_dir):
         format_key_values(
             {
                 "benchmark": name,
-                "iterations": legacy_plan.num_iterations,
+                "iterations": reference.num_iterations,
                 "fresh build (s)": round(fresh_build_seconds, 5),
                 "resize_compiled (s)": round(compiled_seconds, 5),
                 "compiled first build (s)": round(first_build_time, 5),
                 "per-iteration speedup": round(speedup, 2),
-                "plan total legacy (s)": round(legacy_plan.total_time, 4),
+                "plan total reference (s)": round(reference.total_time, 4),
                 "plan total compiled (s)": round(fast_plan.total_time, 4),
             },
             title=f"fresh build vs resize_compiled planner iteration ({name})",

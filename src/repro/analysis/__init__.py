@@ -19,7 +19,6 @@ from .currents import (
     branch_current_array,
     branch_currents,
     current_conservation_error,
-    line_currents,
     line_currents_from_voltages,
     pad_currents,
     total_dissipated_power,
@@ -127,7 +126,6 @@ __all__ = [
     "current_conservation_error",
     "em_lifetime_ratio",
     "ir_drop_map",
-    "line_currents",
     "line_currents_from_voltages",
     "pad_currents",
     "required_width_for_current",

@@ -7,7 +7,9 @@ Branch currents feed two consumers:
 * the electromigration checker (:mod:`repro.analysis.em`), which compares the
   per-unit-width current density against ``Jmax``; and
 * the conventional planner's resizing step, which upsizes lines whose
-  segments carry too much current.
+  most loaded segment carries too much current
+  (:func:`line_currents_from_voltages`, straight from the loop's solved
+  voltage array).
 
 All extraction runs on the network's cached
 :class:`~repro.grid.compiled.CompiledGrid` arrays: one vectorised Ohm's-law
@@ -84,23 +86,15 @@ def branch_currents(
     ]
 
 
-def line_currents(
-    network: PowerGridNetwork | CompiledGrid, result: IRDropResult
+def line_currents_from_voltages(
+    network: PowerGridNetwork | CompiledGrid, voltages: np.ndarray
 ) -> dict[int, float]:
     """Return the maximum segment current of every power-grid line.
 
     The per-line maximum is the quantity the EM constraint (paper eq. 4)
     limits, since the most loaded segment of a stripe is the one that fails
-    first.
-    """
-    compiled, voltages = _compiled_and_voltages(network, result)
-    return line_currents_from_voltages(compiled, voltages)
-
-
-def line_currents_from_voltages(
-    network: PowerGridNetwork | CompiledGrid, voltages: np.ndarray
-) -> dict[int, float]:
-    """Array-level :func:`line_currents` for callers that hold raw voltages.
+    first.  A solved :class:`IRDropResult` gives the voltages as
+    ``compiled.voltage_array(result.node_voltages)``.
 
     Args:
         network: The grid (or its compiled form).

@@ -79,11 +79,12 @@ executor was only an environment default (:data:`EXECUTOR_ENV`), so
 exporting ``REPRO_TEST_EXECUTOR=processes`` runs an entire test suite
 process-sharded wherever that is well-defined.
 
-Exactness: shard boundaries are just another chunking, so the streamed
-worst / mean / worst-node reductions and every *exact* sink (histogram,
-exceedance, joint exceedance, top-k, quantile sketch) are
-bitwise-identical to the sequential sweep for every shape and start
-method, on resized clones
+Exactness: shard boundaries fall on the sequential sweep's chunk
+boundaries (:func:`shard_ranges`), so every shard solves the very RHS
+blocks the sequential sweep solves, and the streamed worst / mean /
+worst-node reductions and every *exact* sink (histogram, exceedance,
+joint exceedance, top-k, quantile sketch) are bitwise-identical to the
+sequential sweep for every shape and start method, on resized clones
 (:meth:`~repro.grid.compiled.CompiledGrid.with_conductances`) too:
 ``fork`` shards solve with the parent's factorization, and ``spawn`` /
 ``forkserver`` workers factor the same matrix with the same backend.
@@ -220,23 +221,24 @@ class HybridExecutor(SweepExecutor):
     ``spawn`` / ``forkserver`` it loads the pickled payload and factors
     the grid once.
 
-    Exactness is inherited twice over: the threaded pipeline is
-    bitwise-identical to serial within each shard, and shard snapshots
-    merge in ascending range order — so every result, including every
-    exact sink, is bitwise-identical to the serial sweep for every
-    ``(shards, threads, chunk_size)`` combination and every start
-    method: a worker that factors the grid itself factors the same
-    matrix with the same backend as the parent.
+    Exactness is inherited three times over: every shard range is whole
+    chunks of the serial sweep, so a shard solves the serial sweep's RHS
+    blocks; the threaded pipeline is bitwise-identical to serial within
+    each shard; and shard snapshots merge in ascending range order — so
+    every result, including every exact sink, is bitwise-identical to
+    the serial sweep for every ``(shards, threads, chunk_size)``
+    combination and every start method: a worker that factors the grid
+    itself factors the same matrix with the same backend as the parent.
 
-    Cost-based auto-balancing: only about half the range is committed
+    Cost-based auto-balancing: only about half the chunks are committed
     up-front (one task per shard worker).  The first task to complete
-    prices a scenario, and the held-back tail is re-split into pieces
-    sized from that measured cost — small enough that a straggler worker
-    holds one piece instead of a fixed share of the sweep, bounded by
-    :data:`MAX_OVERSUBSCRIBE` pieces per worker.  Fast workers drain more
-    tail pieces from the pool's pull-based queue.  Outcomes fold in
-    ascending range order regardless of completion order, so balancing
-    never affects results.
+    prices a scenario, and the held-back tail is re-split into pieces of
+    whole chunks sized from that measured cost — small enough that a
+    straggler worker holds one piece instead of a fixed share of the
+    sweep, bounded by :data:`MAX_OVERSUBSCRIBE` pieces per worker.  Fast
+    workers drain more tail pieces from the pool's pull-based queue.
+    Outcomes fold in ascending range order regardless of completion
+    order, so balancing never affects results.
 
     Memory: each shard holds ``O(num_nodes * chunk_size * threads_per_shard)``
     chunk state.  Forked workers share the parent's grid and
@@ -297,7 +299,7 @@ class HybridExecutor(SweepExecutor):
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
         if self.shard_workers > 1:
             require_shardable(plan, self.name)
-        shards = min(self.shard_workers, plan.num_scenarios)
+        shards = min(self.shard_workers, -(-plan.num_scenarios // plan.chunk_size))
         if shards <= 1:
             self._record(shards=1)
             return engine._run_chunk_pipeline(
@@ -315,7 +317,9 @@ class HybridExecutor(SweepExecutor):
         for sink in sinks:
             sink.bind(compiled, plan.num_scenarios)
         with ProcessPoolExecutor(max_workers=shards, **pool_arguments) as pool:
-            outcomes, rebalances = self._drive(pool, plan.num_scenarios, shards)
+            outcomes, rebalances = self._drive(
+                pool, plan.num_scenarios, shards, plan.chunk_size
+            )
         self._record(shards, payload_bytes, rebalances, tasks=len(outcomes))
         return fold_shard_outcomes(plan, outcomes, reused)
 
@@ -332,20 +336,25 @@ class HybridExecutor(SweepExecutor):
 
     @staticmethod
     def _drive(
-        pool: ProcessPoolExecutor, num_scenarios: int, shards: int
+        pool: ProcessPoolExecutor, num_scenarios: int, shards: int, chunk_size: int
     ) -> tuple[list[tuple], int]:
         """Submit shard tasks, re-splitting the held-back tail by cost.
 
-        Returns the shard outcome tuples sorted ascending by range start
-        (coverage of ``[0, num_scenarios)`` is exact by construction)
-        and the number of rebalance events.
+        The head and every tail piece are whole chunks of the serial
+        sweep (:func:`shard_ranges`).  Returns the shard outcome tuples
+        sorted ascending by range start (coverage of
+        ``[0, num_scenarios)`` is exact by construction) and the number
+        of rebalance events.
         """
-        head = max(shards, num_scenarios // 2)
-        if num_scenarios - head < shards:
-            head = num_scenarios  # tail too small to be worth re-splitting
+        num_chunks = -(-num_scenarios // chunk_size)
+        head_chunks = max(shards, num_chunks // 2)
+        if num_chunks - head_chunks < shards:
+            head_chunks = num_chunks  # tail too small to be worth re-splitting
+        head = min(num_scenarios, head_chunks * chunk_size)
         start = time.perf_counter()
         pending = {
-            pool.submit(_solve_shard, begin, end) for begin, end in shard_ranges(head, shards)
+            pool.submit(_solve_shard, begin, end)
+            for begin, end in shard_ranges(head, shards, chunk_size)
         }
         outcomes: list[tuple] = []
         rebalances = 0
@@ -361,9 +370,10 @@ class HybridExecutor(SweepExecutor):
             # (but >= ~50 ms so per-task overhead stays negligible).
             per_piece = max(1, int(rate * max(elapsed / 4.0, 0.05)))
             pieces = min(shards * MAX_OVERSUBSCRIBE, max(shards, -(-tail // per_piece)))
-            if pieces > shards:
+            tail_ranges = shard_ranges(tail, pieces, chunk_size)
+            if len(tail_ranges) > shards:
                 rebalances = 1
-            for begin, end in shard_ranges(tail, pieces):
+            for begin, end in tail_ranges:
                 pending.add(pool.submit(_solve_shard, head + begin, head + end))
         outcomes.extend(future.result() for future in pending)
         outcomes.sort(key=lambda outcome: outcome[0])
@@ -588,10 +598,21 @@ def solve_shard_range(state: dict, begin: int, end: int) -> tuple:
     )
 
 
-def shard_ranges(num_scenarios: int, shards: int) -> list[tuple[int, int]]:
-    """Split ``[0, num_scenarios)`` into ``shards`` contiguous near-equal ranges."""
-    bounds = [num_scenarios * i // shards for i in range(shards + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(shards)]
+def shard_ranges(num_scenarios: int, shards: int, chunk_size: int) -> list[tuple[int, int]]:
+    """Split ``[0, num_scenarios)`` into contiguous ranges of whole chunks.
+
+    Every inner bound is a multiple of ``chunk_size``, so a shard that
+    chunks its range from its own start solves exactly the RHS blocks
+    the serial sweep solves there — SuperLU's multi-RHS solve can move a
+    voltage in the last bit with the block width.  The ranges hold
+    near-equal chunk counts, and none is empty: a sweep of fewer chunks
+    than ``shards`` gets one range per chunk.
+    """
+    num_chunks = -(-num_scenarios // chunk_size)
+    bounds = sorted(
+        {min(num_scenarios, num_chunks * i // shards * chunk_size) for i in range(shards + 1)}
+    )
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def fold_shard_outcomes(

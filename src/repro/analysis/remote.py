@@ -29,13 +29,13 @@ Three pieces:
 Work stealing
 -------------
 
-The scenario range is split **finer than equal**: ``workers ×
-oversubscribe`` shards (default 4× oversubscription) instead of one per
-worker.  Workers *pull* shards one at a time, so a worker that finishes
-early immediately takes work a slower peer would otherwise have been
-stuck with — hosts differ in speed and load, and a worker's first shard
-also pays for loading the payload and factoring the grid, so equal
-shards straggle.  No pushing, no rebalancing protocol: pull-based
+The scenario range is split **finer than equal**: up to ``workers ×
+oversubscribe`` shards of whole chunks (default 4× oversubscription)
+instead of one per worker.  Workers *pull* shards one at a time, so a
+worker that finishes early immediately takes work a slower peer would
+otherwise have been stuck with — hosts differ in speed and load, and a
+worker's first shard also pays for loading the payload and factoring
+the grid, so equal shards straggle.  No pushing, no rebalancing protocol: pull-based
 leasing over fine shards *is* the work-stealing policy.
 
 Failure and retry
@@ -53,12 +53,15 @@ overwrites with identical data.
 Determinism
 -----------
 
-Shard results merge in ascending shard order through the
-:class:`~repro.analysis.sinks.MergeableSink` protocol — the same fold the
-local executor's process shards use — so the streamed reductions and every
-exact sink are bitwise-identical to the sequential sweep at every worker
-count, and :class:`~repro.analysis.sinks.QuantileSketchSink` (integer
-bucket counts, order-invariant) extends that guarantee to quantiles.
+Shards are cut on the sequential sweep's chunk boundaries
+(:func:`~repro.analysis.executors.shard_ranges`), so each solves the
+sequential sweep's RHS blocks, and shard results merge in ascending
+shard order through the :class:`~repro.analysis.sinks.MergeableSink`
+protocol — the same fold the local executor's process shards use — so
+the streamed reductions and every exact sink are bitwise-identical to
+the sequential sweep at every worker count, and
+:class:`~repro.analysis.sinks.QuantileSketchSink` (integer bucket counts,
+order-invariant) extends that guarantee to quantiles.
 Non-mergeable sinks (P²) are rejected before anything runs.
 
 Security
@@ -572,9 +575,9 @@ class RemoteExecutor(SweepExecutor):
     coordinator fails the sweep loudly — it is an operational error, not
     a plan incompatibility.
 
-    The range is split into ``workers × oversubscribe`` shards for
-    pull-based work stealing; see the module docstring for the policy
-    and failure semantics.
+    The range is split into up to ``workers × oversubscribe`` shards of
+    whole chunks for pull-based work stealing; see the module docstring
+    for the policy and failure semantics.
 
     Args:
         workers: Worker hint — the basis of the shard count.  ``None``
@@ -643,8 +646,8 @@ class RemoteExecutor(SweepExecutor):
         engine, compiled, sinks = plan.engine, plan.compiled, plan.sinks
         require_shardable(plan, self.name)
         num_scenarios = plan.num_scenarios
-        tasks = min(num_scenarios, self.workers * self.oversubscribe)
-        if tasks <= 1:
+        ranges = shard_ranges(num_scenarios, self.workers * self.oversubscribe, plan.chunk_size)
+        if len(ranges) <= 1:
             return engine._run_chunk_pipeline(
                 compiled,
                 plan.scenario_source,
@@ -657,7 +660,6 @@ class RemoteExecutor(SweepExecutor):
         for sink in sinks:
             sink.bind(compiled, num_scenarios)
         _, reused = engine._factor(compiled)
-        ranges = shard_ranges(num_scenarios, tasks)
         results = self._run_sweep(payload, ranges)
         outcomes = [results[task] for task in range(len(ranges))]
         return fold_shard_outcomes(plan, outcomes, reused)

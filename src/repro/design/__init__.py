@@ -4,7 +4,7 @@ This package implements the baseline the paper compares against — the
 iterative analyse-and-resize loop of Fig. 1 — as well as the analytical
 eq. (1) sizing and the reliability constraints (IR-drop margin, EM ``Jmax``,
 core-width budget of eq. 3) shared with the PowerPlanningDL framework.
-The planner's compiled loop solves a batch of candidate moves per
+The planner's loop solves a batch of candidate moves per
 iteration and commits the best: one-move planning is a one-candidate
 batch (the heuristic resize), and the batched, model-guided candidate
 search (`search`) fills the batch with width / pitch / decap moves ranked

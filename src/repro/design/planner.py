@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..analysis.currents import line_currents, line_currents_from_voltages
+from ..analysis.currents import line_currents_from_voltages
 from ..analysis.em import EMChecker, EMReport
 from ..analysis.engine import BatchedAnalysisEngine
 from ..analysis.irdrop import IRDropResult, result_from_voltages
@@ -43,7 +43,7 @@ from .sizing import AnalyticalSizer, SizingParameters
 
 @dataclass(frozen=True)
 class _LoopAnalysis:
-    """Array-level analysis state of one compiled-loop solve.
+    """Array-level analysis state of one design-loop solve.
 
     Carries exactly what the resize decision, the constraint evaluation
     and the final result consume — no name-keyed dictionaries are
@@ -53,7 +53,6 @@ class _LoopAnalysis:
     voltages: np.ndarray
     worst_index: int
     worst_ir_drop: float
-    average_ir_drop: float
     analysis_time: float
 
 
@@ -67,11 +66,12 @@ class PlanningIteration:
         em_violations: Number of EM-violating segments.
         lines_resized: Number of lines whose width was increased afterwards.
         analysis_time: Wall-clock time of the IR-drop analysis (matrix
-            assembly + solve) of this iteration's design; in the compiled
-            loop, the summed solve time of the candidate batch it won.
+            assembly + solve) of this iteration's design: the initial
+            solve at index 0, then the summed solve time of the candidate
+            batch the design won.
         build_time: Wall-clock time spent building this iteration's
-            design: the network build in the legacy loop, the winning
-            candidate's conductance rewrite in the compiled loop.
+            design: the initial compiled build at index 0, then the
+            winning candidate's conductance rewrite.
     """
 
     index: int
@@ -142,20 +142,13 @@ class ConventionalPowerPlanner:
             :class:`~repro.analysis.engine.BatchedAnalysisEngine` sized
             for the design loop, whose vectorised assembly and
             factorization cache speed up its repeated analyses.
-        use_compiled_loop: When True (the default), the resize loop stays
-            entirely in compiled-array land: the grid is built once with
-            :meth:`~repro.grid.builder.GridBuilder.build_compiled` and each
-            iteration only rewrites the stripe conductances via
-            :meth:`~repro.grid.builder.GridBuilder.resize_compiled` —
-            no fresh build, no new sparsity pattern.  Set to False to
-            force the legacy rebuild loop (kept as the equivalence oracle).
         search: Enable the batched candidate search: each iteration
             generates a batch of alternative moves, solves each one on
             its own freshly factored grid, and commits the best.  Pass True
             for the defaults or a :class:`~repro.design.search.SearchConfig`
             (e.g. with a fitted
             :class:`~repro.design.search.CandidateRanker` for
-            model-guided pruning).  Requires the compiled loop.
+            model-guided pruning).
     """
 
     def __init__(
@@ -166,7 +159,6 @@ class ConventionalPowerPlanner:
         max_iterations: int = 10,
         upsize_factor: float = 1.25,
         analyzer: BatchedAnalysisEngine | None = None,
-        use_compiled_loop: bool = True,
         search: bool | SearchConfig = False,
     ) -> None:
         if max_iterations < 1:
@@ -185,7 +177,6 @@ class ConventionalPowerPlanner:
         # Each resize iteration changes conductances (a new fingerprint), so
         # a deep factorization cache would only pin dead memory: keep one.
         self.analyzer = analyzer or BatchedAnalysisEngine(cache_size=1)
-        self.use_compiled_loop = use_compiled_loop
         self.em_checker = EMChecker(technology)
 
     # ------------------------------------------------------------------
@@ -199,6 +190,27 @@ class ConventionalPowerPlanner:
         initial_widths: np.ndarray | None = None,
     ) -> PowerPlanResult:
         """Run the full conventional flow on one floorplan.
+
+        The grid is built once as arrays
+        (:meth:`~repro.grid.builder.GridBuilder.build_compiled`); each
+        iteration then solves a batch of candidate moves and commits the
+        one with the lowest worst drop.  A candidate only rewrites the
+        stripe conductances
+        (:meth:`~repro.grid.builder.GridBuilder.resize_compiled`: shared
+        topology, index maps and sparsity pattern), so it skips the
+        rebuild; the engine then factors each candidate grid fresh unless
+        its fingerprint is still cached (a decap candidate changes the
+        loads alone, so it shares the factors of the grid its widths
+        give).
+
+        Without a search config the batch is the one-move heuristic
+        resize alone, and it is empty — ending the loop — once that move
+        changes no line.  With one, the batch comes from
+        :func:`~repro.design.search.generate_candidates`, pruned before
+        any solve by the config's ranker when it has one (exact mode, the
+        ranker's oracle, solves it all).  The converged design is
+        materialised as an object-level network and a full
+        :class:`IRDropResult` only once, at the end.
 
         Args:
             floorplan: The design's floorplan (blocks, pads, core size).
@@ -225,125 +237,7 @@ class ConventionalPowerPlanner:
                     f"initial_widths must have length {topology.num_lines}"
                 )
 
-        if self.use_compiled_loop:
-            return self._plan_compiled(floorplan, topology, constraints, widths, start)
-        if self.search_config is not None:
-            raise ValueError("search mode requires the compiled loop")
-        return self._plan_legacy(floorplan, topology, constraints, widths, start)
-
-    # ------------------------------------------------------------------
-    # Legacy rebuild loop (equivalence oracle)
-    # ------------------------------------------------------------------
-    def _plan_legacy(
-        self,
-        floorplan: Floorplan,
-        topology: GridTopology,
-        constraints: ReliabilityConstraints,
-        widths: np.ndarray,
-        start: float,
-    ) -> PowerPlanResult:
-        """Rebuild-per-iteration loop: a fresh grid and matrix every iteration."""
         builder = GridBuilder(self.technology)
-        analysis_time = 0.0
-        iterations: list[PlanningIteration] = []
-        build_start = time.perf_counter()
-        network = builder.build(floorplan, topology, widths)
-        build_time = time.perf_counter() - build_start
-        ir_result = self.analyzer.analyze(network)
-        em_report = self.em_checker.check(network, ir_result)
-        analysis_time += ir_result.analysis_time
-        evaluation = self._evaluate(constraints, ir_result, em_report, widths, topology)
-
-        for iteration in range(self.max_iterations):
-            resized = 0
-            if not evaluation.all_satisfied:
-                widths, resized = self._resize(
-                    widths, topology, network, ir_result, em_report, constraints
-                )
-            iterations.append(
-                PlanningIteration(
-                    index=iteration,
-                    worst_ir_drop=ir_result.worst_ir_drop,
-                    em_violations=len(em_report.violations),
-                    lines_resized=resized,
-                    analysis_time=ir_result.analysis_time,
-                    build_time=build_time,
-                )
-            )
-            if evaluation.all_satisfied or resized == 0:
-                break
-            build_start = time.perf_counter()
-            network = builder.build(floorplan, topology, widths)
-            build_time = time.perf_counter() - build_start
-            ir_result = self.analyzer.analyze(network)
-            em_report = self.em_checker.check(network, ir_result)
-            analysis_time += ir_result.analysis_time
-            evaluation = self._evaluate(constraints, ir_result, em_report, widths, topology)
-
-        total_time = time.perf_counter() - start
-        return PowerPlanResult(
-            benchmark=floorplan.name,
-            widths=widths,
-            network=network,
-            ir_result=ir_result,
-            em_report=em_report,
-            evaluation=evaluation,
-            iterations=iterations,
-            converged=evaluation.all_satisfied,
-            total_time=total_time,
-            analysis_time=analysis_time,
-        )
-
-    # ------------------------------------------------------------------
-    # Compiled-array loop (rebuild-free fast path)
-    # ------------------------------------------------------------------
-    def _analyze_compiled(
-        self,
-        engine: BatchedAnalysisEngine,
-        compiled: CompiledGrid,
-        loads: np.ndarray,
-    ) -> _LoopAnalysis:
-        """One one-column engine batch plus the array-level reductions the loop needs."""
-        batch = engine.analyze_batch(compiled, loads[None])
-        voltages = batch.voltages[:, 0]
-        drops = compiled.vdd - voltages
-        worst_index = int(drops.argmax()) if drops.size else 0
-        return _LoopAnalysis(
-            voltages=voltages,
-            worst_index=worst_index,
-            worst_ir_drop=float(drops[worst_index]) if drops.size else 0.0,
-            average_ir_drop=float(drops.mean()) if drops.size else 0.0,
-            analysis_time=batch.analysis_time,
-        )
-
-    def _plan_compiled(
-        self,
-        floorplan: Floorplan,
-        topology: GridTopology,
-        constraints: ReliabilityConstraints,
-        widths: np.ndarray,
-        start: float,
-    ) -> PowerPlanResult:
-        """Rebuild-free loop: the grid is compiled once, then each iteration
-        solves a batch of candidate moves and commits the one with the
-        lowest worst drop.  A candidate only rewrites the stripe
-        conductances (shared topology, index maps and sparsity pattern),
-        so it skips the rebuild; the engine then factors each candidate
-        grid fresh unless its fingerprint is still cached (a decap
-        candidate changes the loads alone, so it shares the factors of
-        the grid its widths give).
-
-        Without a search config the batch is the one-move heuristic
-        resize alone, and it is empty — ending the loop — once that move
-        changes no line.  With one, the batch comes from
-        :func:`~repro.design.search.generate_candidates`, pruned before
-        any solve by the config's ranker when it has one (exact mode, the
-        ranker's oracle, solves it all).  The converged design is
-        materialised as an object-level network and a full
-        :class:`IRDropResult` only once, at the end.
-        """
-        builder = GridBuilder(self.technology)
-        engine = self.analyzer
         config = self.search_config
         stats = None if config is None else SearchStats(ranker_used=config.ranker is not None)
         iterations: list[PlanningIteration] = []
@@ -359,7 +253,7 @@ class ConventionalPowerPlanner:
             if relief is not None:
                 decap_scale, stats.decap_plan = relief
 
-        analysis = self._analyze_compiled(engine, compiled, loads)
+        analysis = self._analyze(compiled, loads)
         em_report = self.em_checker.check_voltages(compiled, analysis.voltages)
         analysis_time = analysis.analysis_time
         evaluation = self._evaluate(constraints, analysis, em_report, widths, topology)
@@ -437,7 +331,7 @@ class ConventionalPowerPlanner:
                         clone = builder.resize_compiled(compiled, topology, move.widths)
                     clone_time = time.perf_counter() - clone_start
                     move_loads = loads if move.load_scale is None else loads * move.load_scale
-                    solved = self._analyze_compiled(engine, clone, move_loads)
+                    solved = self._analyze(clone, move_loads)
                     batch_time += solved.analysis_time
                     if stats is not None:
                         stats.candidates_solved += 1
@@ -511,41 +405,30 @@ class ConventionalPowerPlanner:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _analyze(self, compiled: CompiledGrid, loads: np.ndarray) -> _LoopAnalysis:
+        """One one-column engine batch plus the array-level reductions the loop needs."""
+        batch = self.analyzer.analyze_batch(compiled, loads[None])
+        voltages = batch.voltages[:, 0]
+        drops = compiled.vdd - voltages
+        worst_index = int(drops.argmax()) if drops.size else 0
+        return _LoopAnalysis(
+            voltages=voltages,
+            worst_index=worst_index,
+            worst_ir_drop=float(drops[worst_index]) if drops.size else 0.0,
+            analysis_time=batch.analysis_time,
+        )
+
     def _evaluate(
         self,
         constraints: ReliabilityConstraints,
-        ir_result: IRDropResult | _LoopAnalysis,
+        analysis: _LoopAnalysis,
         em_report: EMReport,
         widths: np.ndarray,
         topology: GridTopology,
     ) -> ConstraintEvaluation:
         vertical = widths[: topology.num_vertical]
         horizontal = widths[topology.num_vertical :]
-        return constraints.evaluate(ir_result, em_report, vertical, horizontal, self.rules)
-
-    def _resize(
-        self,
-        widths: np.ndarray,
-        topology: GridTopology,
-        network: PowerGridNetwork,
-        ir_result: IRDropResult,
-        em_report: EMReport,
-        constraints: ReliabilityConstraints,
-    ) -> tuple[np.ndarray, int]:
-        """Legacy-loop resize: worst-node lookup through the object network."""
-        violating = em_report.violating_lines
-        per_line = line_currents(network, ir_result) if violating else {}
-        worst = network.nodes[ir_result.worst_node]
-        return self._resize_core(
-            widths,
-            topology,
-            constraints,
-            violating_lines=violating,
-            per_line_current=per_line,
-            worst_ir_drop=ir_result.worst_ir_drop,
-            worst_x=worst.x,
-            worst_y=worst.y,
-        )
+        return constraints.evaluate(analysis, em_report, vertical, horizontal, self.rules)
 
     def _resize_core(
         self,

@@ -1,6 +1,6 @@
 """Batched, model-guided candidate search for the planner loop.
 
-The planner's compiled loop solves a batch of candidate moves per
+The planner's loop solves a batch of candidate moves per
 iteration and commits the best; in one-move mode that batch is the
 heuristic resize alone.  The search layer fills the batch with
 alternative moves — width bumps on the worst stripes, pitch-style

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     branch_currents,
-    line_currents,
+    line_currents_from_voltages,
     pad_currents,
     total_dissipated_power,
 )
@@ -54,7 +54,10 @@ class TestAggregates:
 
     def test_line_currents_cover_all_lines(self, solved, tiny_topology):
         network, result = solved
-        per_line = line_currents(network, result)
+        compiled = network.compile()
+        per_line = line_currents_from_voltages(
+            compiled, compiled.voltage_array(result.node_voltages)
+        )
         assert set(per_line) == set(range(tiny_topology.num_lines))
         assert all(value >= 0 for value in per_line.values())
 

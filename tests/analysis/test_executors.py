@@ -12,9 +12,11 @@ same pickled payload remote workers do.  The order-dependent P² sink
 runs on single-shard rows and is rejected by sharded ones with a pointer
 to the quantile sketch.  Also covered: the executor names of
 each shape, resolution precedence (explicit executor > environment
-default), the lenient fallback of :data:`EXECUTOR_ENV`, the
-tail re-split of the balancer, source-validation errors naming global
-scenarios, the adaptive chunk-width heuristic, and top-k
+default), the lenient fallback of :data:`EXECUTOR_ENV`, the tail
+re-split of the balancer, shard ranges cut on the serial sweep's chunk
+boundaries (on ibmpgnew1, where a shard that chunked from its own start
+moved mean drops in the last bit), source-validation errors naming
+global scenarios, the adaptive chunk-width heuristic, and top-k
 rematerialisation.
 """
 
@@ -60,6 +62,7 @@ from repro.analysis.executors import (
     load_shard_state,
     pickle_sweep_payload,
     require_shardable,
+    shard_ranges,
 )
 from repro.grid import (
     PerturbationKind,
@@ -368,13 +371,65 @@ class TestShapeEquivalence:
             ibmpg1_grid, load_sweep, chunk_size=5, sinks=tuple(shard_sinks.values()),
             executor=executor,
         )
-        # 37 scenarios on 2 shards: a head of 2 x 9 scenarios, then the
-        # 19-scenario tail priced at 9 scenarios per 10 s is cut into
-        # 10 pieces of about 2.5 s each.
+        # 37 scenarios are 8 chunks of 5 on 2 shards: a head of 2 x 2
+        # chunks (2 x 10 scenarios), then the 17-scenario tail priced at
+        # 10 scenarios per 10 s asks for 9 pieces of 2 scenarios, and
+        # whole chunks cut it into its 4 chunks.
         assert executor.last_stats["rebalances"] == 1
-        assert executor.last_stats["tasks"] == 12
+        assert executor.last_stats["tasks"] == 6
         assert_reductions_identical(sequential, sharded)
         assert_exact_sinks_identical(seq_sinks, shard_sinks)
+
+
+@pytest.fixture(scope="module")
+def ibmpgnew1_sweep():
+    """An ibmpgnew1 grid, 40 load scenarios and their serial chunk-7 sweep."""
+    grid = SyntheticIBMSuite().load("ibmpgnew1").build_uniform_grid(5.0)
+    # Loads under which shards that chunked from their own starts gave
+    # scenarios 8, 28 and 33 mean drops off serial in the last bit.
+    spec = PerturbationSpec(gamma=0.3, kind=PerturbationKind.CURRENT_WORKLOADS, seed=7)
+    loads = perturbed_load_matrix(grid, spec, 40)
+    threshold = BatchedAnalysisEngine().analyze(grid).worst_ir_drop
+    sinks = mergeable_sinks(threshold)
+    serial = BatchedAnalysisEngine().analyze_batch(
+        grid, loads, chunk_size=7, sinks=tuple(sinks.values()), executor="serial"
+    )
+    return grid, loads, threshold, serial, sinks
+
+
+class TestChunkAlignedShards:
+    """Shard ranges are cut on the serial sweep's chunk boundaries, so
+    every shard solves the very RHS blocks the serial sweep solves.
+    SuperLU's multi-RHS solve can move a voltage in the last bit with
+    the block width: on ibmpgnew1 a shard that chunked from its own start
+    gave mean drops off serial in the last bit (ibmpg1 does not show it)."""
+
+    def test_ranges_cover_the_sweep_on_chunk_bounds(self):
+        for num_scenarios in (0, 1, 5, 36, 37, 40, 512):
+            for shards in (1, 2, 3, 9, 16):
+                for chunk_size in (1, 5, 7, 64):
+                    ranges = shard_ranges(num_scenarios, shards, chunk_size)
+                    bounds = [0] + [end for _, end in ranges]
+                    assert [begin for begin, _ in ranges] == bounds[:-1]
+                    assert bounds[-1] == num_scenarios
+                    assert all(begin < end for begin, end in ranges)
+                    assert all(bound % chunk_size == 0 for bound in bounds[1:-1])
+                    num_chunks = -(-num_scenarios // chunk_size)
+                    assert len(ranges) == min(shards, num_chunks)
+                    chunks = [-(-(end - begin) // chunk_size) for begin, end in ranges]
+                    assert not chunks or max(chunks) - min(chunks) <= 1
+
+    @pytest.mark.parametrize("threads", [1, 2], ids=["processes", "hybrid"])
+    def test_ibmpgnew1_batch_bitwise_matches_serial(self, ibmpgnew1_sweep, threads):
+        grid, loads, threshold, serial, serial_sinks = ibmpgnew1_sweep
+        shard_sinks = mergeable_sinks(threshold)
+        executor = HybridExecutor(shard_workers=2, threads_per_shard=threads)
+        sharded = BatchedAnalysisEngine().analyze_batch(
+            grid, loads, chunk_size=7, sinks=tuple(shard_sinks.values()), executor=executor
+        )
+        assert executor.last_stats["shards"] == 2
+        assert_reductions_identical(serial, sharded)
+        assert_exact_sinks_identical(serial_sinks, shard_sinks)
 
 
 class TestShardedRejections:

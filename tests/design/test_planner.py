@@ -12,9 +12,10 @@ from repro.design import (
     ReliabilityConstraints,
     SearchConfig,
 )
-from repro.grid import GridBuilder
+from repro.grid import GridBuilder, SyntheticIBMSuite
 
 from ..grid.test_builder import coincident_lines
+from .reference_planner import reference_plan
 
 
 class TestPlanning:
@@ -86,65 +87,84 @@ class TestResizing:
         assert plan.num_iterations == 1
 
 
-@pytest.mark.parametrize("compiled_loop", [True, False])
 @pytest.mark.parametrize("direction", ["vertical", "horizontal"])
-def test_coincident_lines_rejected(small_benchmark, direction, compiled_loop):
-    """Both loops reject a zero stripe pitch before the first solve."""
-    planner = ConventionalPowerPlanner(
-        small_benchmark.technology, use_compiled_loop=compiled_loop
-    )
+def test_coincident_lines_rejected(small_benchmark, direction):
+    """The planner rejects a zero stripe pitch before the first solve."""
+    planner = ConventionalPowerPlanner(small_benchmark.technology)
     topology = coincident_lines(small_benchmark.topology, direction)
     with pytest.raises(ValueError, match=f"{direction} lines 2 and 3 are at"):
         planner.plan(small_benchmark.floorplan, topology)
 
 
-class TestCompiledLoopEquivalence:
-    """The rebuild-free compiled loop must reproduce the legacy loop exactly."""
+PLAN_CASES = [
+    (name, start) for name in ("ibmpg1", "ibmpg2") for start in ("analytic", "min-width")
+]
 
-    @pytest.fixture(scope="class")
-    def plan_pair(self, small_benchmark):
-        """Legacy and compiled plans from an undersized start (forces resizes)."""
-        rules = DesignRules.from_technology(small_benchmark.technology)
-        tiny_widths = np.full(small_benchmark.topology.num_lines, rules.min_width)
-        legacy = ConventionalPowerPlanner(
-            small_benchmark.technology, max_iterations=6, use_compiled_loop=False
-        ).plan(small_benchmark.floorplan, small_benchmark.topology, initial_widths=tiny_widths)
-        compiled = ConventionalPowerPlanner(
-            small_benchmark.technology, max_iterations=6, use_compiled_loop=True
-        ).plan(small_benchmark.floorplan, small_benchmark.topology, initial_widths=tiny_widths)
-        return legacy, compiled
+
+def final_voltages(plan) -> np.ndarray:
+    """The plan's final node voltages in compiled node order."""
+    return plan.network.compile().voltage_array(plan.ir_result.node_voltages)
+
+
+class TestReferencePlannerEquivalence:
+    """The planner's loop equals the rebuild-per-iteration reference
+    planner (``reference_planner.py``) bit for bit."""
+
+    @pytest.fixture(
+        scope="class", params=PLAN_CASES, ids=[f"{name}-{start}" for name, start in PLAN_CASES]
+    )
+    def plan_pair(self, request):
+        """Reference and planner plans of one grid from one start."""
+        name, start = request.param
+        bench = SyntheticIBMSuite().load(name)
+        technology, floorplan, topology = bench.technology, bench.floorplan, bench.topology
+        initial = None
+        if start == "min-width":
+            rules = DesignRules.from_technology(technology)
+            initial = np.full(topology.num_lines, rules.min_width)
+        reference = reference_plan(
+            ConventionalPowerPlanner(technology, max_iterations=6),
+            floorplan,
+            topology,
+            initial_widths=initial,
+        )
+        planned = ConventionalPowerPlanner(technology, max_iterations=6).plan(
+            floorplan, topology, initial_widths=initial
+        )
+        return start, reference, planned
 
     def test_identical_convergence_history(self, plan_pair):
-        legacy, compiled = plan_pair
-        assert compiled.num_iterations == legacy.num_iterations
-        assert compiled.converged == legacy.converged
-        assert compiled.num_iterations > 1  # the undersized start forced resizes
-        for legacy_it, compiled_it in zip(legacy.iterations, compiled.iterations):
-            assert compiled_it.index == legacy_it.index
-            assert compiled_it.lines_resized == legacy_it.lines_resized
-            assert compiled_it.em_violations == legacy_it.em_violations
-            assert compiled_it.worst_ir_drop == pytest.approx(
-                legacy_it.worst_ir_drop, abs=1e-9
-            )
+        start, reference, planned = plan_pair
+        assert planned.converged == reference.converged
+        assert [
+            (it.index, it.worst_ir_drop, it.em_violations, it.lines_resized)
+            for it in planned.iterations
+        ] == [
+            (it.index, it.worst_ir_drop, it.em_violations, it.lines_resized)
+            for it in reference.iterations
+        ]
+        if start == "min-width":
+            assert planned.num_iterations > 1  # the undersized start forced resizes
 
     def test_identical_final_widths(self, plan_pair):
-        legacy, compiled = plan_pair
-        assert np.array_equal(compiled.widths, legacy.widths)
+        _, reference, planned = plan_pair
+        assert np.array_equal(planned.widths, reference.widths)
 
     def test_identical_final_analysis(self, plan_pair):
-        legacy, compiled = plan_pair
-        assert compiled.ir_result.worst_ir_drop == pytest.approx(
-            legacy.ir_result.worst_ir_drop, abs=1e-9
-        )
-        assert compiled.ir_result.worst_node == legacy.ir_result.worst_node
-        assert compiled.em_report.passed == legacy.em_report.passed
-        assert compiled.network.statistics() == legacy.network.statistics()
+        _, reference, planned = plan_pair
+        assert np.array_equal(final_voltages(planned), final_voltages(reference))
+        assert planned.ir_result.worst_ir_drop == reference.ir_result.worst_ir_drop
+        assert planned.ir_result.worst_node == reference.ir_result.worst_node
+        assert planned.em_report.violations == reference.em_report.violations
+        assert planned.em_report.worst_density == reference.em_report.worst_density
+        assert planned.evaluation == reference.evaluation
+        assert planned.network.statistics() == reference.network.statistics()
 
-    def test_compiled_loop_records_times(self, plan_pair):
-        _, compiled = plan_pair
-        assert compiled.total_time > 0
-        assert compiled.analysis_time > 0
-        for iteration in compiled.iterations:
+    def test_loop_records_times(self, plan_pair):
+        _, _, planned = plan_pair
+        assert planned.total_time > 0
+        assert planned.analysis_time > 0
+        for iteration in planned.iterations:
             assert iteration.analysis_time > 0
             assert iteration.build_time > 0
 
@@ -176,15 +196,16 @@ class TestParameters:
             ConventionalPowerPlanner(small_benchmark.technology, upsize_factor=1.0)
 
     @pytest.mark.parametrize(
-        "argument, value", [("solver", "splu"), ("incremental_updates", False)]
+        "argument, value",
+        [("solver", "splu"), ("incremental_updates", False), ("use_compiled_loop", False)],
     )
     def test_solver_argument_rejected(self, small_benchmark, argument, value):
-        """The engine's one backend and its one kind of factorization are
-        not selectable through the planner."""
+        """The engine's one backend, its one kind of factorization and the
+        planner's one loop are not selectable through the planner."""
         with pytest.raises(TypeError, match=argument):
             ConventionalPowerPlanner(small_benchmark.technology, **{argument: value})
 
-    def test_planner_takes_eight_options(self):
+    def test_planner_takes_seven_options(self):
         assert list(inspect.signature(ConventionalPowerPlanner).parameters) == [
             "technology",
             "rules",
@@ -192,7 +213,6 @@ class TestParameters:
             "max_iterations",
             "upsize_factor",
             "analyzer",
-            "use_compiled_loop",
             "search",
         ]
 

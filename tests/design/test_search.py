@@ -121,13 +121,6 @@ class TestExactSearch:
     def test_non_search_plan_has_no_stats(self, golden_plan):
         assert golden_plan.search is None
 
-    def test_search_requires_engine_analyzer(self, small_benchmark):
-        planner = ConventionalPowerPlanner(
-            small_benchmark.technology, search=True, use_compiled_loop=False
-        )
-        with pytest.raises(ValueError, match="compiled loop"):
-            planner.plan(small_benchmark.floorplan, small_benchmark.topology)
-
 
 class TestOneCandidateBatch:
     def test_batch_of_one_is_the_one_move_loop(self, small_benchmark, tiny_start):
