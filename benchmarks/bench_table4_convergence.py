@@ -9,15 +9,21 @@ to 5.87x (ibmpg5), growing with benchmark size.
 This bench regenerates the table over the synthetic suite, times both paths
 on ibmpg6 with pytest-benchmark, and asserts the paper's shape claims: the
 DL flow wins everywhere and the largest grids see the largest speedups.
+Each side of a row is the fastest of several runs of the benchmark's own
+design, so neither the process's cold start (the first factorization and
+first-call paths land in whichever golden plan runs first) nor one slow
+reading on a busy host decides a comparison of millisecond timings.
 """
 
 from __future__ import annotations
-
 
 from conftest import suite_names
 
 from repro.core import compare_convergence, format_speedup, format_table
 from repro.io import write_csv, write_json
+
+TIMING_RUNS = 5
+"""Runs per side of a row; the fastest of each is compared."""
 
 _PAPER_SPEEDUPS = {
     "ibmpg1": 1.92,
@@ -31,11 +37,29 @@ _PAPER_SPEEDUPS = {
 }
 
 
+def _fastest_comparison(prepared):
+    """Table IV row from the fastest conventional plan and DL prediction of one design."""
+    bench, framework = prepared.benchmark, prepared.framework
+    planner = framework.dataset_builder.planner_for(bench)
+    plans = []
+    for _ in range(TIMING_RUNS):
+        # Every conventional plan factors its grid, as the golden plan did.
+        planner.analyzer.clear_cache()
+        plans.append(planner.plan(bench.floorplan, bench.topology))
+    predictions = [
+        framework.predict_design(bench.floorplan, bench.topology) for _ in range(TIMING_RUNS)
+    ]
+    return compare_convergence(
+        min(plans, key=lambda plan: plan.total_time),
+        min(predictions, key=lambda predicted: predicted.convergence_time),
+    )
+
+
 def _collect_rows(benchmark_cache):
     rows = []
     for name in suite_names():
         prepared = benchmark_cache.get(name)
-        comparison = compare_convergence(prepared.golden_plan, prepared.nominal_prediction)
+        comparison = _fastest_comparison(prepared)
         rows.append(
             {
                 "benchmark": name,

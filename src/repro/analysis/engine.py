@@ -114,10 +114,12 @@ def resolve_chunk_size(num_unknowns: int) -> int:
 
     clamped to ``[MIN_CHUNK_SIZE, MAX_CHUNK_SIZE]``.  Every in-flight
     chunk sits in the cache of the core solving it, so the width does not
-    depend on the executor's parallelism; each in-flight chunk holds
-    about four such blocks (RHS, solution, the drop rows in solve order
-    and in node order), plus two voltage blocks only while a sink that
-    consumes raw voltages is attached.
+    depend on the executor's parallelism.  Each in-flight slot holds two
+    such blocks for the whole sweep (the RHS rows and the node-order drop
+    rows) and a one-byte-per-entry finiteness mask; SuperLU adds two
+    transient blocks per solve (its Fortran-order copy of the RHS, which
+    becomes the solution, and its work array), and a sink that consumes
+    raw voltages one more block per chunk.
     Streamed entry points use it whenever ``chunk_size`` is omitted.
 
     Args:
@@ -299,10 +301,11 @@ class _PairedLayout:
     """Chunk assembly for an arbitrary :data:`ScenarioSource`: one load and pad row per scenario.
 
     :meth:`fetch` calls the source and validates its chunk on the calling
-    thread (sources need not be thread-safe); :meth:`assemble` builds the
-    reduced right-hand sides with
-    :meth:`~repro.grid.compiled.CompiledGrid.rhs_matrix` and may run on
-    any thread.
+    thread (sources need not be thread-safe); :meth:`assemble` writes the
+    reduced right-hand sides into the caller's rows and may run on any
+    thread.  Every element is the subtraction
+    :meth:`~repro.grid.compiled.CompiledGrid.rhs_matrix` makes of the
+    same operands.
     """
 
     def __init__(self, compiled: CompiledGrid, source: ScenarioSource) -> None:
@@ -315,19 +318,27 @@ class _PairedLayout:
         return load_chunk, pad_chunk
 
     def assemble(
-        self, chunk: tuple[np.ndarray | None, np.ndarray | None]
+        self, chunk: tuple[np.ndarray | None, np.ndarray | None], out: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(num_unknowns, c)`` RHS block and the pad-node voltages.
+        """Fill ``out``'s ``(c, num_unknowns)`` rows; return ``out.T`` and the pad-node voltages.
 
-        Those are ``(c, len(pad_sel))``, or the nominal ``(len(pad_sel),)``
-        row every scenario shares when the chunk has no pad voltages.
+        The voltages are ``(c, len(pad_sel))``, or the nominal
+        ``(len(pad_sel),)`` row every scenario shares when the chunk has
+        no pad voltages.
         """
         load_chunk, pad_chunk = chunk
         compiled = self.compiled
-        rhs = compiled.rhs_matrix(load_chunk, pad_chunk)
+        if load_chunk is None:
+            out[:] = compiled.base_loads[compiled.unknown_sel]
+        else:
+            np.asarray(load_chunk, dtype=float).take(
+                compiled.unknown_sel, axis=1, out=out, mode="clip"
+            )
         if pad_chunk is None:
-            return rhs, compiled.pad_voltage[compiled.pad_sel]
-        return rhs, compiled.pad_node_voltages(pad_chunk)
+            np.subtract(compiled.pad_rhs, out, out=out)
+            return out.T, compiled.pad_voltage[compiled.pad_sel]
+        np.subtract(compiled.pad_rhs_matrix(pad_chunk).T, out, out=out)
+        return out.T, compiled.pad_node_voltages(pad_chunk)
 
 
 class _CrossProductLayout:
@@ -340,9 +351,10 @@ class _CrossProductLayout:
     :meth:`~repro.grid.compiled.CompiledGrid.pad_rhs_matrix`),
     :attr:`load_part` (every load row's unknown-node slice) and
     :attr:`pad_voltages` (every pad row at the pad nodes).  A
-    chunk's RHS is then one gather and subtract, written scenario-major so
-    the block SuperLU copies is already Fortran-ordered.  Every element is
-    the same subtraction of the same operands as
+    chunk's RHS is then one gather of pad parts into the caller's rows and
+    one broadcast subtract per load row the chunk spans, written
+    scenario-major so the block SuperLU copies is already Fortran-ordered.
+    Every element is the same subtraction of the same operands as
     :meth:`~repro.grid.compiled.CompiledGrid.rhs_matrix` on the chunk's
     materialised rows (a CSR product's columns do not depend on which
     columns share it), so the solve sees bitwise the same block.
@@ -376,7 +388,12 @@ class _CrossProductLayout:
         self.num_pad_rows = pad_voltage_matrix.shape[0]
         self.num_scenarios = load_matrix.shape[0] * self.num_pad_rows
         self.pad_part = np.ascontiguousarray(compiled.pad_rhs_matrix(pad_voltage_matrix).T)
-        self.load_part = load_matrix[:, compiled.unknown_sel]
+        # C-ordered, as every chunk subtracts whole rows, and gathered row by
+        # row: a whole-matrix gather of a Fortran-ordered load matrix leaves
+        # a matrix-sized temporary behind.
+        self.load_part = np.empty((load_matrix.shape[0], compiled.num_unknowns))
+        for loads, part in zip(load_matrix, self.load_part):
+            loads.take(compiled.unknown_sel, out=part, mode="clip")
         self.pad_voltages = compiled.pad_node_voltages(pad_voltage_matrix)
 
     def fetch(self, begin: int, end: int) -> tuple[int, int]:
@@ -387,12 +404,21 @@ class _CrossProductLayout:
             )
         return begin, end
 
-    def assemble(self, span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(num_unknowns, c)`` RHS block and ``(c, len(pad_sel))`` pad-node voltages."""
-        load_rows, pad_rows = np.divmod(np.arange(*span), self.num_pad_rows)
-        rhs_rows = self.pad_part.take(pad_rows, axis=0)
-        rhs_rows -= self.load_part[load_rows]
-        return rhs_rows.T, self.pad_voltages[pad_rows]
+    def assemble(
+        self, span: tuple[int, int], out: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fill ``out``'s ``(c, num_unknowns)`` rows; return ``out.T`` and the pad-node voltages.
+
+        The voltages are ``(c, len(pad_sel))``.
+        """
+        begin, end = span
+        width = self.num_pad_rows
+        pad_rows = np.arange(begin, end) % width
+        self.pad_part.take(pad_rows, axis=0, out=out, mode="clip")
+        for load_row in range(begin // width, (end - 1) // width + 1):
+            rows = out[max(begin, load_row * width) - begin : (load_row + 1) * width - begin]
+            np.subtract(rows, self.load_part[load_row], out=rows)
+        return out.T, self.pad_voltages[pad_rows]
 
 
 @dataclass(frozen=True)
@@ -414,15 +440,6 @@ class EngineCacheInfo:
     entries: int
 
 
-def _row_reductions(rows: np.ndarray) -> "BatchReductions":
-    """Per-scenario worst / mean / worst-node over contiguous ``(k, n)`` rows."""
-    return BatchReductions(
-        worst_ir_drop=rows.max(axis=1),
-        average_ir_drop=rows.mean(axis=1),
-        worst_node_index=rows.argmax(axis=1),
-    )
-
-
 def _column_reductions(ir_drop: np.ndarray) -> "BatchReductions":
     """Per-scenario worst / mean / worst-node over a ``(num_nodes, k)`` block.
 
@@ -433,32 +450,50 @@ def _column_reductions(ir_drop: np.ndarray) -> "BatchReductions":
     block width (SuperLU's multi-RHS solve is not width-invariant), so
     across chunk sizes the reductions agree to 1e-12 V rather than bitwise.
     """
-    return _row_reductions(np.ascontiguousarray(ir_drop.T))
+    rows = np.ascontiguousarray(ir_drop.T)
+    return BatchReductions(
+        worst_ir_drop=rows.max(axis=1),
+        average_ir_drop=rows.mean(axis=1),
+        worst_node_index=rows.argmax(axis=1),
+    )
 
 
 def _node_rows(
-    compiled: CompiledGrid, unknown: np.ndarray, pad_voltages: np.ndarray, *, drops: bool
+    compiled: CompiledGrid, unknown: np.ndarray, pad_voltages: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """One solved block as contiguous ``(c, num_nodes)`` rows in node order.
+    """Write one solved block into ``out`` as ``(c, num_nodes)`` voltage rows in node order.
 
     ``unknown`` is the ``(num_unknowns, c)`` solution and ``pad_voltages``
     the ``(c, len(pad_sel))`` pad-node voltages (one ``(len(pad_sel),)``
-    row broadcasts to every scenario).  With ``drops`` the rows
-    hold IR drops ``vdd − v``, else voltages.  Each scenario's unknown and
-    pad columns are written straight into its row and put into node order
-    by one gather (:meth:`~repro.grid.compiled.CompiledGrid.to_node_order`):
-    the same values as scattering a ``(num_nodes, c)`` voltage block and
-    transposing it, without either step.
+    row broadcasts to every scenario).  Every row is gathered straight
+    from the solution by the nodes' unknown indices, and its pad columns
+    are written after: the same values as scattering a ``(num_nodes, c)``
+    voltage block and transposing it, without either step or a staging
+    block.  Returns ``out``.
     """
-    u = compiled.num_unknowns
-    rows = np.empty((unknown.shape[1], compiled.num_nodes))
-    if drops:
-        np.subtract(compiled.vdd, unknown.T, out=rows[:, :u])
-        np.subtract(compiled.vdd, pad_voltages, out=rows[:, u:])
-    else:
-        rows[:, :u] = unknown.T
-        rows[:, u:] = pad_voltages
-    return compiled.to_node_order(rows)
+    if compiled.num_unknowns:
+        # Pad nodes (unknown index -1) clip to column 0; their columns are
+        # overwritten next.
+        unknown.T.take(compiled.unknown_index, axis=1, out=out, mode="clip")
+    out[:, compiled.pad_sel] = pad_voltages
+    return out
+
+
+def _chunk_slot(compiled: CompiledGrid, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One in-flight chunk's arrays, each with ``width`` scenario rows.
+
+    The ``(width, num_unknowns)`` RHS rows (their transpose is the
+    Fortran-ordered block SuperLU solves), the ``(width, num_nodes)``
+    node-order drop rows the reductions and sinks read, and the
+    ``(width, num_unknowns)`` finiteness mask, whose transpose matches the
+    solution's layout.  A chunk of ``c`` scenarios uses the first ``c``
+    rows of each.
+    """
+    return (
+        np.empty((width, compiled.num_unknowns)),
+        np.empty((width, compiled.num_nodes)),
+        np.empty((width, compiled.num_unknowns), dtype=bool),
+    )
 
 
 def _feed_sinks(
@@ -471,9 +506,10 @@ def _feed_sinks(
 
     :class:`~repro.analysis.sinks.IRDropSink` subclasses take the
     precomputed contiguous ``(c, num_nodes)`` IR-drop block the engine
-    already derived for its reductions; other protocol implementations get
-    the raw ``(num_nodes, c)`` voltage chunk, which the engine builds only
-    when such a sink is attached.
+    already derived for its reductions — in a chunked sweep, its slot's
+    buffer, rewritten for a later chunk once this call returns; other
+    protocol implementations get the raw ``(num_nodes, c)`` voltage chunk,
+    which the engine builds only when such a sink is attached.
     """
     for sink in sinks:
         if isinstance(sink, IRDropSink):
@@ -898,19 +934,21 @@ class BatchedAnalysisEngine:
         return self._analyze_one(network, loads, name).result(0)
 
     def _solve_rhs_block(
-        self, compiled: CompiledGrid, rhs: np.ndarray
+        self, compiled: CompiledGrid, rhs: np.ndarray, finite: np.ndarray | None = None
     ) -> tuple[np.ndarray, bool]:
         """Solve one ``(num_unknowns, c)`` RHS block.
 
         Every solve of the engine runs here, a single scenario as one
         column.  Returns the unknown voltages and whether a cached
-        factorization was reused.
+        factorization was reused.  ``finite``, a ``(num_unknowns, c)``
+        boolean array, receives the finiteness mask the solution is
+        checked with (one is allocated when it is omitted).
         """
         if rhs.shape[0] == 0:
             return np.empty((0, rhs.shape[1])), False
         factor, reused = self._factor(compiled)
         unknown = factor.solve(rhs)
-        if not np.all(np.isfinite(unknown)):
+        if not np.isfinite(unknown, out=finite).all():
             raise LinearSolverError("direct solve produced non-finite voltages")
         return unknown, reused
 
@@ -992,10 +1030,18 @@ class BatchedAnalysisEngine:
         for a single shard, and once per shard inside shard workers.  The
         dense ``(num_nodes, num_scenarios)`` voltage matrix never exists:
         each ``≤chunk_size``-scenario chunk is solved, its IR-drop rows
-        written directly (:func:`_node_rows`) and folded into the
-        per-scenario reduction vectors and every attached sink, then
-        dropped.  Per-node voltages are built only for sinks that consume
-        raw voltages.
+        written directly (:func:`_node_rows`), reduced into the sweep's
+        per-scenario vectors and folded into every attached sink.
+        Per-node voltages are built only for sinks that consume raw
+        voltages.
+
+        The chunk arrays are allocated once per call, one set per
+        in-flight slot (:func:`_chunk_slot`): the RHS rows, the node-order
+        drop rows and the solution's finiteness mask.  Every chunk writes
+        into its slot's arrays, so a warm sweep allocates no
+        chunk-sized block of its own, and a slot is reused only after its
+        chunk has folded.  Sinks therefore see the slot's drop rows,
+        valid only during their call.
 
         ``first`` is the global index of the sweep's first scenario — a
         shard's range start.  Chunks are fetched, and validated, at
@@ -1009,11 +1055,13 @@ class BatchedAnalysisEngine:
         scenario source is always called from the calling thread, in
         ascending order, so sources need not be thread-safe), it *bounds*
         the in-flight window at ``threads`` chunks (memory stays
-        ``O(num_nodes * chunk_size * threads)``), and it *folds* finished
-        chunks strictly in ascending scenario order (futures are awaited
-        FIFO).  Each chunk's solve is deterministic and chunk-local, so the
-        reductions and every sink state are bitwise-identical to the
-        sequential path.
+        ``O(num_nodes * chunk_size * threads)``, one slot per in-flight
+        chunk: chunk ``i`` uses slot ``i % threads``, whose previous chunk
+        has folded before chunk ``i`` is submitted), and it *folds*
+        finished chunks strictly in ascending scenario order (futures are
+        awaited FIFO).  Each chunk's solve is deterministic and
+        chunk-local, so the reductions and every sink state are
+        bitwise-identical to the sequential path.
         """
         layout = self._chunk_layout(compiled, scenario_source)
         with_voltages = any(not isinstance(sink, IRDropSink) for sink in sinks)
@@ -1023,46 +1071,42 @@ class BatchedAnalysisEngine:
         average = np.empty(num_scenarios, dtype=float)
         worst_index = np.empty(num_scenarios, dtype=np.int64)
         reused = False
+        ranges = [
+            (begin, min(begin + chunk_size, num_scenarios))
+            for begin in range(0, num_scenarios, chunk_size)
+        ]
+        threads = max(1, min(threads, len(ranges)))
+        slots = [_chunk_slot(compiled, ranges[0][1]) for _ in range(threads)]
 
         def produce(begin: int, end: int) -> object:
             return layout.fetch(first + begin, first + end)
 
         def solve_chunk(
-            chunk: object,
-        ) -> tuple[np.ndarray | None, np.ndarray, BatchReductions, bool]:
-            rhs, pad_voltages = layout.assemble(chunk)
-            unknown, chunk_reused = self._solve_rhs_block(compiled, rhs)
-            drop_rows = _node_rows(compiled, unknown, pad_voltages, drops=True)
-            voltages = (
-                _node_rows(compiled, unknown, pad_voltages, drops=False).T
-                if with_voltages
-                else None
-            )
+            begin: int, end: int, chunk: object, slot: tuple[np.ndarray, ...]
+        ) -> tuple[np.ndarray | None, np.ndarray, bool]:
+            rhs_rows, drop_rows, finite = (array[: end - begin] for array in slot)
+            rhs, pad_voltages = layout.assemble(chunk, rhs_rows)
+            unknown, chunk_reused = self._solve_rhs_block(compiled, rhs, finite.T)
+            rows = np.empty_like(drop_rows) if with_voltages else drop_rows
+            _node_rows(compiled, unknown, pad_voltages, rows)
+            np.subtract(compiled.vdd, rows, out=drop_rows)
             # The chunk-local reductions are deterministic, so computing
             # them here keeps them on the worker pool instead of adding to
             # the fold thread's serial work.
-            return voltages, drop_rows, _row_reductions(drop_rows), chunk_reused
+            drop_rows.max(axis=1, out=worst[begin:end])
+            drop_rows.mean(axis=1, out=average[begin:end])
+            drop_rows.argmax(axis=1, out=worst_index[begin:end])
+            return (rows.T if with_voltages else None), drop_rows, chunk_reused
 
-        def fold(
-            begin: int,
-            end: int,
-            solved: tuple[np.ndarray | None, np.ndarray, BatchReductions, bool],
-        ) -> None:
+        def fold(begin: int, solved: tuple[np.ndarray | None, np.ndarray, bool]) -> None:
             nonlocal reused
-            voltages, drop_rows, chunk_reductions, chunk_reused = solved
+            voltages, drop_rows, chunk_reused = solved
             reused = reused or chunk_reused
-            worst[begin:end] = chunk_reductions.worst_ir_drop
-            average[begin:end] = chunk_reductions.average_ir_drop
-            worst_index[begin:end] = chunk_reductions.worst_node_index
             _feed_sinks(sinks, voltages, drop_rows, begin)
 
-        ranges = [
-            (begin, min(begin + chunk_size, num_scenarios))
-            for begin in range(0, num_scenarios, chunk_size)
-        ]
-        if threads <= 1 or len(ranges) <= 1:
+        if threads == 1:
             for begin, end in ranges:
-                fold(begin, end, solve_chunk(produce(begin, end)))
+                fold(begin, solve_chunk(begin, end, produce(begin, end), slots[0]))
         else:
             # Warm the lazily-built shared state (reduced matrix, pad RHS /
             # incidence) from this thread so workers only ever read it.
@@ -1073,15 +1117,16 @@ class BatchedAnalysisEngine:
             with ThreadPoolExecutor(
                 max_workers=threads, thread_name_prefix="repro-chunk"
             ) as pool:
-                for begin, end in ranges:
+                for index, (begin, end) in enumerate(ranges):
                     while len(in_flight) >= threads:
-                        oldest_begin, oldest_end, future = in_flight.popleft()
-                        fold(oldest_begin, oldest_end, future.result())
+                        oldest_begin, future = in_flight.popleft()
+                        fold(oldest_begin, future.result())
                     chunk = produce(begin, end)
-                    in_flight.append((begin, end, pool.submit(solve_chunk, chunk)))
+                    slot = slots[index % threads]
+                    in_flight.append((begin, pool.submit(solve_chunk, begin, end, chunk, slot)))
                 while in_flight:
-                    oldest_begin, oldest_end, future = in_flight.popleft()
-                    fold(oldest_begin, oldest_end, future.result())
+                    oldest_begin, future = in_flight.popleft()
+                    fold(oldest_begin, future.result())
         reductions = BatchReductions(
             worst_ir_drop=worst, average_ir_drop=average, worst_node_index=worst_index
         )
@@ -1118,13 +1163,13 @@ class BatchedAnalysisEngine:
             for sink in sinks:
                 sink.bind(compiled, k)
             rhs, pad_voltages = _PairedLayout(compiled, source).assemble(
-                (load_matrix, pad_voltage_matrix)
+                (load_matrix, pad_voltage_matrix), np.empty((k, compiled.num_unknowns))
             )
             unknown, reused = self._solve_rhs_block(compiled, rhs)
-            voltages = _node_rows(compiled, unknown, pad_voltages, drops=False).T
+            rows = _node_rows(compiled, unknown, pad_voltages, np.empty((k, compiled.num_nodes)))
+            voltages = rows.T
             if sinks:
-                drop_rows = _node_rows(compiled, unknown, pad_voltages, drops=True)
-                _feed_sinks(sinks, voltages, drop_rows, 0)
+                _feed_sinks(sinks, voltages, compiled.vdd - rows, 0)
         else:
             reductions, reused, _ = self._stream_scenarios(
                 compiled, source, k, chunk_size, sinks, executor_used, lenient, entry_point

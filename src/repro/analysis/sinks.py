@@ -56,6 +56,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _SCENARIO_STATISTICS = ("worst", "mean")
 """Per-scenario scalar statistics the scalar-stream sinks can track."""
 
+_SCRATCH_ROWS = 16
+"""Drop rows an exact sink folds per step.
+
+The per-node sinks work through each drop block this many rows at a
+time, so their scratch arrays (:meth:`IRDropSink._scratch`) have this
+many rows whatever the chunk width.  Counting is integral, so the
+blocking never changes a result."""
+
+
+def _row_blocks(drops: np.ndarray):
+    """``(start, rows)`` for consecutive ``_SCRATCH_ROWS``-row views of ``drops``."""
+    for start in range(0, drops.shape[0], _SCRATCH_ROWS):
+        yield start, drops[start : start + _SCRATCH_ROWS]
+
 
 @runtime_checkable
 class ScenarioSink(Protocol):
@@ -134,6 +148,10 @@ class IRDropSink:
     *row* layout (``(c, num_nodes)``, contiguous rows) — the same layout
     the engine's own reductions use, which is what keeps per-scenario
     reductions bitwise-independent of the chunk size.
+
+    Per-node sinks reuse their working arrays across chunks
+    (:meth:`_scratch`); those are not state, so pickles and snapshots
+    leave them out.
     """
 
     def __init__(self) -> None:
@@ -142,6 +160,25 @@ class IRDropSink:
         self._expected_scenarios = 0
         self._consumed = 0
         self._bound = False
+        self._scratch_arrays: dict[str, np.ndarray] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_scratch_arrays"] = {}
+        return state
+
+    def _scratch(self, name: str, dtype: type) -> np.ndarray:
+        """The ``(_SCRATCH_ROWS, num_nodes)`` working array ``name``, made on first use.
+
+        Fold code writes a row block into its leading rows with ``out=``
+        and reads them back within the same call; the array is reused for
+        every later block and chunk.
+        """
+        array = self._scratch_arrays.get(name)
+        if array is None:
+            array = np.empty((_SCRATCH_ROWS, self._num_nodes), dtype=dtype)
+            self._scratch_arrays[name] = array
+        return array
 
     @property
     def num_consumed(self) -> int:
@@ -190,6 +227,11 @@ class IRDropSink:
         :class:`IRDropSink` skips one transpose + subtraction per sink per
         chunk.  Semantically identical to :meth:`consume` on the chunk's
         voltages.
+
+        ``drop_rows`` is the engine's buffer: in a chunked sweep, every
+        chunk of an in-flight slot is written into the same array.  It is
+        valid only during this call, so a sink copies whatever it keeps
+        and never holds a view of it.
         """
         if not self._bound:
             raise ValueError(f"{type(self).__name__} was not bound before consuming")
@@ -715,9 +757,11 @@ class NodeHistogramSink(IRDropSink):
     :meth:`uniform`), the slot is estimated by arithmetic, as
     ``numpy.histogram`` does for uniform bins, and the estimate — at most
     one slot off — is corrected once in each direction against ``bounds``;
-    other edges bin by ``searchsorted`` on the same ``bounds``.  One
-    ``bincount`` per chunk then counts every node's slots.  NaN drops are
-    rejected; ``±inf`` count as underflow / overflow.
+    other edges bin by ``searchsorted`` on the same ``bounds``.  The fold
+    works through each chunk :data:`_SCRATCH_ROWS` rows at a time in
+    reused estimate, slot and step arrays, and ``np.add.at`` counts every
+    node's slots in place.  NaN drops are rejected; ``±inf`` count as
+    underflow / overflow.
 
     Args:
         edges: Ascending bin edges in volts (``num_bins + 1`` values).
@@ -762,7 +806,7 @@ class NodeHistogramSink(IRDropSink):
         self._node_base = np.arange(compiled.num_nodes, dtype=np.intp) * slots
 
     def _slots(self, drops: np.ndarray) -> np.ndarray:
-        """Slot of every drop (0 underflow, ``i + 1`` bin ``i``, last overflow)."""
+        """Slot of every drop of a row block (0 underflow, ``i + 1`` bin ``i``, last overflow)."""
         bounds = self._bounds
         if self._scale is None:
             return np.searchsorted(bounds, drops, side="right")
@@ -770,16 +814,20 @@ class NodeHistogramSink(IRDropSink):
         # estimated bin b in [0, num_bins - 1], so the true slot is one of
         # b, b + 1, b + 2: b plus the number of bounds[b], bounds[b + 1]
         # the drop reaches.  ``estimate`` is reused for the looked-up bounds.
+        count = drops.shape[0]
+        estimate = self._scratch("estimate", float)[:count]
+        slots = self._scratch("slots", np.intp)[:count]
+        step = self._scratch("step", bool)[:count]
         with np.errstate(over="ignore"):
-            estimate = np.subtract(drops, self.edges[0])
+            np.subtract(drops, self.edges[0], out=estimate)
             estimate *= self._scale
         np.clip(estimate, 0, self.num_bins - 1, out=estimate)
-        slots = estimate.astype(np.intp)
+        np.copyto(slots, estimate, casting="unsafe")
         lower = bounds.take(slots, mode="clip", out=estimate)
-        steps = np.greater_equal(drops, lower).view(np.uint8)
+        np.greater_equal(drops, lower, out=step)
         upper = bounds[1:].take(slots, mode="clip", out=estimate)
-        steps += np.greater_equal(drops, upper)
-        slots += steps
+        slots += step
+        slots += np.greater_equal(drops, upper, out=step)
         return slots
 
     def _consume_drops(self, drops: np.ndarray, scenario_offset: int) -> None:
@@ -789,11 +837,11 @@ class NodeHistogramSink(IRDropSink):
                 f"{type(self).__name__}: NaN IR drop at scenario "
                 f"{scenario_offset + int(row)}, node {int(node)}"
             )
-        slots = self._slots(drops)
-        slots += self._node_base
-        self._slot_counts += np.bincount(
-            slots.ravel(), minlength=self._slot_counts.size
-        ).reshape(self._slot_counts.shape)
+        counts = self._slot_counts.reshape(-1)
+        for _, rows in _row_blocks(drops):
+            slots = self._slots(rows)
+            slots += self._node_base
+            np.add.at(counts, slots.ravel(), 1)
 
     def snapshot(self) -> SinkSnapshot:
         """Freeze the accumulated per-node counters."""
@@ -889,7 +937,10 @@ class ExceedanceCountSink(IRDropSink):
         self._exceed = np.zeros(compiled.num_nodes, dtype=np.int64)
 
     def _consume_drops(self, drops: np.ndarray, scenario_offset: int) -> None:
-        self._exceed += (drops > self.threshold).sum(axis=0)
+        mask = self._scratch("mask", bool)
+        for _, rows in _row_blocks(drops):
+            above = np.greater(rows, self.threshold, out=mask[: rows.shape[0]])
+            self._exceed += above.sum(axis=0)
 
     def snapshot(self) -> SinkSnapshot:
         """Freeze the accumulated per-node exceedance counters."""
@@ -982,9 +1033,12 @@ class JointExceedanceSink(IRDropSink):
         self._counts = np.zeros(1, dtype=np.int64)
 
     def _consume_drops(self, drops: np.ndarray, scenario_offset: int) -> None:
-        violating = (drops > self.threshold).sum(axis=1)
-        chunk_counts = np.bincount(violating)
-        self._counts = _padded_add(self._counts, chunk_counts)
+        mask = self._scratch("mask", bool)
+        violating = np.empty(drops.shape[0], dtype=np.intp)
+        for start, rows in _row_blocks(drops):
+            above = np.greater(rows, self.threshold, out=mask[: rows.shape[0]])
+            above.sum(axis=1, out=violating[start : start + rows.shape[0]])
+        self._counts = _padded_add(self._counts, np.bincount(violating))
 
     def snapshot(self) -> SinkSnapshot:
         """Freeze the violating-node-count histogram."""

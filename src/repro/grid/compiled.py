@@ -140,6 +140,8 @@ class CompiledGrid:
         is_pad: Boolean mask over nodes marking supply-pad nodes.
         unknown_sel: Indices of the unknown (non-pad) nodes, in
             reduced-system order.
+        unknown_index: Per-node row of the reduced system (``-1`` for pad
+            nodes); the inverse of ``unknown_sel``.
         pad_sel: Indices of the pad nodes, in node order.
         pad_voltage: Per-node pad voltage (0 for non-pad nodes).  When
             several pads share a node, the last added pad wins.
@@ -360,9 +362,9 @@ class CompiledGrid:
         self.unknown_index = np.full(n, _GROUND_INDEX, dtype=np.int64)
         self.unknown_index[self.unknown_sel] = np.arange(len(self.unknown_sel))
         self.pad_sel = np.flatnonzero(self.is_pad)
-        # Column of every node in the [unknowns | pad nodes] row layout of
-        # to_node_order, and the pad-matrix column feeding each pad node
-        # (last wins, like pad_voltage above).
+        # Column of every node in the [unknowns | pad nodes] layout (the
+        # pad part numbers pad_incidence's columns), and the pad-matrix
+        # column feeding each pad node (last wins, like pad_voltage above).
         self._node_column = np.empty(n, dtype=np.int64)
         self._node_column[self.unknown_sel] = np.arange(len(self.unknown_sel))
         self._node_column[self.pad_sel] = len(self.unknown_sel) + np.arange(len(self.pad_sel))
@@ -777,21 +779,6 @@ class CompiledGrid:
                 f"got {pad_voltage_matrix.shape}"
             )
         return pad_voltage_matrix[:, self._pad_sel_column]
-
-    def to_node_order(self, rows: np.ndarray) -> np.ndarray:
-        """Reorder per-scenario rows from the solve layout into node order.
-
-        Args:
-            rows: ``(k, num_nodes)`` rows holding each scenario's unknown
-                nodes first, in reduced-system order, then its pad nodes,
-                in :attr:`pad_sel` order — the layout in which a solved
-                block and its pad voltages arrive.
-
-        Returns:
-            ``(k, num_nodes)`` C-contiguous rows in compiled node order,
-            gathered in one pass.
-        """
-        return rows.take(self._node_column, axis=1)
 
     def voltages_dict(self, voltages: np.ndarray) -> dict[str, float]:
         """Convert a per-node voltage vector into a name-keyed mapping."""

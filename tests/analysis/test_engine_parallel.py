@@ -9,7 +9,9 @@ every combination of ``workers`` and ``chunk_size``.  ``executor=`` is the
 only way to choose that parallelism.
 """
 
+import dataclasses
 import inspect
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     ExceedanceCountSink,
+    IRDropSink,
     MatrixScenarioSource,
     NodeHistogramSink,
     P2QuantileSink,
@@ -206,6 +209,101 @@ class TestParallelEquivalence:
             ibmpg1_grid, load_sweep, chunk_size=100, executor=make_executor("threads", 8)
         )
         assert_reductions_identical(sequential, parallel)
+
+
+
+class SlowHistogramSink(NodeHistogramSink):
+    """Sleeps in its fold, so the chunks after it finish solving first."""
+
+    def consume_drop_rows(self, drop_rows, scenario_offset):
+        time.sleep(0.003)
+        super().consume_drop_rows(drop_rows, scenario_offset)
+
+
+class RawVoltages:
+    """A protocol sink outside IRDropSink: keeps a copy of every raw voltage chunk."""
+
+    def bind(self, compiled, num_scenarios):
+        self.voltages = np.full((compiled.num_nodes, num_scenarios), np.nan)
+
+    def consume(self, chunk_voltages, scenario_offset):
+        width = chunk_voltages.shape[1]
+        self.voltages[:, scenario_offset : scenario_offset + width] = chunk_voltages
+
+    def result(self):
+        return self.voltages
+
+
+class DropCopies(IRDropSink):
+    """Keeps a copy of every drop row it folds."""
+
+    def _on_bind(self, compiled, num_scenarios):
+        self.drops = np.full((num_scenarios, compiled.num_nodes), np.nan)
+
+    def _consume_drops(self, drops, scenario_offset):
+        self.drops[scenario_offset : scenario_offset + drops.shape[0]] = drops
+
+    def result(self):
+        return self.drops
+
+
+class TestSlotReuse:
+    """A threaded sweep reuses a chunk slot only after its chunk folded, and
+    builds raw voltages before it turns the solution into drops."""
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("entry", ["batch", "mega"])
+    def test_slow_fold_and_raw_voltages_match_serial(
+        self, ibmpg1_grid, ibmpg1_bench, load_sweep, nominal_worst, workers, entry
+    ):
+        engine = BatchedAnalysisEngine()
+        if entry == "batch":
+            # 37 scenarios in chunks of 6: 7 chunks, a multiple of neither 2 nor 3.
+            def sweep(sinks, executor):
+                return engine.analyze_batch(
+                    ibmpg1_grid, load_sweep, chunk_size=6, sinks=sinks, executor=executor
+                )
+
+            dense = engine.analyze_batch(ibmpg1_grid, load_sweep)
+        else:
+            # 5 x 5 scenarios in chunks of 6: 5 chunks.
+            load_matrix, pad_matrix = mega_sweep_matrices(
+                ibmpg1_grid, ibmpg1_bench.floorplan, 0.2, 5, 5, seed=7
+            )
+
+            def sweep(sinks, executor):
+                return engine.analyze_mega_sweep(
+                    ibmpg1_grid, load_matrix, pad_matrix, chunk_size=6, sinks=sinks,
+                    executor=executor,
+                )
+
+            dense = engine.analyze_pad_batch(
+                ibmpg1_grid,
+                np.tile(pad_matrix, (5, 1)),
+                load_matrix=np.repeat(load_matrix, 5, axis=0),
+            )
+        runs = []
+        for executor in ("serial", make_executor("threads", workers)):
+            sinks = {
+                "slow": SlowHistogramSink.uniform(0.0, 2.0 * nominal_worst + 1e-6, 8),
+                "exceedance": ExceedanceCountSink(nominal_worst),
+                "topk": TopKScenarioSink(4),
+                "voltages": RawVoltages(),
+                "drops": DropCopies(),
+            }
+            runs.append((sweep(tuple(sinks.values()), executor), sinks))
+        (serial, serial_sinks), (threaded, threaded_sinks) = runs
+        assert_reductions_identical(serial, threaded)
+        for name in ("slow", "exceedance", "topk"):
+            expected, actual = serial_sinks[name].result(), threaded_sinks[name].result()
+            for field in dataclasses.fields(expected):
+                assert np.array_equal(
+                    getattr(actual, field.name), getattr(expected, field.name)
+                ), (name, field.name)
+        voltages = threaded_sinks["voltages"].result()
+        assert np.array_equal(voltages, serial_sinks["voltages"].result())
+        assert np.array_equal(threaded_sinks["drops"].result(), ibmpg1_grid.vdd - voltages.T)
+        np.testing.assert_allclose(voltages, dense.voltages, rtol=0.0, atol=1e-12)
 
 
 class TestParallelismOption:

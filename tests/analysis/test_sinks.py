@@ -8,6 +8,9 @@ an explicitly materialised cross product, and the statistical vectorless
 sweep must stay below the deterministic worst-case bound.
 """
 
+import copy
+import dataclasses
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.analysis import (
     ExceedanceCounts,
     ExceedanceCountSink,
     HybridExecutor,
+    IRDropSink,
     JointExceedanceSink,
     NodeHistogramSink,
     P2QuantileSink,
@@ -25,8 +29,10 @@ from repro.analysis import (
     SinkSnapshot,
     TopKScenarioSink,
     VectorlessAnalyzer,
+    make_executor,
     uniform_budget,
 )
+from repro.analysis.sinks import _SCRATCH_ROWS
 from repro.grid import (
     PerturbationKind,
     PerturbationSpec,
@@ -373,13 +379,16 @@ class TestHistogramBinning:
         assert np.array_equal(histogram.underflow, (drops < edges[0]).sum(axis=0))
         assert np.array_equal(histogram.overflow, (drops > edges[-1]).sum(axis=0))
         assert np.array_equal(histogram.total, np.full(drops.shape[1], drops.shape[0]))
-        # The arithmetic path counts exactly what searchsorted counts.
+        # The arithmetic path counts exactly what searchsorted counts, and
+        # chunks wider than the sink's scratch rows count the same.
         reference = NodeHistogramSink(edges)
         reference._scale = None
         searched = fold_histogram(reference, drops, entry)
-        assert np.array_equal(histogram.counts, searched.counts)
-        assert np.array_equal(histogram.underflow, searched.underflow)
-        assert np.array_equal(histogram.overflow, searched.overflow)
+        wide = fold_histogram(NodeHistogramSink(edges), drops, entry, chunk=2 * _SCRATCH_ROWS + 3)
+        for other in (searched, wide):
+            assert np.array_equal(histogram.counts, other.counts)
+            assert np.array_equal(histogram.underflow, other.underflow)
+            assert np.array_equal(histogram.overflow, other.overflow)
 
     @pytest.mark.parametrize("entry", ["consume", "consume_drop_rows"])
     def test_nan_drop_names_scenario_and_node(self, entry):
@@ -694,6 +703,114 @@ class TestMegaSweep:
             engine.analyze_mega_sweep(ibmpg1_grid, load_matrix[:0], pad_matrix)
         with pytest.raises(ValueError, match="chunk_size"):
             engine.analyze_mega_sweep(ibmpg1_grid, load_matrix, pad_matrix, chunk_size=0)
+
+
+class PoisonAfterUse(IRDropSink):
+    """Overwrites the engine's drop-row block with NaN once the sinks before it folded it."""
+
+    def consume_drop_rows(self, drop_rows, scenario_offset):
+        drop_rows[...] = np.nan
+
+    def result(self):
+        return None
+
+
+class BlockRecorder(IRDropSink):
+    """Keeps every drop-row block the engine hands it, as handed (no copy)."""
+
+    def __init__(self):
+        super().__init__()
+        self.blocks = []
+
+    def consume_drop_rows(self, drop_rows, scenario_offset):
+        self.blocks.append(drop_rows)
+
+    def result(self):
+        return self.blocks
+
+
+ALL_SINKS = {
+    "p2": lambda threshold, edges: P2QuantileSink((0.5, 0.9, 0.99)),
+    "sketch": lambda threshold, edges: QuantileSketchSink((0.5, 0.9, 0.99)),
+    "histogram": lambda threshold, edges: NodeHistogramSink(edges),
+    "exceedance": lambda threshold, edges: ExceedanceCountSink(threshold),
+    "joint": lambda threshold, edges: JointExceedanceSink(threshold),
+    "topk": lambda threshold, edges: TopKScenarioSink(5),
+}
+"""The six sinks of ``repro.analysis``, each built from a threshold and bin edges."""
+
+
+def result_fields(sink) -> dict:
+    result = sink.result()
+    return {field.name: getattr(result, field.name) for field in dataclasses.fields(result)}
+
+
+class TestDropRowLifetime:
+    """The drop-row block a sink is handed is the engine's buffer, valid only during the call."""
+
+    @pytest.fixture(scope="class")
+    def sweep_matrices(self, ibmpg1_grid, ibmpg1_bench):
+        return mega_sweep_matrices(ibmpg1_grid, ibmpg1_bench.floorplan, 0.2, 6, 4, seed=3)
+
+    @pytest.fixture(scope="class")
+    def sink_setup(self, ibmpg1_grid):
+        threshold = BatchedAnalysisEngine().analyze(ibmpg1_grid).worst_ir_drop
+        return threshold, np.linspace(0.0, 1.2 * threshold, 9)
+
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("sink_name", sorted(ALL_SINKS))
+    def test_sinks_keep_nothing_of_the_block(
+        self, ibmpg1_grid, sweep_matrices, sink_setup, sink_name, executor
+    ):
+        """NaN written over the block after every fold changes no sink result."""
+        load_matrix, pad_matrix = sweep_matrices
+        results = []
+        for extra in ((), (PoisonAfterUse(),)):
+            sink = ALL_SINKS[sink_name](*sink_setup)
+            BatchedAnalysisEngine().analyze_mega_sweep(
+                ibmpg1_grid, load_matrix, pad_matrix, chunk_size=5, sinks=[sink, *extra],
+                executor=executor if executor == "serial" else make_executor(executor, 2),
+            )
+            results.append(result_fields(sink))
+        untouched, poisoned = results
+        for name, expected in untouched.items():
+            assert np.array_equal(poisoned[name], expected), name
+
+    def test_serial_sweep_reuses_one_block(self, ibmpg1_grid, sweep_matrices):
+        """Every chunk of a serial sweep is written into the same drop-row buffer."""
+        load_matrix, pad_matrix = sweep_matrices
+        recorder = BlockRecorder()
+        BatchedAnalysisEngine().analyze_mega_sweep(
+            ibmpg1_grid, load_matrix, pad_matrix, chunk_size=5, sinks=[recorder],
+            executor="serial",
+        )
+        blocks = recorder.result()
+        assert [block.shape[0] for block in blocks] == [5, 5, 5, 5, 4]
+        assert all(np.shares_memory(blocks[0], block) for block in blocks[1:])
+
+    def test_scratch_stays_out_of_pickles_and_snapshots(
+        self, ibmpg1_grid, sweep_matrices, sink_setup
+    ):
+        """Scratch is bounded by a fixed row block and never pickled or snapshotted."""
+        load_matrix, pad_matrix = sweep_matrices
+        sinks = [ALL_SINKS[name](*sink_setup) for name in ("histogram", "exceedance", "joint")]
+        BatchedAnalysisEngine().analyze_mega_sweep(
+            ibmpg1_grid, load_matrix, pad_matrix, chunk_size=24, sinks=sinks
+        )
+        num_nodes = ibmpg1_grid.compile().num_nodes
+        for sink in sinks:
+            assert sink._scratch_arrays
+            for array in sink._scratch_arrays.values():
+                assert array.shape == (_SCRATCH_ROWS, num_nodes)
+            clone = pickle.loads(pickle.dumps(sink))
+            assert clone._scratch_arrays == {}
+            assert copy.deepcopy(sink)._scratch_arrays == {}
+            for name, value in result_fields(sink).items():
+                assert np.array_equal(result_fields(clone)[name], value), name
+            for value in sink.snapshot().state.values():
+                if isinstance(value, np.ndarray):
+                    scratch = sink._scratch_arrays.values()
+                    assert not any(np.shares_memory(value, array) for array in scratch)
 
 
 class TestScenarioStream:

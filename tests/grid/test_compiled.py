@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.engine import _node_rows
 from repro.grid import (
     GROUND_NODE,
     CompiledGrid,
@@ -177,9 +178,10 @@ class TestFingerprint:
 
 class TestSolutionHelpers:
     def test_solve_layout_rows_match_full_voltages(self):
-        """Rows assembled as [unknowns | pad nodes] and gathered into node
-        order equal the per-node voltages scattered one by one, bitwise; a
-        second pad on one node wins over the first."""
+        """A solved block and its pad voltages written into node-order rows
+        (the engine's ``_node_rows``) equal the per-node voltages scattered
+        one by one, bitwise, from either solution layout; a second pad on
+        one node wins over the first."""
         network = awkward_network()
         network.add_voltage_source(VoltageSource(name="V3", node="p1", voltage=1.3))
         compiled = compile_grid(network)
@@ -193,8 +195,11 @@ class TestSolutionHelpers:
         pad_voltages = compiled.pad_node_voltages(pads)
         assert np.array_equal(pad_voltages, expected[:, compiled.pad_sel])
         assert np.array_equal(pad_voltages[:, 0], pads[:, 2])
-        rows = compiled.to_node_order(np.hstack((unknown.T, pad_voltages)))
-        assert np.array_equal(rows, expected)
+        for solution in (unknown, np.asfortranarray(unknown)):
+            out = np.full((4, compiled.num_nodes), np.nan)
+            rows = _node_rows(compiled, solution, pad_voltages, out)
+            assert rows is out
+            assert np.array_equal(rows, expected)
 
     def test_rhs_matrix_matches_single_rhs(self):
         compiled = compile_grid(awkward_network())
