@@ -101,6 +101,23 @@ MAX_CHUNK_SIZE = 4096
 CHUNK_CACHE_BYTES = 1024 * 1024
 """Bytes of one ``(num_unknowns, chunk)`` double block the adaptive width targets."""
 
+SOLVE_COLUMNS = 16
+"""Most right-hand sides one :meth:`~repro.analysis.solvers.Factorization.solve` call takes.
+
+SuperLU allocates two blocks the width of its right-hand side per call (a
+Fortran-order copy, which becomes the solution, and ``dgstrs``' work
+array).  At 16 columns they are small enough for the allocator to recycle
+from one call to the next instead of handing them back to the kernel,
+which faults them in afresh, and SuperLU's cost per column is already as
+low as at a full chunk's width.  A block is cut at multiples of 16 from
+its first row rather than into near-equal slices: on ibmpg1, ibmpg2 and
+ibmpgnew1, slices that start at multiples of 4 columns reproduced a
+17- to 96-column block's voltages bit for bit where slices of 1, 2, 7 or 14
+columns moved them by up to 5.6e-16 V, and every suite grid's
+adaptive-width sweep (ibmpg2's 28-column chunks cut 16 + 12) stays
+bitwise what one call per chunk gives.
+"""
+
 
 def resolve_chunk_size(num_unknowns: int) -> int:
     """Adaptive RHS chunk width for streamed sweeps.
@@ -116,10 +133,12 @@ def resolve_chunk_size(num_unknowns: int) -> int:
     chunk sits in the cache of the core solving it, so the width does not
     depend on the executor's parallelism.  Each in-flight slot holds two
     such blocks for the whole sweep (the RHS rows and the node-order drop
-    rows) and a one-byte-per-entry finiteness mask; SuperLU adds two
-    transient blocks per solve (its Fortran-order copy of the RHS, which
-    becomes the solution, and its work array), and a sink that consumes
-    raw voltages one more block per chunk.
+    rows) and a one-byte-per-entry finiteness mask.  A chunk is solved in
+    slices of at most :data:`SOLVE_COLUMNS` columns, so SuperLU's two
+    transient blocks per call (its Fortran-order copy of the RHS, which
+    becomes the solution, and its work array) are slice-sized, not
+    chunk-sized; a sink that consumes raw voltages adds one more block per
+    chunk.
     Streamed entry points use it whenever ``chunk_size`` is omitted.
 
     Args:
@@ -303,9 +322,10 @@ class _PairedLayout:
     :meth:`fetch` calls the source and validates its chunk on the calling
     thread (sources need not be thread-safe); :meth:`assemble` writes the
     reduced right-hand sides into the caller's rows and may run on any
-    thread.  Every element is the subtraction
-    :meth:`~repro.grid.compiled.CompiledGrid.rhs_matrix` makes of the
-    same operands.
+    thread.  Each row is the pad contribution
+    (:attr:`~repro.grid.compiled.CompiledGrid.pad_rhs`, or
+    :meth:`~repro.grid.compiled.CompiledGrid.pad_rhs_matrix` of the
+    scenario's pad row) minus the scenario's loads at the unknown nodes.
     """
 
     def __init__(self, compiled: CompiledGrid, source: ScenarioSource) -> None:
@@ -319,8 +339,8 @@ class _PairedLayout:
 
     def assemble(
         self, chunk: tuple[np.ndarray | None, np.ndarray | None], out: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fill ``out``'s ``(c, num_unknowns)`` rows; return ``out.T`` and the pad-node voltages.
+    ) -> np.ndarray:
+        """Fill ``out``'s ``(c, num_unknowns)`` rows; return the pad-node voltages.
 
         The voltages are ``(c, len(pad_sel))``, or the nominal
         ``(len(pad_sel),)`` row every scenario shares when the chunk has
@@ -336,9 +356,9 @@ class _PairedLayout:
             )
         if pad_chunk is None:
             np.subtract(compiled.pad_rhs, out, out=out)
-            return out.T, compiled.pad_voltage[compiled.pad_sel]
+            return compiled.pad_voltage[compiled.pad_sel]
         np.subtract(compiled.pad_rhs_matrix(pad_chunk).T, out, out=out)
-        return out.T, compiled.pad_node_voltages(pad_chunk)
+        return compiled.pad_node_voltages(pad_chunk)
 
 
 class _CrossProductLayout:
@@ -353,11 +373,12 @@ class _CrossProductLayout:
     :attr:`pad_voltages` (every pad row at the pad nodes).  A
     chunk's RHS is then one gather of pad parts into the caller's rows and
     one broadcast subtract per load row the chunk spans, written
-    scenario-major so the block SuperLU copies is already Fortran-ordered.
+    scenario-major so each slice SuperLU copies is already Fortran-ordered.
     Every element is the same subtraction of the same operands as
-    :meth:`~repro.grid.compiled.CompiledGrid.rhs_matrix` on the chunk's
-    materialised rows (a CSR product's columns do not depend on which
-    columns share it), so the solve sees bitwise the same block.
+    :class:`_PairedLayout` makes of the chunk's materialised rows
+    (``pad_rhs_matrix`` of the pad row minus the load row's unknown-node
+    slice; a CSR product's columns do not depend on which columns share
+    it), so the solve sees bitwise the same rows.
 
     Construction checks the shapes and the finiteness of both matrices
     once, naming the first bad row and column.  :meth:`fetch` and
@@ -404,10 +425,8 @@ class _CrossProductLayout:
             )
         return begin, end
 
-    def assemble(
-        self, span: tuple[int, int], out: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fill ``out``'s ``(c, num_unknowns)`` rows; return ``out.T`` and the pad-node voltages.
+    def assemble(self, span: tuple[int, int], out: np.ndarray) -> np.ndarray:
+        """Fill ``out``'s ``(c, num_unknowns)`` rows; return the pad-node voltages.
 
         The voltages are ``(c, len(pad_sel))``.
         """
@@ -418,7 +437,7 @@ class _CrossProductLayout:
         for load_row in range(begin // width, (end - 1) // width + 1):
             rows = out[max(begin, load_row * width) - begin : (load_row + 1) * width - begin]
             np.subtract(rows, self.load_part[load_row], out=rows)
-        return out.T, self.pad_voltages[pad_rows]
+        return self.pad_voltages[pad_rows]
 
 
 @dataclass(frozen=True)
@@ -458,36 +477,17 @@ def _column_reductions(ir_drop: np.ndarray) -> "BatchReductions":
     )
 
 
-def _node_rows(
-    compiled: CompiledGrid, unknown: np.ndarray, pad_voltages: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Write one solved block into ``out`` as ``(c, num_nodes)`` voltage rows in node order.
-
-    ``unknown`` is the ``(num_unknowns, c)`` solution and ``pad_voltages``
-    the ``(c, len(pad_sel))`` pad-node voltages (one ``(len(pad_sel),)``
-    row broadcasts to every scenario).  Every row is gathered straight
-    from the solution by the nodes' unknown indices, and its pad columns
-    are written after: the same values as scattering a ``(num_nodes, c)``
-    voltage block and transposing it, without either step or a staging
-    block.  Returns ``out``.
-    """
-    if compiled.num_unknowns:
-        # Pad nodes (unknown index -1) clip to column 0; their columns are
-        # overwritten next.
-        unknown.T.take(compiled.unknown_index, axis=1, out=out, mode="clip")
-    out[:, compiled.pad_sel] = pad_voltages
-    return out
-
-
 def _chunk_slot(compiled: CompiledGrid, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One in-flight chunk's arrays, each with ``width`` scenario rows.
 
-    The ``(width, num_unknowns)`` RHS rows (their transpose is the
-    Fortran-ordered block SuperLU solves), the ``(width, num_nodes)``
-    node-order drop rows the reductions and sinks read, and the
-    ``(width, num_unknowns)`` finiteness mask, whose transpose matches the
-    solution's layout.  A chunk of ``c`` scenarios uses the first ``c``
-    rows of each.
+    The ``(width, num_unknowns)`` RHS rows (the transpose of each slice of
+    rows is the Fortran-ordered block one SuperLU call solves), the
+    ``(width, num_nodes)`` node-order drop rows the reductions and sinks
+    read, and the ``(width, num_unknowns)`` finiteness mask, whose slices
+    transposed match each slice's solution.  A chunk of ``c`` scenarios
+    uses the first ``c`` rows of each.  Nothing else chunk-sized lives
+    through a solve: SuperLU's own blocks are one slice wide
+    (:data:`SOLVE_COLUMNS`).
     """
     return (
         np.empty((width, compiled.num_unknowns)),
@@ -933,24 +933,46 @@ class BatchedAnalysisEngine:
         """
         return self._analyze_one(network, loads, name).result(0)
 
-    def _solve_rhs_block(
-        self, compiled: CompiledGrid, rhs: np.ndarray, finite: np.ndarray | None = None
-    ) -> tuple[np.ndarray, bool]:
-        """Solve one ``(num_unknowns, c)`` RHS block.
+    def _solve_node_rows(
+        self,
+        compiled: CompiledGrid,
+        rhs_rows: np.ndarray,
+        pad_voltages: np.ndarray,
+        out: np.ndarray,
+        finite: np.ndarray | None = None,
+    ) -> bool:
+        """Solve ``c`` scenarios' right-hand sides into node-order voltage rows.
 
-        Every solve of the engine runs here, a single scenario as one
-        column.  Returns the unknown voltages and whether a cached
-        factorization was reused.  ``finite``, a ``(num_unknowns, c)``
-        boolean array, receives the finiteness mask the solution is
-        checked with (one is allocated when it is omitted).
+        Every solve of the engine runs here, a single scenario as one row.
+        ``rhs_rows`` are the ``(c, num_unknowns)`` reduced right-hand
+        sides, ``pad_voltages`` the ``(c, len(pad_sel))`` pad-node voltages
+        (one ``(len(pad_sel),)`` row broadcasts to every scenario), and
+        ``out`` the ``(c, num_nodes)`` rows that receive the voltages.  The
+        factorization is looked up once; the rows are solved in
+        ``ceil(c / SOLVE_COLUMNS)`` slices of :data:`SOLVE_COLUMNS` rows,
+        the last taking the rest.  Each slice's solution is checked for
+        finiteness — into its rows of ``finite``, a ``(c, num_unknowns)``
+        boolean array, or a slice-sized temporary when it is omitted —
+        then gathered straight into its rows of ``out`` by the nodes'
+        unknown indices; the pad columns are written last.  No
+        chunk-sized solution exists, and every path slices a block alike,
+        so equal rows give bitwise-equal voltages.  Returns whether a
+        cached factorization was reused.
         """
-        if rhs.shape[0] == 0:
-            return np.empty((0, rhs.shape[1])), False
-        factor, reused = self._factor(compiled)
-        unknown = factor.solve(rhs)
-        if not np.isfinite(unknown, out=finite).all():
-            raise LinearSolverError("direct solve produced non-finite voltages")
-        return unknown, reused
+        reused = False
+        if compiled.num_unknowns:
+            factor, reused = self._factor(compiled)
+            for begin in range(0, len(rhs_rows), SOLVE_COLUMNS):
+                end = begin + SOLVE_COLUMNS
+                unknown = factor.solve(rhs_rows[begin:end].T)
+                mask = None if finite is None else finite[begin:end].T
+                if not np.isfinite(unknown, out=mask).all():
+                    raise LinearSolverError("direct solve produced non-finite voltages")
+                # Pad nodes (unknown index -1) clip to column 0; their
+                # columns are overwritten below.
+                unknown.T.take(compiled.unknown_index, axis=1, out=out[begin:end], mode="clip")
+        out[:, compiled.pad_sel] = pad_voltages
+        return reused
 
     def _stream_scenarios(
         self,
@@ -1030,8 +1052,8 @@ class BatchedAnalysisEngine:
         for a single shard, and once per shard inside shard workers.  The
         dense ``(num_nodes, num_scenarios)`` voltage matrix never exists:
         each ``≤chunk_size``-scenario chunk is solved, its IR-drop rows
-        written directly (:func:`_node_rows`), reduced into the sweep's
-        per-scenario vectors and folded into every attached sink.
+        written directly (:meth:`_solve_node_rows`), reduced into the
+        sweep's per-scenario vectors and folded into every attached sink.
         Per-node voltages are built only for sinks that consume raw
         voltages.
 
@@ -1085,10 +1107,9 @@ class BatchedAnalysisEngine:
             begin: int, end: int, chunk: object, slot: tuple[np.ndarray, ...]
         ) -> tuple[np.ndarray | None, np.ndarray, bool]:
             rhs_rows, drop_rows, finite = (array[: end - begin] for array in slot)
-            rhs, pad_voltages = layout.assemble(chunk, rhs_rows)
-            unknown, chunk_reused = self._solve_rhs_block(compiled, rhs, finite.T)
+            pad_voltages = layout.assemble(chunk, rhs_rows)
             rows = np.empty_like(drop_rows) if with_voltages else drop_rows
-            _node_rows(compiled, unknown, pad_voltages, rows)
+            chunk_reused = self._solve_node_rows(compiled, rhs_rows, pad_voltages, rows, finite)
             np.subtract(compiled.vdd, rows, out=drop_rows)
             # The chunk-local reductions are deterministic, so computing
             # them here keeps them on the worker pool instead of adding to
@@ -1162,11 +1183,12 @@ class BatchedAnalysisEngine:
         if chunk_size is None:
             for sink in sinks:
                 sink.bind(compiled, k)
-            rhs, pad_voltages = _PairedLayout(compiled, source).assemble(
-                (load_matrix, pad_voltage_matrix), np.empty((k, compiled.num_unknowns))
+            rhs_rows = np.empty((k, compiled.num_unknowns))
+            pad_voltages = _PairedLayout(compiled, source).assemble(
+                (load_matrix, pad_voltage_matrix), rhs_rows
             )
-            unknown, reused = self._solve_rhs_block(compiled, rhs)
-            rows = _node_rows(compiled, unknown, pad_voltages, np.empty((k, compiled.num_nodes)))
+            rows = np.empty((k, compiled.num_nodes))
+            reused = self._solve_node_rows(compiled, rhs_rows, pad_voltages, rows)
             voltages = rows.T
             if sinks:
                 _feed_sinks(sinks, voltages, compiled.vdd - rows, 0)

@@ -591,51 +591,6 @@ class CompiledGrid:
         np.add.at(rhs, self._pf_free, pf_g * self.pad_voltage[self._pf_pad])
         return rhs
 
-    def rhs_matrix(
-        self,
-        load_matrix: np.ndarray | None,
-        pad_voltage_matrix: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Right-hand sides for many scenarios at once.
-
-        Args:
-            load_matrix: ``(num_scenarios, num_nodes)`` per-node currents,
-                or ``None`` to use the grid's own loads in every scenario
-                (allowed only together with ``pad_voltage_matrix``).
-                Loads on pad nodes are ignored: a pad fixes its node's
-                voltage.
-            pad_voltage_matrix: Optional ``(num_scenarios, num_pads)``
-                per-pad voltages aligned with :attr:`pad_names`; when given,
-                scenario ``i`` replaces the fixed pad voltages with row
-                ``i`` (the NODE_VOLTAGES sweep of the paper's Fig. 9).
-
-        Returns:
-            ``(num_unknowns, num_scenarios)`` RHS matrix, ready for a
-            multi-RHS sparse triangular solve.
-        """
-        if load_matrix is None:
-            if pad_voltage_matrix is None:
-                raise ValueError("provide load_matrix, pad_voltage_matrix, or both")
-            k = np.asarray(pad_voltage_matrix).shape[0]
-            load_part = np.broadcast_to(
-                self.base_loads[self.unknown_sel][:, None], (self.num_unknowns, k)
-            )
-        else:
-            load_matrix = np.asarray(load_matrix, dtype=float)
-            if load_matrix.ndim != 2 or load_matrix.shape[1] != self.num_nodes:
-                raise ValueError(
-                    f"expected load matrix of shape (k, {self.num_nodes}), got {load_matrix.shape}"
-                )
-            load_part = load_matrix[:, self.unknown_sel].T
-        if pad_voltage_matrix is None:
-            return self.pad_rhs[:, None] - load_part
-        pad_part = self.pad_rhs_matrix(pad_voltage_matrix)
-        if load_matrix is not None and pad_part.shape[1] != load_part.shape[1]:
-            raise ValueError(
-                "load_matrix and pad_voltage_matrix must have the same number of scenarios"
-            )
-        return pad_part - load_part
-
     @cached_property
     def pad_incidence(self) -> sp.csr_matrix:
         """Sparse ``(num_unknowns, len(pad_sel))`` pad-conductance incidence.

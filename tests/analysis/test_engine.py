@@ -13,6 +13,7 @@ import pytest
 from repro.analysis import (
     BatchedAnalysisEngine,
     LinearSolverError,
+    TopKScenarioSink,
     VectorlessAnalyzer,
     solvers,
     uniform_budget,
@@ -33,6 +34,7 @@ from repro.grid import (
 )
 
 from ..dense_oracle import reference_loads, reference_voltages
+from ..reference_rhs import reference_rhs
 
 VOLTAGE_TOLERANCE = 1e-9
 
@@ -225,7 +227,7 @@ class TestEveryGridIsFactored:
         engine = BatchedAnalysisEngine()
         voltages = engine.solve_voltages(grid)
         assert engine.cache_info().factorizations == 1
-        rhs = grid.rhs_matrix(grid.base_loads[None])[:, 0]
+        rhs = reference_rhs(grid)[:, 0]
         residual = grid.reduced_matrix @ voltages[grid.unknown_sel] - rhs
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -428,13 +430,25 @@ class TestOneSolvePath:
         info = engine.cache_info()
         assert (info.factorizations, info.hits, info.entries) == (2, 5, 2)
 
-    def test_non_finite_solution_names_the_solver(self, base_compiled, monkeypatch):
+    @pytest.mark.parametrize("first", [1, 3], ids=["every-slice", "third-slice"])
+    def test_non_finite_solution_names_the_solver(self, base_compiled, non_finite_solve, first):
+        """A non-finite solve raises before any sink sees the batch, from
+        the first slice on (single solves too) or only from the third
+        slice of a 40-scenario unchunked batch (slices of 16, 16 and 8)."""
         engine = BatchedAnalysisEngine()
-        monkeypatch.setattr(
-            solvers.SpluFactorization, "solve", lambda self, rhs: np.full_like(rhs, np.nan)
-        )
-        for solve in (engine.analyze, engine.solve_voltages):
+        widths = non_finite_solve(first)
+        sink = TopKScenarioSink(2)
+        loads = np.tile(base_compiled.base_loads, (40, 1))
+        solves = [lambda: engine.analyze_batch(base_compiled, loads, sinks=(sink,))]
+        if first == 1:
+            solves += [
+                lambda: engine.analyze(base_compiled),
+                lambda: engine.solve_voltages(base_compiled),
+            ]
+        for solve in solves:
             with pytest.raises(
                 LinearSolverError, match=r"^direct solve produced non-finite voltages$"
             ):
-                solve(base_compiled)
+                solve()
+        assert sink.num_consumed == 0
+        assert widths[:first] == [16, 16, 8][:first]

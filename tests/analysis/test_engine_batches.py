@@ -24,6 +24,7 @@ from repro.analysis import (
     resolve_chunk_size,
     solvers,
 )
+from repro.analysis.engine import SOLVE_COLUMNS
 from repro.grid import (
     NetworkPerturbator,
     PerturbationKind,
@@ -67,8 +68,9 @@ class TestShardedBatch:
 
     def test_adaptive_width_matches_wide_blocks(self, ibmpg1_grid, ibmpg1_bench):
         """The adaptive 84-column blocks against 4096-column ones on the
-        80 x 64 mega-sweep: mean drops may move in the last bit (13 of
-        5120 do, by at most 2.8e-17 V); everything else is equal."""
+        80 x 64 mega-sweep: mean drops may move in the last bit (on
+        ibmpg1 none does, with or without 16-column solve slices);
+        everything else is equal."""
         loads, pads = mega_sweep_matrices(ibmpg1_grid, ibmpg1_bench.floorplan, 0.2, 80, 64, seed=1)
         engine = BatchedAnalysisEngine()
         threshold = engine.analyze(ibmpg1_grid).worst_ir_drop
@@ -329,7 +331,7 @@ def batch_entry_points(engine, grid, load_sweep):
     """Each batch entry point of ``engine`` on ``grid``, as a call taking
     the sweep keywords (``chunk_size``, ``sinks``, ``executor``)."""
     compiled = grid.compile()
-    pads = np.tile(compiled.pad_voltage[compiled.pad_node], (2, 1))
+    pads = np.tile(compiled.pad_voltage[compiled.pad_node], (load_sweep.shape[0], 1))
     return {
         "analyze_batch": lambda **kw: engine.analyze_batch(grid, load_sweep, **kw),
         "analyze_pad_batch": lambda **kw: engine.analyze_pad_batch(grid, pads, **kw),
@@ -337,10 +339,17 @@ def batch_entry_points(engine, grid, load_sweep):
             grid, MatrixScenarioSource(load_sweep), load_sweep.shape[0], **kw
         ),
         "analyze_mega_sweep": lambda **kw: engine.analyze_mega_sweep(
-            grid, load_sweep, pads, **kw
+            grid, load_sweep, pads[:2], **kw
         ),
     }
 
+
+NON_FINITE_SOLVES = {"every-slice": (1, 8), "third-slice": (3, 33)}
+"""Non-finite solves a sweep must raise: ``(first failing solve call, chunk width)``.
+
+NaN from every slice of 8-column chunks, or only from the third call on,
+which a 33-column chunk (slices of 16, 16 and 1) reaches on its last slice.
+"""
 
 BATCH_ENTRY_POINTS = (
     "analyze_batch",
@@ -403,19 +412,103 @@ class TestSolverErrorsReachTheCaller:
         assert engine.cache_info() == before
         assert sink.num_consumed == 0
 
+    @pytest.mark.parametrize("failure", sorted(NON_FINITE_SOLVES))
     @pytest.mark.parametrize(("executor_name", "workers"), [("serial", 1), ("threads", 2)])
     @pytest.mark.parametrize("entry_point", BATCH_ENTRY_POINTS)
     def test_non_finite_voltages_are_raised(
-        self, ibmpg1_grid, load_sweep, monkeypatch, entry_point, executor_name, workers
+        self, ibmpg1_grid, load_sweep, non_finite_solve, entry_point, executor_name, workers,
+        failure,
     ):
-        monkeypatch.setattr(
-            solvers.SpluFactorization, "solve", lambda self, rhs: np.full_like(rhs, np.nan)
-        )
+        first, chunk_size = NON_FINITE_SOLVES[failure]
+        widths = non_finite_solve(first)
         engine = BatchedAnalysisEngine()
         sink = TopKScenarioSink(2)
         call = batch_entry_points(engine, ibmpg1_grid, load_sweep)[entry_point]
         with pytest.raises(
             LinearSolverError, match=r"^direct solve produced non-finite voltages$"
         ):
-            call(chunk_size=8, sinks=(sink,), executor=make_executor(executor_name, workers))
+            call(
+                chunk_size=chunk_size, sinks=(sink,),
+                executor=make_executor(executor_name, workers),
+            )
         assert sink.num_consumed == 0
+        assert len(widths) >= first
+
+
+class _RecordingFactorization:
+    """Delegates every solve, recording how many columns it received."""
+
+    def __init__(self, inner, widths):
+        self._inner = inner
+        self._widths = widths
+
+    def solve(self, rhs):
+        self._widths.append(rhs.shape[1])
+        return self._inner.solve(rhs)
+
+
+class _RecordingBackend:
+    """A ``solver_backend`` whose factorizations record each solve's width."""
+
+    name = "recording"
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.widths = []
+
+    def factor(self, matrix):
+        return _RecordingFactorization(self._inner.factor(matrix), self.widths)
+
+
+class TestSolveSlices:
+    """SuperLU receives at most ``SOLVE_COLUMNS`` right-hand sides per call:
+    a block of ``c`` scenarios is ``ceil(c / 16)`` solves, while the
+    factorization is looked up once per block, so the cache counts one hit
+    per chunk as before.  Blocks of at most 16 columns stay one call."""
+
+    @staticmethod
+    def recording_engine(grid):
+        engine = BatchedAnalysisEngine()
+        backend = _RecordingBackend(engine.solver_backend)
+        engine.solver_backend = backend
+        engine.analyze(grid)
+        backend.widths.clear()
+        return engine, backend.widths
+
+    @pytest.mark.parametrize(("executor_name", "workers"), [("serial", 1), ("threads", 2)])
+    def test_mega_sweep_chunks(self, ibmpg1_grid, load_sweep, executor_name, workers):
+        compiled = ibmpg1_grid.compile()
+        pads = np.tile(compiled.pad_voltage[compiled.pad_node], (5, 1))
+        engine, widths = self.recording_engine(compiled)
+        before = engine.cache_info()
+        result = engine.analyze_mega_sweep(
+            compiled, load_sweep, pads, executor=make_executor(executor_name, workers)
+        )
+        assert result.chunk_size == 84
+        assert result.num_scenarios == 185
+        # Chunks of 84, 84 and 17 scenarios, sliced from each chunk's start.
+        expected = [16] * 5 + [4] + [16] * 5 + [4] + [16, 1]
+        assert max(widths) == SOLVE_COLUMNS
+        assert sorted(widths) == sorted(expected)
+        if executor_name == "serial":
+            assert widths == expected
+        assert engine.cache_info().hits - before.hits == 3
+
+    def test_unchunked_batch(self, ibmpg1_grid, load_sweep):
+        loads = np.resize(load_sweep, (100, load_sweep.shape[1]))
+        engine, widths = self.recording_engine(ibmpg1_grid)
+        before = engine.cache_info()
+        engine.analyze_batch(ibmpg1_grid, loads)
+        assert widths == [16] * 6 + [4]
+        assert engine.cache_info().hits - before.hits == 1
+
+    def test_narrow_chunks_are_one_call(self):
+        grid = SyntheticIBMSuite().load("ibmpgnew1").build_uniform_grid(5.0).compile()
+        assert resolve_chunk_size(grid.num_unknowns) == 9
+        loads = np.tile(grid.base_loads, (4, 1)) * np.linspace(0.8, 1.2, 4)[:, None]
+        pads = np.tile(grid.pad_voltage[grid.pad_node], (5, 1))
+        engine, widths = self.recording_engine(grid)
+        before = engine.cache_info()
+        engine.analyze_mega_sweep(grid, loads, pads, executor="serial")
+        assert widths == [9, 9, 2]
+        assert engine.cache_info().hits - before.hits == 3

@@ -55,6 +55,7 @@ from repro.analysis.engine import (
     CHUNK_CACHE_BYTES,
     MAX_CHUNK_SIZE,
     MIN_CHUNK_SIZE,
+    SOLVE_COLUMNS,
 )
 from repro.analysis.executors import (
     EXECUTOR_ENV,
@@ -781,15 +782,24 @@ class TestHybridResolution:
         assert HybridExecutor(shard_workers=4, threads_per_shard=2).parallelism == 8
 
     def test_in_flight_bound_per_slot(self):
-        """Each of the ``parallelism`` in-flight chunks holds about four
-        ``(unknowns, width)`` double blocks, bounded by
-        ``max(4 MiB, 256 B x unknowns)``: 16384 unknowns is where the
-        8-column floor takes over and the second term starts to grow."""
+        """Each of the ``parallelism`` in-flight chunks holds two
+        ``(unknowns, width)`` double blocks (its slot's RHS and drop rows)
+        plus SuperLU's two transients of one slice of at most
+        ``SOLVE_COLUMNS`` columns, bounded by ``2 MiB + 256 B x unknowns``:
+        two cache-sized blocks and two 16-column transients.  ibmpg1's
+        84-column chunks hold 2.5 MB, where whole-chunk transients made
+        4.2 MB; at the 8-column floor (16384 unknowns and up) a slice is
+        the whole chunk."""
         assert resolve_chunk_size(16384) == MIN_CHUNK_SIZE == 8
-        for unknowns in (1552, 16384, 50_000):
-            block_bytes = 8 * unknowns * resolve_chunk_size(unknowns)
-            assert 4 * block_bytes <= max(4 * CHUNK_CACHE_BYTES, 256 * unknowns)
-        assert 4 * 8 * 16384 * resolve_chunk_size(16384) == 4 * CHUNK_CACHE_BYTES
+        assert 2 * 8 * SOLVE_COLUMNS == 256
+        for unknowns in (1552, 8193, 10_000, 16384, 50_000):
+            width = resolve_chunk_size(unknowns)
+            block_bytes = 8 * unknowns * width
+            transient_bytes = 8 * unknowns * min(width, SOLVE_COLUMNS)
+            slot_bytes = 2 * block_bytes + 2 * transient_bytes
+            assert slot_bytes <= 2 * CHUNK_CACHE_BYTES + 256 * unknowns
+        ibmpg1_block = 8 * 1552 * resolve_chunk_size(1552)
+        assert 2 * ibmpg1_block + 2 * 8 * 1552 * SOLVE_COLUMNS < 2.5e6 < 4 * ibmpg1_block
         assert 4 * 8 * 50_000 * resolve_chunk_size(50_000) == 256 * 50_000
 
     def test_adaptive_chunk_ignores_parallelism(self, ibmpg1_grid, load_sweep):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import solvers
 from repro.core import DatasetBuilder, PowerPlanningDL
 from repro.design import ConventionalPowerPlanner
 from repro.grid import (
@@ -147,3 +148,27 @@ def floating_island() -> PowerGridNetwork:
     network.add_voltage_source(VoltageSource(name="V1", node="n0", voltage=1.0))
     network.add_current_source(CurrentSource(name="I1", node="f2", current=0.01))
     return network
+
+
+@pytest.fixture()
+def non_finite_solve(monkeypatch):
+    """Make SuperLU's solves return NaN voltages from one call on.
+
+    Call the fixture's value with ``first``, the first call that fails
+    (1: every call); it returns the list of the column counts each solve
+    of this process received, in call order.
+    """
+    solve = solvers.SpluFactorization.solve
+
+    def inject(first: int = 1) -> list[int]:
+        widths: list[int] = []
+
+        def failing(self, rhs):
+            widths.append(rhs.shape[1])
+            solution = solve(self, rhs)
+            return np.full_like(solution, np.nan) if len(widths) >= first else solution
+
+        monkeypatch.setattr(solvers.SpluFactorization, "solve", failing)
+        return widths
+
+    return inject

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.engine import _node_rows
+from repro.analysis import BatchedAnalysisEngine, MatrixScenarioSource
+from repro.analysis.engine import _PairedLayout
 from repro.grid import (
     GROUND_NODE,
     CompiledGrid,
@@ -21,6 +22,7 @@ from repro.grid import (
 )
 
 from ..dense_oracle import reference_assemble
+from ..reference_rhs import reference_rhs
 
 
 def awkward_network():
@@ -74,7 +76,7 @@ class TestStamping:
         compiled = compile_grid(voltage_divider())
         index = {name: i for i, name in enumerate(compiled.unknown_nodes)}
         # middle node: pad contribution = G1 * vdd = 1.0; sink: -load
-        rhs = compiled.rhs_matrix(compiled.base_loads[None])[:, 0]
+        rhs = reference_rhs(compiled)[:, 0]
         assert rhs[index["middle"]] == pytest.approx(1.0)
         assert rhs[index["sink"]] == pytest.approx(-0.1)
 
@@ -105,9 +107,7 @@ class TestCompilation:
         matrix, rhs, unknown = reference_assemble(tiny_grid)
         assert list(compiled.unknown_nodes) == unknown
         np.testing.assert_allclose(compiled.reduced_matrix.toarray(), matrix, atol=1e-15)
-        np.testing.assert_allclose(
-            compiled.rhs_matrix(compiled.base_loads[None])[:, 0], rhs, atol=1e-15
-        )
+        np.testing.assert_allclose(reference_rhs(compiled)[:, 0], rhs, atol=1e-15)
 
     def test_corner_cases_match_reference_assembler(self):
         network = awkward_network()
@@ -116,9 +116,7 @@ class TestCompilation:
         assert list(compiled.unknown_nodes) == unknown
         assert compiled.ground_connected
         np.testing.assert_allclose(compiled.reduced_matrix.toarray(), matrix, atol=1e-15)
-        np.testing.assert_allclose(
-            compiled.rhs_matrix(compiled.base_loads[None])[:, 0], rhs, atol=1e-15
-        )
+        np.testing.assert_allclose(reference_rhs(compiled)[:, 0], rhs, atol=1e-15)
 
     def test_base_loads_aggregate_per_node(self):
         network = awkward_network()
@@ -176,38 +174,74 @@ class TestFingerprint:
         assert network.compile().fingerprint != other.compile().fingerprint
 
 
+class _EchoFactorization:
+    """Solves nothing: each right-hand side comes back as its solution, copied in ``order``."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def solve(self, rhs):
+        return np.array(rhs, order=self.order)
+
+
+class _EchoBackend:
+    """A ``solver_backend`` whose factorizations echo their right-hand sides."""
+
+    name = "echo"
+
+    def __init__(self, order):
+        self.order = order
+
+    def factor(self, matrix):
+        return _EchoFactorization(self.order)
+
+
 class TestSolutionHelpers:
     def test_solve_layout_rows_match_full_voltages(self):
-        """A solved block and its pad voltages written into node-order rows
-        (the engine's ``_node_rows``) equal the per-node voltages scattered
-        one by one, bitwise, from either solution layout; a second pad on
-        one node wins over the first."""
+        """Solved slices and their pad voltages written into node-order
+        rows (the engine's ``_solve_node_rows``) equal the per-node
+        voltages scattered one by one, bitwise, from either solution
+        layout and across slice boundaries (37 rows, three slices); a
+        second pad on one node wins over the first."""
         network = awkward_network()
         network.add_voltage_source(VoltageSource(name="V3", node="p1", voltage=1.3))
         compiled = compile_grid(network)
         rng = np.random.default_rng(7)
-        unknown = rng.random((compiled.num_unknowns, 4))
-        pads = rng.random((4, len(compiled.pad_node)))
-        expected = np.zeros((4, compiled.num_nodes))
-        expected[:, compiled.unknown_sel] = unknown.T
+        count = 37
+        unknown = rng.random((count, compiled.num_unknowns))
+        pads = rng.random((count, len(compiled.pad_node)))
+        expected = np.zeros((count, compiled.num_nodes))
+        expected[:, compiled.unknown_sel] = unknown
         for column, node in enumerate(compiled.pad_node):
             expected[:, node] = pads[:, column]  # a later pad on a node wins
         pad_voltages = compiled.pad_node_voltages(pads)
         assert np.array_equal(pad_voltages, expected[:, compiled.pad_sel])
         assert np.array_equal(pad_voltages[:, 0], pads[:, 2])
-        for solution in (unknown, np.asfortranarray(unknown)):
-            out = np.full((4, compiled.num_nodes), np.nan)
-            rows = _node_rows(compiled, solution, pad_voltages, out)
-            assert rows is out
-            assert np.array_equal(rows, expected)
+        for order in ("F", "C"):
+            engine = BatchedAnalysisEngine()
+            engine.solver_backend = _EchoBackend(order)
+            out = np.full((count, compiled.num_nodes), np.nan)
+            finite = np.zeros((count, compiled.num_unknowns), dtype=bool)
+            engine._solve_node_rows(compiled, unknown, pad_voltages, out, finite)
+            assert np.array_equal(out, expected)
+            assert finite.all()
 
     def test_rhs_matrix_matches_single_rhs(self):
+        """The engine's RHS assembly writes each scenario's right-hand side
+        on its own: five stacked rows equal each row assembled alone, bit
+        for bit, and the reference right-hand sides."""
         compiled = compile_grid(awkward_network())
         rng = np.random.default_rng(3)
         loads = rng.random((5, compiled.num_nodes))
-        stacked = compiled.rhs_matrix(loads)
+        pads = rng.random((5, len(compiled.pad_node)))
+        layout = _PairedLayout(compiled, MatrixScenarioSource(loads, pads))
+        stacked = np.empty((5, compiled.num_unknowns))
+        layout.assemble((loads, pads), stacked)
         for k in range(5):
-            np.testing.assert_allclose(stacked[:, k], compiled.rhs_matrix(loads[k, None])[:, 0])
+            single = np.empty((1, compiled.num_unknowns))
+            layout.assemble((loads[k, None], pads[k, None]), single)
+            assert np.array_equal(stacked[k], single[0])
+        np.testing.assert_allclose(stacked.T, reference_rhs(compiled, loads, pads), atol=1e-15)
 
     def test_branch_current_array_obeys_ohms_law(self, tiny_grid):
         compiled = tiny_grid.compile()
@@ -221,9 +255,17 @@ class TestSolutionHelpers:
             assert current == pytest.approx((va - vb) / resistor.resistance)
 
     def test_rhs_rejects_bad_shapes(self):
+        """Load rows of the wrong width are rejected before any right-hand
+        side is assembled."""
         compiled = compile_grid(awkward_network())
-        with pytest.raises(ValueError):
-            compiled.rhs_matrix(np.zeros((2, compiled.num_nodes + 1)))
+        engine = BatchedAnalysisEngine()
+        wrong = np.zeros((2, compiled.num_nodes + 1))
+        with pytest.raises(ValueError, match=r"got shape \(2, 6\)"):
+            engine.analyze_batch(compiled, wrong)
+        with pytest.raises(ValueError, match=r"got shape \(2, 6\)"):
+            engine.analyze_pad_batch(
+                compiled, np.ones((2, len(compiled.pad_node))), load_matrix=wrong
+            )
 
     def test_isinstance_of_compiled_grid(self, tiny_grid):
         assert isinstance(tiny_grid.compile(), CompiledGrid)
