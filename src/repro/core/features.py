@@ -129,7 +129,9 @@ class FeatureExtractor:
                 )
 
         xs, ys = self.crossing_grid()
-        currents = self.floorplan.switching_currents_at(xs, ys)
+        currents = self.floorplan.switching_current_grid(
+            topology.vertical_positions, topology.horizontal_positions
+        )
         v_index, h_index = np.meshgrid(
             np.arange(topology.num_vertical), np.arange(topology.num_horizontal)
         )

@@ -172,13 +172,16 @@ class KirchhoffIRDropEstimator:
         pad_pitch_y = floorplan.core_height / max(np.sqrt(num_pads), 1.0)
 
         # The switching current under every segment midpoint of every line,
-        # one row per line, in two vectorised queries (one per direction).
+        # one C-contiguous (lines, segments) row per line, in one grid query
+        # per direction.  The vertical grid comes back (segments, lines) and
+        # is copied, not viewed, transposed: each row's sum must reduce over
+        # contiguous values, in the order the per-line ladder sums them.
         v_positions = np.asarray(topology.vertical_positions)
         h_positions = np.asarray(topology.horizontal_positions)
         v_midpoints = (h_positions[:-1] + h_positions[1:]) / 2.0
         h_midpoints = (v_positions[:-1] + v_positions[1:]) / 2.0
-        v_grid_x, v_grid_y = np.meshgrid(v_positions, v_midpoints, indexing="ij")
-        h_grid_x, h_grid_y = np.meshgrid(h_midpoints, h_positions, indexing="xy")
+        v_local_currents = floorplan.switching_current_grid(v_positions, v_midpoints).T.copy()
+        h_local_currents = floorplan.switching_current_grid(h_midpoints, h_positions)
 
         segment_drops = (
             self._ladder_drops(
@@ -190,7 +193,7 @@ class KirchhoffIRDropEstimator:
                 sheet_resistance=v_layer.sheet_resistance,
                 widths=v_widths,
                 total_currents=v_currents,
-                local_currents=floorplan.switching_currents_at(v_grid_x, v_grid_y),
+                local_currents=v_local_currents,
                 approach_resistance_per_um=(
                     self.approach_factor
                     * h_layer.sheet_resistance
@@ -206,7 +209,7 @@ class KirchhoffIRDropEstimator:
                 sheet_resistance=h_layer.sheet_resistance,
                 widths=h_widths,
                 total_currents=h_currents,
-                local_currents=floorplan.switching_currents_at(h_grid_x, h_grid_y),
+                local_currents=h_local_currents,
                 approach_resistance_per_um=(
                     self.approach_factor
                     * v_layer.sheet_resistance

@@ -40,6 +40,12 @@ class GridTopology:
         num_horizontal: Number of horizontal power-grid lines.
         vertical_positions: X coordinate of each vertical line, in um.
         horizontal_positions: Y coordinate of each horizontal line, in um.
+
+    Raises:
+        ValueError: If a direction has fewer than two lines, a position
+            tuple's length differs from its count, or two neighbouring
+            stripes of one direction are not strictly increasing in position
+            (naming the direction and both line indices).
     """
 
     num_vertical: int
@@ -54,6 +60,21 @@ class GridTopology:
             raise ValueError("vertical_positions length mismatch")
         if len(self.horizontal_positions) != self.num_horizontal:
             raise ValueError("horizontal_positions length mismatch")
+        # A zero pitch would make a zero-length segment (infinite
+        # conductance, a singular matrix) and a negative one a negative
+        # resistance, in a built grid and in the prediction path's ladders
+        # alike: reject both (and NaN) where every consumer gets its topology.
+        for direction, positions in (
+            ("vertical", self.vertical_positions),
+            ("horizontal", self.horizontal_positions),
+        ):
+            bad = np.flatnonzero(~(np.diff(np.asarray(positions, dtype=float)) > 0))
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(
+                    f"{direction} lines {k} and {k + 1} are at {positions[k]:g} and "
+                    f"{positions[k + 1]:g} um; stripe positions must be strictly increasing"
+                )
 
     @property
     def num_lines(self) -> int:
@@ -178,11 +199,10 @@ class GridBuilder:
             name: Optional name for the grid; defaults to the floorplan name.
 
         Raises:
-            ValueError: If the width vector is malformed, two neighbouring
-                stripes of one direction are not strictly increasing in
-                position (naming the direction and both line indices), the
-                via resistance is not positive, or the floorplan has no
-                power pads.
+            ValueError: If the width vector is malformed, the via
+                resistance is not positive, or the floorplan has no power
+                pads.  (Stripe positions that are not strictly increasing
+                never get here: :class:`GridTopology` rejects them.)
         """
         width_vector = self._normalise_widths(topology, widths)
         v_layer = self.technology.vertical_layer
@@ -194,17 +214,6 @@ class GridBuilder:
         nx, ny = len(xs), len(ys)
         v_pitch = np.diff(ys)
         h_pitch = np.diff(xs)
-        # A zero pitch would make a zero-length segment (infinite
-        # conductance, a singular matrix) and a negative one a negative
-        # resistance: reject both before any array is built.
-        for direction, positions, pitch in (("vertical", xs, h_pitch), ("horizontal", ys, v_pitch)):
-            bad = np.flatnonzero(pitch <= 0)
-            if bad.size:
-                k = int(bad[0])
-                raise ValueError(
-                    f"{direction} lines {k} and {k + 1} are at {positions[k]:g} and "
-                    f"{positions[k + 1]:g} um; stripe positions must be strictly increasing"
-                )
 
         # Node layout: for each (vertical i, horizontal j) crossing, the
         # lower-layer node then the upper-layer node, with i as the outer

@@ -38,7 +38,7 @@ class FunctionalBlock:
     switching_current: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+        if not (self.width > 0 and self.height > 0):  # NaN is not positive either
             raise ValueError(f"block {self.name!r} must have positive dimensions")
         if self.switching_current < 0:
             raise ValueError(f"block {self.name!r} switching current must be non-negative")
@@ -214,34 +214,49 @@ class Floorplan:
             return 0.0
         return block.switching_current
 
-    def switching_currents_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`switching_current_at` over arrays of points.
+    def switching_current_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`switching_current_at` over the tensor grid of ``xs`` and ``ys``.
+
+        Each block covers one rectangle of grid indices: the points with
+        ``x <= xs[i] <= x + width`` and ``y <= ys[j] <= y + height`` (the
+        closed edges of :meth:`FunctionalBlock.contains`), found by binary
+        search, so the query costs O(blocks + points).  Blocks are painted
+        in reverse insertion order, so where blocks overlap the first one
+        wins, matching the scalar query bit for bit.
 
         Args:
-            xs: X coordinates, any shape.
-            ys: Y coordinates, same shape as ``xs``.
+            xs: Ascending (non-decreasing) X coordinates, 1-D.
+            ys: Ascending (non-decreasing) Y coordinates, 1-D.
 
         Returns:
-            Array of switching currents with the same shape as ``xs``.  When
-            blocks overlap, the first block in insertion order wins, matching
-            the scalar query.
+            A ``(len(ys), len(xs))`` array, ``currents[j, i]`` being the
+            switching current at ``(xs[i], ys[j])``: the layout of
+            ``np.meshgrid(xs, ys)``.
+
+        Raises:
+            ValueError: If either vector is not 1-D and ascending (NaN
+                included), naming the axis.
         """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if xs.shape != ys.shape:
-            raise ValueError("xs and ys must have the same shape")
-        currents = np.zeros_like(xs, dtype=float)
-        assigned = np.zeros_like(xs, dtype=bool)
-        for block in self._blocks.values():
-            inside = (
-                (xs >= block.x)
-                & (xs <= block.x + block.width)
-                & (ys >= block.y)
-                & (ys <= block.y + block.height)
-                & ~assigned
+        for axis, values in (("xs", xs), ("ys", ys)):
+            if values.ndim != 1 or not (values[1:] >= values[:-1]).all():
+                raise ValueError(f"{axis} must be a 1-D ascending coordinate vector")
+        currents = np.zeros((ys.size, xs.size))
+        blocks = list(self._blocks.values())
+        if not blocks:
+            return currents
+        edges = np.asarray(
+            [(b.x, b.x + b.width, b.y, b.y + b.height) for b in blocks], dtype=float
+        )
+        x_start = np.searchsorted(xs, edges[:, 0], side="left").tolist()
+        x_stop = np.searchsorted(xs, edges[:, 1], side="right").tolist()
+        y_start = np.searchsorted(ys, edges[:, 2], side="left").tolist()
+        y_stop = np.searchsorted(ys, edges[:, 3], side="right").tolist()
+        for index in reversed(range(len(blocks))):
+            currents[y_start[index] : y_stop[index], x_start[index] : x_stop[index]] = (
+                blocks[index].switching_current
             )
-            currents[inside] = block.switching_current
-            assigned |= inside
         return currents
 
     def current_density_map(self, resolution: int = 64) -> np.ndarray:

@@ -4,7 +4,9 @@ Each activation is a small object exposing ``forward`` and ``backward``:
 ``backward`` receives the activation *input* (pre-activation values) and the
 gradient flowing back from above, and returns the gradient with respect to
 the pre-activation values.  This is everything the dense layer needs for
-backpropagation.
+backpropagation.  ``forward`` takes an optional ``out`` array, which may be
+``z`` itself: inference applies the activation in place, and the result is
+the same, bit for bit, as the allocating call's.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ class Activation(ABC):
     name: str = "activation"
 
     @abstractmethod
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        """Apply the activation elementwise to the pre-activation ``z``."""
+    def forward(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply the activation elementwise to the pre-activation ``z``.
+
+        When ``out`` is given (an array shaped like ``z``, or ``z`` itself)
+        the result is written into it and ``out`` is returned.
+        """
 
     @abstractmethod
     def derivative(self, z: np.ndarray) -> np.ndarray:
@@ -40,8 +46,11 @@ class Linear(Activation):
 
     name = "linear"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return z
+    def forward(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return z
+        np.copyto(out, z)
+        return out
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         return np.ones_like(z)
@@ -52,8 +61,8 @@ class ReLU(Activation):
 
     name = "relu"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(z, 0.0)
+    def forward(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.maximum(z, 0.0, out=out)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         return (z > 0.0).astype(z.dtype)
@@ -69,8 +78,9 @@ class LeakyReLU(Activation):
             raise ValueError("alpha must be non-negative")
         self.alpha = alpha
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.where(z > 0.0, z, self.alpha * z)
+    def forward(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # z * 1.0 is z exactly, NaN and signed zeros included.
+        return np.multiply(z, np.where(z > 0.0, 1.0, self.alpha), out=out)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         return np.where(z > 0.0, 1.0, self.alpha)
@@ -81,8 +91,8 @@ class Tanh(Activation):
 
     name = "tanh"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.tanh(z)
+    def forward(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.tanh(z, out=out)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         return 1.0 - np.tanh(z) ** 2
@@ -93,9 +103,11 @@ class Sigmoid(Activation):
 
     name = "sigmoid"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
+    def forward(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(z)
         positive = z >= 0
+        # Each half reads only its own entries of z, so out may be z.
         out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
         exp_z = np.exp(z[~positive])
         out[~positive] = exp_z / (1.0 + exp_z)
@@ -115,8 +127,8 @@ class Softplus(Activation):
 
     name = "softplus"
 
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, z)
+    def forward(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.logaddexp(0.0, z, out=out)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         return Sigmoid().forward(z)

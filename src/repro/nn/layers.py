@@ -57,6 +57,11 @@ class DenseLayer:
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output for a batch of inputs.
 
+        The bias is added into the matmul's own result.  Outside training
+        nothing keeps the pre-activation, so the activation overwrites it in
+        place and the pass allocates one ``(batch, output_size)`` array; the
+        outputs are bitwise the same either way.
+
         Args:
             inputs: Array of shape ``(batch, input_size)``.
             training: If True, cache intermediates for the backward pass.
@@ -69,10 +74,12 @@ class DenseLayer:
             raise ValueError(
                 f"expected input with {self.input_size} features, got {inputs.shape[1]}"
             )
-        preactivation = inputs @ self.parameters["weights"] + self.parameters["bias"]
-        if training:
-            self._cache_input = inputs
-            self._cache_preactivation = preactivation
+        preactivation = inputs @ self.parameters["weights"]
+        preactivation += self.parameters["bias"]
+        if not training:
+            return self.activation.forward(preactivation, out=preactivation)
+        self._cache_input = inputs
+        self._cache_preactivation = preactivation
         return self.activation.forward(preactivation)
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:

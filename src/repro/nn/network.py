@@ -110,7 +110,11 @@ class NeuralNetwork:
         return outputs
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
-        """Alias for a non-training forward pass."""
+        """Alias for a non-training forward pass.
+
+        Bitwise equal to ``forward(inputs, training=True)``; it neither
+        writes to ``inputs`` nor touches the layers' backward caches.
+        """
         return self.forward(inputs, training=False)
 
     def backward(self, loss: Loss, predictions: np.ndarray, targets: np.ndarray) -> float:

@@ -4,7 +4,9 @@ These are the straightforward loops that ``repro.core`` computes in batch:
 one ladder per grid line (paper Algorithm 2), one weight vector per block
 (eqs. 7-9) and one aggregation per line (Algorithm 1).  The differential
 tests require the library's batched results to equal them bit for bit, so
-keep their arithmetic, and its order, unchanged.
+keep their arithmetic, and its order, unchanged.  The switching current
+under each segment is the scalar ``Floorplan.switching_current_at`` of its
+midpoint, so the exact comparisons also pin the library's grid query.
 """
 
 from __future__ import annotations
@@ -140,10 +142,16 @@ def predict(
     h_positions = np.asarray(topology.horizontal_positions)
     v_midpoints = (h_positions[:-1] + h_positions[1:]) / 2.0
     h_midpoints = (v_positions[:-1] + v_positions[1:]) / 2.0
-    v_grid_x, v_grid_y = np.meshgrid(v_positions, v_midpoints, indexing="ij")
-    h_grid_x, h_grid_y = np.meshgrid(h_midpoints, h_positions, indexing="xy")
-    vertical_local_currents = floorplan.switching_currents_at(v_grid_x, v_grid_y)
-    horizontal_local_currents = floorplan.switching_currents_at(h_grid_x, h_grid_y)
+    # The switching current under every segment midpoint, one scalar query
+    # per point: the batched path's grid query must equal it bit for bit.
+    vertical_local_currents = np.asarray(
+        [[floorplan.switching_current_at(x, y) for y in v_midpoints] for x in v_positions],
+        dtype=float,
+    )
+    horizontal_local_currents = np.asarray(
+        [[floorplan.switching_current_at(x, y) for x in h_midpoints] for y in h_positions],
+        dtype=float,
+    )
 
     line_ir_drop = np.zeros(topology.num_lines, dtype=float)
     segment_ir_drop: list[np.ndarray] = []

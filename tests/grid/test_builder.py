@@ -134,19 +134,21 @@ class TestGridBuilder:
 
 
 @pytest.mark.parametrize("direction", ["vertical", "horizontal"])
-@pytest.mark.parametrize("method", ["build", "build_compiled"])
-def test_coincident_lines_rejected(small_benchmark, direction, method):
-    """A zero pitch names the lines instead of building an infinite conductance."""
-    topology = coincident_lines(small_benchmark.topology, direction)
-    build = getattr(GridBuilder(small_benchmark.technology), method)
+def test_coincident_lines_rejected(small_benchmark, direction):
+    """A zero pitch names the lines when the topology is constructed, so no
+    builder or prediction ladder ever sees an infinite conductance."""
     with pytest.raises(ValueError, match=f"{direction} lines 2 and 3 are at"):
-        build(small_benchmark.floorplan, topology, 5.0)
+        coincident_lines(small_benchmark.topology, direction)
 
 
 def test_decreasing_lines_rejected(small_benchmark):
     positions = small_benchmark.topology.horizontal_positions[::-1]
-    topology = dataclasses.replace(small_benchmark.topology, horizontal_positions=positions)
     with pytest.raises(ValueError, match="horizontal lines 0 and 1 .* strictly increasing"):
-        GridBuilder(small_benchmark.technology).build_compiled(
-            small_benchmark.floorplan, topology, 5.0
-        )
+        dataclasses.replace(small_benchmark.topology, horizontal_positions=positions)
+
+
+def test_nan_line_position_rejected(small_benchmark):
+    positions = list(small_benchmark.topology.vertical_positions)
+    positions[4] = float("nan")
+    with pytest.raises(ValueError, match="vertical lines 3 and 4 are at .* nan um"):
+        dataclasses.replace(small_benchmark.topology, vertical_positions=tuple(positions))

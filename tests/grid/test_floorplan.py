@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.grid import Floorplan, FunctionalBlock, PowerPad
 
@@ -10,6 +12,54 @@ def block(name="b0", x=0.0, y=0.0, width=100.0, height=100.0, current=0.1):
     return FunctionalBlock(
         name=name, x=x, y=y, width=width, height=height, switching_current=current
     )
+
+
+CORE = 1000.0
+
+
+@st.composite
+def floorplans_with_grids(draw):
+    """A random floorplan and two ascending coordinate vectors over it.
+
+    Blocks are drawn on a coarse lattice or anywhere, so they often overlap
+    and share edges; some draw zero current (either sign of zero).  The
+    grid lines include every block's ``x``, ``x + width``, ``y`` and
+    ``y + height`` exactly, repeated coordinates and random points.
+    """
+    lattice = st.integers(min_value=0, max_value=10).map(lambda k: 90.0 * k)
+    anywhere = st.floats(min_value=0.0, max_value=900.0)
+    blocks = []
+    for index in range(draw(st.integers(min_value=0, max_value=6), label="blocks")):
+        x = draw(st.one_of(lattice, anywhere), label=f"bx{index}")
+        y = draw(st.one_of(lattice, anywhere), label=f"by{index}")
+        width = draw(st.floats(min_value=1e-3, max_value=CORE - x), label=f"bw{index}")
+        height = draw(st.floats(min_value=1e-3, max_value=CORE - y), label=f"bh{index}")
+        current = draw(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=0.0, max_value=1.0)),
+            label=f"bi{index}",
+        )
+        blocks.append(block(f"b{index}", x, y, width, height, current))
+    floorplan = Floorplan("random", CORE, CORE, blocks=blocks)
+
+    def coordinates(label, edges):
+        points = draw(
+            st.lists(st.one_of(lattice, st.floats(min_value=0.0, max_value=CORE)), max_size=12),
+            label=label,
+        )
+        if edges:
+            points += draw(st.lists(st.sampled_from(edges), max_size=12), label=f"{label}_edges")
+        return np.sort(np.asarray(points + points[:2], dtype=float))
+
+    xs = coordinates("xs", [edge for b in blocks for edge in (b.x, b.x + b.width)])
+    ys = coordinates("ys", [edge for b in blocks for edge in (b.y, b.y + b.height)])
+    return floorplan, xs, ys
+
+
+def scalar_grid(floorplan, xs, ys):
+    """``switching_current_at`` at every ``(xs[i], ys[j])``, one point at a time."""
+    return np.asarray(
+        [[floorplan.switching_current_at(x, y) for x in xs] for y in ys], dtype=float
+    ).reshape(len(ys), len(xs))
 
 
 class TestFunctionalBlock:
@@ -36,6 +86,13 @@ class TestFunctionalBlock:
     def test_rejects_nonpositive_dimensions(self):
         with pytest.raises(ValueError):
             block(width=0.0)
+
+    @pytest.mark.parametrize("dimension", ["width", "height"])
+    def test_rejects_nan_dimensions(self, dimension):
+        # A NaN edge would contain no point for the scalar query but an
+        # open-ended index range for the grid query's binary search.
+        with pytest.raises(ValueError, match="positive dimensions"):
+            block(**{dimension: float("nan")})
 
     def test_rejects_negative_current(self):
         with pytest.raises(ValueError):
@@ -75,18 +132,47 @@ class TestFloorplan:
         assert tiny_floorplan.switching_current_at(100.0, 100.0) == pytest.approx(0.08)
         assert tiny_floorplan.switching_current_at(475.0, 475.0) == 0.0
 
-    def test_vectorised_query_matches_scalar(self, tiny_floorplan, rng):
-        xs = rng.uniform(0.0, tiny_floorplan.core_width, size=200)
-        ys = rng.uniform(0.0, tiny_floorplan.core_height, size=200)
-        vectorised = tiny_floorplan.switching_currents_at(xs, ys)
-        scalar = np.asarray(
-            [tiny_floorplan.switching_current_at(x, y) for x, y in zip(xs, ys)]
-        )
-        np.testing.assert_allclose(vectorised, scalar)
+    @settings(max_examples=200, deadline=None)
+    @given(floorplans_with_grids())
+    def test_grid_query_matches_scalar_bitwise(self, case):
+        floorplan, xs, ys = case
+        grid = floorplan.switching_current_grid(xs, ys)
+        expected = scalar_grid(floorplan, xs, ys)
+        assert grid.shape == (len(ys), len(xs))
+        assert grid.dtype == expected.dtype
+        assert grid.tobytes() == expected.tobytes()
 
-    def test_vectorised_query_shape_mismatch(self, tiny_floorplan):
-        with pytest.raises(ValueError):
-            tiny_floorplan.switching_currents_at(np.zeros(3), np.zeros(4))
+    def test_grid_query_first_block_wins_on_shared_edges(self):
+        # b1 lies under b0's right half and shares its top and bottom edges;
+        # b2 (no current) covers both.  Points on every edge are queried.
+        blocks = [
+            block("b0", 100.0, 100.0, 200.0, 100.0, current=0.3),
+            block("b1", 200.0, 100.0, 200.0, 100.0, current=0.5),
+            block("b2", 0.0, 0.0, 500.0, 500.0, current=0.0),
+        ]
+        floorplan = Floorplan("overlap", CORE, CORE, blocks=blocks)
+        xs = np.asarray([0.0, 100.0, 200.0, 300.0, 350.0, 400.0, 500.0, 600.0])
+        ys = np.asarray([0.0, 100.0, 150.0, 200.0, 500.0, 501.0])
+        grid = floorplan.switching_current_grid(xs, ys)
+        assert grid.tobytes() == scalar_grid(floorplan, xs, ys).tobytes()
+        assert grid[1].tolist() == [0.0, 0.3, 0.3, 0.3, 0.5, 0.5, 0.0, 0.0]
+
+    def test_grid_query_on_empty_floorplan(self):
+        grid = Floorplan("empty", CORE, CORE).switching_current_grid([1.0, 2.0, 3.0], [5.0])
+        assert grid.shape == (1, 3)
+        assert grid.tobytes() == np.zeros((1, 3)).tobytes()
+        assert Floorplan("empty", CORE, CORE).switching_current_grid([], [5.0]).shape == (1, 0)
+
+    @pytest.mark.parametrize("axis", ["xs", "ys"])
+    @pytest.mark.parametrize(
+        "bad",
+        [[2.0, 1.0], [0.0, float("nan"), 3.0], [[1.0, 2.0]]],
+        ids=["descending", "nan", "two-d"],
+    )
+    def test_grid_query_rejects_non_ascending_vector(self, tiny_floorplan, axis, bad):
+        vectors = {"xs": [1.0, 2.0], "ys": [1.0, 2.0], axis: bad}
+        with pytest.raises(ValueError, match=f"^{axis} must be a 1-D ascending"):
+            tiny_floorplan.switching_current_grid(vectors["xs"], vectors["ys"])
 
     def test_current_density_map_conserves_hot_region(self, tiny_floorplan):
         density = tiny_floorplan.current_density_map(resolution=32)

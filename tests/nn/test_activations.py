@@ -21,6 +21,31 @@ def test_derivative_matches_finite_difference(name, rng):
     np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-6)
 
 
+SPECIAL_VALUES = (np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300, 40.0, -40.0)
+
+
+@pytest.mark.parametrize("name", available_activations())
+def test_in_place_forward_is_bitwise(name, rng):
+    """``forward(z, out=z)`` and ``forward(z, out=other)`` equal ``forward(z)``
+    bit for bit, NaN, signed zeros and infinities included."""
+    activation = get_activation(name)
+    z = np.concatenate([SPECIAL_VALUES, rng.normal(0.0, 3.0, size=64)]).reshape(15, 5)
+    original = z.tobytes()
+    in_place = z.copy()
+    out = np.full_like(z, 7.0)
+    # Softplus's logaddexp flags a NaN input as invalid either way; the
+    # values, not the flag, are compared here.
+    with np.errstate(invalid="ignore"):
+        expected = activation.forward(z)
+        assert z.tobytes() == original
+        assert activation.forward(in_place, out=in_place) is in_place
+        assert activation.forward(z, out=out) is out
+    assert in_place.dtype == expected.dtype
+    assert in_place.tobytes() == expected.tobytes()
+    assert out.tobytes() == expected.tobytes()
+    assert z.tobytes() == original
+
+
 @pytest.mark.parametrize("name", available_activations())
 def test_backward_chains_upstream_gradient(name, rng):
     activation = get_activation(name)

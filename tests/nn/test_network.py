@@ -54,6 +54,58 @@ class TestForward:
         assert network.num_parameters == expected
 
 
+class TestInPlaceInference:
+    """``predict`` runs each activation in place over a fresh pre-activation,
+    bitwise equal to the training forward pass and touching nothing else."""
+
+    @pytest.mark.parametrize(
+        "hidden, output",
+        [("relu", "linear"), ("tanh", "softplus"), ("leaky_relu", "sigmoid"),
+         ("sigmoid", "linear"), ("softplus", "relu"), ("linear", "tanh")],
+    )
+    def test_predict_equals_training_forward(self, hidden, output, rng):
+        architecture = NetworkArchitecture(
+            input_size=3, hidden_sizes=(16, 16, 16), output_size=2,
+            hidden_activation=hidden, output_activation=output,
+        )
+        network = NeuralNetwork(architecture, seed=3)
+        inputs = rng.normal(0.0, 4.0, size=(257, 3))
+        original = inputs.tobytes()
+        predicted = network.predict(inputs)
+        assert inputs.tobytes() == original
+        trained = network.forward(inputs, training=True)
+        assert predicted.dtype == trained.dtype
+        assert predicted.tobytes() == trained.tobytes()
+        single = network.predict(inputs[0])
+        assert single.tobytes() == network.forward(inputs[0], training=True).tobytes()
+        assert inputs.tobytes() == original
+
+    @pytest.mark.parametrize("hidden", ["relu", "linear", "sigmoid"])
+    def test_predict_between_forward_and_backward_keeps_gradients(self, hidden, rng):
+        architecture = NetworkArchitecture(
+            input_size=3, hidden_sizes=(8, 8), output_size=2, hidden_activation=hidden
+        )
+        inputs = rng.normal(size=(40, 3))
+        targets = rng.normal(size=(40, 2))
+        loss = MeanSquaredError()
+        gradients = []
+        for interleave in (False, True):
+            network = NeuralNetwork(architecture, seed=5)
+            predictions = network.forward(inputs, training=True)
+            if interleave:
+                network.predict(rng.normal(size=(64, 3)))
+            value = network.backward(loss, predictions, targets)
+            gradients.append(
+                (value, [(layer.gradients["weights"], layer.gradients["bias"])
+                         for layer in network.layers])
+            )
+        (plain_value, plain), (mixed_value, mixed) = gradients
+        assert plain_value == mixed_value
+        for (weights, bias), (mixed_weights, mixed_bias) in zip(plain, mixed):
+            assert weights.tobytes() == mixed_weights.tobytes()
+            assert bias.tobytes() == mixed_bias.tobytes()
+
+
 class TestTrainingStep:
     def test_train_batch_reduces_loss_with_adam(self, small_architecture, rng):
         network = NeuralNetwork(small_architecture, seed=0)
