@@ -9,12 +9,14 @@ each line as a one-dimensional resistive ladder fed at the crossings nearest
 to the supply pads.  This costs O(#segments) per line instead of a sparse
 solve over the whole grid, and the lines of one direction, which share
 their crossings, are solved together as one batched ladder.  Measured with
-``perfbench`` paper-flow on ibmpg2 (48 + 48 lines, one core of a 2-vCPU
-VM), ``PowerPlanningDL.predict_design`` (width model plus this estimate)
-takes a median of 7.5 ms against 95 ms for the spec's conventional plan,
-12.8x (paper Table IV: 1.97x on ibmpg2).  The price is accuracy, as the
-paper notes: the estimated worst drop is 6.1 % off the analysed grid's
-(median over five specs).
+``perfbench/run.py --workload paper-flow --seed 81 --trace 0`` on ibmpg2
+(48 + 48 lines; 778 specs in 30 s, BLAS on one thread of a 2-vCPU VM),
+``PowerPlanningDL.predict_design`` (width model plus this estimate) takes
+a median of 3.75 ms (``predict_ms_p50``) against 14.7 ms for the spec's
+conventional plan (``conventional_ms_p50``), 3.93x (``dl_speedup``; paper
+Table IV: 1.97x on ibmpg2).  The price is accuracy, as the paper notes:
+the estimated worst drop is 5.0 % off the analysed grid's (median over
+five specs of a traced run).
 """
 
 from __future__ import annotations
@@ -154,10 +156,10 @@ class KirchhoffIRDropEstimator:
                 f"offending line ids: {bad_lines.tolist()}"
             )
 
-        pad_xs = np.asarray([pad.x for pad in floorplan.iter_pads()])
-        pad_ys = np.asarray([pad.y for pad in floorplan.iter_pads()])
-        if pad_xs.size == 0:
+        pads = np.asarray([(pad.x, pad.y) for pad in floorplan.iter_pads()], dtype=float)
+        if pads.size == 0:
             raise ValueError("floorplan has no power pads")
+        pad_xs, pad_ys = pads.T
 
         start = time.perf_counter()
         line_currents = self.allocate_line_currents(floorplan, topology)
@@ -322,17 +324,23 @@ class KirchhoffIRDropEstimator:
         # Feed points: crossings nearest to the pads that are close enough to
         # supply each line through the orthogonal layer.  approach[line, c] is
         # the distance of the closest such pad projecting onto crossing c, and
-        # inf where c feeds nothing.
-        distances = np.abs(pad_other_positions[None, :] - line_coordinates[:, None])
-        nearby = distances <= pad_reach
-        unreached = ~nearby.any(axis=1)
-        nearby[unreached] = distances[unreached] == distances[unreached].min(axis=1, keepdims=True)
+        # inf where c feeds nothing.  The pads are sorted stably by the
+        # crossing they project onto, so each fed crossing's pads are one run
+        # of columns and one reduceat takes every minimum (exact in any order).
         projected = np.argmin(
             np.abs(span_positions[None, :] - pad_axis_positions[:, None]), axis=1
         )
-        lines, pads = np.nonzero(nearby)
+        order = np.argsort(projected, kind="stable")
+        fed = projected[order]
+        distances = np.abs(pad_other_positions[order][None, :] - line_coordinates[:, None])
+        nearby = distances <= pad_reach
+        unreached = ~nearby.any(axis=1)
+        nearby[unreached] = distances[unreached] == distances[unreached].min(axis=1, keepdims=True)
+        runs = np.flatnonzero(np.concatenate(([True], fed[1:] != fed[:-1])))
         approach = np.full((num_lines, num_crossings), np.inf)
-        np.minimum.at(approach, (lines, projected[pads]), distances[lines, pads])
+        approach[:, fed[runs]] = np.minimum.reduceat(
+            np.where(nearby, distances, np.inf), runs, axis=1
+        )
 
         # Assign every segment to its nearest feed: the last feed at or before
         # its left crossing or the first at or after its right one, split at
@@ -366,27 +374,33 @@ class KirchhoffIRDropEstimator:
         # closed form:  T = prefix taps, CR = prefix resistances,
         # CRT[i] = sum_{m<i} R[m] * T[m],  CRT2[i] = sum_{m<i} R[m] * T[m+1].
         def prefixed(values: np.ndarray) -> np.ndarray:
-            return np.concatenate((np.zeros((num_lines, 1)), np.cumsum(values, axis=1)), axis=1)
-
-        def at(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-            return np.take_along_axis(table, index, axis=1)
+            table = np.empty((num_lines, num_crossings))
+            table[:, 0] = 0.0
+            np.cumsum(values, axis=1, out=table[:, 1:])
+            return table
 
         prefix_taps = prefixed(taps)
         prefix_res = prefixed(resistances)
         prefix_rt = prefixed(resistances * prefix_taps[:, :-1])
         prefix_rt_next = prefixed(resistances * prefix_taps[:, 1:])
 
-        taps_end = at(prefix_taps, region_end)
-        taps_start = at(prefix_taps, region_start)
-        res_feed = at(prefix_res, feed)
+        # Every (lines, crossings) table is read at flat indices: column
+        # index plus the row's offset.
+        row_offsets = np.arange(0, num_lines * num_crossings, num_crossings)[:, None]
+        feed_at = feed + row_offsets
+        taps_end = prefix_taps.take(region_end + row_offsets)
+        taps_start = prefix_taps.take(region_start + row_offsets)
+        res_feed = prefix_res.take(feed_at)
         approach_drop = (taps_end - taps_start) * (
-            approach_resistance_per_um * at(approach, feed) + self.technology.via_resistance
+            approach_resistance_per_um * approach.take(feed_at) + self.technology.via_resistance
         )
         # Right of the feed: segment j carries the taps of segments j..end-1.
-        right = taps_end * (prefix_res[:, 1:] - res_feed) - (prefix_rt[:, 1:] - at(prefix_rt, feed))
+        right = taps_end * (prefix_res[:, 1:] - res_feed) - (
+            prefix_rt[:, 1:] - prefix_rt.take(feed_at)
+        )
         # Left of the feed: segment j carries the taps of segments start..j.
         left = (
-            at(prefix_rt_next, feed)
+            prefix_rt_next.take(feed_at)
             - prefix_rt_next[:, :-1]
             - taps_start * (res_feed - prefix_res[:, :-1])
         )

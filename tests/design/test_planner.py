@@ -14,7 +14,6 @@ from repro.design import (
 )
 from repro.grid import GridBuilder, SyntheticIBMSuite
 
-from ..grid.test_builder import coincident_lines
 from .reference_planner import reference_plan
 
 
@@ -85,14 +84,6 @@ class TestResizing:
         )
         assert plan.converged
         assert plan.num_iterations == 1
-
-
-@pytest.mark.parametrize("direction", ["vertical", "horizontal"])
-def test_coincident_lines_rejected(small_benchmark, direction):
-    """A zero stripe pitch never reaches the planner: constructing the
-    topology raises, naming the lines."""
-    with pytest.raises(ValueError, match=f"{direction} lines 2 and 3 are at"):
-        coincident_lines(small_benchmark.topology, direction)
 
 
 PLAN_CASES = [

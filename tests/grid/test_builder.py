@@ -136,7 +136,7 @@ class TestGridBuilder:
 @pytest.mark.parametrize("direction", ["vertical", "horizontal"])
 def test_coincident_lines_rejected(small_benchmark, direction):
     """A zero pitch names the lines when the topology is constructed, so no
-    builder or prediction ladder ever sees an infinite conductance."""
+    builder, planner or prediction ladder ever sees an infinite conductance."""
     with pytest.raises(ValueError, match=f"{direction} lines 2 and 3 are at"):
         coincident_lines(small_benchmark.topology, direction)
 

@@ -10,6 +10,7 @@ from repro.nn import (
     NeuralNetwork,
     get_loss,
 )
+from repro.nn.network import INFERENCE_ROWS, ROW_ALIGNMENT
 
 
 @pytest.fixture()
@@ -48,6 +49,12 @@ class TestForward:
         second = NeuralNetwork(small_architecture, seed=7).predict(inputs)
         np.testing.assert_allclose(first, second)
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_wrong_feature_count_rejected(self, small_architecture, training):
+        network = NeuralNetwork(small_architecture)
+        with pytest.raises(ValueError, match="expected input with 3 features, got 4"):
+            network.forward(np.zeros((5, 4)), training=training)
+
     def test_num_parameters(self, small_architecture):
         network = NeuralNetwork(small_architecture)
         expected = (3 * 8 + 8) + (8 * 8 + 8) + (8 * 2 + 2)
@@ -55,7 +62,7 @@ class TestForward:
 
 
 class TestInPlaceInference:
-    """``predict`` runs each activation in place over a fresh pre-activation,
+    """``predict`` runs the layers over row blocks through two reused buffers,
     bitwise equal to the training forward pass and touching nothing else."""
 
     @pytest.mark.parametrize(
@@ -64,21 +71,34 @@ class TestInPlaceInference:
          ("sigmoid", "linear"), ("softplus", "relu"), ("linear", "tanh")],
     )
     def test_predict_equals_training_forward(self, hidden, output, rng):
-        architecture = NetworkArchitecture(
-            input_size=3, hidden_sizes=(16, 16, 16), output_size=2,
-            hidden_activation=hidden, output_activation=output,
-        )
-        network = NeuralNetwork(architecture, seed=3)
-        inputs = rng.normal(0.0, 4.0, size=(257, 3))
-        original = inputs.tobytes()
-        predicted = network.predict(inputs)
-        assert inputs.tobytes() == original
-        trained = network.forward(inputs, training=True)
-        assert predicted.dtype == trained.dtype
-        assert predicted.tobytes() == trained.tobytes()
-        single = network.predict(inputs[0])
-        assert single.tobytes() == network.forward(inputs[0], training=True).tobytes()
-        assert inputs.tobytes() == original
+        """Every row count cuts into blocks whose rows BLAS computes as in one
+        product over the whole batch: one block, a block that ends short of
+        a bias tile, and blocks after the first.  Width 24 makes 384-wide
+        bias tile rows next to the 256- and 512-wide ones."""
+        assert INFERENCE_ROWS % ROW_ALIGNMENT == 0
+        row_counts = (257, 0, 1, INFERENCE_ROWS - 1, INFERENCE_ROWS, INFERENCE_ROWS + 1,
+                      2 * INFERENCE_ROWS + 17)
+        for width in (16, 24, 32):
+            architecture = NetworkArchitecture(
+                input_size=3, hidden_sizes=(width,) * 3, output_size=2,
+                hidden_activation=hidden, output_activation=output,
+            )
+            network = NeuralNetwork(architecture, seed=3)
+            for rows in row_counts:
+                inputs = rng.normal(0.0, 4.0, size=(rows, 3))
+                original = inputs.tobytes()
+                predicted = network.predict(inputs)
+                assert inputs.tobytes() == original
+                trained = network.forward(inputs, training=True)
+                assert predicted.dtype == trained.dtype
+                assert predicted.shape == trained.shape == (rows, 2)
+                assert predicted.tobytes() == trained.tobytes(), (width, rows)
+                inferred = network.forward(inputs, training=False)
+                assert inferred.tobytes() == predicted.tobytes(), (width, rows)
+                assert inputs.tobytes() == original
+            single = network.predict(inputs[0])
+            assert single.tobytes() == network.forward(inputs[0], training=True).tobytes()
+            assert inputs.tobytes() == original
 
     @pytest.mark.parametrize("hidden", ["relu", "linear", "sigmoid"])
     def test_predict_between_forward_and_backward_keeps_gradients(self, hidden, rng):
