@@ -10,10 +10,10 @@ to the supply pads.  This costs O(#segments) per line instead of a sparse
 solve over the whole grid, and the lines of one direction, which share
 their crossings, are solved together as one batched ladder.  Measured with
 ``perfbench/run.py --workload paper-flow --seed 81 --trace 0`` on ibmpg2
-(48 + 48 lines; 778 specs in 30 s, BLAS on one thread of a 2-vCPU VM),
+(48 + 48 lines; 550 specs in 30 s, BLAS on one thread of a 2-vCPU VM),
 ``PowerPlanningDL.predict_design`` (width model plus this estimate) takes
-a median of 3.75 ms (``predict_ms_p50``) against 14.7 ms for the spec's
-conventional plan (``conventional_ms_p50``), 3.93x (``dl_speedup``; paper
+a median of 4.48 ms (``predict_ms_p50``) against 19.1 ms for the spec's
+conventional plan (``conventional_ms_p50``), 4.26x (``dl_speedup``; paper
 Table IV: 1.97x on ibmpg2).  The price is accuracy, as the paper notes:
 the estimated worst drop is 5.0 % off the analysed grid's (median over
 five specs of a traced run).

@@ -13,6 +13,40 @@ import numpy as np
 from .activations import Activation, get_activation
 from .initializers import Initializer, get_initializer
 
+BLOCK_ROWS = 896
+"""Most rows one product of :meth:`DenseLayer.forward` holds.
+
+With OpenBLAS on AVX-512, a 32 x 32 product of up to 976 rows runs in the
+small-matrix kernel: 768 rows take 26 us where 2 304 rows in one product
+take 122 us.  ibmpg1's 784 crossings are one block.
+"""
+
+ROW_ALIGNMENT = 16
+"""Every row block starts at a multiple of this many rows.
+
+BLAS kernels compute rows in groups (of up to 16 rows for AVX-512 double
+kernels) and the rows left over in narrower kernels, and NumPy hands a
+one-row product to ``gemv``.  Aligned, near-equal blocks put each row in
+the same kind of group as one product over the whole batch, so they give
+that product's bits wherever BLAS computes a row independently of the
+product's height: OpenBLAS's AVX-512 kernels do, but its AVX2 kernels on
+several threads split a product at heights that leave single rows in a
+narrower kernel.
+"""
+
+
+def row_blocks(num_rows: int) -> list[slice]:
+    """Cut ``num_rows`` rows into near-equal blocks of at most ``BLOCK_ROWS``.
+
+    Each block starts at the multiple of ``ROW_ALIGNMENT`` at or after its
+    share of the rows, so the first block is the largest; zero rows are one
+    empty block.
+    """
+    num_blocks = -(-num_rows // BLOCK_ROWS)
+    step = num_blocks * ROW_ALIGNMENT
+    starts = [ROW_ALIGNMENT * -(-index * num_rows // step) for index in range(1, num_blocks)]
+    return [slice(start, stop) for start, stop in zip([0, *starts], [*starts, num_rows])]
+
 
 class DenseLayer:
     """A fully connected layer ``a = activation(x @ W + b)``.
@@ -57,10 +91,15 @@ class DenseLayer:
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         """Compute the layer output for a batch of inputs.
 
-        The bias is added into the matmul's own result.  Outside training
-        nothing keeps the pre-activation, so the activation overwrites it in
-        place and the pass allocates one ``(batch, output_size)`` array; the
-        outputs are bitwise the same either way.
+        The product runs over the row blocks of :func:`row_blocks`, each
+        written into its rows of the pre-activation (a batch of at most
+        ``BLOCK_ROWS`` rows is one product), and the bias is added into
+        that array.  Training and inference cut the same blocks, so a
+        prediction is bitwise the training forward pass on any BLAS.
+        Outside training nothing keeps the pre-activation, so the activation
+        overwrites it in place and the pass allocates one
+        ``(batch, output_size)`` array; the outputs are bitwise the same
+        either way.
 
         Args:
             inputs: Array of shape ``(batch, input_size)``.
@@ -74,7 +113,15 @@ class DenseLayer:
             raise ValueError(
                 f"expected input with {self.input_size} features, got {inputs.shape[1]}"
             )
-        preactivation = inputs @ self.parameters["weights"]
+        weights = self.parameters["weights"]
+        if inputs.shape[0] <= BLOCK_ROWS:
+            # One block: the plain product skips a few microseconds of
+            # slicing per call, which a 128-row training step notices.
+            preactivation = inputs @ weights
+        else:
+            preactivation = np.empty((inputs.shape[0], self.output_size))
+            for rows in row_blocks(inputs.shape[0]):
+                np.matmul(inputs[rows], weights, out=preactivation[rows])
         preactivation += self.parameters["bias"]
         if not training:
             return self.activation.forward(preactivation, out=preactivation)

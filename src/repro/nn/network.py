@@ -17,25 +17,6 @@ import numpy as np
 from .layers import DenseLayer
 from .losses import Loss, get_loss
 
-INFERENCE_ROWS = 896
-"""Most rows one inference block holds (a multiple of ``ROW_ALIGNMENT``).
-
-A 32-wide layer's two buffers then fit in L2, and with OpenBLAS on AVX-512
-its 32 x 32 products stay in the small-matrix kernel (up to 976 rows): 768
-rows take 26 us a product where 2 304 rows in one product take 122 us.
-ibmpg1's 784 crossings are one block.
-"""
-
-ROW_ALIGNMENT = 16
-"""Every inference block starts at a multiple of this many rows.
-
-BLAS kernels compute rows in groups (of up to 16 rows for AVX-512 double
-kernels) and the rows left over in narrower kernels, so a row computes the
-same bits in a block only if it falls in the same kind of group as in one
-product over the whole batch.  The bias is added over tiles of this many
-rows too.
-"""
-
 
 @dataclass(frozen=True)
 class NetworkArchitecture:
@@ -122,15 +103,10 @@ class NeuralNetwork:
     # Forward / backward
     # ------------------------------------------------------------------
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run the forward pass on a batch of inputs.
-
-        Outside training the layers run in row blocks (see :meth:`_infer`).
-        """
+        """Run the forward pass on a batch of inputs."""
         outputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if not training:
-            return self._infer(outputs)
         for layer in self.layers:
-            outputs = layer.forward(outputs, training=True)
+            outputs = layer.forward(outputs, training=training)
         return outputs
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
@@ -140,58 +116,6 @@ class NeuralNetwork:
         writes to ``inputs`` nor touches the layers' backward caches.
         """
         return self.forward(inputs, training=False)
-
-    def _infer(self, inputs: np.ndarray) -> np.ndarray:
-        """Inference over near-equal row blocks of at most ``INFERENCE_ROWS``.
-
-        Each layer writes its block's product into one of two scratch
-        buffers (the output layer into the result's rows), adds the bias
-        over ``ROW_ALIGNMENT``-row tiles of repeated biases (one 512-wide
-        row per tile for a 32-wide layer; the rows that fill no tile take
-        the broadcast add) and applies the activation in place.  Additions
-        are elementwise, so the tiles change no bit, and each output row
-        is bitwise the training forward pass's as long as BLAS computes a
-        row independently of how many rows the product holds.
-        """
-        first = self.layers[0]
-        if inputs.shape[1] != first.input_size:
-            raise ValueError(
-                f"expected input with {first.input_size} features, got {inputs.shape[1]}"
-            )
-        num_rows = inputs.shape[0]
-        num_blocks = max(1, -(-num_rows // INFERENCE_ROWS))
-        # Near-equal blocks, each starting at the multiple of ROW_ALIGNMENT
-        # at or after its share; the first one is the largest.
-        step = num_blocks * ROW_ALIGNMENT
-        bounds = [ROW_ALIGNMENT * -(-index * num_rows // step) for index in range(num_blocks)]
-        bounds.append(num_rows)
-        widest = max(layer.output_size for layer in self.layers[:-1])
-        scratch = np.empty((2, bounds[1] * widest))
-        outputs = np.empty((num_rows, self.layers[-1].output_size))
-        steps = []
-        for layer in self.layers:
-            bias = layer.parameters["bias"]
-            tile = np.empty((ROW_ALIGNMENT, bias.size))
-            tile[...] = bias
-            steps.append((layer.parameters["weights"], bias, tile.reshape(-1), layer.activation))
-        last = len(steps) - 1
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            block = inputs[start:stop]
-            rows = stop - start
-            tiled = rows - rows % ROW_ALIGNMENT
-            for index, (weights, bias, tile, activation) in enumerate(steps):
-                if index == last:
-                    out = outputs[start:stop]
-                else:
-                    out = scratch[index % 2, : rows * bias.size].reshape(rows, bias.size)
-                np.matmul(block, weights, out=out)
-                # out is C-contiguous, so the reshape is a view of its rows.
-                whole = out[:tiled].reshape(tiled // ROW_ALIGNMENT, tile.size)
-                np.add(whole, tile, out=whole)
-                if tiled < rows:
-                    np.add(out[tiled:], bias, out=out[tiled:])
-                block = activation.forward(out, out=out)
-        return outputs
 
     def backward(self, loss: Loss, predictions: np.ndarray, targets: np.ndarray) -> float:
         """Backpropagate the loss gradient through every layer.

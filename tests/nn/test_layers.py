@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import DenseLayer, MeanSquaredError
+from repro.nn.layers import BLOCK_ROWS, ROW_ALIGNMENT, row_blocks
 
 
 class TestForward:
@@ -30,6 +31,37 @@ class TestForward:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
             DenseLayer(0, 3)
+
+
+class TestRowBlocks:
+    def test_blocks_are_aligned_near_equal_and_cover_the_rows(self):
+        """Every block starts on a multiple of ROW_ALIGNMENT, so none but the
+        last ends inside a BLAS row group, and the blocks are near-equal, so
+        no batch of two rows or more leaves a one-row (``gemv``) block."""
+        assert BLOCK_ROWS % ROW_ALIGNMENT == 0
+        for num_rows in range(4 * BLOCK_ROWS + 2 * ROW_ALIGNMENT):
+            blocks = row_blocks(num_rows)
+            assert len(blocks) == max(1, -(-num_rows // BLOCK_ROWS))
+            assert blocks[0].start == 0 and blocks[-1].stop == num_rows
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert all(block.start % ROW_ALIGNMENT == 0 for block in blocks)
+            sizes = [block.stop - block.start for block in blocks]
+            assert sizes[0] == max(sizes) <= BLOCK_ROWS, num_rows
+            assert max(sizes) - min(sizes) < 2 * ROW_ALIGNMENT, num_rows
+            assert num_rows < 2 or min(sizes) > 1, num_rows
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_each_block_is_its_own_product(self, training, rng):
+        """Training and inference cut the same blocks, so a row's bits depend
+        only on its block, whatever BLAS does with a product's height."""
+        layer = DenseLayer(32, 32, rng=rng)
+        inputs = rng.normal(size=(2 * BLOCK_ROWS + 17, 32))
+        outputs = layer.forward(inputs, training=training)
+        blocks = row_blocks(len(inputs))
+        assert len(blocks) == 3
+        for rows in blocks:
+            alone = layer.forward(inputs[rows], training=training)
+            assert outputs[rows].tobytes() == alone.tobytes()
 
 
 class TestBackward:

@@ -10,7 +10,7 @@ from repro.nn import (
     NeuralNetwork,
     get_loss,
 )
-from repro.nn.network import INFERENCE_ROWS, ROW_ALIGNMENT
+from repro.nn.layers import BLOCK_ROWS
 
 
 @pytest.fixture()
@@ -49,12 +49,6 @@ class TestForward:
         second = NeuralNetwork(small_architecture, seed=7).predict(inputs)
         np.testing.assert_allclose(first, second)
 
-    @pytest.mark.parametrize("training", [False, True])
-    def test_wrong_feature_count_rejected(self, small_architecture, training):
-        network = NeuralNetwork(small_architecture)
-        with pytest.raises(ValueError, match="expected input with 3 features, got 4"):
-            network.forward(np.zeros((5, 4)), training=training)
-
     def test_num_parameters(self, small_architecture):
         network = NeuralNetwork(small_architecture)
         expected = (3 * 8 + 8) + (8 * 8 + 8) + (8 * 2 + 2)
@@ -62,8 +56,9 @@ class TestForward:
 
 
 class TestInPlaceInference:
-    """``predict`` runs the layers over row blocks through two reused buffers,
-    bitwise equal to the training forward pass and touching nothing else."""
+    """``predict`` runs each layer's product over the same row blocks as the
+    training forward pass and each activation in place, bitwise equal to
+    the training forward pass and touching nothing else."""
 
     @pytest.mark.parametrize(
         "hidden, output",
@@ -71,13 +66,10 @@ class TestInPlaceInference:
          ("sigmoid", "linear"), ("softplus", "relu"), ("linear", "tanh")],
     )
     def test_predict_equals_training_forward(self, hidden, output, rng):
-        """Every row count cuts into blocks whose rows BLAS computes as in one
-        product over the whole batch: one block, a block that ends short of
-        a bias tile, and blocks after the first.  Width 24 makes 384-wide
-        bias tile rows next to the 256- and 512-wide ones."""
-        assert INFERENCE_ROWS % ROW_ALIGNMENT == 0
-        row_counts = (257, 0, 1, INFERENCE_ROWS - 1, INFERENCE_ROWS, INFERENCE_ROWS + 1,
-                      2 * INFERENCE_ROWS + 17)
+        """No rows, one row, one block, and two or three blocks, over hidden
+        widths 16, 24 and 32."""
+        row_counts = (257, 0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                      2 * BLOCK_ROWS + 17)
         for width in (16, 24, 32):
             architecture = NetworkArchitecture(
                 input_size=3, hidden_sizes=(width,) * 3, output_size=2,
